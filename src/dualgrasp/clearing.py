@@ -13,8 +13,8 @@ from .grasps import PARALLEL
 from .metrics import EvalConfig
 from .scenes import (
     SceneAnnotation,
-    _owning_object,
     oracle_seal_quality,
+    owning_object,
     parallel_quality_batch,
     remove_object,
 )
@@ -94,7 +94,7 @@ def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str, cfg: EvalConfig):
         if not res.hit[0]:
             return -1, False
         return int(res.object_id[0]), bool(res.mu[0] <= cfg.exec_mu_parallel)
-    prim = _owning_object(scene, np.asarray(grasp.center, dtype=np.float64), tol=0.002)
+    prim = owning_object(scene, np.asarray(grasp.center, dtype=np.float64), tol=0.002)
     if prim is None:
         return -1, False
     seal = oracle_seal_quality(scene, grasp, cfg.cup_radius)
@@ -107,7 +107,9 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
 
     pipeline(cloud, scene, gripper) must return (ranked grasps, seed indices).
     Returns (ClearingMetrics, ClearingTrace). An object counts as detected if
-    any of its points ever lands in a seed set.
+    any of its points ever lands in a seed set, or if an executed grasp
+    targets it (a grasp seeded on the table can still close on an object), so
+    cleared <= detected always holds.
     """
     cfg = config or EvalConfig()
     object_ids = tuple(sorted(p.object_id for p in scene.objects()))
@@ -131,6 +133,8 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
         top = grasps[0]
         target, ok = _judge_grasp(top, scene, gripper, cfg)
         attempts.append((target, ok))
+        if target > 0:
+            detected.add(target)
         if target in attempts_on:
             attempts_on[target] += 1
         if ok:

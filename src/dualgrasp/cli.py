@@ -64,6 +64,14 @@ class UsageError(ValueError):
     pass
 
 
+def _replace_config(cfg, **changes):
+    """dataclasses.replace whose validation errors are usage errors (exit 2)."""
+    try:
+        return replace(cfg, **changes)
+    except ValueError as e:
+        raise UsageError(f"invalid {type(cfg).__name__}: {e}") from e
+
+
 def load_config_file(path) -> dict:
     """Parse `section.key = value` lines; values are JSON literals or bare strings."""
     overrides = {}
@@ -99,7 +107,7 @@ def build_configs(overrides: dict) -> dict:
         current = getattr(cfg, name)
         if isinstance(current, tuple) and isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        configs[section] = replace(cfg, **{name: value})
+        configs[section] = _replace_config(cfg, **{name: value})
     return configs
 
 
@@ -128,7 +136,7 @@ def cmd_synth(args) -> int:
     cfgs = _configs_from_args(args)
     synth = cfgs["synth"]
     if args.kinds:
-        synth = replace(synth, kinds=tuple(args.kinds.split(",")))
+        synth = _replace_config(synth, kinds=tuple(args.kinds.split(",")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
@@ -167,7 +175,7 @@ def cmd_labels(args) -> int:
 def cmd_train(args) -> int:
     cfgs = _configs_from_args(args)
     tcfg: TrainConfig = cfgs["train"]
-    tcfg = replace(
+    tcfg = _replace_config(
         tcfg,
         epochs=args.epochs if args.epochs is not None else tcfg.epochs,
         batch_size=args.batch if args.batch is not None else tcfg.batch_size,
@@ -210,13 +218,15 @@ def _make_pipeline(args, cfgs) -> GraspPipeline:
         model = load_checkpoint(args.checkpoint)
     elif not args.fallback_head:
         raise UsageError("need --checkpoint or --fallback-head")
+    if args.max_refine is not None and args.max_refine < 1:
+        raise UsageError("--max-refine must be >= 1")
     sampling: SamplingConfig = cfgs["sampling"]
     if args.t_parallel is not None:
-        sampling = replace(sampling, t_parallel=args.t_parallel)
+        sampling = _replace_config(sampling, t_parallel=args.t_parallel)
     if args.t_vacuum is not None:
-        sampling = replace(sampling, t_vacuum=args.t_vacuum)
+        sampling = _replace_config(sampling, t_vacuum=args.t_vacuum)
     if args.seeds is not None:
-        sampling = replace(sampling, m_parallel=args.seeds, m_vacuum=args.seeds)
+        sampling = _replace_config(sampling, m_parallel=args.seeds, m_vacuum=args.seeds)
     return GraspPipeline(
         model=model,
         sampling=sampling,
@@ -254,6 +264,8 @@ def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):
 
 
 def cmd_predict(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     cfgs = _configs_from_args(args)
     pipe = _make_pipeline(args, cfgs)
     grippers = [PARALLEL, VACUUM] if args.grippers == "both" else [args.grippers]
@@ -275,13 +287,16 @@ def cmd_eval(args) -> int:
     cfgs = _configs_from_args(args)
     ecfg: EvalConfig = cfgs["eval"]
     if args.k is not None:
-        ecfg = replace(ecfg, k_max=args.k)
+        ecfg = _replace_config(ecfg, k_max=args.k)
+    grasps_dir = Path(args.grasps)
+    if not grasps_dir.is_dir():
+        raise UsageError(f"--grasps {grasps_dir} is not a directory")
+    pipe = _make_pipeline(args, cfgs) if args.clearing else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     summary = {}
-    grasps_dir = Path(args.grasps)
     for stem in _scene_stems(args.scenes):
         cloud, scene, gt = load_scene(stem)
         for gripper in (PARALLEL, VACUUM):
@@ -302,8 +317,7 @@ def cmd_eval(args) -> int:
             bucket = summary.setdefault(scene.split, {}).setdefault(gripper, [])
             bucket.append(overall)
 
-    if args.clearing:
-        pipe = _make_pipeline(args, cfgs)
+    if pipe is not None:
         for stem in _scene_stems(args.scenes):
             for gripper in (PARALLEL, VACUUM):
                 metrics = _run_clearing(pipe, stem, gripper, ecfg)

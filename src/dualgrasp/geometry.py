@@ -89,9 +89,3 @@ def fibonacci_hemisphere(count: int) -> np.ndarray:
     phi = i * GOLDEN_ANGLE
     pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def angle_between(a, b) -> float:
-    """Angle in radians between two vectors."""
-    ua, ub = normalize(a), normalize(b)
-    return float(np.arccos(np.clip(np.dot(ua, ub), -1.0, 1.0)))

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .geometry import normalize
 from .grasps import PARALLEL, VACUUM
-from .scenes import SceneAnnotation, friction_to_graspness
+from .scenes import SceneAnnotation, friction_to_graspness, owning_object
 
 SEAL_FILTER_MIN = 0.004
 VACUUM_CUTOFF = 0.1
@@ -86,25 +86,16 @@ def _swept_jaw_corners(grasp, cfg: LabelConfig) -> np.ndarray:
     return center + signs @ np.vstack([hu * u, hw * w, hv * v])
 
 
-def _target_object_id(scene: SceneAnnotation, anchor: np.ndarray) -> int:
-    best_id, best_d = 0, np.inf
-    for prim in scene.objects():
-        d = float(prim.surface_distance(anchor[None, :])[0])
-        if d < best_d:
-            best_id, best_d = prim.object_id, d
-    return best_id
-
-
 def parallel_grasp_collides(scene: SceneAnnotation, grasp, cfg: LabelConfig) -> bool:
     """Conservative: swept-jaw box vs table plane and other objects' bounding spheres."""
     corners = _swept_jaw_corners(grasp, cfg)
     if corners[:, 2].min() < scene.table_height + 1e-6:
         return True
-    target = _target_object_id(scene, grasp.jaw_center())
+    owner = owning_object(scene, grasp.jaw_center())
     center = corners.mean(axis=0)
     radius = float(np.linalg.norm(corners[0] - center))
     for prim in scene.objects():
-        if prim.object_id == target:
+        if prim is owner:
             continue
         if np.linalg.norm(center - prim.translation) < radius + prim.bounding_radius():
             return True
@@ -117,9 +108,9 @@ def vacuum_grasp_collides(scene: SceneAnnotation, grasp, cfg: LabelConfig) -> bo
     disc_drop = cfg.cup_radius * np.sqrt(max(0.0, 1.0 - n[2] ** 2))
     if grasp.center[2] - disc_drop < scene.table_height - 1e-9:
         return True
-    target = _target_object_id(scene, grasp.center)
+    owner = owning_object(scene, grasp.center)
     for prim in scene.objects():
-        if prim.object_id == target:
+        if prim is owner:
             continue
         if np.linalg.norm(grasp.center - prim.translation) < cfg.cup_radius + prim.bounding_radius():
             return True
@@ -180,8 +171,8 @@ def _associate(cloud: PointCloud, scene: SceneAnnotation, grasps, surviving) -> 
     out = np.full(len(cloud), -1.0)
     if not grasps:
         return out
-    targets = np.array([_target_object_id(scene, np.asarray(g.pose.center, dtype=np.float64))
-                        for g in grasps])
+    owners = [owning_object(scene, np.asarray(g.pose.center, dtype=np.float64)) for g in grasps]
+    targets = np.array([0 if prim is None else prim.object_id for prim in owners])
     anchors = np.array([g.pose.center for g in grasps])
     quality = np.array([g.quality_coeff for g in grasps])
     for oid in np.unique(targets):

@@ -6,18 +6,11 @@ gradient scale is independent of batch size.
 
 import numpy as np
 
+from .mlp import _sigmoid
+
 
 def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
-
-
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def bce_with_logits(logits, targets, pos_weight: float = 1.0):

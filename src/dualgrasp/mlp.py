@@ -233,7 +233,7 @@ def load_checkpoint(path) -> MlpModel:
     cfg = ModelConfig(
         feature_dim=c["feature_dim"],
         hidden=tuple(c["hidden"]),
-        bypass_gain=c.get("bypass_gain", 1.0),
+        bypass_gain=c.get("bypass_gain", ModelConfig.bypass_gain),
         refiner=c["refiner"],
         n_views=c["n_views"],
         n_angle_bins=c["n_angle_bins"],

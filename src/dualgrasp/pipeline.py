@@ -16,19 +16,10 @@ from .features import FeatureConfig, compute_point_features
 from .grasps import PARALLEL, VACUUM
 from .labels import GraspnessMaps, LabelConfig, build_label_maps
 from .mlp import MlpModel
-from .refine_parallel import (
-    LearnedGraspHead,
-    NoSupport,
-    RefineParallelConfig,
-    ViewGrid,
-    cylinder_group,
-    fallback_refine_batch,
-    predict_grasp,
-    select_view,
-)
+from .refine_parallel import RefineParallelConfig, fallback_refine_batch, learned_refine_batch
 from .refine_vacuum import refine_vacuum_poses, rank_vacuum
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
-from .scenes import NoContact, SceneAnnotation
+from .scenes import SceneAnnotation, owning_object
 
 
 @dataclass
@@ -79,7 +70,6 @@ class GraspPipeline:
                     f"model view head ({model.config.n_views}) does not match refine config "
                     f"({self.refine.n_views})"
                 )
-        self._grid = ViewGrid.build(self.refine.n_views)
 
     def predict_maps(self, cloud: PointCloud, scene: SceneAnnotation, gt_grasps=None):
         """Prediction-role maps from the model, or oracle label maps in fallback mode."""
@@ -127,32 +117,12 @@ class GraspPipeline:
         return PipelineResult(PARALLEL, grasps, seeds, dropped)
 
     def _refine_parallel(self, cloud, scene, seeds: SeedSet, feats):
-        cfg = self.refine
         if self.pose_head == "oracle":
-            return fallback_refine_batch(cloud, scene, seeds.indices, cfg)
+            return fallback_refine_batch(cloud, scene, seeds.indices, self.refine)
         if feats is None:
             feats = compute_point_features(cloud, scene.table_height, self.feature_config)
         refiner_out = self.model.refiner_outputs(feats[seeds.indices])
-        grasps, dropped = [], 0
-        for row, seed in enumerate(seeds.indices):
-            seed = int(seed)
-            view_scores = refiner_out["view"][row]
-            view = select_view(None, self._grid, lambda _f, s=view_scores: s)
-            head = LearnedGraspHead(
-                {
-                    "angle_logits": refiner_out["angle_logits"][row],
-                    "depth_logits": refiner_out["depth_logits"][row],
-                    "width": refiner_out["width"][row],
-                    "score_logits": refiner_out["score_logits"][row],
-                },
-                cfg,
-            )
-            group = cylinder_group(cloud, seed, view, cfg.cylinder_radius, cfg.cylinder_height)
-            try:
-                grasps.append(predict_grasp(cloud, group, head))
-            except (NoSupport, NoContact):
-                dropped += 1
-        return grasps, dropped
+        return learned_refine_batch(cloud, seeds.indices, refiner_out, self.refine)
 
     def clearing_adapter(self, gt_grasps=None, object_of_grasp=None):
         """Callable (cloud, scene, gripper) -> (grasps, seed indices) for the clearing loop.
@@ -175,10 +145,8 @@ class GraspPipeline:
 
 def grasp_target_ids(scene: SceneAnnotation, gt_grasps) -> list:
     """Object id owning each ground-truth grasp (nearest primitive surface)."""
-    from .scenes import _owning_object
-
     ids = []
     for g in gt_grasps:
-        prim = _owning_object(scene, np.asarray(g.pose.center, dtype=np.float64), tol=np.inf)
+        prim = owning_object(scene, np.asarray(g.pose.center, dtype=np.float64))
         ids.append(prim.object_id if prim is not None else -1)
     return ids

@@ -1,24 +1,22 @@
-"""Parallel pose refinement: approach-view selection, cylinder grouping, grasp head.
+"""Parallel pose refinement: approach-view selection, cylinder grouping, grasp heads.
 
 Views are stored as upward (sky-pointing) unit vectors on a Fibonacci
 hemisphere; the gripper approaches along the negated view. Two interchangeable
-grasp heads complete the pose: a learned head decoding MLP refiner outputs,
-and a geometric fallback that exhaustively searches the angle/depth bins for
-the best oracle quality (which makes the full pipeline runnable untrained).
+grasp heads complete the pose: a learned head decoding MLP refiner outputs
+(learned_refine_batch), and a geometric fallback (fallback_refine_batch) that
+takes the best oracle pose from oracle_search, which makes the full pipeline
+runnable untrained. oracle_search also produces the refiner training targets.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import PointCloud
-from .geometry import approach_frame, fibonacci_hemisphere
+from .geometry import fibonacci_hemisphere
 from .grasps import ParallelGrasp
-from .scenes import NoContact, SceneAnnotation, friction_to_graspness, parallel_quality_batch
-
-
-class NoSupport(ValueError):
-    """A grasp cannot be predicted from an empty cylinder group."""
+from .scenes import SceneAnnotation, friction_to_graspness, parallel_quality_batch
 
 
 @dataclass
@@ -82,14 +80,6 @@ class CylinderGroup:
         return len(self.member_indices)
 
 
-def select_view(seed_features, grid: ViewGrid, predictor) -> np.ndarray:
-    """Approach direction of the argmax-scored view (ties break to the lowest index)."""
-    scores = np.asarray(predictor(seed_features), dtype=np.float64)
-    if scores.shape != (len(grid),):
-        raise ValueError(f"predictor returned {scores.shape}, expected ({len(grid)},)")
-    return grid.approach(int(np.argmax(scores)))
-
-
 def cylinder_group(cloud: PointCloud, seed_index: int, view, radius: float, height: float) -> CylinderGroup:
     """Cloud points inside the directed cylinder centered on the seed along the view."""
     if radius <= 0 or height <= 0:
@@ -116,193 +106,149 @@ def _approach_frames(approaches: np.ndarray):
     return e1, e2
 
 
-def candidate_qualities(scene: SceneAnnotation, seed_point, approach, config: RefineParallelConfig):
-    """Oracle quality of every (angle bin, depth bin) jaw line from a seed.
+PoseSearch = namedtuple(
+    "PoseSearch", ["view_scores", "view", "angle_idx", "depth_idx", "width", "score", "reachable"]
+)
 
-    Returns (mu, t0, t1) arrays of shape (A, D). The jaw line for candidate
-    (a, d) runs through seed + d * approach along the angle-a closing direction.
+
+def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths, max_width):
+    """Oracle (mu, t0, t1) of every (angle, depth) jaw line, each of shape (S, M, A, D).
+
+    approaches is (K, M, 3) with K in {1, S}. The jaw line for candidate
+    (s, m, a, d) runs through seed s + depth d * approach m along the angle-a
+    closing direction of that approach's frame.
     """
-    mu, t0, t1 = candidate_qualities_multi(scene, seed_point, np.asarray(approach)[None, :], config)
-    return mu[0], t0[0], t1[0]
-
-
-def candidate_qualities_multi(scene: SceneAnnotation, seed_point, approaches, config: RefineParallelConfig):
-    """candidate_qualities for M approach directions at once; arrays of shape (M, A, D)."""
-    mu, t0, t1 = candidate_qualities_seeds(scene, np.asarray(seed_point)[None, :], approaches, config)
-    return mu[0], t0[0], t1[0]
-
-
-def candidate_qualities_seeds(scene: SceneAnnotation, seed_points, approaches,
-                              config: RefineParallelConfig, angles=None, depths=None):
-    """Oracle qualities for S seeds x M approaches x A angles x D depths in one batch.
-
-    Returns (mu, t0, t1) arrays of shape (S, M, A, D). angles/depths override
-    the config's full grids (used by the coarse view-ranking probe).
-    """
-    seeds = np.atleast_2d(np.asarray(seed_points, dtype=np.float64))
-    approaches = np.atleast_2d(np.asarray(approaches, dtype=np.float64))
-    s_n, m_n = len(seeds), len(approaches)
-    angles = config.angle_values() if angles is None else np.asarray(angles)
-    depths = np.asarray(config.depth_bins if depths is None else depths)
-    a_n, d_n = len(angles), len(depths)
-    e1, e2 = _approach_frames(approaches)
+    k_n, m_n = approaches.shape[:2]
+    shape = (len(seeds), m_n, len(angles), len(depths))
+    e1, e2 = _approach_frames(approaches.reshape(-1, 3))
     rad = np.deg2rad(angles)
     closings = np.cos(rad)[None, :, None] * e1[:, None, :] + np.sin(rad)[None, :, None] * e2[:, None, :]
-    centers = seeds[:, None, None, :] + depths[None, None, :, None] * approaches[None, :, None, :]
-    shape = (s_n, m_n, a_n, d_n)
+    closings = closings.reshape(k_n, m_n, len(angles), 3)
+    centers = seeds[:, None, None, :] + depths[None, None, :, None] * approaches[:, :, None, :]
     origins = np.broadcast_to(centers[:, :, None, :, :], shape + (3,)).reshape(-1, 3)
-    dirs = np.broadcast_to(closings[None, :, :, None, :], shape + (3,)).reshape(-1, 3)
-    res = parallel_quality_batch(scene, origins, dirs, np.full(len(origins), config.max_width))
+    dirs = np.broadcast_to(closings[:, :, :, None, :], shape + (3,)).reshape(-1, 3)
+    res = parallel_quality_batch(scene, origins, dirs, np.full(len(origins), max_width))
     return res.mu.reshape(shape), res.t0.reshape(shape), res.t1.reshape(shape)
 
 
-def make_oracle_view_scorer(scene: SceneAnnotation, seed_point, grid: ViewGrid, config: RefineParallelConfig):
-    """Ground-truth per-view quality: the best candidate graspness along each view."""
-    scores = oracle_view_scores(scene, seed_point, grid, config)
+def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelConfig,
+                  angle_stride: int = 1, depth_stride: int = 1, chunk_lines: int = 1_000_000) -> PoseSearch:
+    """Best oracle parallel pose at each of S seeds: the one pose search of the package.
 
-    def scorer(_features):
-        return scores
+    Views are ranked by mean candidate graspness over the (angle, depth) grid,
+    thinned by the strides, minus view_vertical_bias * (1 - view z). Averaging
+    (rather than taking the best candidate) ranks views by how many of their
+    jaw-line bins actually reach the object, which concentrates the score
+    around surface-normal approaches; the bias settles the remaining near-ties
+    toward reachable top-down poses. The winning view (ties: lowest index) is
+    then searched on the full grid for the lowest required friction (ties:
+    lowest (angle, depth)). Seeds go to the oracle in chunks of at most
+    chunk_lines ranking jaw lines (and at least one seed).
 
-    return scorer
-
-
-def oracle_view_scores(scene: SceneAnnotation, seed_point, grid: ViewGrid, config: RefineParallelConfig) -> np.ndarray:
-    """Ground-truth view quality: mean candidate graspness over the (angle, depth) grid.
-
-    Averaging (rather than taking the best candidate) ranks views by how many
-    of their jaw-line bins actually reach the object, which concentrates the
-    score around surface-normal approaches; a small vertical bias settles the
-    remaining near-ties deterministically toward reachable top-down poses.
+    Returns a PoseSearch of per-seed arrays: view_scores (S, V), view index,
+    angle_idx, depth_idx, width (jaw span plus margin, capped at max_width),
+    score (graspness of the best candidate) and reachable (some full-grid
+    candidate can close). Only reachable rows carry a meaningful pose.
     """
-    mu, _, _ = candidate_qualities_multi(scene, seed_point, -grid.views, config)
-    quality = np.mean(friction_to_graspness(mu.reshape(len(grid), -1)), axis=1)
-    return quality - config.view_vertical_bias * (1.0 - grid.views[:, 2])
+    seeds = np.asarray(seed_points, dtype=np.float64).reshape(-1, 3)
+    views = ViewGrid.build(config.n_views).views
+    angles = config.angle_values()
+    depths = np.asarray(config.depth_bins)
+    probe_angles, probe_depths = angles[::angle_stride], depths[::depth_stride]
+    s_n, v_n = len(seeds), len(views)
+    per_chunk = max(1, chunk_lines // (v_n * len(probe_angles) * len(probe_depths)))
+
+    view_scores = np.empty((s_n, v_n))
+    mu = np.empty((s_n, len(angles) * len(depths)))
+    t0, t1 = np.empty_like(mu), np.empty_like(mu)
+    for start in range(0, s_n, per_chunk):
+        rows = slice(start, start + per_chunk)
+        probe_mu, _, _ = _grid_qualities(scene, seeds[rows], -views[None], probe_angles, probe_depths,
+                                         config.max_width)
+        quality = np.mean(friction_to_graspness(probe_mu.reshape(len(probe_mu), v_n, -1)), axis=2)
+        view_scores[rows] = quality - config.view_vertical_bias * (1.0 - views[None, :, 2])
+        approaches = -views[np.argmax(view_scores[rows], axis=1)]
+        full = _grid_qualities(scene, seeds[rows], approaches[:, None, :], angles, depths, config.max_width)
+        for out, part in zip((mu, t0, t1), full):
+            out[rows] = part.reshape(len(approaches), -1)
+
+    best = np.argmin(mu, axis=1)
+    pick = np.arange(s_n), best
+    reach = np.maximum(np.abs(t0[pick]), np.abs(t1[pick]))
+    return PoseSearch(
+        view_scores=view_scores,
+        view=np.argmax(view_scores, axis=1),
+        angle_idx=best // len(depths),
+        depth_idx=best % len(depths),
+        width=np.minimum(config.max_width, 2.0 * reach + config.width_margin),
+        score=friction_to_graspness(mu[pick]),
+        reachable=np.any(np.isfinite(mu), axis=1),
+    )
 
 
 def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indices,
-                          config: RefineParallelConfig, chunk_lines: int = 1_000_000):
-    """Oracle-driven refinement of many seeds at once.
+                          config: RefineParallelConfig):
+    """Oracle-driven parallel poses for many seeds: oracle_search on the probe grid.
 
-    Views are ranked by the best candidate quality on a strided (angle, depth)
-    probe grid; the winning view is then searched on the full grid, exactly as
-    GeometricFallbackHead would. Seeds with an empty cylinder group or no
-    reachable candidate are dropped. Returns (grasps, dropped_count).
+    Seeds with an empty cylinder group or no reachable candidate are dropped.
+    Returns (grasps, dropped_count).
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
-    if len(seed_indices) == 0:
-        return [], 0
-    grid = ViewGrid.build(config.n_views)
-    probe_angles = config.angle_values()[:: config.probe_angle_stride]
-    probe_depths = np.asarray(config.depth_bins)[:: config.probe_depth_stride]
-    lines_per_seed = len(grid) * len(probe_angles) * len(probe_depths)
-    per_chunk = max(1, chunk_lines // lines_per_seed)
-
-    grasps, dropped = [], 0
+    found = oracle_search(scene, cloud.points[seed_indices], config,
+                          config.probe_angle_stride, config.probe_depth_stride)
+    approaches = -ViewGrid.build(config.n_views).views[found.view]
     angles = config.angle_values()
-    depths = np.asarray(config.depth_bins)
-    for start in range(0, len(seed_indices), per_chunk):
-        chunk = seed_indices[start : start + per_chunk]
-        pts = cloud.points[chunk]
-        probe_mu, _, _ = candidate_qualities_seeds(
-            scene, pts, -grid.views, config, angles=probe_angles, depths=probe_depths
-        )
-        probe_quality = np.mean(
-            friction_to_graspness(probe_mu.reshape(len(chunk), len(grid), -1)), axis=2
-        )
-        best_views = np.argmax(
-            probe_quality - config.view_vertical_bias * (1.0 - grid.views[None, :, 2]), axis=1
-        )
-        # full-grid search along each seed's winning view, paired batch
-        approaches = -grid.views[best_views]
-        s_n, a_n, d_n = len(chunk), len(angles), len(depths)
-        e1, e2 = _approach_frames(approaches)
-        rad = np.deg2rad(angles)
-        closings = np.cos(rad)[None, :, None] * e1[:, None, :] + np.sin(rad)[None, :, None] * e2[:, None, :]
-        centers = pts[:, None, :] + depths[None, :, None] * approaches[:, None, :]  # (S, D, 3)
-        origins = np.broadcast_to(centers[:, None, :, :], (s_n, a_n, d_n, 3)).reshape(-1, 3)
-        dirs = np.broadcast_to(closings[:, :, None, :], (s_n, a_n, d_n, 3)).reshape(-1, 3)
-        res = parallel_quality_batch(scene, origins, dirs, np.full(len(origins), config.max_width))
-        mu = res.mu.reshape(s_n, a_n, d_n)
-        t0 = res.t0.reshape(s_n, a_n, d_n)
-        t1 = res.t1.reshape(s_n, a_n, d_n)
-        for row, seed in enumerate(chunk):
-            seed = int(seed)
-            group = cylinder_group(cloud, seed, approaches[row], config.cylinder_radius, config.cylinder_height)
-            if len(group) == 0 or not np.any(np.isfinite(mu[row])):
-                dropped += 1
-                continue
-            a_i, d_i = np.unravel_index(np.argmin(mu[row]), mu[row].shape)
-            reach = max(abs(t0[row, a_i, d_i]), abs(t1[row, a_i, d_i]))
-            grasps.append(
-                ParallelGrasp(
-                    center=pts[row],
-                    approach=approaches[row],
-                    angle_deg=float(angles[a_i]),
-                    width=min(config.max_width, 2.0 * reach + config.width_margin),
-                    depth=float(depths[d_i]),
-                    score=float(friction_to_graspness(mu[row, a_i, d_i])),
-                    seed_index=seed,
-                )
+    grasps, dropped = [], 0
+    for row, seed in enumerate(seed_indices.tolist()):
+        group = cylinder_group(cloud, seed, approaches[row], config.cylinder_radius, config.cylinder_height)
+        if len(group) == 0 or not found.reachable[row]:
+            dropped += 1
+            continue
+        grasps.append(
+            ParallelGrasp(
+                center=cloud.points[seed],
+                approach=approaches[row],
+                angle_deg=float(angles[found.angle_idx[row]]),
+                width=float(found.width[row]),
+                depth=float(config.depth_bins[found.depth_idx[row]]),
+                score=float(found.score[row]),
+                seed_index=seed,
             )
+        )
     return grasps, dropped
 
 
-class GeometricFallbackHead:
-    """Oracle-driven grasp head: exhaustive argmax over the discrete bins."""
+def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, config: RefineParallelConfig):
+    """Decode MLP refiner outputs (one row per seed) into parallel poses.
 
-    def __init__(self, scene: SceneAnnotation, config: RefineParallelConfig):
-        self.scene = scene
-        self.config = config
-
-    def decide(self, cloud: PointCloud, group: CylinderGroup):
-        cfg = self.config
-        seed_point = cloud.points[group.seed_index]
-        mu, t0, t1 = candidate_qualities(self.scene, seed_point, group.view, cfg)
-        if not np.any(np.isfinite(mu)):
-            raise NoContact("no angle/depth candidate reaches an object from this seed")
-        a_idx, d_idx = np.unravel_index(np.argmin(mu), mu.shape)  # ties: lowest (angle, depth)
-        reach = max(abs(t0[a_idx, d_idx]), abs(t1[a_idx, d_idx]))
-        width = min(cfg.max_width, 2.0 * reach + cfg.width_margin)
-        return {
-            "angle_deg": float(cfg.angle_values()[a_idx]),
-            "depth": float(cfg.depth_bins[d_idx]),
-            "width": width,
-            "score": float(friction_to_graspness(mu[a_idx, d_idx])),
-        }
-
-
-class LearnedGraspHead:
-    """Decodes MLP refiner head outputs at the seed into grasp parameters."""
-
-    def __init__(self, head_outputs: dict, config: RefineParallelConfig):
-        self.out = head_outputs  # angle_logits, depth_logits, width, score_logits
-        self.config = config
-
-    def decide(self, cloud: PointCloud, group: CylinderGroup):
-        cfg = self.config
-        a_idx = int(np.argmax(self.out["angle_logits"]))
-        d_idx = int(np.argmax(self.out["depth_logits"]))
-        s_idx = int(np.argmax(self.out["score_logits"]))
-        width = float(np.clip(self.out["width"], 1e-4, cfg.max_width))
-        return {
-            "angle_deg": float(cfg.angle_values()[a_idx]),
-            "depth": float(cfg.depth_bins[d_idx]),
-            "width": width,
-            "score": float(cfg.score_bin_values()[s_idx]),
-        }
-
-
-def predict_grasp(cloud: PointCloud, group: CylinderGroup, head, features=None) -> ParallelGrasp:
-    """Complete a parallel pose for a seed from its cylinder group via a grasp head."""
-    if len(group) == 0:
-        raise NoSupport(f"cylinder group at seed {group.seed_index} is empty")
-    params = head.decide(cloud, group)
-    return ParallelGrasp(
-        center=cloud.points[group.seed_index],
-        approach=group.view,
-        angle_deg=params["angle_deg"],
-        width=params["width"],
-        depth=params["depth"],
-        score=params["score"],
-        seed_index=group.seed_index,
-    )
+    Each row takes the argmax view, angle, depth and score bin (ties: lowest
+    index) and its regressed width clamped to [1e-4, max_width]. Seeds with
+    an empty cylinder group along their view are dropped. Returns
+    (grasps, dropped_count). The approach is the group's re-normalized view,
+    which can differ from the fallback's raw grid vector in the last bit.
+    """
+    grid = ViewGrid.build(config.n_views)
+    views = np.argmax(refiner_out["view"], axis=1)
+    angles = config.angle_values()[np.argmax(refiner_out["angle_logits"], axis=1)]
+    depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth_logits"], axis=1)]
+    scores = config.score_bin_values()[np.argmax(refiner_out["score_logits"], axis=1)]
+    widths = np.clip(refiner_out["width"], 1e-4, config.max_width)
+    grasps, dropped = [], 0
+    for row, seed in enumerate(np.asarray(seed_indices, dtype=np.intp).tolist()):
+        group = cylinder_group(cloud, seed, grid.approach(views[row]), config.cylinder_radius,
+                               config.cylinder_height)
+        if len(group) == 0:
+            dropped += 1
+            continue
+        grasps.append(
+            ParallelGrasp(
+                center=cloud.points[seed],
+                approach=group.view,
+                angle_deg=float(angles[row]),
+                width=float(widths[row]),
+                depth=float(depths[row]),
+                score=float(scores[row]),
+                seed_index=seed,
+            )
+        )
+    return grasps, dropped

@@ -336,7 +336,11 @@ def friction_to_graspness(mu, mu_max: float = 1.0):
 # -- vacuum (seal) oracle ------------------------------------------------------
 
 
-def _owning_object(scene: SceneAnnotation, point: np.ndarray, tol: float):
+def owning_object(scene: SceneAnnotation, point: np.ndarray, tol: float = np.inf):
+    """The object primitive whose surface is nearest to point, or None beyond tol.
+
+    Ties keep the first object in scene order; None also when there is no object.
+    """
     best, best_d = None, np.inf
     for prim in scene.objects():
         d = float(prim.surface_distance(point[None, :])[0])
@@ -379,7 +383,7 @@ def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: 
     """
     cfg = config or SynthConfig()
     c = np.asarray(grasp.center, dtype=np.float64)
-    prim = _owning_object(scene, c, cfg.on_surface_tol)
+    prim = owning_object(scene, c, cfg.on_surface_tol)
     if prim is None or prim.porosity_flag:
         return 0.0
     lo, hi = cfg.seal_sample_limits

@@ -17,9 +17,9 @@ from .labels import GraspnessMaps, LabelConfig, build_label_maps
 from .losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
 from .mlp import MlpModel, ModelConfig
 from .pcgrad import combine_without_surgery, pcgrad
-from .refine_parallel import RefineParallelConfig, ViewGrid, candidate_qualities, oracle_view_scores
+from .refine_parallel import RefineParallelConfig, oracle_search
 from .sampling import select_seeds
-from .scenes import SceneAnnotation, friction_to_graspness
+from .scenes import SceneAnnotation
 
 
 @dataclass
@@ -81,40 +81,24 @@ def prepare_training_scene(cloud: PointCloud, scene: SceneAnnotation, grasps,
     fused = maps.objectness * maps.parallel_graspness
     seeds = select_seeds(cloud, fused, tcfg.seed_threshold, tcfg.refiner_seeds_per_scene)
 
-    grid = ViewGrid.build(rcfg.n_views)
-    rows, view_scores, widths, angle_idx, depth_idx, score_idx = [], [], [], [], [], []
-    for seed in seeds.indices:
-        seed_point = cloud.points[seed]
-        scores = oracle_view_scores(scene, seed_point, grid, rcfg)
-        best_view = int(np.argmax(scores))
-        mu, t0, t1 = candidate_qualities(scene, seed_point, grid.approach(best_view), rcfg)
-        if not np.any(np.isfinite(mu)):
-            continue
-        a_i, d_i = np.unravel_index(np.argmin(mu), mu.shape)
-        reach = max(abs(t0[a_i, d_i]), abs(t1[a_i, d_i]))
-        g = friction_to_graspness(mu[a_i, d_i])
-        rows.append(int(seed))
-        view_scores.append(scores)
-        widths.append(min(rcfg.max_width, 2.0 * reach + rcfg.width_margin))
-        angle_idx.append(int(a_i))
-        depth_idx.append(int(d_i))
-        score_idx.append(min(rcfg.n_score_bins - 1, int(g * rcfg.n_score_bins)))
-
+    found = oracle_search(scene, cloud.points[seeds.indices], rcfg)
+    keep = found.reachable
     targets = None
-    if rows:
+    if np.any(keep):
         targets = {
-            "view_scores": np.asarray(view_scores),
-            "width": np.asarray(widths),
-            "angle_idx": np.asarray(angle_idx, dtype=np.intp),
-            "depth_idx": np.asarray(depth_idx, dtype=np.intp),
-            "score_idx": np.asarray(score_idx, dtype=np.intp),
+            "view_scores": found.view_scores[keep],
+            "width": found.width[keep],
+            "angle_idx": found.angle_idx[keep],
+            "depth_idx": found.depth_idx[keep],
+            "score_idx": np.minimum(rcfg.n_score_bins - 1,
+                                    (found.score[keep] * rcfg.n_score_bins).astype(np.intp)),
         }
     return PreparedScene(
         features=feats,
         objectness=maps.objectness.copy(),
         parallel_label=maps.parallel_graspness.copy(),
         vacuum_label=maps.vacuum_graspness.copy(),
-        seed_rows=np.asarray(rows, dtype=np.intp),
+        seed_rows=seeds.indices[keep],
         refiner_targets=targets,
     )
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,25 @@ def test_loop_clears_all_objects():
     assert metrics.r_object == 1.0 and metrics.r_grasp == 1.0 and metrics.r_mix == 1.0
     assert metrics.objects_detected == 2
     assert trace.cleared == {1: True, 2: True}
+
+
+def test_grasp_seeded_off_object_detects_its_target():
+    # seeds only on table points, yet every executed grasp hits an object
+    cloud, scene = two_sphere_scene()
+    cloud = PointCloud(np.vstack([cloud.points, [[0.0, 0.1, 0.0], [0.0, -0.1, 0.0]]]),
+                       viewpoint=(0, 0, 1))
+    scene = replace(scene, per_point_object_id=np.concatenate([scene.per_point_object_id, [0, 0]]),
+                    per_point_flat=np.concatenate([scene.per_point_flat, [True, True]]))
+
+    def pipeline(cloud, scene, gripper):
+        g = diametral(scene.objects()[0])
+        g.score = 1.0
+        return [g], np.flatnonzero(scene.per_point_object_id == 0)
+
+    metrics, trace = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
+    assert metrics.objects_cleared == 2
+    assert metrics.objects_detected == 2
+    assert trace.detected_ids == {1, 2}
 
 
 def test_loop_stops_after_three_consecutive_failures():

@@ -198,6 +198,28 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         assert p.read_bytes() == (b / p.name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--fallback-head", "--max-refine", "0"],
+    ["predict", "--fallback-head", "--max-refine", "-3"],
+    ["predict", "--fallback-head", "--jobs", "0"],
+    ["predict", "--fallback-head", "--seeds", "0"],
+    ["predict", "--fallback-head", "--t-parallel", "1.5"],
+    ["predict", "--fallback-head", "--config", "{bad_config}"],
+    ["train", "--epochs", "0"],
+    ["eval", "--grasps", "{missing}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--max-refine", "0"],
+], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
+        "config-file-value", "epochs-0", "grasps-missing", "clearing-max-refine-0"])
+def test_usage_errors_exit_two(workspace, tmp_path, argv):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("sampling.t_parallel = 1.5\n")
+    fill = {"{bad_config}": bad_config, "{missing}": tmp_path / "missing", "{pred}": workspace / "pred"}
+    out = tmp_path / "out"
+    argv = [argv[0], "--scenes", workspace / "scenes", "--out", out] + [fill.get(a, a) for a in argv[1:]]
+    assert run(*argv) == 2
+    assert not out.exists()  # usage errors are raised before any output is written
+
+
 def test_runtime_failure_exits_one(workspace, tmp_path):
     code = run("predict", "--scenes", workspace / "scenes", "--out", tmp_path / "x",
                "--checkpoint", tmp_path / "missing.json")

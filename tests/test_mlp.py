@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,15 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     b, _ = loaded.forward(X)
     for name in a:
         assert np.array_equal(a[name], b[name])
+
+
+def test_checkpoint_without_bypass_gain_uses_model_default(tmp_path):
+    path = tmp_path / "old.json"
+    save_checkpoint(path, MlpModel(ModelConfig(feature_dim=4), np.random.default_rng(0)))
+    doc = json.loads(path.read_text())
+    del doc["config"]["bypass_gain"]
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path).config.bypass_gain == ModelConfig().bypass_gain == 8.0
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, rng):

@@ -2,23 +2,20 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from dualgrasp import refine_parallel
 from dualgrasp.cloud import PointCloud
 from dualgrasp.grasps import ParallelGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import (
-    GeometricFallbackHead,
-    LearnedGraspHead,
-    NoSupport,
+    CylinderGroup,
     RefineParallelConfig,
     ViewGrid,
-    candidate_qualities,
     cylinder_group,
     fallback_refine_batch,
-    make_oracle_view_scorer,
-    predict_grasp,
-    select_view,
+    learned_refine_batch,
+    oracle_search,
 )
-from dualgrasp.scenes import friction_to_graspness
+from dualgrasp.scenes import NoContact, friction_to_graspness, oracle_parallel_quality
 
 from test_scenes import bare_scene
 
@@ -34,29 +31,58 @@ def test_view_grid_upper_hemisphere():
     assert len(np.unique(np.round(grid.views, 9), axis=0)) == 300
 
 
-def test_select_view_uniform_ties_to_first():
+def refiner_rows(view_scores, angle_logits=None, depth_logits=None, width=0.05, score_logits=None):
+    """Refiner outputs for len(view_scores) seeds; unspecified heads pick bin 0."""
+    view_scores = np.atleast_2d(view_scores)
+    n = len(view_scores)
+
+    def logits(row, dim):
+        return np.tile(np.zeros(dim) if row is None else row, (n, 1))
+
+    return {
+        "view": view_scores,
+        "angle_logits": logits(angle_logits, CFG.n_angle_bins),
+        "depth_logits": logits(depth_logits, len(CFG.depth_bins)),
+        "width": np.full(n, width),
+        "score_logits": logits(score_logits, CFG.n_score_bins),
+    }
+
+
+def two_point_cloud():
+    return PointCloud([[0, 0, 0], [0.01, 0, 0]])
+
+
+def test_learned_view_ties_break_to_first():
+    cfg = RefineParallelConfig(n_views=16)
+    grasps, dropped = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(16)), cfg)
+    assert dropped == 0
+    assert np.allclose(grasps[0].approach, -ViewGrid.build(16).views[0])
+
+
+def test_learned_view_one_hot():
+    cfg = RefineParallelConfig(n_views=16)
+    scores = np.zeros((2, 16))
+    scores[0, 7] = 1.0
+    scores[1, 3] = 1.0
+    grasps, _ = learned_refine_batch(two_point_cloud(), [0, 1], refiner_rows(scores), cfg)
     grid = ViewGrid.build(16)
-    got = select_view(None, grid, lambda f: np.ones(16))
-    assert np.allclose(got, -grid.views[0])
+    assert np.allclose(grasps[0].approach, -grid.views[7])
+    assert np.allclose(grasps[1].approach, -grid.views[3])
+    assert [g.seed_index for g in grasps] == [0, 1]
 
 
-def test_select_view_one_hot():
-    grid = ViewGrid.build(16)
-    scores = np.zeros(16)
-    scores[7] = 1.0
-    assert np.allclose(select_view(None, grid, lambda f: scores), -grid.views[7])
-
-
-def test_select_view_oracle_box_top():
+def test_oracle_search_box_top_is_near_vertical():
     box = Primitive("box", (0.05, 0.05, 0.04), translation=(0, 0, 0.02))
     scene = bare_scene(box)
-    grid = ViewGrid.build(300)
     seed_point = np.array([0.0, 0.0, 0.04])  # center of the top face
-    scorer = make_oracle_view_scorer(scene, seed_point, grid, CFG)
-    approach = select_view(None, grid, scorer)
+    found = oracle_search(scene, seed_point[None, :], CFG)
+    assert found.view_scores.shape == (1, CFG.n_views)
+    assert found.view[0] == np.argmax(found.view_scores[0])
+    approach = ViewGrid.build(CFG.n_views).approach(found.view[0])
     inward = np.array([0.0, 0.0, -1.0])
     ang = np.degrees(np.arccos(np.clip(approach @ inward, -1, 1)))
     assert ang < 15.0
+    assert found.reachable[0]
 
 
 def test_cylinder_group_membership_bounds():
@@ -109,37 +135,21 @@ def sphere_cloud_and_scene(radius=0.02, center=(0.0, 0.0, 0.1)):
 def test_fallback_head_on_isolated_sphere():
     cloud, scene, sphere = sphere_cloud_and_scene()
     top_idx = int(np.argmax(cloud.points[:, 2]))
-    grid = ViewGrid.build(CFG.n_views)
-    scorer = make_oracle_view_scorer(scene, cloud.points[top_idx], grid, CFG)
-    view = select_view(None, grid, scorer)
-    group = cylinder_group(cloud, top_idx, view, CFG.cylinder_radius, CFG.cylinder_height)
-    grasp = predict_grasp(cloud, group, GeometricFallbackHead(scene, CFG))
+    grasps, dropped = fallback_refine_batch(cloud, scene, [top_idx], CFG)
+    assert dropped == 0
+    grasp = grasps[0]
     # width ~ sphere diameter + margin, with slack for the discrete view grid
     assert 0.04 <= grasp.width <= 0.04 * 1.1 + CFG.width_margin
-    from dualgrasp.scenes import oracle_parallel_quality
-
     assert oracle_parallel_quality(scene, grasp) < 0.12
 
 
-def test_fallback_is_argmax_over_bins():
-    # independent enumeration of every (angle, depth) candidate at a fixed view
-    cloud, scene, sphere = sphere_cloud_and_scene(radius=0.025)
-    seed_idx = int(np.argmax(cloud.points[:, 2]))
-    view = np.array([0.0, 0.0, -1.0])
-    group = cylinder_group(cloud, seed_idx, view, CFG.cylinder_radius, CFG.cylinder_height)
-
-    class FixedViewHead(GeometricFallbackHead):
-        pass
-
-    grasp = predict_grasp(cloud, group, FixedViewHead(scene, CFG))
-
-    from dualgrasp.scenes import oracle_parallel_quality, NoContact
-
+def assert_argmin_over_bins(cloud, scene, grasp):
+    """Independent enumeration of every (angle, depth) candidate at the grasp's own approach."""
+    seed_point = cloud.points[grasp.seed_index]
     best = np.inf
-    seed_point = cloud.points[seed_idx]
     for a in CFG.angle_values():
         for d in CFG.depth_bins:
-            probe = ParallelGrasp(center=seed_point, approach=view, angle_deg=a,
+            probe = ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=a,
                                   width=CFG.max_width, depth=d)
             try:
                 mu = oracle_parallel_quality(scene, probe)
@@ -148,11 +158,19 @@ def test_fallback_is_argmax_over_bins():
             best = min(best, mu)
     achieved = oracle_parallel_quality(
         scene,
-        ParallelGrasp(center=seed_point, approach=view, angle_deg=grasp.angle_deg,
+        ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=grasp.angle_deg,
                       width=CFG.max_width, depth=grasp.depth),
     )
     assert achieved == pytest.approx(best, abs=1e-12)
     assert grasp.score == pytest.approx(friction_to_graspness(best))
+
+
+def test_fallback_is_argmax_over_bins():
+    cloud, scene, sphere = sphere_cloud_and_scene(radius=0.025)
+    seed_idx = int(np.argmax(cloud.points[:, 2]))
+    (grasp,), dropped = fallback_refine_batch(cloud, scene, [seed_idx], CFG)
+    assert dropped == 0
+    assert_argmin_over_bins(cloud, scene, grasp)
 
 
 def test_decoded_angle_on_bin_lattice():
@@ -171,36 +189,73 @@ def test_learned_head_bin_decoding():
     depth_logits = np.array([0.0, 0.0, 3.0, 0.0])
     score_logits = np.zeros(10)
     score_logits[9] = 2.0
-    head = LearnedGraspHead(
-        {"angle_logits": angle_logits, "depth_logits": depth_logits,
-         "width": np.float64(0.2), "score_logits": score_logits},
-        CFG,
-    )
-    cloud = PointCloud([[0, 0, 0], [0.01, 0, 0]])
-    group = cylinder_group(cloud, 0, (0, 0, 1), 0.05, 0.04)
-    grasp = predict_grasp(cloud, group, head)
+    out = refiner_rows(np.ones(CFG.n_views), angle_logits, depth_logits, 0.2, score_logits)
+    (grasp,), _ = learned_refine_batch(two_point_cloud(), [0], out, CFG)
     assert grasp.angle_deg == pytest.approx(45.0)  # bin 3 of 12 -> 3 * 15 deg
     assert grasp.depth == pytest.approx(0.03)
     assert grasp.width == pytest.approx(0.1)  # 0.2 clamped to max width
     assert grasp.score == pytest.approx(0.95)  # top bin center
+    (low,), _ = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(CFG.n_views), width=-1.0), CFG)
+    assert low.width == pytest.approx(1e-4)  # non-positive widths clamp to the floor
 
 
-def test_empty_group_raises_no_support():
-    cloud = PointCloud([[0, 0, 0], [1, 1, 1]])
-    group = cylinder_group(cloud, 0, (0, 0, 1), 1e-6, 1e-6)
-    group.member_indices = np.zeros(0, dtype=int)
-    with pytest.raises(NoSupport):
-        predict_grasp(cloud, group, None)
+def test_empty_group_is_dropped_and_counted(monkeypatch):
+    cloud, scene, _ = sphere_cloud_and_scene()
+
+    def empty_group(cloud, seed_index, view, radius, height):
+        return CylinderGroup(seed_index, np.asarray(view), np.zeros(0, dtype=np.intp), radius, height)
+
+    monkeypatch.setattr(refine_parallel, "cylinder_group", empty_group)
+    seeds = [0, 1, 2]
+    assert fallback_refine_batch(cloud, scene, seeds, CFG) == ([], 3)
+    out = refiner_rows(np.ones((3, CFG.n_views)))
+    assert learned_refine_batch(cloud, seeds, out, CFG) == ([], 3)
 
 
 def test_batch_refine_matches_head_at_chosen_view():
     cloud, scene, _ = sphere_cloud_and_scene(radius=0.03)
-    seeds = np.array([5, 40, 111])
+    seeds = [5, 40, 111]
     grasps, dropped = fallback_refine_batch(cloud, scene, seeds, CFG)
-    assert dropped == 0
+    assert dropped == 0 and [g.seed_index for g in grasps] == seeds
     for g in grasps:
-        mu, t0, t1 = candidate_qualities(scene, cloud.points[g.seed_index], g.approach, CFG)
-        a_i, d_i = np.unravel_index(np.argmin(mu), mu.shape)
-        assert g.angle_deg == pytest.approx(CFG.angle_values()[a_i])
-        assert g.depth == pytest.approx(CFG.depth_bins[d_i])
-        assert g.score == pytest.approx(friction_to_graspness(mu[a_i, d_i]))
+        assert_argmin_over_bins(cloud, scene, g)
+
+
+def test_unreachable_seed_is_dropped():
+    cloud, scene, _ = sphere_cloud_and_scene()
+    far = PointCloud(np.vstack([cloud.points, [[0.5, 0.5, 0.1]]]))
+    top_idx = int(np.argmax(cloud.points[:, 2]))
+    found = oracle_search(scene, far.points[[top_idx, len(cloud)]], CFG)
+    assert found.reachable.tolist() == [True, False]
+    grasps, dropped = fallback_refine_batch(far, scene, [top_idx, len(cloud)], CFG)
+    assert dropped == 1 and [g.seed_index for g in grasps] == [top_idx]
+
+
+def test_oracle_search_chunking_is_invisible():
+    cloud, scene, _ = sphere_cloud_and_scene(radius=0.03)
+    pts = cloud.points[[5, 40, 111, 200, 333]]
+    whole = oracle_search(scene, pts, CFG, 2, 2)
+    lines_per_seed = CFG.n_views * 6 * 2
+    for chunk_lines in (1, 2 * lines_per_seed):  # one seed, then two seeds per chunk
+        part = oracle_search(scene, pts, CFG, 2, 2, chunk_lines=chunk_lines)
+        for a, b in zip(whole, part):
+            assert np.array_equal(a, b)
+
+
+def test_oracle_search_fallback_uses_probe_strides():
+    cloud, scene, _ = sphere_cloud_and_scene(radius=0.03)
+    seeds = [5, 40, 111]
+    probe = oracle_search(scene, cloud.points[seeds], CFG, CFG.probe_angle_stride, CFG.probe_depth_stride)
+    grasps, _ = fallback_refine_batch(cloud, scene, seeds, CFG)
+    views = ViewGrid.build(CFG.n_views).views
+    for row, g in enumerate(grasps):
+        assert np.allclose(g.approach, -views[probe.view[row]])
+        assert g.width == probe.width[row] and g.score == probe.score[row]
+
+
+def test_oracle_search_no_seeds():
+    _, scene, _ = sphere_cloud_and_scene()
+    found = oracle_search(scene, np.zeros((0, 3)), CFG)
+    assert found.view_scores.shape == (0, CFG.n_views)
+    assert all(len(a) == 0 for a in found)
+    assert fallback_refine_batch(PointCloud([[0, 0, 0]]), scene, [], CFG) == ([], 0)

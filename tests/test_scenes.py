@@ -13,6 +13,7 @@ from dualgrasp.scenes import (
     load_scene,
     oracle_parallel_quality,
     oracle_seal_quality,
+    owning_object,
     sample_ground_truth_grasps,
     save_scene,
 )
@@ -236,6 +237,18 @@ def sampled_cap_rms(R, rc, center, rng, n=400_000):
     in_cup = np.linalg.norm(pts - top, axis=1) <= rc
     dev = (pts[in_cup] - top) @ np.array([0, 0, 1.0])
     return float(np.sqrt(np.mean(dev**2)))
+
+
+def test_owning_object_nearest_surface_and_tolerance():
+    a = Primitive("sphere", (0.02,), translation=(-0.05, 0, 0.02), object_id=1)
+    b = Primitive("sphere", (0.02,), translation=(0.05, 0, 0.02), object_id=2)
+    twin = Primitive("sphere", (0.02,), translation=(0.05, 0, 0.02), object_id=3)
+    scene = bare_scene(a, b, twin)
+    assert owning_object(scene, np.array([0.02, 0.0, 0.02])) is b  # 1 cm from b's surface
+    assert owning_object(scene, np.array([0.02, 0.0, 0.02]), tol=0.005) is None
+    assert owning_object(scene, np.array([-0.05, 0.0, 0.04]), tol=1e-9) is a
+    assert owning_object(scene, np.array([0.05, 0.0, 0.04])) is b  # exact tie: first in scene order
+    assert owning_object(bare_scene(), np.zeros(3)) is None
 
 
 def test_seal_on_sphere_matches_cap_integral(rng):
