@@ -227,14 +227,17 @@ def _make_pipeline(args, cfgs) -> GraspPipeline:
         sampling = _replace_config(sampling, t_vacuum=args.t_vacuum)
     if args.seeds is not None:
         sampling = _replace_config(sampling, m_parallel=args.seeds, m_vacuum=args.seeds)
-    return GraspPipeline(
-        model=model,
-        sampling=sampling,
-        refine=cfgs["refine"],
-        label_config=cfgs["labels"],
-        feature_config=cfgs["features"],
-        max_parallel_refine=args.max_refine,
-    )
+    try:
+        return GraspPipeline(
+            model=model,
+            sampling=sampling,
+            refine=cfgs["refine"],
+            label_config=cfgs["labels"],
+            feature_config=cfgs["features"],
+            max_parallel_refine=args.max_refine,
+        )
+    except ValueError as e:  # e.g. a checkpoint whose view head does not fit refine.n_views
+        raise UsageError(str(e)) from e
 
 
 def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):

@@ -76,12 +76,20 @@ class SpatialIndex:
         idx.sort()
         return idx
 
-    def radius_batch(self, queries: np.ndarray, r: float) -> list:
-        """Radius query for many points at once; each result sorted by ascending index."""
+    def radius_csr(self, r: float):
+        """Radius query around every cloud point at once, in CSR form.
+
+        Returns (starts, members): members[starts[i]:starts[i + 1]] are the
+        indices of all points with distance <= r of point i (itself included),
+        sorted by ascending index, the same set radius(points[i], r) returns.
+        """
         if r <= 0:
             raise ValueError(f"radius must be positive, got {r}")
-        out = self._tree.query_ball_point(np.asarray(queries, dtype=np.float64), r)
-        return [np.sort(np.asarray(ix, dtype=np.intp)) for ix in out]
+        pairs = self._tree.sparse_distance_matrix(self._tree, r, output_type="ndarray")
+        order = np.lexsort((pairs["j"], pairs["i"]))
+        counts = np.bincount(pairs["i"], minlength=len(self.cloud))
+        starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        return starts, pairs["j"][order].astype(np.intp)
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:

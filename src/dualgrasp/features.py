@@ -28,18 +28,20 @@ def compute_point_features(cloud: PointCloud, table_height: float = 0.0,
     zero curvature instead of being dropped; every point must stay addressable.
     """
     cfg = config or FeatureConfig()
-    idx = SpatialIndex(cloud)
     pts = cloud.points
     n = len(pts)
-    neigh = idx.radius_batch(pts, cfg.radius)
-    counts = np.array([len(ix) for ix in neigh], dtype=np.float64)
+    starts, members = SpatialIndex(cloud).radius_csr(cfg.radius)
+    sizes = np.diff(starts)
 
+    # One batched covariance per neighbourhood size k: the same sums, in the
+    # same order, as centering and multiplying each (k, 3) neighbourhood alone.
     covs = np.zeros((n, 3, 3))
-    ok = counts >= 3
-    for i in np.flatnonzero(ok):
-        local = pts[neigh[i]]
-        centered = local - local.mean(axis=0)
-        covs[i] = centered.T @ centered / len(local)
+    ok = sizes >= 3
+    for k in np.unique(sizes[ok]).tolist():
+        rows = np.flatnonzero(sizes == k)
+        local = pts[members[starts[rows, None] + np.arange(k)]]
+        centered = local - local.sum(axis=1, keepdims=True) / k
+        covs[rows] = np.matmul(centered.transpose(0, 2, 1), centered) / k
 
     evals = np.zeros((n, 3))
     evecs = np.tile(np.eye(3), (n, 1, 1))
@@ -64,7 +66,7 @@ def compute_point_features(cloud: PointCloud, table_height: float = 0.0,
             pts[:, 2] - table_height,
             normals,
             curvature,
-            counts,
+            sizes,
             np.linalg.norm(pts - centroid, axis=1),
         ]
     )

@@ -96,11 +96,12 @@ class MlpModel:
 
     # -- forward / backward ----------------------------------------------------
 
-    def forward(self, features: np.ndarray):
+    def forward(self, features: np.ndarray, heads=None):
         """Head outputs for a (N, F) feature batch.
 
         Returns (outputs, cache): outputs maps head name -> (N, dim) raw
-        values (logits for classification heads); cache feeds backward().
+        values (logits for classification heads), for the named heads only
+        when heads is given (default: all); cache feeds backward().
         """
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if x.shape[1] != self.config.feature_dim:
@@ -115,7 +116,8 @@ class MlpModel:
             h = np.maximum(z, 0.0)
             activations.append(h)
         h_aug = np.concatenate([h, self.config.bypass_gain * x], axis=1)
-        outputs = {name: h_aug @ w + b for name, (w, b) in self.heads.items()}
+        names = self.heads if heads is None else heads
+        outputs = {name: h_aug @ self.heads[name][0] + self.heads[name][1] for name in names}
         cache = (activations, pre, h_aug)
         return outputs, cache
 
@@ -159,7 +161,7 @@ class MlpModel:
 
     def predict_map_scores(self, features: np.ndarray) -> dict:
         """Sigmoid map predictions per point: objectness, parallel, vacuum in [0, 1]."""
-        outputs, _ = self.forward(features)
+        outputs, _ = self.forward(features, MAP_HEADS)
         return {name: _sigmoid(outputs[name][:, 0]) for name in MAP_HEADS}
 
     def refiner_outputs(self, features: np.ndarray) -> dict:

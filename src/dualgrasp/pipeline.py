@@ -122,7 +122,7 @@ class GraspPipeline:
         if feats is None:
             feats = compute_point_features(cloud, scene.table_height, self.feature_config)
         refiner_out = self.model.refiner_outputs(feats[seeds.indices])
-        return learned_refine_batch(cloud, seeds.indices, refiner_out, self.refine)
+        return learned_refine_batch(cloud, seeds.indices, refiner_out, self.refine), 0
 
     def clearing_adapter(self, gt_grasps=None, object_of_grasp=None):
         """Callable (cloud, scene, gripper) -> (grasps, seed indices) for the clearing loop.

@@ -1,11 +1,14 @@
-"""Parallel pose refinement: approach-view selection, cylinder grouping, grasp heads.
+"""Parallel pose refinement: approach-view selection, grasp heads, cylinder grouping.
 
 Views are stored as upward (sky-pointing) unit vectors on a Fibonacci
 hemisphere; the gripper approaches along the negated view. Two interchangeable
 grasp heads complete the pose: a learned head decoding MLP refiner outputs
-(learned_refine_batch), and a geometric fallback (fallback_refine_batch) that
-takes the best oracle pose from oracle_search, which makes the full pipeline
+(learned_refine_batch, one pose per seed), and a geometric fallback
+(fallback_refine_batch) that takes the best oracle pose from oracle_search and
+drops seeds with no reachable candidate, which makes the full pipeline
 runnable untrained. oracle_search also produces the refiner training targets.
+Neither head groups points: a seed always lies in its own cylinder group
+(cylinder_group), so a group is never empty.
 """
 
 from collections import namedtuple
@@ -24,8 +27,6 @@ class RefineParallelConfig:
     n_views: int = 300
     n_angle_bins: int = 12
     depth_bins: tuple = (0.01, 0.02, 0.03, 0.04)
-    cylinder_radius: float = 0.05
-    cylinder_height: float = 0.04
     max_width: float = 0.1
     width_margin: float = 0.005
     n_score_bins: int = 10
@@ -132,7 +133,7 @@ def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths, m
 
 
 def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelConfig,
-                  angle_stride: int = 1, depth_stride: int = 1, chunk_lines: int = 1_000_000) -> PoseSearch:
+                  angle_stride: int = 1, depth_stride: int = 1, chunk_lines: int = 1 << 18) -> PoseSearch:
     """Best oracle parallel pose at each of S seeds: the one pose search of the package.
 
     Views are ranked by mean candidate graspness over the (angle, depth) grid,
@@ -190,42 +191,35 @@ def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indice
                           config: RefineParallelConfig):
     """Oracle-driven parallel poses for many seeds: oracle_search on the probe grid.
 
-    Seeds with an empty cylinder group or no reachable candidate are dropped.
-    Returns (grasps, dropped_count).
+    Seeds with no reachable candidate are dropped. Returns (grasps, dropped_count).
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
     found = oracle_search(scene, cloud.points[seed_indices], config,
                           config.probe_angle_stride, config.probe_depth_stride)
     approaches = -ViewGrid.build(config.n_views).views[found.view]
     angles = config.angle_values()
-    grasps, dropped = [], 0
-    for row, seed in enumerate(seed_indices.tolist()):
-        group = cylinder_group(cloud, seed, approaches[row], config.cylinder_radius, config.cylinder_height)
-        if len(group) == 0 or not found.reachable[row]:
-            dropped += 1
-            continue
-        grasps.append(
-            ParallelGrasp(
-                center=cloud.points[seed],
-                approach=approaches[row],
-                angle_deg=float(angles[found.angle_idx[row]]),
-                width=float(found.width[row]),
-                depth=float(config.depth_bins[found.depth_idx[row]]),
-                score=float(found.score[row]),
-                seed_index=seed,
-            )
+    grasps = [
+        ParallelGrasp(
+            center=cloud.points[seed_indices[row]],
+            approach=approaches[row],
+            angle_deg=float(angles[found.angle_idx[row]]),
+            width=float(found.width[row]),
+            depth=float(config.depth_bins[found.depth_idx[row]]),
+            score=float(found.score[row]),
+            seed_index=int(seed_indices[row]),
         )
-    return grasps, dropped
+        for row in np.flatnonzero(found.reachable)
+    ]
+    return grasps, len(seed_indices) - len(grasps)
 
 
 def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, config: RefineParallelConfig):
-    """Decode MLP refiner outputs (one row per seed) into parallel poses.
+    """Decode MLP refiner outputs (one row per seed) into one parallel pose per seed.
 
     Each row takes the argmax view, angle, depth and score bin (ties: lowest
-    index) and its regressed width clamped to [1e-4, max_width]. Seeds with
-    an empty cylinder group along their view are dropped. Returns
-    (grasps, dropped_count). The approach is the group's re-normalized view,
-    which can differ from the fallback's raw grid vector in the last bit.
+    index) and its regressed width clamped to [1e-4, max_width]. The approach
+    is the re-normalized grid approach of the view, which can differ from the
+    fallback's raw grid vector in the last bit.
     """
     grid = ViewGrid.build(config.n_views)
     views = np.argmax(refiner_out["view"], axis=1)
@@ -233,17 +227,13 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
     depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth_logits"], axis=1)]
     scores = config.score_bin_values()[np.argmax(refiner_out["score_logits"], axis=1)]
     widths = np.clip(refiner_out["width"], 1e-4, config.max_width)
-    grasps, dropped = [], 0
+    grasps = []
     for row, seed in enumerate(np.asarray(seed_indices, dtype=np.intp).tolist()):
-        group = cylinder_group(cloud, seed, grid.approach(views[row]), config.cylinder_radius,
-                               config.cylinder_height)
-        if len(group) == 0:
-            dropped += 1
-            continue
+        v = grid.approach(views[row])
         grasps.append(
             ParallelGrasp(
                 center=cloud.points[seed],
-                approach=group.view,
+                approach=v / np.linalg.norm(v),
                 angle_deg=float(angles[row]),
                 width=float(widths[row]),
                 depth=float(depths[row]),
@@ -251,4 +241,4 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
                 seed_index=seed,
             )
         )
-    return grasps, dropped
+    return grasps

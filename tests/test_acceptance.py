@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The learning and trend
-criteria train real (small) models; the whole module takes several minutes.
+criteria train real (small) models; the whole module takes several minutes,
+so it is marked slow: `pytest -m "not slow"` runs the fast suite.
 """
 
 import json
@@ -29,6 +30,8 @@ from dualgrasp.metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities, pr
 from dualgrasp.pcgrad import pcgrad, project_conflicts
 from dualgrasp.refine_parallel import cylinder_group
 from dualgrasp.scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
+
+pytestmark = pytest.mark.slow
 
 
 def report(num, name, ok, detail=""):

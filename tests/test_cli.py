@@ -208,12 +208,18 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["train", "--epochs", "0"],
     ["eval", "--grasps", "{missing}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--max-refine", "0"],
+    ["predict", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
-        "config-file-value", "epochs-0", "grasps-missing", "clearing-max-refine-0"])
+        "config-file-value", "epochs-0", "grasps-missing", "clearing-max-refine-0",
+        "checkpoint-views", "clearing-checkpoint-views"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("sampling.t_parallel = 1.5\n")
-    fill = {"{bad_config}": bad_config, "{missing}": tmp_path / "missing", "{pred}": workspace / "pred"}
+    views_config = tmp_path / "views.cfg"
+    views_config.write_text("refine.n_views = 100\n")  # the checkpoint's view head has 300
+    fill = {"{bad_config}": bad_config, "{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
+            "{checkpoint}": workspace / "model" / "checkpoint.json", "{views_config}": views_config}
     out = tmp_path / "out"
     argv = [argv[0], "--scenes", workspace / "scenes", "--out", out] + [fill.get(a, a) for a in argv[1:]]
     assert run(*argv) == 2

@@ -132,6 +132,39 @@ def test_radius_rejects_nonpositive(rng):
         radius_query(idx, [0, 0, 0], 0.0)
 
 
+def assert_csr_matches_radius(cloud, r):
+    idx = build_index(cloud)
+    starts, members = idx.radius_csr(r)
+    assert starts.shape == (len(cloud) + 1,) and starts[0] == 0 and starts[-1] == len(members)
+    assert starts.dtype == members.dtype == np.intp
+    for i, p in enumerate(cloud.points):
+        assert np.array_equal(members[starts[i] : starts[i + 1]], idx.radius(p, r))
+    return starts, members
+
+
+def test_radius_csr_matches_radius(rng):
+    cloud = random_cloud(rng, 400, scale=0.1)
+    with_duplicates = PointCloud(np.vstack([cloud.points, cloud.points[::40]]))
+    for r in (0.004, 0.02, 0.1, 1.0):
+        assert_csr_matches_radius(with_duplicates, r)
+
+
+def test_radius_csr_lattice_at_exact_radius():
+    # spacing 0.25 is exact in binary: axis neighbours sit at distance exactly r
+    g = np.arange(5) * 0.25
+    cloud = PointCloud(np.array([[x, y, z] for x in g for y in g for z in g]))
+    starts, _ = assert_csr_matches_radius(cloud, 0.25)
+    interior = 62  # (2, 2, 2), the lattice centre
+    assert starts[interior + 1] - starts[interior] == 7
+    assert_csr_matches_radius(cloud, 0.5)
+
+
+def test_radius_csr_rejects_nonpositive(rng):
+    idx = build_index(random_cloud(rng, 10))
+    with pytest.raises(ValueError):
+        idx.radius_csr(0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 60), seed=st.integers(0, 10_000))
 def test_queries_match_bruteforce_property(n, seed):

@@ -1,9 +1,11 @@
-"""Byte-level pins of the oracle pose search on one fixed scene.
+"""Byte-level pins of the learned and oracle paths on one fixed scene.
 
-The digests were captured from the per-seed implementation that preceded
-refine_parallel.oracle_search and learned_refine_batch; any change that moves
-a single bit of a fallback grasp, a learned-head grasp or a training target
-fails here.
+The grasp and target digests were captured from the per-seed implementation
+that preceded refine_parallel.oracle_search and learned_refine_batch; the
+point-feature and map-score digests from the per-point covariance loop that
+preceded the batched feature kernel. Any change that moves a single bit of a
+fallback grasp, a learned-head grasp, a training target, a point feature or a
+map score fails here.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 from dualgrasp.features import compute_point_features
 from dualgrasp.grasps import PARALLEL
 from dualgrasp.labels import build_label_maps
-from dualgrasp.mlp import MlpModel, ModelConfig
+from dualgrasp.mlp import MAP_HEADS, MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline
 from dualgrasp.refine_parallel import RefineParallelConfig, fallback_refine_batch
 from dualgrasp.scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
@@ -58,6 +60,15 @@ TARGETS_GOLDEN = {
 }
 
 
+FEATURES_GOLDEN = "81f1a3a74cd52f3fda9de8b4"
+
+MAP_SCORES_GOLDEN = {
+    "objectness": "a82e2dc75274d983516bc193",
+    "parallel": "d7c07fabf4e9ebb139ec80cb",
+    "vacuum": "128fb0f1d1e7b09ceb307d85",
+}
+
+
 def grasp_digests(grasps, dropped):
     fields = np.array([
         [*g.center, *g.approach, g.angle_deg, g.width, g.depth, g.score] for g in grasps
@@ -77,14 +88,19 @@ def fallback_digests(cloud, scene):
     return grasp_digests(*fallback_refine_batch(cloud, scene, seeds, RefineParallelConfig()))
 
 
-def learned_digests(cloud, scene, grasps):
-    """Learned pose head of a randomly weighted model, seeded from the label maps."""
-    feats = compute_point_features(cloud, scene.table_height)
+def random_model(feats):
     model = MlpModel(ModelConfig(), np.random.default_rng(5))
     model.set_flat_params(np.random.default_rng(6).normal(0.0, 0.01, model.n_params()))
     model.set_feature_stats(feats.mean(axis=0), feats.std(axis=0))
     model.heads["width"][0] *= 0.1  # widths around 0.05, some past the clamp
     model.heads["width"][1][:] = 0.05
+    return model
+
+
+def learned_digests(cloud, scene, grasps):
+    """Learned pose head of a randomly weighted model, seeded from the label maps."""
+    feats = compute_point_features(cloud, scene.table_height)
+    model = random_model(feats)
     maps = build_label_maps(cloud, scene, grasps)
     result = GraspPipeline(model=model).propose(cloud, scene, PARALLEL, maps=maps, feats=feats)
     return grasp_digests(result.grasps, result.dropped_seeds)
@@ -109,3 +125,16 @@ def test_learned_grasps_byte_identical(golden_scene):
 
 def test_training_targets_byte_identical(golden_scene):
     assert target_digests(*golden_scene) == TARGETS_GOLDEN
+
+
+def test_point_features_byte_identical(golden_scene):
+    cloud, scene, _ = golden_scene
+    assert _digest(compute_point_features(cloud, scene.table_height)) == FEATURES_GOLDEN
+
+
+def test_map_scores_byte_identical(golden_scene):
+    cloud, scene, _ = golden_scene
+    feats = compute_point_features(cloud, scene.table_height)
+    scores = random_model(feats).predict_map_scores(feats)
+    assert list(scores) == list(MAP_HEADS)
+    assert {name: _digest(value) for name, value in scores.items()} == MAP_SCORES_GOLDEN

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualgrasp.losses import loss_objectness, loss_refiner, loss_vacuum
-from dualgrasp.mlp import MlpModel, ModelConfig, load_checkpoint, save_checkpoint
+from dualgrasp.mlp import MAP_HEADS, MlpModel, ModelConfig, load_checkpoint, save_checkpoint
 
 
 def small_model(refiner=False, seed=0):
@@ -49,6 +49,17 @@ def test_batching_transparency(rng):
         single_out, _ = model.forward(X[i : i + 1])
         for name in batch_out:
             assert np.allclose(single_out[name][0], batch_out[name][i], atol=1e-12)
+
+
+def test_forward_named_heads_match_full_forward(rng):
+    model = small_model(refiner=True)
+    model.set_flat_params(rng.normal(0, 0.3, model.n_params()))
+    X = rng.normal(size=(9, 4))
+    full, _ = model.forward(X)
+    part, _ = model.forward(X, MAP_HEADS)
+    assert list(part) == list(MAP_HEADS)
+    for name in MAP_HEADS:
+        assert np.array_equal(part[name], full[name])
 
 
 def test_flat_params_roundtrip(rng):

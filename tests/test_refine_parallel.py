@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from dualgrasp import refine_parallel
 from dualgrasp.cloud import PointCloud
 from dualgrasp.grasps import ParallelGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import (
-    CylinderGroup,
     RefineParallelConfig,
     ViewGrid,
     cylinder_group,
@@ -54,9 +54,8 @@ def two_point_cloud():
 
 def test_learned_view_ties_break_to_first():
     cfg = RefineParallelConfig(n_views=16)
-    grasps, dropped = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(16)), cfg)
-    assert dropped == 0
-    assert np.allclose(grasps[0].approach, -ViewGrid.build(16).views[0])
+    (grasp,) = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(16)), cfg)
+    assert np.allclose(grasp.approach, -ViewGrid.build(16).views[0])
 
 
 def test_learned_view_one_hot():
@@ -64,7 +63,7 @@ def test_learned_view_one_hot():
     scores = np.zeros((2, 16))
     scores[0, 7] = 1.0
     scores[1, 3] = 1.0
-    grasps, _ = learned_refine_batch(two_point_cloud(), [0, 1], refiner_rows(scores), cfg)
+    grasps = learned_refine_batch(two_point_cloud(), [0, 1], refiner_rows(scores), cfg)
     grid = ViewGrid.build(16)
     assert np.allclose(grasps[0].approach, -grid.views[7])
     assert np.allclose(grasps[1].approach, -grid.views[3])
@@ -190,26 +189,34 @@ def test_learned_head_bin_decoding():
     score_logits = np.zeros(10)
     score_logits[9] = 2.0
     out = refiner_rows(np.ones(CFG.n_views), angle_logits, depth_logits, 0.2, score_logits)
-    (grasp,), _ = learned_refine_batch(two_point_cloud(), [0], out, CFG)
+    (grasp,) = learned_refine_batch(two_point_cloud(), [0], out, CFG)
     assert grasp.angle_deg == pytest.approx(45.0)  # bin 3 of 12 -> 3 * 15 deg
     assert grasp.depth == pytest.approx(0.03)
     assert grasp.width == pytest.approx(0.1)  # 0.2 clamped to max width
     assert grasp.score == pytest.approx(0.95)  # top bin center
-    (low,), _ = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(CFG.n_views), width=-1.0), CFG)
+    (low,) = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(CFG.n_views), width=-1.0), CFG)
     assert low.width == pytest.approx(1e-4)  # non-positive widths clamp to the floor
 
 
-def test_empty_group_is_dropped_and_counted(monkeypatch):
-    cloud, scene, _ = sphere_cloud_and_scene()
-
-    def empty_group(cloud, seed_index, view, radius, height):
-        return CylinderGroup(seed_index, np.asarray(view), np.zeros(0, dtype=np.intp), radius, height)
-
-    monkeypatch.setattr(refine_parallel, "cylinder_group", empty_group)
-    seeds = [0, 1, 2]
-    assert fallback_refine_batch(cloud, scene, seeds, CFG) == ([], 3)
-    out = refiner_rows(np.ones((3, CFG.n_views)))
-    assert learned_refine_batch(cloud, seeds, out, CFG) == ([], 3)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_seed_in_own_group_and_every_reachable_seed_yields_a_grasp(seed):
+    # A seed is at distance 0 from itself, so its cylinder group is never
+    # empty: neither head groups points, and only unreachable seeds drop.
+    r = np.random.default_rng(seed)
+    sphere_cloud, scene, _ = sphere_cloud_and_scene()
+    cloud = PointCloud(np.vstack([sphere_cloud.points, r.uniform(0.3, 0.6, size=(5, 3))]))
+    seeds = r.choice(len(cloud), size=4, replace=False)
+    for s in seeds:
+        group = cylinder_group(cloud, s, r.normal(size=3), r.uniform(1e-4, 0.1), r.uniform(1e-4, 0.1))
+        assert s in group.member_indices
+    reachable = oracle_search(scene, cloud.points[seeds], CFG, CFG.probe_angle_stride,
+                              CFG.probe_depth_stride).reachable
+    grasps, dropped = fallback_refine_batch(cloud, scene, seeds, CFG)
+    assert [g.seed_index for g in grasps] == seeds[reachable].tolist()
+    assert dropped == len(seeds) - len(grasps)
+    learned = learned_refine_batch(cloud, seeds, refiner_rows(r.normal(size=(4, CFG.n_views))), CFG)
+    assert [g.seed_index for g in learned] == seeds.tolist()
 
 
 def test_batch_refine_matches_head_at_chosen_view():
