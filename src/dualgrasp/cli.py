@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureConfig
-from .grasps import PARALLEL, VACUUM, grasp_to_dict
+from .grasps import PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
 from .labels import LabelConfig, build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
 from .mlp import ModelConfig, load_checkpoint, save_checkpoint
@@ -307,8 +307,6 @@ def cmd_eval(args) -> int:
             if not gfile.exists():
                 continue
             doc = json.loads(gfile.read_text())
-            from .grasps import grasp_from_dict
-
             # lists arrive ranked; precision@k never looks past k_max
             grasps = [grasp_from_dict(d) for d in doc["grasps"][: ecfg.k_max]]
             qualities = grasp_qualities(grasps, scene, gripper, ecfg)

@@ -1,5 +1,6 @@
 """Point-cloud containers and geometric primitives: spatial queries, FPS, covariance normals."""
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,15 +77,23 @@ class SpatialIndex:
         idx.sort()
         return idx
 
-    def radius_csr(self, r: float):
-        """Radius query around every cloud point at once, in CSR form.
+    def radius_csr(self, r: float, centers=None):
+        """Radius queries around many cloud points at once, in CSR form.
 
         Returns (starts, members): members[starts[i]:starts[i + 1]] are the
         indices of all points with distance <= r of point i (itself included),
         sorted by ascending index, the same set radius(points[i], r) returns.
+        With centers (cloud point indices), row i belongs to point centers[i];
+        by default there is one row per cloud point.
         """
         if r <= 0:
             raise ValueError(f"radius must be positive, got {r}")
+        if centers is not None:
+            # few centers: one ball query each beats the all-pairs matrix
+            lists = self._tree.query_ball_point(self.cloud.points[np.asarray(centers, dtype=np.intp)], r,
+                                                return_sorted=True)
+            starts = np.concatenate([[0], np.cumsum([len(m) for m in lists])]).astype(np.intp)
+            return starts, np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=starts[-1])
         pairs = self._tree.sparse_distance_matrix(self._tree, r, output_type="ndarray")
         order = np.lexsort((pairs["j"], pairs["i"]))
         counts = np.bincount(pairs["i"], minlength=len(self.cloud))
@@ -162,11 +171,43 @@ def normal_from_neighborhood(neighbors: np.ndarray, seed_point, viewpoint) -> np
     evals, evecs = np.linalg.eigh(cov)
     if evals[1] <= 1e-12:
         raise DegenerateNeighborhood("neighborhood covariance is rank-deficient")
-    n = evecs[:, 0]
-    toward = as_point(viewpoint) - as_point(seed_point)
+    return orient_normal(evecs[:, 0], seed_point, viewpoint)
+
+
+def orient_normal(n, point, viewpoint) -> np.ndarray:
+    """Unit vector along n, its sign chosen so it points toward the viewpoint."""
+    toward = as_point(viewpoint) - as_point(point)
     if np.dot(n, toward) < 0:
         n = -n
     return n / np.linalg.norm(n)
+
+
+def neighborhood_eigh(points: np.ndarray, starts: np.ndarray, members: np.ndarray):
+    """Covariance eigen-decomposition of every neighbourhood of a CSR radius query.
+
+    Neighbourhood i is points[members[starts[i]:starts[i + 1]]]. Returns
+    (evals, evecs) shaped (n, 3) and (n, 3, 3), ascending as np.linalg.eigh
+    gives them. A neighbourhood of fewer than 3 points gets zero eigenvalues
+    and identity eigenvectors, so `evals[:, 1] <= 1e-12` flags every
+    degenerate neighbourhood. The covariances are built in one batched product
+    per neighbourhood size k: the same sums, in the same order, as
+    normal_from_neighborhood's for a single (k, 3) neighbourhood, so the
+    results are bit-identical to it.
+    """
+    sizes = np.diff(starts)
+    n = len(sizes)
+    covs = np.zeros((n, 3, 3))
+    ok = sizes >= 3
+    for k in np.unique(sizes[ok]).tolist():
+        rows = np.flatnonzero(sizes == k)
+        local = points[members[starts[rows, None] + np.arange(k)]]
+        centered = local - local.sum(axis=1, keepdims=True) / k
+        covs[rows] = np.matmul(centered.transpose(0, 2, 1), centered) / k
+    evals = np.zeros((n, 3))
+    evecs = np.tile(np.eye(3), (n, 1, 1))
+    if np.any(ok):
+        evals[ok], evecs[ok] = np.linalg.eigh(covs[ok])
+    return evals, evecs
 
 
 def estimate_normal(index: SpatialIndex, seed: int, r: float, viewpoint=None) -> np.ndarray:

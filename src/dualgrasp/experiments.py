@@ -110,12 +110,6 @@ def ap_by_gripper(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None
     return {g: float(np.mean(v)) if v else 0.0 for g, v in values.items()}
 
 
-def mean_ap_overall(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None) -> float:
-    """ap_overall averaged over both grippers and the given scenes."""
-    by_gripper = ap_by_gripper(pipe, scene_tuples, eval_cfg)
-    return float(np.mean(list(by_gripper.values())))
-
-
 def trend_eval_configs():
     """Difficulty-matched evaluation pair for the generalization trend.
 

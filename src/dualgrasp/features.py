@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex
+from .cloud import PointCloud, SpatialIndex, neighborhood_eigh
 
 FEATURE_DIM = 7
 
@@ -29,27 +29,12 @@ def compute_point_features(cloud: PointCloud, table_height: float = 0.0,
     """
     cfg = config or FeatureConfig()
     pts = cloud.points
-    n = len(pts)
     starts, members = SpatialIndex(cloud).radius_csr(cfg.radius)
     sizes = np.diff(starts)
-
-    # One batched covariance per neighbourhood size k: the same sums, in the
-    # same order, as centering and multiplying each (k, 3) neighbourhood alone.
-    covs = np.zeros((n, 3, 3))
-    ok = sizes >= 3
-    for k in np.unique(sizes[ok]).tolist():
-        rows = np.flatnonzero(sizes == k)
-        local = pts[members[starts[rows, None] + np.arange(k)]]
-        centered = local - local.sum(axis=1, keepdims=True) / k
-        covs[rows] = np.matmul(centered.transpose(0, 2, 1), centered) / k
-
-    evals = np.zeros((n, 3))
-    evecs = np.tile(np.eye(3), (n, 1, 1))
-    if np.any(ok):
-        evals[ok], evecs[ok] = np.linalg.eigh(covs[ok])
+    evals, evecs = neighborhood_eigh(pts, starts, members)
 
     normals = evecs[:, :, 0]
-    degenerate = ~ok | (evals[:, 1] <= 1e-12)
+    degenerate = evals[:, 1] <= 1e-12  # includes every neighbourhood of fewer than 3 points
     if np.any(degenerate):
         toward = cloud.viewpoint - pts[degenerate]
         normals[degenerate] = toward / np.linalg.norm(toward, axis=1, keepdims=True)

@@ -96,16 +96,24 @@ class MlpModel:
 
     # -- forward / backward ----------------------------------------------------
 
-    def forward(self, features: np.ndarray, heads=None):
+    def forward(self, features: np.ndarray, heads=None, rows=None):
         """Head outputs for a (N, F) feature batch.
 
-        Returns (outputs, cache): outputs maps head name -> (N, dim) raw
-        values (logits for classification heads), for the named heads only
-        when heads is given (default: all); cache feeds backward().
+        Returns (outputs, cache): outputs maps head name -> raw values (logits
+        for classification heads), for the named heads only when heads is
+        given (default: all); cache feeds backward(). Map heads emit (N, dim)
+        rows. Refiner heads score the batch rows listed in rows (distinct
+        indices; default: every row) and emit (len(rows), dim), in that order.
         """
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if x.shape[1] != self.config.feature_dim:
             raise ValueError(f"feature width {x.shape[1]} != model feature_dim {self.config.feature_dim}")
+        if rows is None:
+            rows = slice(None)
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if len(np.unique(rows)) != len(rows):
+                raise ValueError("refiner rows must be distinct")
         x = (x - self.feature_mean) / self.feature_std
         activations = [x]
         pre = []
@@ -116,17 +124,23 @@ class MlpModel:
             h = np.maximum(z, 0.0)
             activations.append(h)
         h_aug = np.concatenate([h, self.config.bypass_gain * x], axis=1)
+        h_rows = h_aug[rows]
         names = self.heads if heads is None else heads
-        outputs = {name: h_aug @ self.heads[name][0] + self.heads[name][1] for name in names}
-        cache = (activations, pre, h_aug)
+        outputs = {
+            name: (h_aug if name in MAP_HEADS else h_rows) @ self.heads[name][0] + self.heads[name][1]
+            for name in names
+        }
+        cache = (activations, pre, h_aug, rows)
         return outputs, cache
 
     def backward(self, cache, head_grads: dict) -> np.ndarray:
         """Flat parameter gradient given d(loss)/d(head output) per head.
 
-        Heads missing from head_grads contribute zero gradient.
+        Each gradient has the shape of the head's forward output: every batch
+        row for a map head, the cached refiner rows for a refiner head. Heads
+        missing from head_grads contribute zero gradient.
         """
-        activations, pre, h_aug = cache
+        activations, pre, h_aug, rows = cache
         n_hidden = activations[-1].shape[1]
         d_hidden = np.zeros((h_aug.shape[0], n_hidden))
         head_grad_arrays = {}
@@ -135,11 +149,13 @@ class MlpModel:
             if g is None:
                 head_grad_arrays[name] = (np.zeros_like(w), np.zeros_like(b))
                 continue
-            g = np.asarray(g, dtype=np.float64).reshape(h_aug.shape[0], w.shape[1])
-            head_grad_arrays[name] = (h_aug.T @ g, g.sum(axis=0))
+            at = slice(None) if name in MAP_HEADS else rows
+            h_at = h_aug[at]
+            g = np.asarray(g, dtype=np.float64).reshape(h_at.shape[0], w.shape[1])
+            head_grad_arrays[name] = (h_at.T @ g, g.sum(axis=0))
             # only the trunk-output rows of the head matrix backprop further;
             # the bypass rows read the (non-parameter) standardized input
-            d_hidden += g @ w[:n_hidden].T
+            d_hidden[at] += g @ w[:n_hidden].T
 
         trunk_grads = [None] * len(self.trunk)
         grad = d_hidden

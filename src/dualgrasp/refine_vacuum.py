@@ -3,7 +3,9 @@
 No trained parameters are involved; this stage only runs at inference time.
 """
 
-from .cloud import DegenerateNeighborhood, PointCloud, SpatialIndex, estimate_normal
+import numpy as np
+
+from .cloud import PointCloud, SpatialIndex, neighborhood_eigh, orient_normal
 from .grasps import VacuumGrasp
 from .sampling import SeedSet
 
@@ -14,24 +16,22 @@ def refine_vacuum_poses(cloud: PointCloud, seeds: SeedSet, r: float = DEFAULT_NO
                         index: SpatialIndex = None):
     """One vacuum pose per seed: center at the seed, covariance normal, fused score.
 
-    Seeds with degenerate neighborhoods are dropped rather than raised.
-    Returns (grasps, dropped_count).
+    All seed normals come from one radius query and one batched covariance
+    kernel, bit-identical to estimate_normal at each seed. Seeds with
+    degenerate neighborhoods (fewer than 3 points, or collinear) are dropped
+    rather than raised. Returns (grasps, dropped_count).
     """
     if seeds.gripper != "vacuum":
         raise ValueError(f"expected vacuum seeds, got {seeds.gripper!r}")
     idx = index or SpatialIndex(cloud)
+    evals, evecs = neighborhood_eigh(cloud.points, *idx.radius_csr(r, seeds.indices))
     grasps = []
-    dropped = 0
-    for seed, score in zip(seeds.indices, seeds.fused_scores):
-        try:
-            n = estimate_normal(idx, int(seed), r)
-        except DegenerateNeighborhood:
-            dropped += 1
-            continue
-        grasps.append(
-            VacuumGrasp(center=cloud.points[seed], normal=n, score=float(score), seed_index=int(seed))
-        )
-    return grasps, dropped
+    for i in np.flatnonzero(evals[:, 1] > 1e-12).tolist():
+        seed = int(seeds.indices[i])
+        normal = orient_normal(evecs[i, :, 0], cloud.points[seed], cloud.viewpoint)
+        grasps.append(VacuumGrasp(center=cloud.points[seed], normal=normal,
+                                  score=float(seeds.fused_scores[i]), seed_index=seed))
+    return grasps, len(seeds) - len(grasps)
 
 
 def rank_vacuum(grasps, k: int):

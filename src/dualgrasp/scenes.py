@@ -102,12 +102,6 @@ class SceneAnnotation:
     def objects(self) -> list:
         return [p for p in self.primitives if p.object_id != 0]
 
-    def primitive_by_id(self, object_id: int) -> Primitive:
-        for p in self.primitives:
-            if p.object_id == object_id:
-                return p
-        raise KeyError(f"no primitive with object id {object_id}")
-
 
 @dataclass
 class GroundTruthGrasp:

@@ -15,7 +15,7 @@ from .cloud import PointCloud
 from .features import FeatureConfig, compute_point_features
 from .labels import GraspnessMaps, LabelConfig, build_label_maps
 from .losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
-from .mlp import MlpModel, ModelConfig
+from .mlp import MAP_HEADS, MlpModel, ModelConfig
 from .pcgrad import combine_without_surgery, pcgrad
 from .refine_parallel import RefineParallelConfig, oracle_search
 from .sampling import select_seeds
@@ -45,6 +45,12 @@ class TrainConfig:
             raise ValueError("lr0 must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.refiner_seeds_per_scene < 1:
+            raise ValueError("refiner_seeds_per_scene must be >= 1")
+        if not 0.0 <= self.seed_threshold <= 1.0:
+            raise ValueError(f"seed_threshold must be in [0, 1], got {self.seed_threshold}")
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
@@ -166,7 +172,9 @@ def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
     par = np.concatenate([s.parallel_label for s in batch])
     vac = np.concatenate([s.vacuum_label for s in batch])
 
-    outputs, cache = model.forward(feats)
+    rows, targets = _stack_refiner_targets(batch) if model.config.refiner else (None, None)
+    # the refiner heads run on the seed rows only; with no seed, not at all
+    outputs, cache = model.forward(feats, MAP_HEADS if rows is None else None, rows)
     n_total = len(feats)
 
     l_obj, g_obj = loss_objectness(outputs["objectness"][:, 0], obj)
@@ -177,20 +185,12 @@ def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
 
     parallel_head_grads = {"parallel": cfg.w_parallel_map * g_par[:, None]}
     l_ref = 0.0
-    if model.config.refiner:
-        rows, targets = _stack_refiner_targets(batch)
-        if rows is not None:
-            sel = {name: outputs[name][rows] for name in ("view", "angle", "depth", "width", "score")}
-            l_ref, ref_grads, _ = loss_refiner(
-                sel["view"], sel["width"][:, 0], sel["angle"], sel["depth"], sel["score"], targets
-            )
-            for head, key in (("view", "view"), ("angle", "angle"), ("depth", "depth"), ("score", "score")):
-                full = np.zeros_like(outputs[head])
-                full[rows] = cfg.w_refiner * ref_grads[key]
-                parallel_head_grads[head] = full
-            full = np.zeros_like(outputs["width"])
-            full[rows, 0] = cfg.w_refiner * ref_grads["width"]
-            parallel_head_grads["width"] = full
+    if rows is not None:
+        l_ref, ref_grads, _ = loss_refiner(
+            outputs["view"], outputs["width"][:, 0], outputs["angle"], outputs["depth"], outputs["score"], targets
+        )
+        for head in ("view", "angle", "depth", "width", "score"):
+            parallel_head_grads[head] = cfg.w_refiner * ref_grads[head]
 
     grad_parallel_task = model.backward(cache, parallel_head_grads)
     grad_vacuum_task = model.backward(cache, {"vacuum": cfg.w_vacuum * g_vac[:, None]})

@@ -206,20 +206,30 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["predict", "--fallback-head", "--t-parallel", "1.5"],
     ["predict", "--fallback-head", "--config", "{bad_config}"],
     ["train", "--epochs", "0"],
+    ["train", "--batch", "0"],
+    ["train", "--batch", "-1"],
+    ["train", "--config", "{seed_threshold_config}"],
+    ["train", "--config", "{refiner_seeds_config}"],
     ["eval", "--grasps", "{missing}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--max-refine", "0"],
     ["predict", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
-        "config-file-value", "epochs-0", "grasps-missing", "clearing-max-refine-0",
+        "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
+        "refiner-seeds-0", "grasps-missing", "clearing-max-refine-0",
         "checkpoint-views", "clearing-checkpoint-views"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
-    bad_config = tmp_path / "bad.cfg"
-    bad_config.write_text("sampling.t_parallel = 1.5\n")
-    views_config = tmp_path / "views.cfg"
-    views_config.write_text("refine.n_views = 100\n")  # the checkpoint's view head has 300
-    fill = {"{bad_config}": bad_config, "{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
-            "{checkpoint}": workspace / "model" / "checkpoint.json", "{views_config}": views_config}
+    configs = {
+        "{bad_config}": "sampling.t_parallel = 1.5",
+        "{views_config}": "refine.n_views = 100",  # the checkpoint's view head has 300
+        "{seed_threshold_config}": "train.seed_threshold = 1.5",
+        "{refiner_seeds_config}": "train.refiner_seeds_per_scene = 0",
+    }
+    fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
+            "{checkpoint}": workspace / "model" / "checkpoint.json"}
+    for i, (key, line) in enumerate(configs.items()):
+        fill[key] = tmp_path / f"config{i}.cfg"
+        fill[key].write_text(line + "\n")
     out = tmp_path / "out"
     argv = [argv[0], "--scenes", workspace / "scenes", "--out", out] + [fill.get(a, a) for a in argv[1:]]
     assert run(*argv) == 2

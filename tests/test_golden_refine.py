@@ -6,13 +6,23 @@ point-feature and map-score digests from the per-point covariance loop that
 preceded the batched feature kernel. Any change that moves a single bit of a
 fallback grasp, a learned-head grasp, a training target, a point feature or a
 map score fails here.
+
+The trained-parameter digest was captured after training moved the refiner
+heads to the seed rows. OpenBLAS sums depend on its thread count, so that run
+goes through a subprocess with BLAS threads pinned to 1 (the benchmark's
+setting); its bits still depend on the BLAS build (OpenBLAS 0.3.31, x86-64).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualgrasp
 from dualgrasp.features import compute_point_features
 from dualgrasp.grasps import PARALLEL
 from dualgrasp.labels import build_label_maps
@@ -20,7 +30,7 @@ from dualgrasp.mlp import MAP_HEADS, MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline
 from dualgrasp.refine_parallel import RefineParallelConfig, fallback_refine_batch
 from dualgrasp.scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
-from dualgrasp.train import prepare_training_scene
+from dualgrasp.train import TrainConfig, prepare_training_scene, train
 
 
 def _digest(arr) -> str:
@@ -69,6 +79,9 @@ MAP_SCORES_GOLDEN = {
 }
 
 
+TRAINED_PARAMS_GOLDEN = "7c21914ac1a85ab5f00a36f2"
+
+
 def grasp_digests(grasps, dropped):
     fields = np.array([
         [*g.center, *g.approach, g.angle_deg, g.width, g.depth, g.score] for g in grasps
@@ -114,6 +127,15 @@ def target_digests(cloud, scene, grasps):
     return out
 
 
+def trained_params_digest():
+    """Flat parameters after a 2-epoch train on the golden scene."""
+    cfg = SynthConfig(kinds=("box", "sphere", "plane-slab"), density=25000.0)
+    cloud, scene = generate_scene(42, 3, cfg)
+    prepared = prepare_training_scene(cloud, scene, sample_ground_truth_grasps(scene, cfg, seed=42))
+    model, _ = train([prepared], TrainConfig(epochs=2))
+    return _digest(model.get_flat_params())
+
+
 def test_fallback_grasps_byte_identical(golden_scene):
     cloud, scene, _ = golden_scene
     assert fallback_digests(cloud, scene) == FALLBACK_GOLDEN
@@ -138,3 +160,14 @@ def test_map_scores_byte_identical(golden_scene):
     scores = random_model(feats).predict_map_scores(feats)
     assert list(scores) == list(MAP_HEADS)
     assert {name: _digest(value) for name, value in scores.items()} == MAP_SCORES_GOLDEN
+
+
+def test_trained_params_byte_identical():
+    src = str(Path(dualgrasp.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, tests]))
+    code = "import test_golden_refine as g; print(g.trained_params_digest())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == TRAINED_PARAMS_GOLDEN

@@ -76,23 +76,29 @@ def test_feature_width_check(rng):
 
 
 def test_backward_full_fd(rng):
+    for rows in (None, [6, 1, 3]):  # every row, then refiner heads on seed rows only
+        check_backward_fd(rng, rows)
+
+
+def check_backward_fd(rng, rows):
     model = small_model(refiner=True, seed=2)
     params = model.get_flat_params() + rng.normal(0, 0.3, model.n_params())
     model.set_flat_params(params)
     X = rng.normal(size=(8, 4))
     y_obj = (rng.uniform(size=8) > 0.5).astype(float)
     y_vac = rng.uniform(size=8)
+    k = 8 if rows is None else len(rows)
     targets = {
-        "view_scores": rng.uniform(size=(8, 3)),
-        "width": rng.uniform(size=8),
-        "angle_idx": rng.integers(0, 4, size=8),
-        "depth_idx": rng.integers(0, 2, size=8),
-        "score_idx": rng.integers(0, 3, size=8),
+        "view_scores": rng.uniform(size=(k, 3)),
+        "width": rng.uniform(size=k),
+        "angle_idx": rng.integers(0, 4, size=k),
+        "depth_idx": rng.integers(0, 2, size=k),
+        "score_idx": rng.integers(0, 3, size=k),
     }
 
     def total_loss(p):
         model.set_flat_params(p)
-        out, _ = model.forward(X)
+        out, _ = model.forward(X, rows=rows)
         l1, _ = loss_objectness(out["objectness"][:, 0], y_obj)
         l2, _ = loss_vacuum(out["vacuum"][:, 0], y_vac)
         l3, _, _ = loss_refiner(out["view"], out["width"][:, 0], out["angle"],
@@ -100,7 +106,8 @@ def test_backward_full_fd(rng):
         return l1 + l2 + l3
 
     model.set_flat_params(params)
-    out, cache = model.forward(X)
+    out, cache = model.forward(X, rows=rows)
+    assert out["view"].shape == (k, 3) and out["vacuum"].shape == (8, 1)
     _, g_obj = loss_objectness(out["objectness"][:, 0], y_obj)
     _, g_vac = loss_vacuum(out["vacuum"][:, 0], y_vac)
     _, ref_grads, _ = loss_refiner(out["view"], out["width"][:, 0], out["angle"],
@@ -126,6 +133,37 @@ def test_backward_full_fd(rng):
         fd[i] = (total_loss(p_hi) - total_loss(p_lo)) / (2 * eps)
     denom = np.maximum(1e-6, np.maximum(np.abs(fd), np.abs(analytic)))
     assert np.max(np.abs(fd - analytic) / denom) < 1e-4
+
+
+def test_refiner_rows_match_dense_zero_filled_reference(rng):
+    """Refiner heads on a row subset equal the all-rows heads read at those
+    rows, and their gradients equal a dense gradient that is zero elsewhere."""
+    model = small_model(refiner=True, seed=4)
+    model.set_flat_params(rng.normal(0, 0.3, model.n_params()))
+    X = rng.normal(size=(12, 4))
+    rows = np.array([9, 0, 4, 11])
+    part, cache = model.forward(X, rows=rows)
+    full, dense_cache = model.forward(X)
+    grads, dense_grads = {}, {}
+    for name, out in full.items():
+        if name in MAP_HEADS:
+            assert np.array_equal(part[name], out)
+            grads[name] = dense_grads[name] = rng.normal(size=out.shape)
+        else:
+            np.testing.assert_allclose(part[name], out[rows], rtol=1e-10)
+            grads[name] = rng.normal(size=(len(rows), out.shape[1]))
+            dense_grads[name] = np.zeros_like(out)
+            dense_grads[name][rows] = grads[name]
+    np.testing.assert_allclose(model.backward(cache, grads), model.backward(dense_cache, dense_grads),
+                               rtol=1e-10, atol=1e-14)
+    # map heads alone: the refiner rows play no part
+    map_grads = {name: grads[name] for name in MAP_HEADS}
+    assert np.array_equal(model.backward(cache, map_grads), model.backward(dense_cache, map_grads))
+
+
+def test_refiner_rows_must_be_distinct(rng):
+    with pytest.raises(ValueError, match="distinct"):
+        small_model(refiner=True).forward(rng.normal(size=(5, 4)), rows=[1, 3, 1])
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):

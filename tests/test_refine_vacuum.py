@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dualgrasp.cloud import PointCloud
+from dualgrasp.cloud import DegenerateNeighborhood, PointCloud, SpatialIndex, estimate_normal
 from dualgrasp.grasps import VacuumGrasp
 from dualgrasp.refine_vacuum import rank_vacuum, refine_vacuum_poses
 from dualgrasp.sampling import SeedSet
+from dualgrasp.scenes import SynthConfig, generate_scene
 
 
 def test_plane_seed_normal_up(rng):
@@ -50,6 +51,45 @@ def test_degenerate_seeds_dropped_not_raised():
     grasps, dropped = refine_vacuum_poses(cloud, seeds, r=0.01)
     assert grasps == []
     assert dropped == 2
+
+
+def scalar_vacuum_poses(cloud, seeds, r):
+    """Reference: estimate_normal at each seed, degenerate seeds dropped."""
+    idx = SpatialIndex(cloud)
+    out = []
+    for seed, score in zip(seeds.indices, seeds.fused_scores):
+        try:
+            out.append((int(seed), estimate_normal(idx, int(seed), r), float(score)))
+        except DegenerateNeighborhood:
+            pass
+    return out
+
+
+def degenerate_cloud():
+    # a line (collinear neighbourhoods), a plane patch, an isolated point, a duplicated point
+    line = np.column_stack([np.arange(30) * 0.004, np.zeros(30), np.full(30, 0.05)])
+    g = np.arange(6) * 0.005
+    patch = np.array([[0.3 + x, y, 0.02] for x in g for y in g])
+    return PointCloud(np.vstack([line, patch, [[-0.4, 0.4, 0.3]], patch[:1]]), viewpoint=(0.1, -0.2, 1.0))
+
+
+@pytest.mark.parametrize("r", [0.01, 0.004])
+def test_batched_normals_match_estimate_normal_bitwise(r):
+    scene_cloud, _ = generate_scene(11, 4, SynthConfig(density=8000.0))
+    flat = degenerate_cloud()
+    rng = np.random.default_rng(7)
+    clouds = [(scene_cloud, rng.choice(len(scene_cloud), size=200, replace=False)),
+              (flat, np.arange(len(flat)))]
+    for cloud, seed_idx in clouds:
+        seeds = SeedSet("vacuum", seed_idx, rng.uniform(size=len(seed_idx)))
+        grasps, dropped = refine_vacuum_poses(cloud, seeds, r=r)
+        expected = scalar_vacuum_poses(cloud, seeds, r)
+        assert dropped == len(seeds) - len(expected) > 0
+        assert len(grasps) == len(expected)
+        for g, (seed, normal, score) in zip(grasps, expected):
+            assert g.seed_index == seed and g.score == score
+            assert g.center.tobytes() == cloud.points[seed].tobytes()
+            assert g.normal.tobytes() == VacuumGrasp(center=g.center, normal=normal).normal.tobytes()
 
 
 def test_rejects_wrong_gripper(rng):
