@@ -2,6 +2,15 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# BLAS sums depend on the thread count, so trained weights would depend on the
+# core count. One thread unless the caller chose otherwise; this only takes
+# effect when dualgrasp is imported before numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .cloud import (
     DegenerateNeighborhood,
     PointCloud,

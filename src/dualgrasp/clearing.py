@@ -14,7 +14,7 @@ from .metrics import EvalConfig
 from .scenes import (
     SceneAnnotation,
     oracle_seal_quality,
-    owning_object,
+    owning_objects,
     parallel_quality_batch,
     remove_object,
 )
@@ -94,11 +94,11 @@ def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str, cfg: EvalConfig):
         if not res.hit[0]:
             return -1, False
         return int(res.object_id[0]), bool(res.mu[0] <= cfg.exec_mu_parallel)
-    prim = owning_object(scene, np.asarray(grasp.center, dtype=np.float64), tol=0.002)
-    if prim is None:
+    target = int(owning_objects(scene, grasp.center, tol=0.002)[0])
+    if target == 0:
         return -1, False
     seal = oracle_seal_quality(scene, grasp, cfg.cup_radius)
-    return int(prim.object_id), bool(seal >= cfg.exec_mu_vacuum)
+    return target, bool(seal >= cfg.exec_mu_vacuum)
 
 
 def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,

@@ -43,40 +43,82 @@ def yaw_quat(theta: float) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), 0.0, 0.0, np.sin(theta / 2.0)])
 
 
-def approach_frame(approach) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal in-plane basis (e1, e2) perpendicular to an approach vector.
+def row_dots(a, b) -> np.ndarray:
+    """Dot product of each row pair of (M, 3) arrays, bit-identical to np.dot of the rows alone.
+
+    np.dot of two vectors takes the BLAS dot, which fuses multiply-adds on
+    most builds, while a row sum of a * b rounds every product; the two differ
+    in the last bit on about one row in ten. A stacked (1, 3) @ (3, 1) matmul
+    takes the same BLAS dot for every row. A single row broadcasts.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64).reshape(-1, 3),
+                               np.asarray(b, dtype=np.float64).reshape(-1, 3))
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to np.linalg.norm of the row alone (see row_dots)."""
+    return np.sqrt(row_dots(x, x))
+
+
+def unit_rows(x) -> np.ndarray:
+    """Each row of an (M, 3) array scaled to unit length, bit-identical to normalize of the row."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
+    n = row_norms(x)
+    if np.any(n < 1e-12):
+        raise ValueError("cannot normalize a zero vector")
+    return x / n[:, None]
+
+
+def approach_frames(approaches) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal in-plane bases (e1, e2), one row per approach vector.
 
     e1 is the normalized cross product of the approach with +z (falls back to +x
     when the approach is nearly vertical); e2 completes the right-handed frame.
     The in-plane rotation angle a (degrees) maps to the jaw closing direction
-    u = cos(a) * e1 + sin(a) * e2.
+    u = cos(a) * e1 + sin(a) * e2. Each row has the bits of a one-row call.
     """
-    v = normalize(approach)
-    ref = np.array([0.0, 0.0, 1.0])
-    c = np.cross(v, ref)
-    if np.linalg.norm(c) < 1e-8:
-        c = np.cross(v, np.array([1.0, 0.0, 0.0]))
-    e1 = c / np.linalg.norm(c)
-    e2 = np.cross(v, e1)
-    return e1, e2
+    v = unit_rows(approaches)
+    c = np.cross(v, np.array([0.0, 0.0, 1.0]))
+    vertical = row_norms(c) < 1e-8
+    if np.any(vertical):
+        c[vertical] = np.cross(v[vertical], np.array([1.0, 0.0, 0.0]))
+    e1 = unit_rows(c)
+    return e1, np.cross(v, e1)
 
 
-def closing_direction(approach, angle_deg: float) -> np.ndarray:
-    """Jaw closing direction for an approach vector and in-plane angle in degrees."""
-    e1, e2 = approach_frame(approach)
-    a = np.deg2rad(angle_deg)
+def approach_frame(approach) -> tuple[np.ndarray, np.ndarray]:
+    """approach_frames of a single approach vector."""
+    e1, e2 = approach_frames(np.asarray(approach, dtype=np.float64).reshape(1, 3))
+    return e1[0], e2[0]
+
+
+def closing_directions(approaches, angles_deg) -> np.ndarray:
+    """Jaw closing direction per row of approaches and in-plane angles in degrees."""
+    e1, e2 = approach_frames(approaches)
+    a = np.deg2rad(np.asarray(angles_deg, dtype=np.float64).reshape(-1, 1))
     return np.cos(a) * e1 + np.sin(a) * e2
 
 
-def closing_angle_deg(approach, closing) -> float:
-    """In-plane angle in [0, 180) of a closing direction, inverse of closing_direction.
+def closing_direction(approach, angle_deg: float) -> np.ndarray:
+    """closing_directions of a single approach vector and angle."""
+    return closing_directions(np.asarray(approach, dtype=np.float64).reshape(1, 3), angle_deg)[0]
+
+
+def closing_angles_deg(approaches, closings) -> np.ndarray:
+    """In-plane angle in [0, 180) of each closing direction, inverse of closing_directions.
 
     The closing line is undirected, so u and -u map to the same angle.
     """
-    e1, e2 = approach_frame(approach)
-    u = normalize(closing)
-    a = np.rad2deg(np.arctan2(np.dot(u, e2), np.dot(u, e1)))
-    return a % 180.0
+    e1, e2 = approach_frames(approaches)
+    u = unit_rows(closings)
+    return np.rad2deg(np.arctan2(row_dots(u, e2), row_dots(u, e1))) % 180.0
+
+
+def closing_angle_deg(approach, closing) -> float:
+    """closing_angles_deg of a single approach vector and closing direction."""
+    one = np.asarray(approach, dtype=np.float64).reshape(1, 3)
+    return closing_angles_deg(one, np.asarray(closing, dtype=np.float64).reshape(1, 3))[0]
 
 
 def fibonacci_hemisphere(count: int) -> np.ndarray:

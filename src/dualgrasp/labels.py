@@ -13,9 +13,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .geometry import normalize
+from .geometry import closing_directions, row_norms, unit_rows
 from .grasps import PARALLEL, VACUUM
-from .scenes import SceneAnnotation, friction_to_graspness, owning_object
+from .scenes import SceneAnnotation, friction_to_graspness, owning_objects
 
 SEAL_FILTER_MIN = 0.004
 VACUUM_CUTOFF = 0.1
@@ -72,49 +72,54 @@ class GraspnessMaps:
 
 # -- collision filters ---------------------------------------------------------
 
+_BOX_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
 
-def _swept_jaw_corners(grasp, cfg: LabelConfig) -> np.ndarray:
-    """Corners of the conservative box swept by the closing jaws."""
-    v = grasp.approach
-    u = grasp.closing_dir()
-    w = normalize(np.cross(v, u))
-    center = grasp.jaw_center() - (cfg.finger_length / 2.0) * v
-    hu = grasp.width / 2.0 + cfg.jaw_thickness
+
+def _swept_jaw_corners(grasps, cfg: LabelConfig) -> np.ndarray:
+    """(G, 8, 3) corners of the conservative boxes swept by the closing jaws."""
+    v = np.array([g.approach for g in grasps]).reshape(-1, 3)
+    u = closing_directions(v, [g.angle_deg for g in grasps])
+    w = unit_rows(np.cross(v, u))
+    jaw = np.array([g.center for g in grasps]).reshape(-1, 3) + np.array([g.depth for g in grasps])[:, None] * v
+    center = jaw - (cfg.finger_length / 2.0) * v
+    hu = np.array([g.width for g in grasps]) / 2.0 + cfg.jaw_thickness
     hv = cfg.finger_length / 2.0
     hw = cfg.jaw_thickness
-    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
-    return center + signs @ np.vstack([hu * u, hw * w, hv * v])
+    # one (8, 3) @ (3, 3) product per grasp: the BLAS call, and bits, of a one-grasp product
+    return center[:, None, :] + np.matmul(_BOX_SIGNS, np.stack([hu[:, None] * u, hw * w, hv * v], axis=1))
 
 
-def parallel_grasp_collides(scene: SceneAnnotation, grasp, cfg: LabelConfig) -> bool:
-    """Conservative: swept-jaw box vs table plane and other objects' bounding spheres."""
-    corners = _swept_jaw_corners(grasp, cfg)
-    if corners[:, 2].min() < scene.table_height + 1e-6:
-        return True
-    owner = owning_object(scene, grasp.jaw_center())
-    center = corners.mean(axis=0)
-    radius = float(np.linalg.norm(corners[0] - center))
+def _hits_other_objects(scene: SceneAnnotation, centers, radii, owners) -> np.ndarray:
+    """Spheres (centers, radii) overlapping the bounding sphere of an object other than their owner."""
+    hit = np.zeros(len(centers), dtype=bool)
     for prim in scene.objects():
-        if prim is owner:
-            continue
-        if np.linalg.norm(center - prim.translation) < radius + prim.bounding_radius():
-            return True
-    return False
+        near = row_norms(centers - prim.translation) < radii + prim.bounding_radius()
+        hit |= near & (owners != prim.object_id)
+    return hit
 
 
-def vacuum_grasp_collides(scene: SceneAnnotation, grasp, cfg: LabelConfig) -> bool:
-    """Conservative: suction-cup disc vs table plane and other objects' bounding spheres."""
-    n = grasp.normal
-    disc_drop = cfg.cup_radius * np.sqrt(max(0.0, 1.0 - n[2] ** 2))
-    if grasp.center[2] - disc_drop < scene.table_height - 1e-9:
-        return True
-    owner = owning_object(scene, grasp.center)
-    for prim in scene.objects():
-        if prim is owner:
-            continue
-        if np.linalg.norm(grasp.center - prim.translation) < cfg.cup_radius + prim.bounding_radius():
-            return True
-    return False
+def parallel_collisions(scene: SceneAnnotation, grasps, owners, cfg: LabelConfig) -> np.ndarray:
+    """Conservative per-grasp test: swept-jaw box vs table plane and other objects' bounding spheres.
+
+    owners holds the object id owning each grasp's jaw center (owning_objects).
+    """
+    corners = _swept_jaw_corners(grasps, cfg)
+    center = corners.mean(axis=1)
+    radius = row_norms(corners[:, 0] - center)
+    below = corners[:, :, 2].min(axis=1) < scene.table_height + 1e-6
+    return below | _hits_other_objects(scene, center, radius, owners)
+
+
+def vacuum_collisions(scene: SceneAnnotation, grasps, owners, cfg: LabelConfig) -> np.ndarray:
+    """Conservative per-grasp test: suction-cup disc vs table plane and other objects' bounding spheres.
+
+    owners holds the object id owning each grasp's center (owning_objects).
+    """
+    center = np.array([g.center for g in grasps]).reshape(-1, 3)
+    nz = np.array([g.normal[2] for g in grasps])
+    disc_drop = cfg.cup_radius * np.sqrt(np.maximum(0.0, 1.0 - nz**2))
+    below = center[:, 2] - disc_drop < scene.table_height - 1e-9
+    return below | _hits_other_objects(scene, center, cfg.cup_radius, owners)
 
 
 # -- map construction ------------------------------------------------------------
@@ -129,17 +134,19 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: 
         raise ValueError("need ground-truth grasps for at least one gripper")
     cfg = config or LabelConfig()
 
-    kept = {PARALLEL: [], VACUUM: []}
-    for g in grasps:
-        if g.gripper == VACUUM:
-            if g.quality_coeff < cfg.seal_min:
-                continue
-            if cfg.collision_filter and vacuum_grasp_collides(scene, g.pose, cfg):
-                continue
-        else:
-            if cfg.collision_filter and parallel_grasp_collides(scene, g.pose, cfg):
-                continue
-        kept[g.gripper].append(g)
+    is_vac = np.array([g.gripper == VACUUM for g in grasps])
+    par = [g.pose for g in grasps if g.gripper != VACUUM]
+    centers = np.array([g.pose.center for g in grasps])
+    quality = np.array([g.quality_coeff for g in grasps])
+    # One ownership lookup for every grasp center and every parallel jaw center.
+    owners = owning_objects(scene, np.vstack([centers] + [p.jaw_center() for p in par]))
+    center_owner, jaw_owner = owners[: len(grasps)], owners[len(grasps):]
+
+    keep = ~(is_vac & (quality < cfg.seal_min))
+    if cfg.collision_filter:
+        vac = [g.pose for g in grasps if g.gripper == VACUUM]
+        keep[is_vac] &= ~vacuum_collisions(scene, vac, center_owner[is_vac], cfg)
+        keep[~is_vac] &= ~parallel_collisions(scene, par, jaw_owner, cfg)
 
     n = len(cloud)
     objectness = (scene.per_point_object_id > 0).astype(np.float64)
@@ -148,13 +155,15 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: 
     # Maps are built per object model: a point inherits only from grasps that
     # target its own object, so sparse candidate sets cannot leak quality
     # across neighboring objects.
-    raw_par = _associate(cloud, scene, kept[PARALLEL], surviving)
+    use = keep & ~is_vac
+    raw_par = _associate(cloud, scene, centers[use], quality[use], center_owner[use], surviving)
     parallel = np.zeros(n)
     has_par = raw_par >= 0
     parallel[has_par] = friction_to_graspness(raw_par[has_par], cfg.mu_max)
 
     vacuum = np.zeros(n)
-    raw_vac = _associate(cloud, scene, kept[VACUUM], surviving)
+    use = keep & is_vac
+    raw_vac = _associate(cloud, scene, centers[use], quality[use], center_owner[use], surviving)
     has_vac = raw_vac >= 0
     if np.any(has_vac):
         seals = raw_vac[has_vac]
@@ -166,15 +175,13 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: 
     return GraspnessMaps(objectness, parallel, vacuum, role="label")
 
 
-def _associate(cloud: PointCloud, scene: SceneAnnotation, grasps, surviving) -> np.ndarray:
-    """Per-point quality of the nearest same-object grasp; -1 where none applies."""
+def _associate(cloud: PointCloud, scene: SceneAnnotation, anchors, quality, targets, surviving) -> np.ndarray:
+    """Per-point quality of the nearest same-object grasp; -1 where none applies.
+
+    anchors, quality and targets give each grasp's center, quality and owning
+    object id (0 = none).
+    """
     out = np.full(len(cloud), -1.0)
-    if not grasps:
-        return out
-    owners = [owning_object(scene, np.asarray(g.pose.center, dtype=np.float64)) for g in grasps]
-    targets = np.array([0 if prim is None else prim.object_id for prim in owners])
-    anchors = np.array([g.pose.center for g in grasps])
-    quality = np.array([g.quality_coeff for g in grasps])
     for oid in np.unique(targets):
         sel = surviving & (scene.per_point_object_id == oid)
         if not np.any(sel):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grasps import PARALLEL, VACUUM
-from .scenes import NoContact, SceneAnnotation, oracle_parallel_quality, oracle_seal_quality
+from .scenes import NoContact, SceneAnnotation, oracle_parallel_quality, seal_quality_batch
 
 
 @dataclass
@@ -38,17 +38,22 @@ class EvalConfig:
 
 
 def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str, config: EvalConfig = None) -> np.ndarray:
-    """Oracle quality per grasp: required friction (parallel, inf on miss) or seal."""
+    """Oracle quality per grasp: required friction (parallel, inf on miss) or seal.
+
+    Vacuum grasps go through one seal_quality_batch call. Parallel grasps keep
+    one oracle call each: a stacked parallel_quality_batch call moves mu in the
+    last bits, because Primitive.surface_normal rounds differently for one row
+    and for many.
+    """
     cfg = config or EvalConfig()
+    if gripper != PARALLEL:
+        return seal_quality_batch(scene, [g.center for g in grasps], cfg.cup_radius)
     out = np.empty(len(grasps))
     for i, g in enumerate(grasps):
-        if gripper == PARALLEL:
-            try:
-                out[i] = oracle_parallel_quality(scene, g)
-            except NoContact:
-                out[i] = np.inf
-        else:
-            out[i] = oracle_seal_quality(scene, g, cfg.cup_radius)
+        try:
+            out[i] = oracle_parallel_quality(scene, g)
+        except NoContact:
+            out[i] = np.inf
     return out
 
 

@@ -19,7 +19,7 @@ from .mlp import MlpModel
 from .refine_parallel import RefineParallelConfig, fallback_refine_batch, learned_refine_batch
 from .refine_vacuum import refine_vacuum_poses, rank_vacuum
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
-from .scenes import SceneAnnotation, owning_object
+from .scenes import SceneAnnotation, owning_objects
 
 
 @dataclass
@@ -144,9 +144,6 @@ class GraspPipeline:
 
 
 def grasp_target_ids(scene: SceneAnnotation, gt_grasps) -> list:
-    """Object id owning each ground-truth grasp (nearest primitive surface)."""
-    ids = []
-    for g in gt_grasps:
-        prim = owning_object(scene, np.asarray(g.pose.center, dtype=np.float64))
-        ids.append(prim.object_id if prim is not None else -1)
-    return ids
+    """Object id owning each ground-truth grasp (nearest primitive surface), -1 for none."""
+    ids = owning_objects(scene, [g.pose.center for g in gt_grasps])
+    return np.where(ids > 0, ids, -1).tolist()

@@ -13,9 +13,10 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .geometry import closing_angle_deg, normalize, yaw_quat
+from .geometry import closing_angles_deg, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import (
     PARALLEL,
     VACUUM,
@@ -330,19 +331,22 @@ def friction_to_graspness(mu, mu_max: float = 1.0):
 # -- vacuum (seal) oracle ------------------------------------------------------
 
 
-def owning_object(scene: SceneAnnotation, point: np.ndarray, tol: float = np.inf):
-    """The object primitive whose surface is nearest to point, or None beyond tol.
+def owning_objects(scene: SceneAnnotation, points, tol: float = np.inf) -> np.ndarray:
+    """Id of the object whose surface is nearest to each point; 0 beyond tol or without objects.
 
-    Ties keep the first object in scene order; None also when there is no object.
+    One surface_distance pass per object over all points; ties keep the first
+    object in scene order.
     """
-    best, best_d = None, np.inf
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    ids = np.zeros(len(pts), dtype=np.intp)
+    best = np.full(len(pts), np.inf)
     for prim in scene.objects():
-        d = float(prim.surface_distance(point[None, :])[0])
-        if d < best_d:
-            best, best_d = prim, d
-    if best is None or best_d > tol:
-        return None
-    return best
+        d = prim.surface_distance(pts)
+        closer = d < best
+        ids[closer] = prim.object_id
+        best[closer] = d[closer]
+    ids[best > tol] = 0
+    return ids
 
 
 _SEAL_SAMPLE_CACHE = {}
@@ -366,46 +370,62 @@ def _seal_surface_samples(prim: Primitive, count: int) -> np.ndarray:
     return prim.to_world(local)
 
 
-def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = 0.01,
-                        config: SynthConfig = None) -> float:
-    """Seal coefficient in [0, 1] from surface planarity under the suction cup.
+def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01,
+                       config: SynthConfig = None) -> np.ndarray:
+    """Seal coefficient in [0, 1] at each of K suction-cup centers, from surface planarity.
 
     seal = max(0, 1 - RMS / cup_radius) where RMS is the root-mean-square
-    deviation of surface points within cup_radius of the center from the
-    tangent plane there. Returns 0 for porous objects and centers that are not
-    within 2 mm of an object surface.
+    deviation of the owning object's surface samples within cup_radius of the
+    center from the tangent plane there. 0 for porous objects, for centers that
+    are not within on_surface_tol of an object surface, and for cups that hold
+    no sample. The samples are posed once per object and gathered by one radius
+    query with a padded radius; the exact distance test then keeps them in
+    ascending sample order, so every value has the bits of a one-center call.
     """
     cfg = config or SynthConfig()
-    c = np.asarray(grasp.center, dtype=np.float64)
-    prim = owning_object(scene, c, cfg.on_surface_tol)
-    if prim is None or prim.porosity_flag:
-        return 0.0
+    c = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    seal = np.zeros(len(c))
+    owners = owning_objects(scene, c, cfg.on_surface_tol)
     lo, hi = cfg.seal_sample_limits
-    count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
-    pts = _seal_surface_samples(prim, count)
-    in_cup = np.linalg.norm(pts - c, axis=1) <= cup_radius
-    if not np.any(in_cup):
-        return 0.0
-    n = prim.surface_normal(c[None, :])[0]
-    dev = (pts[in_cup] - c) @ n
-    rms = float(np.sqrt(np.mean(dev**2)))
-    return max(0.0, 1.0 - rms / cup_radius)
+    for prim in scene.objects():
+        rows = np.flatnonzero(owners == prim.object_id)
+        if len(rows) == 0 or prim.porosity_flag:
+            continue
+        count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
+        pts = _seal_surface_samples(prim, count)
+        near = cKDTree(pts).query_ball_point(c[rows], cup_radius * (1.0 + 1e-9) + 1e-12, return_sorted=True)
+        for row, cand in zip(rows, near):
+            cand = np.asarray(cand, dtype=np.intp)
+            in_cup = cand[np.linalg.norm(pts[cand] - c[row], axis=1) <= cup_radius]
+            if len(in_cup) == 0:
+                continue
+            n = prim.surface_normal(c[row][None, :])[0]
+            dev = (pts[in_cup] - c[row]) @ n
+            rms = float(np.sqrt(np.mean(dev**2)))
+            seal[row] = max(0.0, 1.0 - rms / cup_radius)
+    return seal
+
+
+def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = 0.01,
+                        config: SynthConfig = None) -> float:
+    """seal_quality_batch at one vacuum grasp's center."""
+    return float(seal_quality_batch(scene, grasp.center, cup_radius, config)[0])
 
 
 # -- ground-truth grasp candidates ---------------------------------------------
 
 
-def _perpendicular_approach(u: np.ndarray) -> np.ndarray:
-    """Deterministic approach direction perpendicular to a closing direction.
+def _perpendicular_approaches(u: np.ndarray) -> np.ndarray:
+    """Deterministic approach direction perpendicular to each unit closing direction (rows of u).
 
     Prefers the downward direction (top grasps); falls back to +x for
     near-vertical closing lines.
     """
     down = np.array([0.0, 0.0, -1.0])
-    v = down - np.dot(down, u) * u
-    if np.linalg.norm(v) < 1e-6:
-        v = np.array([1.0, 0.0, 0.0]) - u[0] * u
-    return normalize(v)
+    v = down - row_dots(down, u)[:, None] * u
+    flat = row_norms(v) < 1e-6
+    v[flat] = np.array([1.0, 0.0, 0.0]) - u[flat, :1] * u[flat]
+    return unit_rows(v)
 
 
 def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = None, seed=0):
@@ -422,10 +442,9 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
     grasps = []
     for prim in scene.objects():
         pts_v, nrm_v, _ = prim.sample_surface(cfg.vacuum_grasps_per_object, rng)
-        for p, n in zip(pts_v, nrm_v):
-            pose = VacuumGrasp(center=p, normal=n)
-            seal = oracle_seal_quality(scene, pose, cfg.cup_radius, cfg)
-            pose.score = seal
+        seals = seal_quality_batch(scene, pts_v, cfg.cup_radius, cfg)
+        for p, n, seal in zip(pts_v, nrm_v, seals.tolist()):
+            pose = VacuumGrasp(center=p, normal=n, score=seal)
             grasps.append(GroundTruthGrasp(gripper=VACUUM, pose=pose, quality_coeff=seal))
 
         pts_p, nrm_p, _ = prim.sample_surface(cfg.parallel_grasps_per_object, rng)
@@ -434,22 +453,17 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
         mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
         sep = t1 - t0
         mu = parallel_quality_batch(scene, mids, closing, np.full(len(mids), cfg.max_width)).mu
-        for i in range(len(pts_p)):
-            if not hit[i] or sep[i] + cfg.width_margin > cfg.max_width:
-                continue
-            if not np.isfinite(mu[i]) or mu[i] > cfg.gt_mu_cap:
-                continue
-            u = closing[i] / np.linalg.norm(closing[i])
-            v = _perpendicular_approach(u)
-            pose = ParallelGrasp(
-                center=mids[i] - cfg.gt_depth * v,
-                approach=v,
-                angle_deg=closing_angle_deg(v, u),
-                width=min(cfg.max_width, float(sep[i]) + cfg.width_margin),
-                depth=cfg.gt_depth,
-                score=friction_to_graspness(mu[i]),
-            )
-            grasps.append(GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=float(mu[i])))
+        ok = hit & ~(sep + cfg.width_margin > cfg.max_width) & np.isfinite(mu) & ~(mu > cfg.gt_mu_cap)
+        u = unit_rows(closing[ok])
+        v = _perpendicular_approaches(u)
+        centers = mids[ok] - cfg.gt_depth * v
+        angles = closing_angles_deg(v, u)
+        widths = np.minimum(cfg.max_width, sep[ok] + cfg.width_margin)
+        scores = friction_to_graspness(mu[ok])
+        for i, m in enumerate(mu[ok].tolist()):
+            pose = ParallelGrasp(center=centers[i], approach=v[i], angle_deg=angles[i], width=float(widths[i]),
+                                 depth=cfg.gt_depth, score=float(scores[i]))
+            grasps.append(GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=m))
     return grasps
 
 

@@ -7,10 +7,17 @@ preceded the batched feature kernel. Any change that moves a single bit of a
 fallback grasp, a learned-head grasp, a training target, a point feature or a
 map score fails here.
 
+The ground-truth grasp and label-map digests were captured from the
+per-candidate seal oracle, per-grasp ownership scans and one-grasp collision
+filters that preceded seal_quality_batch, owning_objects and the batched
+filters.
+
 The trained-parameter digest was captured after training moved the refiner
 heads to the seed rows. OpenBLAS sums depend on its thread count, so that run
-goes through a subprocess with BLAS threads pinned to 1 (the benchmark's
-setting); its bits still depend on the BLAS build (OpenBLAS 0.3.31, x86-64).
+goes through a fresh interpreter: once with BLAS threads pinned to 1 (the
+benchmark's setting) and once with the thread variables unset, where importing
+dualgrasp must pin them; its bits still depend on the BLAS build (OpenBLAS
+0.3.31, x86-64).
 """
 
 import hashlib
@@ -24,7 +31,7 @@ import pytest
 
 import dualgrasp
 from dualgrasp.features import compute_point_features
-from dualgrasp.grasps import PARALLEL
+from dualgrasp.grasps import PARALLEL, VACUUM
 from dualgrasp.labels import build_label_maps
 from dualgrasp.mlp import MAP_HEADS, MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline
@@ -81,6 +88,20 @@ MAP_SCORES_GOLDEN = {
 
 TRAINED_PARAMS_GOLDEN = "7c21914ac1a85ab5f00a36f2"
 
+GT_GRASPS_GOLDEN = {
+    "order": "c4d9d7e395d87fd4db704252",
+    "parallel": "1b8fedab1f22aeb5407af384",
+    "vacuum": "d724b707c1d77cf6f2d9da2e",
+}
+
+LABEL_MAPS_GOLDEN = {
+    "objectness": "03f6021669c38feabd2496ae",
+    "graspness_parallel": "ca7cc30eaeccd1d3c5a2c82b",
+    "graspness_vacuum": "11eef3057377becbb52639c8",
+}
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def grasp_digests(grasps, dropped):
     fields = np.array([
@@ -127,6 +148,19 @@ def target_digests(cloud, scene, grasps):
     return out
 
 
+def gt_grasp_digests(grasps):
+    """Gripper order, and pose fields plus quality per gripper, of ground-truth grasps."""
+    par = [g for g in grasps if g.gripper == PARALLEL]
+    vac = [g for g in grasps if g.gripper == VACUUM]
+    return {
+        "order": _digest(np.array([g.gripper == PARALLEL for g in grasps])),
+        "parallel": _digest(np.array([[*g.pose.center, *g.pose.approach, g.pose.angle_deg, g.pose.width,
+                                       g.pose.depth, g.pose.score, g.quality_coeff] for g in par])),
+        "vacuum": _digest(np.array([[*g.pose.center, *g.pose.normal, g.pose.score, g.quality_coeff]
+                                    for g in vac])),
+    }
+
+
 def trained_params_digest():
     """Flat parameters after a 2-epoch train on the golden scene."""
     cfg = SynthConfig(kinds=("box", "sphere", "plane-slab"), density=25000.0)
@@ -162,12 +196,31 @@ def test_map_scores_byte_identical(golden_scene):
     assert {name: _digest(value) for name, value in scores.items()} == MAP_SCORES_GOLDEN
 
 
-def test_trained_params_byte_identical():
+def test_gt_grasps_byte_identical(golden_scene):
+    assert gt_grasp_digests(golden_scene[2]) == GT_GRASPS_GOLDEN
+
+
+def test_label_maps_byte_identical(golden_scene):
+    maps = build_label_maps(*golden_scene)
+    assert {name: _digest(value) for name, value in maps.channels().items()} == LABEL_MAPS_GOLDEN
+
+
+def trained_params_digest_in_subprocess(env) -> str:
+    """trained_params_digest in a fresh interpreter that imports dualgrasp before numpy."""
     src = str(Path(dualgrasp.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, tests]))
-    code = "import test_golden_refine as g; print(g.trained_params_digest())"
+    env = dict(env, PYTHONPATH=os.pathsep.join([src, tests]))
+    code = "import dualgrasp, test_golden_refine as g; print(g.trained_params_digest())"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == TRAINED_PARAMS_GOLDEN
+    return done.stdout.strip()
+
+
+def test_trained_params_byte_identical():
+    env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
+    assert trained_params_digest_in_subprocess(env) == TRAINED_PARAMS_GOLDEN
+
+
+def test_package_pins_blas_threads():
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    assert trained_params_digest_in_subprocess(env) == TRAINED_PARAMS_GOLDEN

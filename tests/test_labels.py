@@ -3,14 +3,25 @@ import pytest
 
 from dualgrasp.cloud import PointCloud
 from dualgrasp.grasps import PARALLEL, VACUUM, ParallelGrasp, VacuumGrasp
+from dualgrasp.geometry import normalize
 from dualgrasp.labels import (
     GraspnessMaps,
     LabelConfig,
+    _swept_jaw_corners,
     build_label_maps,
+    parallel_collisions,
     project_map_to_cloud,
+    vacuum_collisions,
 )
 from dualgrasp.primitives import Primitive
-from dualgrasp.scenes import GroundTruthGrasp, SceneAnnotation
+from dualgrasp.scenes import (
+    GroundTruthGrasp,
+    SceneAnnotation,
+    SynthConfig,
+    generate_scene,
+    owning_objects,
+    sample_ground_truth_grasps,
+)
 
 
 def overhead_box_scene(box_size=(0.06, 0.06, 0.04), table_extent=0.3):
@@ -126,6 +137,84 @@ def test_collision_filter_drops_table_pinch():
     grasps = [GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=0.0)]
     maps = build_label_maps(cloud, scene, grasps)
     assert np.all(maps.parallel_graspness == 0)
+
+
+# one-grasp references: the filters as they were before the batched form
+
+
+def owner_reference(scene, point):
+    best, best_d = None, np.inf
+    for prim in scene.objects():
+        d = float(prim.surface_distance(point[None, :])[0])
+        if d < best_d:
+            best, best_d = prim, d
+    return best
+
+
+def corners_reference(grasp, cfg):
+    v = grasp.approach
+    u = grasp.closing_dir()
+    w = normalize(np.cross(v, u))
+    center = grasp.jaw_center() - (cfg.finger_length / 2.0) * v
+    hu = grasp.width / 2.0 + cfg.jaw_thickness
+    hv = cfg.finger_length / 2.0
+    hw = cfg.jaw_thickness
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    return center + signs @ np.vstack([hu * u, hw * w, hv * v])
+
+
+def parallel_collides_reference(scene, grasp, cfg):
+    corners = corners_reference(grasp, cfg)
+    if corners[:, 2].min() < scene.table_height + 1e-6:
+        return True
+    owner = owner_reference(scene, grasp.jaw_center())
+    center = corners.mean(axis=0)
+    radius = float(np.linalg.norm(corners[0] - center))
+    for prim in scene.objects():
+        if prim is owner:
+            continue
+        if np.linalg.norm(center - prim.translation) < radius + prim.bounding_radius():
+            return True
+    return False
+
+
+def vacuum_collides_reference(scene, grasp, cfg):
+    n = grasp.normal
+    disc_drop = cfg.cup_radius * np.sqrt(max(0.0, 1.0 - n[2] ** 2))
+    if grasp.center[2] - disc_drop < scene.table_height - 1e-9:
+        return True
+    owner = owner_reference(scene, grasp.center)
+    for prim in scene.objects():
+        if prim is owner:
+            continue
+        if np.linalg.norm(grasp.center - prim.translation) < cfg.cup_radius + prim.bounding_radius():
+            return True
+    return False
+
+
+def test_batched_collision_filters_match_one_grasp_filters():
+    rng = np.random.default_rng(11)
+    cfg = LabelConfig()
+    tallies = np.zeros(2, dtype=int)
+    for seed in range(4):
+        synth = SynthConfig(density=5000.0)
+        _, scene = generate_scene(seed, 6, synth)
+        gt = sample_ground_truth_grasps(scene, synth, seed=seed)
+        par = [g.pose for g in gt if g.gripper == PARALLEL]
+        vac = [g.pose for g in gt if g.gripper == VACUUM]
+        # plus jittered, tilted and widened poses, so the table and neighbour tests both fire
+        par += [ParallelGrasp(center=g.center + rng.normal(0.0, 0.01, 3), approach=g.approach + rng.normal(0.0, 0.5, 3),
+                              angle_deg=rng.uniform(0, 180), width=rng.uniform(0.01, 0.1), depth=g.depth)
+                for g in par]
+        assert np.array_equal(_swept_jaw_corners(par, cfg), [corners_reference(g, cfg) for g in par])
+        jaw_owner = owning_objects(scene, [g.jaw_center() for g in par])
+        got = parallel_collisions(scene, par, jaw_owner, cfg)
+        assert got.tolist() == [parallel_collides_reference(scene, g, cfg) for g in par]
+        got_v = vacuum_collisions(scene, vac, owning_objects(scene, [g.center for g in vac]), cfg)
+        assert got_v.tolist() == [vacuum_collides_reference(scene, g, cfg) for g in vac]
+        tallies += [got.sum(), got_v.sum()]
+        assert 0 < got.sum() < len(par) and 0 < got_v.sum() < len(vac)
+    assert tallies.min() > 40
 
 
 def test_requires_some_grasps():

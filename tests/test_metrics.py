@@ -13,7 +13,7 @@ from dualgrasp.metrics import (
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import oracle_parallel_quality, NoContact
 
-from test_scenes import bare_scene, down_grasp
+from test_scenes import bare_scene, down_grasp, seal_reference
 
 CFG = EvalConfig()
 
@@ -71,6 +71,18 @@ def test_precision_matches_per_grasp_oracle_loop(small_scene):
         except NoContact:
             pass
     assert got == pytest.approx(wins / len(grasps))
+
+
+def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):
+    _, scene, gt, _ = small_scene
+    grasps = [g.pose for g in gt if g.gripper == VACUUM]
+    # plus jittered cups, some off the surface (seal 0)
+    grasps += [VacuumGrasp(center=g.center + rng.normal(0.0, 0.002, 3), normal=g.normal) for g in grasps]
+    got = grasp_qualities(grasps, scene, VACUUM, CFG)
+    want = [seal_reference(scene, g.center, CFG.cup_radius) for g in grasps]
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < len(got)
+    assert grasp_qualities([], scene, VACUUM, CFG).shape == (0,)
 
 
 def test_ap_mu_hand_example():

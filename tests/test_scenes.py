@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from dualgrasp import scenes
 from dualgrasp.geometry import closing_angle_deg
 from dualgrasp.grasps import ParallelGrasp, VacuumGrasp, transform_parallel_grasp
 from dualgrasp.primitives import Primitive
@@ -13,9 +14,10 @@ from dualgrasp.scenes import (
     load_scene,
     oracle_parallel_quality,
     oracle_seal_quality,
-    owning_object,
+    owning_objects,
     sample_ground_truth_grasps,
     save_scene,
+    seal_quality_batch,
 )
 
 
@@ -244,11 +246,113 @@ def test_owning_object_nearest_surface_and_tolerance():
     b = Primitive("sphere", (0.02,), translation=(0.05, 0, 0.02), object_id=2)
     twin = Primitive("sphere", (0.02,), translation=(0.05, 0, 0.02), object_id=3)
     scene = bare_scene(a, b, twin)
-    assert owning_object(scene, np.array([0.02, 0.0, 0.02])) is b  # 1 cm from b's surface
-    assert owning_object(scene, np.array([0.02, 0.0, 0.02]), tol=0.005) is None
-    assert owning_object(scene, np.array([-0.05, 0.0, 0.04]), tol=1e-9) is a
-    assert owning_object(scene, np.array([0.05, 0.0, 0.04])) is b  # exact tie: first in scene order
-    assert owning_object(bare_scene(), np.zeros(3)) is None
+    probes = np.array([[0.02, 0.0, 0.02], [-0.05, 0.0, 0.04], [0.05, 0.0, 0.04]])
+    # 1 cm from b's surface; on a's surface; an exact b/twin tie goes to the first in scene order
+    assert list(owning_objects(scene, probes)) == [2, 1, 2]
+    assert list(owning_objects(scene, probes, tol=0.005)) == [0, 1, 2]
+    assert list(owning_objects(scene, probes, tol=1e-9)) == [0, 1, 2]
+    assert list(owning_objects(scene, probes[0])) == [2]  # one point, one row
+    assert list(owning_objects(bare_scene(), probes)) == [0, 0, 0]
+    assert owning_objects(scene, np.zeros((0, 3))).shape == (0,)
+
+
+def owning_object_reference(scene, point, tol=np.inf):
+    """The per-point scan owning_objects replaced: object id, 0 beyond tol."""
+    best, best_d = 0, np.inf
+    for prim in scene.objects():
+        d = float(prim.surface_distance(point[None, :])[0])
+        if d < best_d:
+            best, best_d = prim.object_id, d
+    return 0 if best_d > tol else best
+
+
+def test_owning_objects_matches_per_point_scan():
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        cloud, scene = generate_scene(seed, 6, SynthConfig(density=5000.0))
+        on_surface = cloud.points[rng.choice(len(cloud), 300)] + rng.normal(0.0, 0.002, (300, 3))
+        centers = np.array([p.translation for p in scene.objects()])
+        pairs = rng.integers(len(centers), size=(300, 2))
+        between = centers[pairs[:, 0]] + rng.uniform(size=(300, 1)) * (centers[pairs[:, 1]] - centers[pairs[:, 0]])
+        points = np.vstack([on_surface, between])
+        for tol in (np.inf, 0.002, 0.01):
+            want = [owning_object_reference(scene, p, tol) for p in points]
+            assert owning_objects(scene, points, tol).tolist() == want
+
+
+# -- batched seal oracle -------------------------------------------------------------
+
+
+def seal_reference(scene, center, cup_radius=0.01, cfg=None):
+    """The one-center seal oracle that seal_quality_batch replaced (a full scan of the samples)."""
+    cfg = cfg or SynthConfig()
+    c = np.asarray(center, dtype=np.float64)
+    oid = owning_object_reference(scene, c, cfg.on_surface_tol)
+    prim = next((p for p in scene.objects() if p.object_id == oid), None)
+    if prim is None or prim.porosity_flag:
+        return 0.0
+    lo, hi = cfg.seal_sample_limits
+    count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
+    pts = scenes._seal_surface_samples(prim, count)
+    in_cup = np.linalg.norm(pts - c, axis=1) <= cup_radius
+    if not np.any(in_cup):
+        return 0.0
+    n = prim.surface_normal(c[None, :])[0]
+    dev = (pts[in_cup] - c) @ n
+    rms = float(np.sqrt(np.mean(dev**2)))
+    return max(0.0, 1.0 - rms / cup_radius)
+
+
+def test_seal_batch_matches_per_center_oracle_bitwise():
+    kinds = ("box", "sphere", "cylinder", "plane-slab")
+    rng = np.random.default_rng(3)
+    sealed = porous = 0
+    for seed in range(13):
+        cfg = SynthConfig(kind_sequence=kinds, density=5000.0, vacuum_grasps_per_object=24,
+                          parallel_grasps_per_object=4, porous_prob=1.0 if seed == 12 else 0.25)
+        _, scene = generate_scene(seed, 4, cfg)
+        vac = [g for g in sample_ground_truth_grasps(scene, cfg, seed=seed) if g.gripper == "vacuum"]
+        centers = np.array([g.pose.center for g in vac])
+        want = np.array([seal_reference(scene, c, cfg.cup_radius, cfg) for c in centers])
+        assert np.array_equal([g.quality_coeff for g in vac], want)
+        if seed == 12:
+            assert not np.any(want)  # every object porous
+        sealed += np.count_nonzero(want)
+        porous += sum(p.porosity_flag for p in scene.objects())
+        # a mixed batch: the candidates plus centers pushed 3 to 6 mm off the surface (seal 0)
+        normals = np.array([g.pose.normal for g in vac])
+        off = centers + rng.uniform(0.003, 0.006, (len(vac), 1)) * normals
+        batch = seal_quality_batch(scene, np.vstack([off, centers])[rng.permutation(2 * len(vac))], 0.01, cfg)
+        assert sorted(batch.tolist()) == sorted([0.0] * len(vac) + want.tolist())
+        for r in (0.004, 0.02):
+            assert np.array_equal(seal_quality_batch(scene, centers, r, cfg),
+                                  [seal_reference(scene, c, r, cfg) for c in centers])
+    assert sealed > 500 and 4 < porous < 48
+
+
+def test_seal_batch_empty_cup_and_no_centers():
+    slab = Primitive("plane-slab", (0.1, 0.1, 0.01), translation=(0, 0, 0.005))
+    scene = bare_scene(slab)
+    center = np.array([0.0, 0.0, 0.01])
+    # 1 um holds none of the few thousand samples: the flat face would otherwise seal at 1
+    assert seal_reference(scene, center, 1e-6) == 0.0
+    assert seal_quality_batch(scene, center, 1e-6).tolist() == [0.0]
+    assert seal_quality_batch(scene, center, 0.01).tolist() == [1.0]
+    assert seal_quality_batch(scene, np.zeros((0, 3))).shape == (0,)
+
+
+def test_seal_batch_keeps_samples_at_exactly_cup_radius(monkeypatch):
+    # spacing 0.25 is exact in binary: the six axis neighbours of a node sit at exactly r
+    g = np.arange(-4, 5) * 0.25
+    lattice = np.array([[x, y, z] for x in g for y in g for z in (-0.25, 0.0, 0.25)])
+    monkeypatch.setattr(scenes, "_seal_surface_samples", lambda prim, count: lattice)
+    slab = Primitive("plane-slab", (4.0, 4.0, 1.0), translation=(0, 0, -0.5))  # top face z = 0
+    scene = bare_scene(slab)
+    nodes = np.array([[x, y, 0.0] for x in g[1:-1] for y in g[1:-1]])
+    got = seal_quality_batch(scene, nodes, 0.25)
+    assert np.array_equal(got, [seal_reference(scene, c, 0.25) for c in nodes])
+    # the node, four in-plane neighbours and two at +-r along the normal: RMS = r * sqrt(2 / 7)
+    assert got == pytest.approx(np.full(len(nodes), 1.0 - np.sqrt(2.0 / 7.0)), rel=1e-12)
 
 
 def test_seal_on_sphere_matches_cap_integral(rng):
@@ -286,6 +390,46 @@ def test_gt_grasps_deterministic_and_scored(small_scene):
         if g.gripper == "parallel":
             assert g.pose.width <= cfg.max_width + 1e-12
             assert np.isfinite(g.quality_coeff)
+
+
+def parallel_candidates_reference(scene, cfg, seed):
+    """The per-candidate parallel loop of sample_ground_truth_grasps before it was vectorized."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for prim in scene.objects():
+        prim.sample_surface(cfg.vacuum_grasps_per_object, rng)
+        pts_p, nrm_p, _ = prim.sample_surface(cfg.parallel_grasps_per_object, rng)
+        closing = -nrm_p
+        t0, t1, hit = prim.line_intersections(pts_p, closing)
+        mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
+        sep = t1 - t0
+        mu = scenes.parallel_quality_batch(scene, mids, closing, np.full(len(mids), cfg.max_width)).mu
+        for i in range(len(pts_p)):
+            if not hit[i] or sep[i] + cfg.width_margin > cfg.max_width:
+                continue
+            if not np.isfinite(mu[i]) or mu[i] > cfg.gt_mu_cap:
+                continue
+            u = closing[i] / np.linalg.norm(closing[i])
+            v = np.array([0.0, 0.0, -1.0]) - np.dot(np.array([0.0, 0.0, -1.0]), u) * u
+            if np.linalg.norm(v) < 1e-6:
+                v = np.array([1.0, 0.0, 0.0]) - u[0] * u
+            v = v / np.linalg.norm(v)
+            g = ParallelGrasp(center=mids[i] - cfg.gt_depth * v, approach=v, angle_deg=closing_angle_deg(v, u),
+                              width=min(cfg.max_width, float(sep[i]) + cfg.width_margin), depth=cfg.gt_depth,
+                              score=scenes.friction_to_graspness(mu[i]))
+            out.append([*g.center, *g.approach, g.angle_deg, g.width, g.score, float(mu[i])])
+    return np.array(out)
+
+
+def test_gt_parallel_candidates_match_per_candidate_loop():
+    kinds = ("box", "sphere", "cylinder", "plane-slab")
+    for seed in range(4):
+        cfg = SynthConfig(kind_sequence=kinds[seed:] + kinds[:seed], density=5000.0)
+        _, scene = generate_scene(seed, 5, cfg)
+        par = [g for g in sample_ground_truth_grasps(scene, cfg, seed=seed) if g.gripper == "parallel"]
+        got = np.array([[*g.pose.center, *g.pose.approach, g.pose.angle_deg, g.pose.width, g.pose.score,
+                         g.quality_coeff] for g in par])
+        assert np.array_equal(got, parallel_candidates_reference(scene, cfg, seed))
 
 
 def test_scene_roundtrip(tmp_path, small_scene):
