@@ -24,6 +24,7 @@ import numpy as np
 
 from .features import FeatureConfig
 from .grasps import PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
+from .json_io import write_json
 from .labels import LabelConfig, build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
 from .mlp import ModelConfig, load_checkpoint, save_checkpoint
@@ -117,12 +118,6 @@ def _scene_stems(scenes_dir) -> list:
     if not stems:
         raise UsageError(f"no scene .ply/.json pairs found in {scenes_dir}")
     return stems
-
-
-def _write_json(path, doc):
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -260,7 +255,7 @@ def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):
             "grasps": [grasp_to_dict(g) for g in result.grasps],
         }
         path = out / f"{stem.name}_grasps_{gripper}.json"
-        _write_json(path, doc)
+        write_json(path, doc)
         written.append(path.name)
         print(f"{stem.name} [{gripper}]: {result.status}, {len(result.grasps)} grasps")
     return written
@@ -344,7 +339,7 @@ def cmd_eval(args) -> int:
             for split, by_gripper in summary.items()
         },
     }
-    _write_json(out / "summary.json", doc)
+    write_json(out / "summary.json", doc)
     for split, by_gripper in sorted(summary.items()):
         for gripper, vals in sorted(by_gripper.items()):
             print(f"[{split}] {gripper}: AP={np.mean(vals):.4f} over {len(vals)} scenes")

@@ -6,11 +6,11 @@ direction given by angle (see geometry.closing_direction). A vacuum grasp is
 [center, normal, score].
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_point, closing_angle_deg, closing_direction, normalize
+from .geometry import as_point, closing_direction, normalize
 
 PARALLEL = "parallel"
 VACUUM = "vacuum"
@@ -60,22 +60,6 @@ class VacuumGrasp:
     @property
     def gripper(self) -> str:
         return VACUUM
-
-
-def transform_parallel_grasp(grasp: ParallelGrasp, rot: np.ndarray, trans=np.zeros(3)) -> ParallelGrasp:
-    """Apply a rigid transform to a parallel grasp, keeping the physical jaw line.
-
-    The in-plane angle is re-derived in the rotated approach frame so that the
-    rotated closing direction is preserved exactly.
-    """
-    u = rot @ grasp.closing_dir()
-    v = rot @ grasp.approach
-    return replace(
-        grasp,
-        center=rot @ grasp.center + trans,
-        approach=v,
-        angle_deg=closing_angle_deg(v, u),
-    )
 
 
 def grasp_to_dict(grasp) -> dict:

@@ -190,16 +190,3 @@ def _associate(cloud: PointCloud, scene: SceneAnnotation, anchors, quality, targ
         _, nn = cKDTree(anchors[own]).query(cloud.points[sel], k=1)
         out[sel] = quality[own][nn]
     return out
-
-
-def project_map_to_cloud(maps: GraspnessMaps, source_cloud: PointCloud, target_cloud: PointCloud) -> GraspnessMaps:
-    """Each target point inherits the channel values of its nearest source point."""
-    if len(maps) != len(source_cloud):
-        raise ValueError("maps are not aligned with the source cloud")
-    _, nn = cKDTree(source_cloud.points).query(target_cloud.points, k=1)
-    return GraspnessMaps(
-        objectness=maps.objectness[nn],
-        parallel_graspness=maps.parallel_graspness[nn],
-        vacuum_graspness=maps.vacuum_graspness[nn],
-        role=maps.role,
-    )

@@ -67,35 +67,19 @@ def smooth_l1(pred, target, beta: float = 1.0):
     return float(np.mean(vals)), grad
 
 
-def loss_refiner(view_logits, width_pred, angle_logits, depth_logits, score_logits, targets,
-                 weights=None):
+def loss_refiner(view_logits, width_pred, angle_logits, depth_logits, score_logits, targets):
     """Combined pose-refiner loss: smooth L1 for view scores and width,
     cross-entropy for angle, depth, and score bins.
 
     targets: dict with view_scores (N, V), width (N,), angle_idx, depth_idx,
     score_idx (N,). Returns (total, per-output gradients dict, per-term dict).
     """
-    w = dict(view=1.0, width=1.0, angle=1.0, depth=1.0, score=1.0)
-    if weights:
-        w.update(weights)
     l_view, g_view = smooth_l1(view_logits, targets["view_scores"])
     l_width, g_width = smooth_l1(width_pred, targets["width"])
     l_angle, g_angle = softmax_cross_entropy(angle_logits, targets["angle_idx"])
     l_depth, g_depth = softmax_cross_entropy(depth_logits, targets["depth_idx"])
     l_score, g_score = softmax_cross_entropy(score_logits, targets["score_idx"])
-    total = (
-        w["view"] * l_view
-        + w["width"] * l_width
-        + w["angle"] * l_angle
-        + w["depth"] * l_depth
-        + w["score"] * l_score
-    )
-    grads = {
-        "view": w["view"] * g_view,
-        "width": w["width"] * g_width,
-        "angle": w["angle"] * g_angle,
-        "depth": w["depth"] * g_depth,
-        "score": w["score"] * g_score,
-    }
+    total = l_view + l_width + l_angle + l_depth + l_score
+    grads = {"view": g_view, "width": g_width, "angle": g_angle, "depth": g_depth, "score": g_score}
     terms = {"view": l_view, "width": l_width, "angle": l_angle, "depth": l_depth, "score": l_score}
     return float(total), grads, terms

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grasps import PARALLEL, VACUUM
-from .scenes import NoContact, SceneAnnotation, oracle_parallel_quality, seal_quality_batch
+from .geometry import closing_directions
+from .grasps import PARALLEL
+from .scenes import SceneAnnotation, parallel_quality_batch, seal_quality_batch
 
 
 @dataclass
@@ -40,21 +41,19 @@ class EvalConfig:
 def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str, config: EvalConfig = None) -> np.ndarray:
     """Oracle quality per grasp: required friction (parallel, inf on miss) or seal.
 
-    Vacuum grasps go through one seal_quality_batch call. Parallel grasps keep
-    one oracle call each: a stacked parallel_quality_batch call moves mu in the
-    last bits, because Primitive.surface_normal rounds differently for one row
-    and for many.
+    One parallel_quality_batch or seal_quality_batch call grades the whole
+    list; each value has the bits of oracle_parallel_quality (inf for
+    NoContact) or oracle_seal_quality on that grasp alone.
     """
     cfg = config or EvalConfig()
     if gripper != PARALLEL:
         return seal_quality_batch(scene, [g.center for g in grasps], cfg.cup_radius)
-    out = np.empty(len(grasps))
-    for i, g in enumerate(grasps):
-        try:
-            out[i] = oracle_parallel_quality(scene, g)
-        except NoContact:
-            out[i] = np.inf
-    return out
+    if len(grasps) == 0:
+        return np.empty(0)
+    approaches = np.array([g.approach for g in grasps])
+    closings = closing_directions(approaches, [g.angle_deg for g in grasps])
+    res = parallel_quality_batch(scene, [g.jaw_center() for g in grasps], closings, [g.width for g in grasps])
+    return np.where(res.hit, res.mu, np.inf)
 
 
 def successes_at(qualities: np.ndarray, mu: float, gripper: str) -> np.ndarray:

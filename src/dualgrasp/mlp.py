@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .json_io import write_json
+
 CHECKPOINT_SCHEMA_VERSION = 1
 
 MAP_HEADS = ("objectness", "parallel", "vacuum")
@@ -237,9 +239,7 @@ def save_checkpoint(path, model: MlpModel):
         },
         "meta": model.meta,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> MlpModel:

@@ -5,32 +5,7 @@ conflicts with (negative dot product), visiting the others in a seeded random
 order; the combined update is the mean of the projected gradients.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class GradientSet:
-    """Per-task flattened gradients over the shared parameters."""
-
-    tasks: dict  # task name -> 1-D gradient vector
-
-    def __post_init__(self):
-        vectors = list(self.tasks.values())
-        if len(vectors) < 2:
-            raise ValueError("gradient surgery needs at least two tasks")
-        length = vectors[0].size
-        for name, v in self.tasks.items():
-            v = np.asarray(v, dtype=np.float64).ravel()
-            if v.size != length:
-                raise ValueError(f"task {name!r} gradient has length {v.size}, expected {length}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"task {name!r} gradient has non-finite entries")
-            self.tasks[name] = v
-
-    def ordered(self):
-        return [self.tasks[name] for name in sorted(self.tasks)]
 
 
 def project_conflicts(grads, rng: np.random.Generator) -> list:
@@ -62,13 +37,7 @@ def project_conflicts(grads, rng: np.random.Generator) -> list:
 
 
 def pcgrad(grads, rng: np.random.Generator) -> np.ndarray:
-    """Combined update: mean of the conflict-projected task gradients.
-
-    Accepts a GradientSet (tasks visited in sorted-name order) or a sequence
-    of gradient vectors.
-    """
-    if isinstance(grads, GradientSet):
-        grads = grads.ordered()
+    """Combined update: mean of the conflict-projected task gradients."""
     return np.mean(project_conflicts(grads, rng), axis=0)
 
 
@@ -78,6 +47,4 @@ def combine_without_surgery(grads) -> np.ndarray:
     Kept as the mean (not the sum) so that runs with and without surgery
     follow identical trajectories whenever no task pair conflicts.
     """
-    if isinstance(grads, GradientSet):
-        grads = grads.ordered()
     return np.mean([np.asarray(g, dtype=np.float64).ravel() for g in grads], axis=0)

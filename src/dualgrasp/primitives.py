@@ -2,7 +2,8 @@
 
 All primitive math happens in the primitive's local frame (pose = rotation
 quaternion + translation). Supported kinds: box, sphere, cylinder (axis +z),
-and plane-slab (a thin box, used for flat tiles and the table).
+and plane-slab (a thin box, used for flat tiles and the table). Every query
+is row-exact: a row gives the same bits alone as in a stack of rows.
 """
 
 from dataclasses import dataclass, field
@@ -49,6 +50,10 @@ class Primitive:
         if not 0.0 < self.friction_coeff <= 1.2:
             raise ValueError(f"friction_coeff must be in (0, 1.2], got {self.friction_coeff}")
         self._rot = quat_to_matrix(self.rotation)
+        # Stored C-contiguous: a product with the strided transpose view takes a
+        # different BLAS kernel for one row than for many, so a row's bits
+        # would depend on the batch it came in.
+        self._rot_t = np.ascontiguousarray(self._rot.T)
 
     # -- frames -------------------------------------------------------------
 
@@ -56,13 +61,13 @@ class Primitive:
         return (np.atleast_2d(points) - self.translation) @ self._rot
 
     def to_world(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self._rot.T + self.translation
+        return np.atleast_2d(points) @ self._rot_t + self.translation
 
     def dirs_to_local(self, dirs: np.ndarray) -> np.ndarray:
         return np.atleast_2d(dirs) @ self._rot
 
     def dirs_to_world(self, dirs: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(dirs) @ self._rot.T
+        return np.atleast_2d(dirs) @ self._rot_t
 
     # -- shape measures -----------------------------------------------------
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .geometry import fibonacci_hemisphere
+from .geometry import approach_frames, fibonacci_hemisphere
 from .grasps import ParallelGrasp
 from .scenes import SceneAnnotation, friction_to_graspness, parallel_quality_batch
 
@@ -48,28 +48,6 @@ class RefineParallelConfig:
 
 
 @dataclass
-class ViewGrid:
-    views: np.ndarray  # (V, 3) unit vectors, upper hemisphere
-
-    def __post_init__(self):
-        self.views = np.asarray(self.views, dtype=np.float64)
-        norms = np.linalg.norm(self.views, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("views must be unit vectors")
-
-    @classmethod
-    def build(cls, count: int) -> "ViewGrid":
-        return cls(views=fibonacci_hemisphere(count))
-
-    def __len__(self) -> int:
-        return len(self.views)
-
-    def approach(self, view_index: int) -> np.ndarray:
-        """Approach direction for a view: the negated (downward) grid vector."""
-        return -self.views[view_index]
-
-
-@dataclass
 class CylinderGroup:
     seed_index: int
     view: np.ndarray  # approach direction
@@ -94,19 +72,6 @@ def cylinder_group(cloud: PointCloud, seed_index: int, view, radius: float, heig
     return CylinderGroup(seed_index=seed_index, view=v, member_indices=members, radius=radius, height=height)
 
 
-def _approach_frames(approaches: np.ndarray):
-    """Vectorized approach_frame over (M, 3) approach directions."""
-    v = np.atleast_2d(approaches)
-    ref = np.array([0.0, 0.0, 1.0])
-    c = np.cross(v, np.broadcast_to(ref, v.shape))
-    bad = np.linalg.norm(c, axis=1) < 1e-8
-    if np.any(bad):
-        c[bad] = np.cross(v[bad], np.broadcast_to(np.array([1.0, 0.0, 0.0]), v[bad].shape))
-    e1 = c / np.linalg.norm(c, axis=1, keepdims=True)
-    e2 = np.cross(v, e1)
-    return e1, e2
-
-
 PoseSearch = namedtuple(
     "PoseSearch", ["view_scores", "view", "angle_idx", "depth_idx", "width", "score", "reachable"]
 )
@@ -117,11 +82,12 @@ def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths, m
 
     approaches is (K, M, 3) with K in {1, S}. The jaw line for candidate
     (s, m, a, d) runs through seed s + depth d * approach m along the angle-a
-    closing direction of that approach's frame.
+    closing direction of that approach's frame: each closing has the bits of
+    geometry.closing_directions, which ParallelGrasp.closing_dir also takes.
     """
     k_n, m_n = approaches.shape[:2]
     shape = (len(seeds), m_n, len(angles), len(depths))
-    e1, e2 = _approach_frames(approaches.reshape(-1, 3))
+    e1, e2 = approach_frames(approaches.reshape(-1, 3))
     rad = np.deg2rad(angles)
     closings = np.cos(rad)[None, :, None] * e1[:, None, :] + np.sin(rad)[None, :, None] * e2[:, None, :]
     closings = closings.reshape(k_n, m_n, len(angles), 3)
@@ -152,7 +118,7 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     candidate can close). Only reachable rows carry a meaningful pose.
     """
     seeds = np.asarray(seed_points, dtype=np.float64).reshape(-1, 3)
-    views = ViewGrid.build(config.n_views).views
+    views = fibonacci_hemisphere(config.n_views)
     angles = config.angle_values()
     depths = np.asarray(config.depth_bins)
     probe_angles, probe_depths = angles[::angle_stride], depths[::depth_stride]
@@ -196,7 +162,7 @@ def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indice
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
     found = oracle_search(scene, cloud.points[seed_indices], config,
                           config.probe_angle_stride, config.probe_depth_stride)
-    approaches = -ViewGrid.build(config.n_views).views[found.view]
+    approaches = -fibonacci_hemisphere(config.n_views)[found.view]
     angles = config.angle_values()
     grasps = [
         ParallelGrasp(
@@ -221,7 +187,7 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
     is the re-normalized grid approach of the view, which can differ from the
     fallback's raw grid vector in the last bit.
     """
-    grid = ViewGrid.build(config.n_views)
+    grid = fibonacci_hemisphere(config.n_views)
     views = np.argmax(refiner_out["view"], axis=1)
     angles = config.angle_values()[np.argmax(refiner_out["angle_logits"], axis=1)]
     depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth_logits"], axis=1)]
@@ -229,7 +195,7 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
     widths = np.clip(refiner_out["width"], 1e-4, config.max_width)
     grasps = []
     for row, seed in enumerate(np.asarray(seed_indices, dtype=np.intp).tolist()):
-        v = grid.approach(views[row])
+        v = -grid[views[row]]
         grasps.append(
             ParallelGrasp(
                 center=cloud.points[seed],

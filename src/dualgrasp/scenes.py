@@ -25,6 +25,7 @@ from .grasps import (
     grasp_from_dict,
     grasp_to_dict,
 )
+from .json_io import write_json
 from .ply_io import read_ply, write_ply
 from .primitives import Primitive
 
@@ -380,7 +381,8 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01
     are not within on_surface_tol of an object surface, and for cups that hold
     no sample. The samples are posed once per object and gathered by one radius
     query with a padded radius; the exact distance test then keeps them in
-    ascending sample order, so every value has the bits of a one-center call.
+    ascending sample order, and one row-exact surface_normal call per object
+    gives the tangent planes, so every value has the bits of a one-center call.
     """
     cfg = config or SynthConfig()
     c = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
@@ -394,12 +396,12 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01
         count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
         pts = _seal_surface_samples(prim, count)
         near = cKDTree(pts).query_ball_point(c[rows], cup_radius * (1.0 + 1e-9) + 1e-12, return_sorted=True)
-        for row, cand in zip(rows, near):
+        normals = prim.surface_normal(c[rows])
+        for row, cand, n in zip(rows, near, normals):
             cand = np.asarray(cand, dtype=np.intp)
             in_cup = cand[np.linalg.norm(pts[cand] - c[row], axis=1) <= cup_radius]
             if len(in_cup) == 0:
                 continue
-            n = prim.surface_normal(c[row][None, :])[0]
             dev = (pts[in_cup] - c[row]) @ n
             rms = float(np.sqrt(np.mean(dev**2)))
             seal[row] = max(0.0, 1.0 - rms / cup_radius)
@@ -506,9 +508,7 @@ def save_scene(path_stem, cloud: PointCloud, scene: SceneAnnotation, grasps=None
             "flat": scene.per_point_flat.astype(np.float32),
         },
     )
-    with open(stem + ".json", "w") as f:
-        json.dump(scene_to_dict(scene, grasps), f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(stem + ".json", scene_to_dict(scene, grasps))
 
 
 def load_scene(path_stem):

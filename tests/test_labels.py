@@ -5,12 +5,10 @@ from dualgrasp.cloud import PointCloud
 from dualgrasp.grasps import PARALLEL, VACUUM, ParallelGrasp, VacuumGrasp
 from dualgrasp.geometry import normalize
 from dualgrasp.labels import (
-    GraspnessMaps,
     LabelConfig,
     _swept_jaw_corners,
     build_label_maps,
     parallel_collisions,
-    project_map_to_cloud,
     vacuum_collisions,
 )
 from dualgrasp.primitives import Primitive
@@ -241,35 +239,3 @@ def test_permutation_equivariance():
     maps_p = build_label_maps(cloud_p, scene_p, grasps)
     assert np.array_equal(maps_p.vacuum_graspness, maps.vacuum_graspness[perm])
     assert np.array_equal(maps_p.objectness, maps.objectness[perm])
-
-
-# -- map projection ------------------------------------------------------------------
-
-
-def test_project_identity():
-    cloud, scene, _ = overhead_box_scene()
-    maps = build_label_maps(cloud, scene, [vac((0, 0, 0.04), 0.9)])
-    out = project_map_to_cloud(maps, cloud, cloud)
-    assert np.array_equal(out.vacuum_graspness, maps.vacuum_graspness)
-
-
-def test_project_subset():
-    cloud, scene, _ = overhead_box_scene()
-    maps = build_label_maps(cloud, scene, [vac((0, 0, 0.04), 0.9)])
-    sel = np.arange(0, len(cloud), 3)
-    target = PointCloud(cloud.points[sel], viewpoint=cloud.viewpoint)
-    out = project_map_to_cloud(maps, cloud, target)
-    assert np.array_equal(out.vacuum_graspness, maps.vacuum_graspness[sel])
-
-
-def test_project_jitter_matches_bruteforce(rng):
-    src_pts = np.array([[x, y, 0.0] for x in np.arange(10) * 0.002 for y in np.arange(10) * 0.002])
-    src = PointCloud(src_pts)
-    values = rng.uniform(size=len(src_pts))
-    maps = GraspnessMaps(np.ones(len(src_pts)), values, values, role="prediction")
-    tgt_pts = src_pts + rng.normal(0, 0.001, src_pts.shape) * [1, 1, 0]
-    tgt = PointCloud(tgt_pts)
-    out = project_map_to_cloud(maps, src, tgt)
-    for i in range(0, len(tgt_pts), 7):
-        nn = np.argmin(np.sum((src_pts - tgt_pts[i]) ** 2, axis=1))
-        assert out.parallel_graspness[i] == values[nn]

@@ -147,15 +147,6 @@ def test_refiner_zero_when_predictions_match(rng):
     assert total < 1e-9
 
 
-def test_refiner_weights_scale_terms(rng):
-    t = refiner_targets(rng, 4)
-    args = (rng.normal(size=(4, 6)), rng.normal(size=4), rng.normal(size=(4, 4)),
-            rng.normal(size=(4, 3)), rng.normal(size=(4, 5)))
-    total_1, _, terms = loss_refiner(*args, t)
-    total_2, _, _ = loss_refiner(*args, t, weights={"view": 2.0})
-    assert total_2 == pytest.approx(total_1 + terms["view"])
-
-
 # -- finite-difference checks (the gradient contract) -----------------------------------
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,14 @@ from dualgrasp.metrics import (
     roc_auc,
 )
 from dualgrasp.primitives import Primitive
-from dualgrasp.scenes import oracle_parallel_quality, NoContact
+from dualgrasp.refine_parallel import RefineParallelConfig, fallback_refine_batch, learned_refine_batch
+from dualgrasp.scenes import (
+    NoContact,
+    SynthConfig,
+    generate_scene,
+    oracle_parallel_quality,
+    sample_ground_truth_grasps,
+)
 
 from test_scenes import bare_scene, down_grasp, seal_reference
 
@@ -71,6 +80,44 @@ def test_precision_matches_per_grasp_oracle_loop(small_scene):
         except NoContact:
             pass
     assert got == pytest.approx(wins / len(grasps))
+
+
+@pytest.fixture(scope="module")
+def four_kind_scene():
+    """Every primitive kind: the curved normals are where row-dependent rounding showed."""
+    cfg = SynthConfig(kind_sequence=("sphere", "cylinder", "plane-slab", "box"), density=25000.0)
+    cloud, scene = generate_scene(1, 4, cfg)
+    return cloud, scene, sample_ground_truth_grasps(scene, cfg, seed=1)
+
+
+def test_parallel_qualities_match_per_grasp_oracle_bitwise(four_kind_scene, rng):
+    cloud, scene, gt = four_kind_scene
+    rcfg = RefineParallelConfig()
+    seeds = np.flatnonzero(scene.per_point_object_id > 0)[::60]
+    fallback, _ = fallback_refine_batch(cloud, scene, seeds, rcfg)
+    refiner_out = {
+        "view": rng.normal(size=(len(seeds), rcfg.n_views)),
+        "angle_logits": rng.normal(size=(len(seeds), rcfg.n_angle_bins)),
+        "depth_logits": rng.normal(size=(len(seeds), len(rcfg.depth_bins))),
+        "width": rng.uniform(0.01, 0.1, len(seeds)),
+        "score_logits": rng.normal(size=(len(seeds), rcfg.n_score_bins)),
+    }
+    learned = learned_refine_batch(cloud, seeds, refiner_out, rcfg)
+    ground = [g.pose for g in gt if g.gripper == PARALLEL]
+    # jittered poses, some of which miss every object
+    jittered = [replace(g, center=g.center + rng.normal(0.0, 0.02, 3), angle_deg=rng.uniform(0.0, 180.0))
+                for g in ground]
+    grasps = fallback + learned + ground + jittered
+    got = grasp_qualities(grasps, scene, PARALLEL, CFG)
+    want = []
+    for g in grasps:
+        try:
+            want.append(oracle_parallel_quality(scene, g))
+        except NoContact:
+            want.append(np.inf)
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(np.isinf(got)) < len(got)
+    assert grasp_qualities([], scene, PARALLEL, CFG).shape == (0,)
 
 
 def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualgrasp.pcgrad import GradientSet, combine_without_surgery, pcgrad, project_conflicts
+from dualgrasp.pcgrad import combine_without_surgery, pcgrad, project_conflicts
 
 
 def rng():
@@ -69,19 +69,6 @@ def test_zero_norm_partner_skipped():
     g2 = np.zeros(2)
     out = pcgrad([g1, g2], rng())
     assert np.allclose(out, g1 / 2)
-
-
-def test_gradient_set_validation():
-    with pytest.raises(ValueError):
-        GradientSet({"parallel": np.array([1.0, 2.0])})
-    with pytest.raises(ValueError):
-        GradientSet({"parallel": np.array([1.0, 2.0]), "vacuum": np.array([1.0])})
-    with pytest.raises(ValueError):
-        GradientSet({"parallel": np.array([1.0, np.nan]), "vacuum": np.array([1.0, 2.0])})
-    gs = GradientSet({"vacuum": np.array([0.0, 1.0]), "parallel": np.array([1.0, 0.0])})
-    # sorted-name order: parallel first
-    assert np.array_equal(gs.ordered()[0], [1.0, 0.0])
-    assert np.allclose(pcgrad(gs, rng()), [0.5, 0.5])
 
 
 def test_combine_without_surgery_is_mean():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from dualgrasp.geometry import fibonacci_hemisphere
 from dualgrasp.grasps import PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline, grasp_target_ids
-from dualgrasp.refine_parallel import RefineParallelConfig, ViewGrid
+from dualgrasp.refine_parallel import RefineParallelConfig
 from dualgrasp.sampling import SamplingConfig
 
 
@@ -67,11 +68,11 @@ def test_model_mode_learned_head_wiring(small_scene):
     assert maps.role == "prediction"
     assert np.allclose(maps.objectness, 0.5)  # zero-init heads
     result = pipe.propose(cloud, scene, PARALLEL, gt_grasps=None, maps=maps, feats=feats)
-    grid = ViewGrid.build(24)
+    views = fibonacci_hemisphere(24)
     fused_by_seed = dict(zip(result.seeds.indices.tolist(), result.seeds.fused_scores.tolist()))
     for g in result.grasps[:5]:
         # zero logits everywhere: argmax view/angle/depth/score land on index 0
-        assert np.allclose(g.approach, -grid.views[0])
+        assert np.allclose(g.approach, -views[0])
         assert g.angle_deg == 0.0
         assert g.depth == rcfg.depth_bins[0]
         # decoded lowest-bin score (0.05) gated by the seed's fused map score

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgrasp.geometry import yaw_quat
-from dualgrasp.primitives import Primitive
+from dualgrasp.primitives import KINDS, Primitive
 
 
 def unit(v):
@@ -154,3 +154,28 @@ def test_line_intersection_points_lie_on_surface(seed):
         for t in (t0[0], t1[0]):
             p = o + t * d
             assert prim.surface_distance(p[None])[0] < 1e-9
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_queries_give_a_row_the_same_bits_alone_or_stacked(kind):
+    """Every transform-based query is row-exact at random poses, on and off the surface."""
+    r = np.random.default_rng(KINDS.index(kind))
+    dims = {"box": (0.05, 0.03, 0.04), "sphere": (0.03,), "cylinder": (0.02, 0.05),
+            "plane-slab": (0.1, 0.08, 0.01)}[kind]
+    for _ in range(20):
+        prim = Primitive(kind, dims, rotation=unit(r.normal(size=4)), translation=r.uniform(-0.1, 0.1, 3))
+        on_surface, _, _ = prim.sample_surface(32, r)
+        pts = np.concatenate([on_surface, prim.translation + r.normal(scale=0.03, size=(32, 3))])
+        dirs = r.normal(size=(64, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        queries = {
+            "to_world": lambda x, d: prim.to_world(x),
+            "dirs_to_world": lambda x, d: prim.dirs_to_world(d),
+            "surface_normal": lambda x, d: prim.surface_normal(x),
+            "surface_distance": lambda x, d: prim.surface_distance(x),
+            "line_intersections": lambda x, d: np.column_stack(prim.line_intersections(x, d)),
+        }
+        for name, query in queries.items():
+            stacked = query(pts, dirs)
+            alone = np.concatenate([query(pts[i : i + 1], dirs[i : i + 1]) for i in range(len(pts))])
+            np.testing.assert_array_equal(stacked, alone, err_msg=name)

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from dualgrasp.cloud import PointCloud
+from dualgrasp import refine_parallel
+from dualgrasp.geometry import closing_directions, fibonacci_hemisphere
 from dualgrasp.grasps import ParallelGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import (
     RefineParallelConfig,
-    ViewGrid,
     cylinder_group,
     fallback_refine_batch,
     learned_refine_batch,
@@ -24,11 +25,11 @@ CFG = RefineParallelConfig()
 
 
 def test_view_grid_upper_hemisphere():
-    grid = ViewGrid.build(300)
-    assert len(grid) == 300
-    assert np.all(grid.views[:, 2] > 0)
-    assert np.allclose(np.linalg.norm(grid.views, axis=1), 1.0)
-    assert len(np.unique(np.round(grid.views, 9), axis=0)) == 300
+    views = fibonacci_hemisphere(300)
+    assert views.shape == (300, 3)
+    assert np.all(views[:, 2] > 0)
+    assert np.allclose(np.linalg.norm(views, axis=1), 1.0)
+    assert len(np.unique(np.round(views, 9), axis=0)) == 300
 
 
 def refiner_rows(view_scores, angle_logits=None, depth_logits=None, width=0.05, score_logits=None):
@@ -55,7 +56,7 @@ def two_point_cloud():
 def test_learned_view_ties_break_to_first():
     cfg = RefineParallelConfig(n_views=16)
     (grasp,) = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(16)), cfg)
-    assert np.allclose(grasp.approach, -ViewGrid.build(16).views[0])
+    assert np.allclose(grasp.approach, -fibonacci_hemisphere(16)[0])
 
 
 def test_learned_view_one_hot():
@@ -64,9 +65,9 @@ def test_learned_view_one_hot():
     scores[0, 7] = 1.0
     scores[1, 3] = 1.0
     grasps = learned_refine_batch(two_point_cloud(), [0, 1], refiner_rows(scores), cfg)
-    grid = ViewGrid.build(16)
-    assert np.allclose(grasps[0].approach, -grid.views[7])
-    assert np.allclose(grasps[1].approach, -grid.views[3])
+    views = fibonacci_hemisphere(16)
+    assert np.allclose(grasps[0].approach, -views[7])
+    assert np.allclose(grasps[1].approach, -views[3])
     assert [g.seed_index for g in grasps] == [0, 1]
 
 
@@ -77,7 +78,7 @@ def test_oracle_search_box_top_is_near_vertical():
     found = oracle_search(scene, seed_point[None, :], CFG)
     assert found.view_scores.shape == (1, CFG.n_views)
     assert found.view[0] == np.argmax(found.view_scores[0])
-    approach = ViewGrid.build(CFG.n_views).approach(found.view[0])
+    approach = -fibonacci_hemisphere(CFG.n_views)[found.view[0]]
     inward = np.array([0.0, 0.0, -1.0])
     ang = np.degrees(np.arccos(np.clip(approach @ inward, -1, 1)))
     assert ang < 15.0
@@ -254,7 +255,7 @@ def test_oracle_search_fallback_uses_probe_strides():
     seeds = [5, 40, 111]
     probe = oracle_search(scene, cloud.points[seeds], CFG, CFG.probe_angle_stride, CFG.probe_depth_stride)
     grasps, _ = fallback_refine_batch(cloud, scene, seeds, CFG)
-    views = ViewGrid.build(CFG.n_views).views
+    views = fibonacci_hemisphere(CFG.n_views)
     for row, g in enumerate(grasps):
         assert np.allclose(g.approach, -views[probe.view[row]])
         assert g.width == probe.width[row] and g.score == probe.score[row]
@@ -266,3 +267,27 @@ def test_oracle_search_no_seeds():
     assert found.view_scores.shape == (0, CFG.n_views)
     assert all(len(a) == 0 for a in found)
     assert fallback_refine_batch(PointCloud([[0, 0, 0]]), scene, [], CFG) == ([], 0)
+
+
+def test_grid_closings_are_the_geometry_closing_directions(monkeypatch):
+    """The search scores the jaw lines that ParallelGrasp.closing_dir gives, bit for bit."""
+    _, scene, _ = sphere_cloud_and_scene()
+    seen = []
+    real = refine_parallel.parallel_quality_batch
+
+    def capture(scene, origins, dirs, widths):
+        seen.append(dirs)
+        return real(scene, origins, dirs, widths)
+
+    monkeypatch.setattr(refine_parallel, "parallel_quality_batch", capture)
+    angles, depths = CFG.angle_values(), np.asarray(CFG.depth_bins)
+    seeds = np.array([[0.0, 0.0, 0.12], [0.01, 0.0, 0.1], [0.0, -0.02, 0.1]])
+    per_seed = np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])  # vertical included
+    for approaches in (-fibonacci_hemisphere(CFG.n_views)[None], per_seed[:, None, :]):
+        refine_parallel._grid_qualities(scene, seeds, approaches, angles, depths, CFG.max_width)
+        k_n, m_n = approaches.shape[:2]
+        flat = approaches.reshape(-1, 3)
+        want = closing_directions(np.repeat(flat, len(angles), axis=0), np.tile(angles, len(flat)))
+        want = np.broadcast_to(want.reshape(k_n, m_n, len(angles), 1, 3),
+                               (len(seeds), m_n, len(angles), len(depths), 3))
+        assert np.array_equal(seen[-1].reshape(want.shape), want)

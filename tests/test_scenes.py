@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from dualgrasp import scenes
 from dualgrasp.geometry import closing_angle_deg
-from dualgrasp.grasps import ParallelGrasp, VacuumGrasp, transform_parallel_grasp
+from dualgrasp.grasps import ParallelGrasp, VacuumGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import (
     NoContact,
@@ -197,7 +199,9 @@ def test_rigid_invariance_of_parallel_oracle():
     box_r = Primitive(
         "box", box.dimensions, rotation=quat, translation=rot.as_matrix() @ box.translation + shift
     )
-    g_r = transform_parallel_grasp(g, rot.as_matrix(), shift)
+    # the rotated jaw line: angle re-derived in the rotated approach frame
+    u, v = rot.apply(g.closing_dir()), rot.apply(g.approach)
+    g_r = replace(g, center=rot.apply(g.center) + shift, approach=v, angle_deg=closing_angle_deg(v, u))
     mu1 = oracle_parallel_quality(bare_scene(box_r), g_r)
     assert mu1 == pytest.approx(mu0, rel=1e-9, abs=1e-12)
 
