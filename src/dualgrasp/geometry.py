@@ -61,6 +61,28 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt(row_dots(x, x))
 
 
+def col_dots(a, b) -> np.ndarray:
+    """Dot product of each row pair of (M, 3) arrays, bitwise equal to np.sum(a * b, axis=1).
+
+    Summed column by column, in np.sum's order and from its +0.0 start (a row
+    of -0.0 products sums to +0.0), without the cost of a reduction over an
+    axis of length 3. Not a shortcut for row_dots: the BLAS dot fuses
+    multiply-adds and gives other bits than np.sum.
+    """
+    return 0.0 + a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def col_norms(x) -> np.ndarray:
+    """Euclidean norm of each row of an (M, 2) or (M, 3) array, bitwise equal to np.linalg.norm(x, axis=1).
+
+    Same rules as col_dots; squares carry no sign, so no +0.0 start is needed.
+    """
+    s = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
+    if x.shape[1] == 3:
+        s += x[:, 2] * x[:, 2]
+    return np.sqrt(s)
+
+
 def unit_rows(x) -> np.ndarray:
     """Each row of an (M, 3) array scaled to unit length, bit-identical to normalize of the row."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
@@ -87,12 +109,6 @@ def approach_frames(approaches) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(v, e1)
 
 
-def approach_frame(approach) -> tuple[np.ndarray, np.ndarray]:
-    """approach_frames of a single approach vector."""
-    e1, e2 = approach_frames(np.asarray(approach, dtype=np.float64).reshape(1, 3))
-    return e1[0], e2[0]
-
-
 def closing_directions(approaches, angles_deg) -> np.ndarray:
     """Jaw closing direction per row of approaches and in-plane angles in degrees."""
     e1, e2 = approach_frames(approaches)
@@ -113,12 +129,6 @@ def closing_angles_deg(approaches, closings) -> np.ndarray:
     e1, e2 = approach_frames(approaches)
     u = unit_rows(closings)
     return np.rad2deg(np.arctan2(row_dots(u, e2), row_dots(u, e1))) % 180.0
-
-
-def closing_angle_deg(approach, closing) -> float:
-    """closing_angles_deg of a single approach vector and closing direction."""
-    one = np.asarray(approach, dtype=np.float64).reshape(1, 3)
-    return closing_angles_deg(one, np.asarray(closing, dtype=np.float64).reshape(1, 3))[0]
 
 
 def fibonacci_hemisphere(count: int) -> np.ndarray:

@@ -3,14 +3,17 @@
 All primitive math happens in the primitive's local frame (pose = rotation
 quaternion + translation). Supported kinds: box, sphere, cylinder (axis +z),
 and plane-slab (a thin box, used for flat tiles and the table). Every query
-is row-exact: a row gives the same bits alone as in a stack of rows.
+is row-exact: a row gives the same bits alone as in a stack of rows. The
+per-row arithmetic works on coordinate columns, each column form doing the
+same IEEE operations in the same order as the axis=1 reduction it stands for,
+so no query runs a reduction over a short axis.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_to_matrix
+from .geometry import col_dots, col_norms, quat_to_matrix
 
 KINDS = ("box", "sphere", "cylinder", "plane-slab")
 _BOX_LIKE = ("box", "plane-slab")
@@ -131,8 +134,7 @@ class Primitive:
         if self.kind in _BOX_LIKE:
             n = _box_normal(np.asarray(self.dimensions) / 2.0, p)
         elif self.kind == "sphere":
-            norms = np.linalg.norm(p, axis=1, keepdims=True)
-            n = p / np.maximum(norms, 1e-12)
+            n = p / np.maximum(col_norms(p), 1e-12)[:, None]
         else:
             n = _cylinder_normal(*self.dimensions, p)
         return self.dirs_to_world(n)
@@ -143,7 +145,7 @@ class Primitive:
         if self.kind in _BOX_LIKE:
             sd = _box_sdf(np.asarray(self.dimensions) / 2.0, p)
         elif self.kind == "sphere":
-            sd = np.linalg.norm(p, axis=1) - self.dimensions[0]
+            sd = col_norms(p) - self.dimensions[0]
         else:
             sd = _cylinder_sdf(*self.dimensions, p)
         return np.abs(sd)
@@ -154,7 +156,7 @@ class Primitive:
         if self.kind in _BOX_LIKE:
             sd = _box_sdf(np.asarray(self.dimensions) / 2.0, p)
         elif self.kind == "sphere":
-            sd = np.linalg.norm(p, axis=1) - self.dimensions[0]
+            sd = col_norms(p) - self.dimensions[0]
         else:
             sd = _cylinder_sdf(*self.dimensions, p)
         return sd < -pad if pad <= 0 else sd < pad
@@ -188,7 +190,7 @@ def _sample_box(dims, count, rng):
 
 def _sample_sphere(radius, count, rng):
     v = rng.normal(size=(count, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= col_norms(v)[:, None]
     return radius * v, v, np.zeros(count, dtype=bool)
 
 
@@ -233,15 +235,15 @@ def _intersect_box(half, o, d):
     inside = np.abs(o) <= half
     lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
     hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
-    t0 = lo.max(axis=1)
-    t1 = hi.min(axis=1)
+    t0 = np.maximum(np.maximum(lo[:, 0], lo[:, 1]), lo[:, 2])
+    t1 = np.minimum(np.minimum(hi[:, 0], hi[:, 1]), hi[:, 2])
     hit = (t0 < t1) & np.isfinite(t0) & np.isfinite(t1)
     return t0, t1, hit
 
 
 def _intersect_sphere(radius, o, d):
-    b = np.sum(o * d, axis=1)
-    c = np.sum(o * o, axis=1) - radius * radius
+    b = col_dots(o, d)
+    c = col_dots(o, o) - radius * radius
     disc = b * b - c
     hit = disc > 0
     s = np.sqrt(np.maximum(disc, 0.0))
@@ -249,8 +251,8 @@ def _intersect_sphere(radius, o, d):
 
 
 def _intersect_cylinder(radius, height, o, d):
-    m = len(o)
-    cand_t = np.full((m, 4), np.nan)
+    # Candidate parameters: two on the side, then the +h/2 and -h/2 caps.
+    cand_t, ok = [], []
     # Side surface: quadratic in the xy-plane.
     a = d[:, 0] ** 2 + d[:, 1] ** 2
     b = o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1]
@@ -259,37 +261,43 @@ def _intersect_cylinder(radius, height, o, d):
         disc = b * b - a * c
         s = np.sqrt(np.maximum(disc, 0.0))
         q_ok = (a > 1e-14) & (disc > 0)
-        for j, sgn in enumerate((-1.0, 1.0)):
+        for sgn in (-1.0, 1.0):
             t = np.where(q_ok, (-b + sgn * s) / np.where(q_ok, a, 1.0), np.nan)
             z = o[:, 2] + t * d[:, 2]
-            cand_t[:, j] = np.where(q_ok & (np.abs(z) <= height / 2.0), t, np.nan)
+            cand_t.append(t)
+            ok.append(q_ok & (np.abs(z) <= height / 2.0))
         # Caps at z = +-h/2.
         dz_ok = np.abs(d[:, 2]) > 1e-12
-        for j, zc in enumerate((height / 2.0, -height / 2.0)):
+        for zc in (height / 2.0, -height / 2.0):
             t = np.where(dz_ok, (zc - o[:, 2]) / np.where(dz_ok, d[:, 2], 1.0), np.nan)
             x = o[:, 0] + t * d[:, 0]
             y = o[:, 1] + t * d[:, 1]
-            cand_t[:, 2 + j] = np.where(dz_ok & (x * x + y * y <= radius * radius), t, np.nan)
-    n_hits = np.sum(~np.isnan(cand_t), axis=1)
-    hit = n_hits >= 2
-    t0 = np.nanmin(np.where(np.isnan(cand_t), np.inf, cand_t), axis=1)
-    t1 = np.nanmax(np.where(np.isnan(cand_t), -np.inf, cand_t), axis=1)
+            cand_t.append(t)
+            ok.append(dz_ok & (x * x + y * y <= radius * radius))
+    hit = (ok[0].astype(np.intp) + ok[1] + ok[2] + ok[3]) >= 2
+    lo = [np.where(k, t, np.inf) for t, k in zip(cand_t, ok)]
+    hi = [np.where(k, t, -np.inf) for t, k in zip(cand_t, ok)]
+    # np.minimum keeps its second operand on a tie (+0.0 against -0.0), so folding
+    # from the last candidate keeps the first one, as a nanmin/nanmax over the row would.
+    t0 = np.minimum(np.minimum(np.minimum(lo[3], lo[2]), lo[1]), lo[0])
+    t1 = np.maximum(np.maximum(np.maximum(hi[3], hi[2]), hi[1]), hi[0])
     return np.where(hit, t0, 0.0), np.where(hit, t1, 0.0), hit
 
 
 def _box_normal(half, p):
-    # Face whose plane the point is closest to wins.
+    # Face whose plane the point is closest to wins; ties go to the lowest axis.
     gap = half - np.abs(p)
-    axis = np.argmin(gap, axis=1)
-    n = np.zeros_like(p)
-    rows = np.arange(len(p))
-    n[rows, axis] = np.sign(p[rows, axis])
-    n[rows, axis] = np.where(n[rows, axis] == 0.0, 1.0, n[rows, axis])
+    g0, g1, g2 = gap[:, 0], gap[:, 1], gap[:, 2]
+    axis = np.where((g0 <= g1) & (g0 <= g2), 0, np.where(g1 <= g2, 1, 2))
+    n = np.empty_like(p)
+    for k in range(3):
+        sign = np.sign(p[:, k])
+        n[:, k] = np.where(axis == k, np.where(sign == 0.0, 1.0, sign), 0.0)
     return n
 
 
 def _cylinder_normal(radius, height, p):
-    r = np.linalg.norm(p[:, :2], axis=1)
+    r = col_norms(p[:, :2])
     side_gap = np.abs(radius - r)
     cap_gap = np.abs(height / 2.0 - np.abs(p[:, 2]))
     n = np.zeros_like(p)
@@ -304,15 +312,15 @@ def _cylinder_normal(radius, height, p):
 
 def _box_sdf(half, p):
     q = np.abs(p) - half
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-    inside = np.minimum(np.max(q, axis=1), 0.0)
+    outside = col_norms(np.maximum(q, 0.0))
+    inside = np.minimum(np.maximum(np.maximum(q[:, 0], q[:, 1]), q[:, 2]), 0.0)
     return outside + inside
 
 
 def _cylinder_sdf(radius, height, p):
-    qr = np.linalg.norm(p[:, :2], axis=1) - radius
+    qr = col_norms(p[:, :2]) - radius
     qz = np.abs(p[:, 2]) - height / 2.0
-    q = np.column_stack([qr, qz])
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-    inside = np.minimum(np.max(q, axis=1), 0.0)
+    qr_out, qz_out = np.maximum(qr, 0.0), np.maximum(qz, 0.0)
+    outside = np.sqrt(qr_out * qr_out + qz_out * qz_out)
+    inside = np.minimum(np.maximum(qr, qz), 0.0)
     return outside + inside

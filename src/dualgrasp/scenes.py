@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .geometry import closing_angles_deg, row_dots, row_norms, unit_rows, yaw_quat
+from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import (
     PARALLEL,
     VACUUM,
@@ -251,10 +251,14 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
     opposing the closing force). hit marks lines that intersect at least one
     object; among several, the object whose chord is centered closest to the
     jaw center wins. t0/t1 are the chord parameters on the winning object.
+    Per-line dot products and norms are summed column by column (col_dots,
+    col_norms), with the bits of the axis=1 reductions they replace.
     """
-    q = np.atleast_2d(np.asarray(jaw_centers, dtype=np.float64))
-    u = np.atleast_2d(np.asarray(closing_dirs, dtype=np.float64))
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    # Column-major copies: the dense per-object prefilter streams each coordinate
+    # column contiguously; row gathers from them are C-ordered as before.
+    q = np.asfortranarray(np.atleast_2d(np.asarray(jaw_centers, dtype=np.float64)))
+    u = np.asfortranarray(np.atleast_2d(np.asarray(closing_dirs, dtype=np.float64)))
+    u = u / col_norms(u)[:, None]
     w = np.broadcast_to(np.asarray(widths, dtype=np.float64), (len(q),))
 
     m = len(q)
@@ -268,9 +272,14 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
     for prim in objs:
         # Bounding-sphere prefilter: a line that stays farther from the center
         # than the bounding radius cannot touch the surface (exact superset).
-        rel = prim.translation - q
-        along = np.sum(rel * u, axis=1)
-        d2 = np.sum(rel * rel, axis=1) - along * along
+        # Both sums run column by column from +0.0 in col_dots' order, without
+        # an (M, 3) offset array.
+        along, d2 = np.zeros(m), np.zeros(m)
+        for k in range(3):
+            rel = prim.translation[k] - q[:, k]
+            along += rel * u[:, k]
+            d2 += rel * rel
+        d2 -= along * along
         cand = np.flatnonzero(d2 <= prim.bounding_radius() ** 2 + 1e-12)
         if len(cand) == 0:
             continue
@@ -287,21 +296,20 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
 
     mu = np.full(m, np.inf)
     for prim in objs:
-        sel = hit_any & (best_id == prim.object_id)
-        if not np.any(sel):
+        sel = np.flatnonzero(hit_any & (best_id == prim.object_id))
+        if len(sel) == 0:
             continue
-        c0 = q[sel] + best_t0[sel, None] * u[sel]
-        c1 = q[sel] + best_t1[sel, None] * u[sel]
-        n0 = prim.surface_normal(c0)
-        n1 = prim.surface_normal(c1)
-        cos0 = -np.sum(u[sel] * n0, axis=1)
-        cos1 = np.sum(u[sel] * n1, axis=1)
+        qs, us, t0s, t1s, ws = q[sel], u[sel], best_t0[sel], best_t1[sel], w[sel]
+        n0 = prim.surface_normal(qs + t0s[:, None] * us)
+        n1 = prim.surface_normal(qs + t1s[:, None] * us)
+        cos0 = -col_dots(us, n0)
+        cos1 = col_dots(us, n1)
         cmin = np.minimum(cos0, cos1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tan0 = np.sqrt(np.maximum(0.0, 1.0 - cos0**2)) / cos0
             tan1 = np.sqrt(np.maximum(0.0, 1.0 - cos1**2)) / cos1
         mu_sel = np.where(cmin > 1e-9, np.maximum(tan0, tan1), np.inf)
-        fits = (best_t0[sel] >= -w[sel] / 2.0 - 1e-9) & (best_t1[sel] <= w[sel] / 2.0 + 1e-9)
+        fits = (t0s >= -ws / 2.0 - 1e-9) & (t1s <= ws / 2.0 + 1e-9)
         mu[sel] = np.where(fits, mu_sel, np.inf)
 
     return ContactBatch(mu=mu, object_id=best_id, t0=best_t0, t1=best_t1, hit=hit_any)
@@ -353,22 +361,25 @@ def owning_objects(scene: SceneAnnotation, points, tol: float = np.inf) -> np.nd
 _SEAL_SAMPLE_CACHE = {}
 
 
-def _seal_surface_samples(prim: Primitive, count: int) -> np.ndarray:
-    """World-frame surface samples for the seal oracle, cached per shape.
+def _seal_surface_samples(prim: Primitive, count: int):
+    """Local-frame surface samples for the seal oracle and a cKDTree over them, cached per shape.
 
-    Samples are drawn once per (kind, dimensions, count) in the local frame
-    with a fixed seed, then posed; the oracle stays a pure function.
+    Samples are drawn once per (kind, dimensions, count) with a fixed seed, so
+    the oracle stays a pure function. Clearing _SEAL_SAMPLE_CACHE drops the
+    trees with the samples.
     """
     key = (prim.kind, prim.dimensions, count)
-    local = _SEAL_SAMPLE_CACHE.get(key)
-    if local is None:
-        if len(_SEAL_SAMPLE_CACHE) > 64:
+    entry = _SEAL_SAMPLE_CACHE.get(key)
+    if entry is None:
+        # A tree adds about 70% to its samples' memory, and shapes do not recur
+        # across scenes: hold a few scenes' worth, not 64 shapes.
+        if len(_SEAL_SAMPLE_CACHE) > 16:
             _SEAL_SAMPLE_CACHE.clear()
         rng = np.random.default_rng(_SEAL_RNG_SEED)
         reference = Primitive(prim.kind, prim.dimensions, object_id=max(1, prim.object_id))
         local, _, _ = reference.sample_surface(count, rng)
-        _SEAL_SAMPLE_CACHE[key] = local
-    return prim.to_world(local)
+        entry = _SEAL_SAMPLE_CACHE[key] = (local, cKDTree(local))
+    return entry
 
 
 def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01,
@@ -379,10 +390,11 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01
     deviation of the owning object's surface samples within cup_radius of the
     center from the tangent plane there. 0 for porous objects, for centers that
     are not within on_surface_tol of an object surface, and for cups that hold
-    no sample. The samples are posed once per object and gathered by one radius
-    query with a padded radius; the exact distance test then keeps them in
-    ascending sample order, and one row-exact surface_normal call per object
-    gives the tangent planes, so every value has the bits of a one-center call.
+    no sample. The samples are gathered by one query of their cached local-frame
+    tree per object, with a radius padded far beyond the rounding of a rigid
+    transform; the exact world-frame distance test then keeps them in ascending
+    sample order, and one row-exact surface_normal call per object gives the
+    tangent planes, so every value has the bits of a one-center call.
     """
     cfg = config or SynthConfig()
     c = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
@@ -394,8 +406,10 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01
         if len(rows) == 0 or prim.porosity_flag:
             continue
         count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
-        pts = _seal_surface_samples(prim, count)
-        near = cKDTree(pts).query_ball_point(c[rows], cup_radius * (1.0 + 1e-9) + 1e-12, return_sorted=True)
+        local, tree = _seal_surface_samples(prim, count)
+        pts = prim.to_world(local)
+        near = tree.query_ball_point(prim.to_local(c[rows]), cup_radius * (1.0 + 1e-9) + 1e-12,
+                                     return_sorted=True)
         normals = prim.surface_normal(c[rows])
         for row, cand, n in zip(rows, near, normals):
             cand = np.asarray(cand, dtype=np.intp)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from dualgrasp.geometry import (
-    approach_frame,
     approach_frames,
-    closing_angle_deg,
     closing_angles_deg,
     closing_direction,
     closing_directions,
@@ -54,7 +52,7 @@ def test_batched_frames_and_closing_directions_match_one_vector_reference(rng):
         ref_u = np.cos(np.deg2rad(angles[i])) * r1 + np.sin(np.deg2rad(angles[i])) * r2
         assert np.array_equal(u[i], ref_u)
         assert np.array_equal(closing_direction(a[i], angles[i]), ref_u)
-        assert all(np.array_equal(x, y) for x, y in zip(approach_frame(a[i]), (r1, r2)))
+        assert all(np.array_equal(x[0], y) for x, y in zip(approach_frames(a[i]), (r1, r2)))
 
 
 def closing_angle_reference(approach, closing):
@@ -69,15 +67,15 @@ def test_batched_closing_angles_match_one_vector_reference(rng):
     got = closing_angles_deg(a, closings)
     want = [closing_angle_reference(v, c) for v, c in zip(a, closings)]
     assert np.array_equal(got, want)
-    assert all(closing_angle_deg(v, c) == w for v, c, w in zip(a[:500], closings, want))
+    assert all(closing_angles_deg(v, c)[0] == w for v, c, w in zip(a[:500], closings, want))
 
 
 def test_frames_reject_zero_vectors():
     with pytest.raises(ValueError):
         unit_rows([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        approach_frame(np.zeros(3))
+        approach_frames(np.zeros(3))
     with pytest.raises(ValueError):
         approach_frames([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        closing_angle_deg([0.0, 0.0, 1.0], np.zeros(3))
+        closing_angles_deg([0.0, 0.0, 1.0], np.zeros(3))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgrasp.geometry import yaw_quat
+from dualgrasp import primitives as P
+from dualgrasp.geometry import col_dots, col_norms, row_dots, yaw_quat
 from dualgrasp.primitives import KINDS, Primitive
 
 
@@ -179,3 +180,201 @@ def test_queries_give_a_row_the_same_bits_alone_or_stacked(kind):
             stacked = query(pts, dirs)
             alone = np.concatenate([query(pts[i : i + 1], dirs[i : i + 1]) for i in range(len(pts))])
             np.testing.assert_array_equal(stacked, alone, err_msg=name)
+
+
+# -- column-wise kernels against the row reductions they replaced ---------------
+# In-test copies of the local-frame kernels as they were written with axis=1
+# reductions (np.sum, np.linalg.norm, max/min, argmin, nanmin/nanmax). The
+# column forms must give the same bits, the sign of zero included.
+
+
+def row_intersect_box(half, o, d):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        ta = (-half - o) * inv
+        tb = (half - o) * inv
+    lo = np.minimum(ta, tb)
+    hi = np.maximum(ta, tb)
+    par = np.abs(d) < 1e-12
+    inside = np.abs(o) <= half
+    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
+    t0 = lo.max(axis=1)
+    t1 = hi.min(axis=1)
+    return t0, t1, (t0 < t1) & np.isfinite(t0) & np.isfinite(t1)
+
+
+def row_intersect_sphere(radius, o, d):
+    b = np.sum(o * d, axis=1)
+    c = np.sum(o * o, axis=1) - radius * radius
+    disc = b * b - c
+    s = np.sqrt(np.maximum(disc, 0.0))
+    return -b - s, -b + s, disc > 0
+
+
+def row_intersect_cylinder(radius, height, o, d):
+    cand_t = np.full((len(o), 4), np.nan)
+    a = d[:, 0] ** 2 + d[:, 1] ** 2
+    b = o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1]
+    c = o[:, 0] ** 2 + o[:, 1] ** 2 - radius * radius
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - a * c
+        s = np.sqrt(np.maximum(disc, 0.0))
+        q_ok = (a > 1e-14) & (disc > 0)
+        for j, sgn in enumerate((-1.0, 1.0)):
+            t = np.where(q_ok, (-b + sgn * s) / np.where(q_ok, a, 1.0), np.nan)
+            z = o[:, 2] + t * d[:, 2]
+            cand_t[:, j] = np.where(q_ok & (np.abs(z) <= height / 2.0), t, np.nan)
+        dz_ok = np.abs(d[:, 2]) > 1e-12
+        for j, zc in enumerate((height / 2.0, -height / 2.0)):
+            t = np.where(dz_ok, (zc - o[:, 2]) / np.where(dz_ok, d[:, 2], 1.0), np.nan)
+            x = o[:, 0] + t * d[:, 0]
+            y = o[:, 1] + t * d[:, 1]
+            cand_t[:, 2 + j] = np.where(dz_ok & (x * x + y * y <= radius * radius), t, np.nan)
+    hit = np.sum(~np.isnan(cand_t), axis=1) >= 2
+    t0 = np.nanmin(np.where(np.isnan(cand_t), np.inf, cand_t), axis=1)
+    t1 = np.nanmax(np.where(np.isnan(cand_t), -np.inf, cand_t), axis=1)
+    return np.where(hit, t0, 0.0), np.where(hit, t1, 0.0), hit
+
+
+def row_box_normal(half, p):
+    axis = np.argmin(half - np.abs(p), axis=1)
+    n = np.zeros_like(p)
+    rows = np.arange(len(p))
+    n[rows, axis] = np.sign(p[rows, axis])
+    n[rows, axis] = np.where(n[rows, axis] == 0.0, 1.0, n[rows, axis])
+    return n
+
+
+def row_cylinder_normal(radius, height, p):
+    r = np.linalg.norm(p[:, :2], axis=1)
+    side_gap = np.abs(radius - r)
+    cap_gap = np.abs(height / 2.0 - np.abs(p[:, 2]))
+    n = np.zeros_like(p)
+    use_cap = cap_gap < side_gap
+    safe_r = np.maximum(r, 1e-12)
+    n[:, 0] = np.where(use_cap, 0.0, p[:, 0] / safe_r)
+    n[:, 1] = np.where(use_cap, 0.0, p[:, 1] / safe_r)
+    n[:, 2] = np.where(use_cap, np.sign(p[:, 2]), 0.0)
+    n[:, 2] = np.where(use_cap & (n[:, 2] == 0.0), 1.0, n[:, 2])
+    return n
+
+
+def row_box_sdf(half, p):
+    q = np.abs(p) - half
+    return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(np.max(q, axis=1), 0.0)
+
+
+def row_cylinder_sdf(radius, height, p):
+    q = np.column_stack([np.linalg.norm(p[:, :2], axis=1) - radius, np.abs(p[:, 2]) - height / 2.0])
+    return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(np.max(q, axis=1), 0.0)
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want, equal_nan=True), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), f"{what}: sign of zero"
+
+
+# exact binary fractions, so grid points tie on face gaps and sit exactly on rims and faces
+KERNEL_DIMS = {"box": (0.5, 0.5, 0.75), "sphere": (0.25,), "cylinder": (0.25, 0.5), "plane-slab": (1.0, 0.5, 0.125)}
+
+
+def kernel_inputs(kind, r):
+    """Local-frame (origins, dirs, points) for one kind: random poses plus exact constructions."""
+    dims = KERNEL_DIMS[kind]
+    o_parts, d_parts, p_parts = [], [], []
+    for _ in range(6):  # random poses: queries arrive through to_local / dirs_to_local
+        prim = Primitive(kind, dims, rotation=unit(r.normal(size=4)), translation=r.uniform(-0.5, 0.5, 3))
+        surf, _, _ = prim.sample_surface(300, r)
+        world = np.concatenate([surf, prim.translation + r.normal(scale=0.3, size=(300, 3))])
+        dirs = r.normal(size=(600, 3))
+        o_parts.append(prim.to_local(world))
+        d_parts.append(prim.dirs_to_local(dirs / np.linalg.norm(dirs, axis=1, keepdims=True)))
+        p_parts.append(prim.to_local(world))
+    # identity pose: origins on a grid of sixteenths, axis-parallel and zero-component directions
+    grid = np.arange(-6, 7) * 0.0625
+    lattice = np.array([[x, y, z] for x in grid[::2] for y in grid[::3] for z in grid])
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    flat = r.normal(size=(len(lattice), 3))
+    flat[np.arange(len(flat)), r.integers(0, 3, len(flat))] = 0.0
+    flat /= np.linalg.norm(flat, axis=1, keepdims=True)
+    o_parts += [lattice, lattice, np.round(r.uniform(-0.4, 0.4, (2000, 3)), 2)]
+    d_parts += [axes[r.integers(0, 6, len(lattice))], flat, axes[r.integers(0, 6, 2000)]]
+    samples, _, _ = Primitive(kind, dims).sample_surface(1000, r)
+    zeros = r.normal(scale=0.2, size=(1000, 3))
+    zeros[r.random((1000, 3)) < 0.4] = 0.0
+    zeros[r.random((1000, 3)) < 0.2] = -0.0
+    zeros[:8] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0],
+                 [0.25, 0.0, 0.25], [-0.0, -0.25, -0.25], [0.25, 0.25, 0.375], [-0.25, -0.25, -0.375]]
+    p_parts += [lattice, samples, zeros]
+    if kind in ("box", "plane-slab"):  # equal gaps to two or three faces, on and inside the box
+        gaps = r.integers(0, 4, (500, 1)) / 64.0 * np.where(r.random((500, 3)) < 0.3, 2.0, 1.0)
+        p_parts.append(np.where(r.random((500, 3)) < 0.5, -1.0, 1.0) * (np.asarray(dims) / 2.0 - gaps))
+    o_parts.append(zeros)
+    d_parts.append(np.where(r.random((1000, 3)) < 0.5, -1.0, 1.0) * axes[r.integers(0, 3, 1000)])
+    # origins on the cylinder's rim, lines through side and cap at t = 0 (+0.0 side, -0.0 cap)
+    o_parts.append([[0.25, 0.0, 0.25], [0.0, -0.25, -0.25], [-0.25, 0.0, 0.25], [0.0, 0.25, -0.25]])
+    d_parts.append([[-0.6, 0.0, -0.8], [0.0, 0.6, 0.8], [0.6, 0.0, -0.8], [0.0, -0.6, 0.8]])
+    return np.concatenate(o_parts), np.concatenate(d_parts), np.concatenate(p_parts)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_column_kernels_match_row_reductions_bitwise(kind):
+    r = np.random.default_rng(100 + KINDS.index(kind))
+    o, d, p = kernel_inputs(kind, r)
+    dims = KERNEL_DIMS[kind]
+
+    def checks(p):
+        """(column form, row form, name) of every kernel of this kind on points p, plus the row sdf."""
+        if kind in ("box", "plane-slab"):
+            half = np.asarray(dims) / 2.0
+            sdf = row_box_sdf(half, p)
+            return [(P._intersect_box(half, o, d), row_intersect_box(half, o, d), "intersect"),
+                    (P._box_normal(half, p), row_box_normal(half, p), "normal"),
+                    (P._box_sdf(half, p), sdf, "sdf")], sdf
+        if kind == "sphere":
+            return [(P._intersect_sphere(dims[0], o, d), row_intersect_sphere(dims[0], o, d), "intersect")], \
+                np.linalg.norm(p, axis=1) - dims[0]
+        sdf = row_cylinder_sdf(*dims, p)
+        return [(P._intersect_cylinder(*dims, o, d), row_intersect_cylinder(*dims, o, d), "intersect"),
+                (P._cylinder_normal(*dims, p), row_cylinder_normal(*dims, p), "normal"),
+                (P._cylinder_sdf(*dims, p), sdf, "sdf")], sdf
+
+    pairs, _ = checks(p)
+    for got, want, what in pairs:
+        for i, (g, w) in enumerate(zip(got, want) if isinstance(got, tuple) else [(got, want)]):
+            assert_same_bits(g, w, f"{kind} {what} [{i}]")
+    if kind in ("box", "plane-slab"):
+        gap = np.asarray(dims) / 2.0 - np.abs(p)
+        assert np.sum(gap == gap.min(axis=1, keepdims=True)) > len(p) + 100  # tied face gaps are covered
+    if kind == "cylinder":
+        t0, t1, hit = pairs[0][0]
+        assert np.any(hit & ((t0 == 0.0) | (t1 == 0.0)))  # rim origins: +0.0 and -0.0 candidates tie
+    # the public queries at a random pose, which reach the sphere's inline normal and distance too
+    prim = Primitive(kind, dims, rotation=unit(r.normal(size=4)), translation=r.uniform(-0.5, 0.5, 3))
+    world = prim.to_world(p)
+    local = prim.to_local(world)
+    _, sdf = checks(local)
+    assert_same_bits(prim.surface_distance(world), np.abs(sdf), f"{kind} distance")
+    assert_same_bits(prim.contains(world, pad=0.01), sdf < 0.01, f"{kind} contains")
+    if kind == "sphere":
+        want = prim.dirs_to_world(local / np.maximum(np.linalg.norm(local, axis=1, keepdims=True), 1e-12))
+        assert_same_bits(prim.surface_normal(world), want, "sphere normal")
+
+
+def test_column_helpers_match_row_reductions_and_not_the_blas_dot():
+    r = np.random.default_rng(7)
+    for kind in KINDS:
+        o, d, p = kernel_inputs(kind, r)
+        o[:3] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+        d[:3] = [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [-0.0, 1.0, -2.0]]  # rows of -0.0 products
+        for a, b in ((o, d), (p, p), (d, o)):
+            want = np.sum(a * b, axis=1)
+            assert_same_bits(col_dots(a, b), want, "col_dots")
+            assert not np.signbit(want[:3]).any()  # np.sum starts from +0.0
+            # a BLAS dot fuses multiply-adds: it is not a shortcut for these helpers
+            assert not np.array_equal(row_dots(a, b), want)
+        for x in (o, d, p, p[:, :2], np.maximum(np.abs(p) - 0.25, 0.0)):
+            assert_same_bits(col_norms(x), np.linalg.norm(x, axis=1), "col_norms")

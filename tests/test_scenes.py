@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from dualgrasp import scenes
-from dualgrasp.geometry import closing_angle_deg
+from dualgrasp.geometry import closing_angles_deg
 from dualgrasp.grasps import ParallelGrasp, VacuumGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import (
@@ -40,7 +41,7 @@ def down_grasp(jaw_center, closing, width=0.09, depth=0.02):
     v = np.array([0.0, 0.0, -1.0])
     assert abs(closing @ v) < 1e-9, "closing must be horizontal for this helper"
     center = np.asarray(jaw_center, dtype=float) - depth * v
-    return ParallelGrasp(center=center, approach=v, angle_deg=closing_angle_deg(v, closing),
+    return ParallelGrasp(center=center, approach=v, angle_deg=closing_angles_deg(v, closing)[0],
                          width=width, depth=depth)
 
 
@@ -201,9 +202,99 @@ def test_rigid_invariance_of_parallel_oracle():
     )
     # the rotated jaw line: angle re-derived in the rotated approach frame
     u, v = rot.apply(g.closing_dir()), rot.apply(g.approach)
-    g_r = replace(g, center=rot.apply(g.center) + shift, approach=v, angle_deg=closing_angle_deg(v, u))
+    g_r = replace(g, center=rot.apply(g.center) + shift, approach=v, angle_deg=closing_angles_deg(v, u)[0])
     mu1 = oracle_parallel_quality(bare_scene(box_r), g_r)
     assert mu1 == pytest.approx(mu0, rel=1e-9, abs=1e-12)
+
+
+def parallel_quality_batch_reference(scene, jaw_centers, closing_dirs, widths):
+    """parallel_quality_batch as written with axis=1 reductions and a boolean gather per use."""
+    q = np.atleast_2d(np.asarray(jaw_centers, dtype=np.float64))
+    u = np.atleast_2d(np.asarray(closing_dirs, dtype=np.float64))
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    w = np.broadcast_to(np.asarray(widths, dtype=np.float64), (len(q),))
+    m = len(q)
+    best_mid = np.full(m, np.inf)
+    best_t0 = np.zeros(m)
+    best_t1 = np.zeros(m)
+    best_id = np.full(m, -1, dtype=np.intp)
+    hit_any = np.zeros(m, dtype=bool)
+    objs = scene.objects()
+    for prim in objs:
+        rel = prim.translation - q
+        along = np.sum(rel * u, axis=1)
+        d2 = np.sum(rel * rel, axis=1) - along * along
+        cand = np.flatnonzero(d2 <= prim.bounding_radius() ** 2 + 1e-12)
+        if len(cand) == 0:
+            continue
+        t0c, t1c, hitc = prim.line_intersections(q[cand], u[cand])
+        with np.errstate(invalid="ignore"):
+            midc = np.where(hitc, np.abs((t0c + t1c) / 2.0), np.inf)
+        betterc = hitc & (midc < best_mid[cand])
+        rows = cand[betterc]
+        best_mid[rows] = midc[betterc]
+        best_t0[rows] = t0c[betterc]
+        best_t1[rows] = t1c[betterc]
+        best_id[rows] = prim.object_id
+        hit_any[cand] |= hitc
+    mu = np.full(m, np.inf)
+    for prim in objs:
+        sel = hit_any & (best_id == prim.object_id)
+        if not np.any(sel):
+            continue
+        n0 = prim.surface_normal(q[sel] + best_t0[sel, None] * u[sel])
+        n1 = prim.surface_normal(q[sel] + best_t1[sel, None] * u[sel])
+        cos0 = -np.sum(u[sel] * n0, axis=1)
+        cos1 = np.sum(u[sel] * n1, axis=1)
+        cmin = np.minimum(cos0, cos1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tan0 = np.sqrt(np.maximum(0.0, 1.0 - cos0**2)) / cos0
+            tan1 = np.sqrt(np.maximum(0.0, 1.0 - cos1**2)) / cos1
+        mu_sel = np.where(cmin > 1e-9, np.maximum(tan0, tan1), np.inf)
+        fits = (best_t0[sel] >= -w[sel] / 2.0 - 1e-9) & (best_t1[sel] <= w[sel] / 2.0 + 1e-9)
+        mu[sel] = np.where(fits, mu_sel, np.inf)
+    return scenes.ContactBatch(mu=mu, object_id=best_id, t0=best_t0, t1=best_t1, hit=hit_any)
+
+
+def assert_same_contacts(got, want):
+    for field in scenes.ContactBatch._fields:
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.shape == w.shape and g.dtype == w.dtype, field
+        assert np.array_equal(g, w), field
+        assert np.array_equal(np.signbit(g), np.signbit(w)), f"{field}: sign of zero"
+
+
+def test_parallel_batch_matches_row_reduction_oracle_bitwise(monkeypatch):
+    from dualgrasp import refine_parallel
+
+    real = scenes.parallel_quality_batch
+    lines = []
+
+    def checked(scene, jaw_centers, closing_dirs, widths):
+        got = real(scene, jaw_centers, closing_dirs, widths)
+        assert_same_contacts(got, parallel_quality_batch_reference(scene, jaw_centers, closing_dirs, widths))
+        lines.append((len(got.mu), int(np.count_nonzero(got.hit)), int(np.count_nonzero(np.isfinite(got.mu)))))
+        return got
+
+    # the probe and full jaw-line grids of the pose search, as _grid_qualities builds them
+    monkeypatch.setattr(refine_parallel, "parallel_quality_batch", checked)
+    kinds = ("box", "sphere", "cylinder", "plane-slab")
+    rng = np.random.default_rng(5)
+    for seed in range(3):
+        cfg = SynthConfig(kind_sequence=kinds[seed:] + kinds[:seed], density=5000.0)
+        cloud, scene = generate_scene(seed, 4, cfg)
+        seeds = cloud.points[rng.choice(len(cloud.points), 12, replace=False)]
+        refine_parallel.oracle_search(scene, seeds, refine_parallel.RefineParallelConfig(), 2, 2)
+        # lines far above the scene miss everything; an empty batch returns empty fields
+        above = rng.uniform(-0.3, 0.3, (50, 3)) + [0.0, 0.0, 5.0]
+        flat = np.column_stack([rng.normal(size=(50, 2)), np.zeros(50)])
+        assert_same_contacts(real(scene, above, flat, 0.1), parallel_quality_batch_reference(scene, above, flat, 0.1))
+        assert not real(scene, above, flat, 0.1).hit.any()
+        empty = np.zeros((0, 3))
+        assert_same_contacts(real(scene, empty, empty, np.zeros(0)),
+                             parallel_quality_batch_reference(scene, empty, empty, np.zeros(0)))
+    assert len(lines) == 6 and lines[0][0] == 12 * 300 * 6 * 2 and lines[1][0] == 12 * 12 * 4
+    assert all(hit > 0 and finite > 0 for _, hit, finite in lines)
 
 
 # -- vacuum seal oracle ------------------------------------------------------------
@@ -297,7 +388,7 @@ def seal_reference(scene, center, cup_radius=0.01, cfg=None):
         return 0.0
     lo, hi = cfg.seal_sample_limits
     count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
-    pts = scenes._seal_surface_samples(prim, count)
+    pts = prim.to_world(scenes._seal_surface_samples(prim, count)[0])
     in_cup = np.linalg.norm(pts - c, axis=1) <= cup_radius
     if not np.any(in_cup):
         return 0.0
@@ -349,14 +440,38 @@ def test_seal_batch_keeps_samples_at_exactly_cup_radius(monkeypatch):
     # spacing 0.25 is exact in binary: the six axis neighbours of a node sit at exactly r
     g = np.arange(-4, 5) * 0.25
     lattice = np.array([[x, y, z] for x in g for y in g for z in (-0.25, 0.0, 0.25)])
-    monkeypatch.setattr(scenes, "_seal_surface_samples", lambda prim, count: lattice)
     slab = Primitive("plane-slab", (4.0, 4.0, 1.0), translation=(0, 0, -0.5))  # top face z = 0
+    local = lattice - slab.translation  # posed back onto the lattice exactly
+    monkeypatch.setattr(scenes, "_seal_surface_samples", lambda prim, count: (local, cKDTree(local)))
     scene = bare_scene(slab)
     nodes = np.array([[x, y, 0.0] for x in g[1:-1] for y in g[1:-1]])
     got = seal_quality_batch(scene, nodes, 0.25)
     assert np.array_equal(got, [seal_reference(scene, c, 0.25) for c in nodes])
     # the node, four in-plane neighbours and two at +-r along the normal: RMS = r * sqrt(2 / 7)
     assert got == pytest.approx(np.full(len(nodes), 1.0 - np.sqrt(2.0 / 7.0)), rel=1e-12)
+
+
+def test_clearing_the_seal_cache_drops_the_trees(monkeypatch):
+    """The benchmark's cold-cache reset empties _SEAL_SAMPLE_CACHE; the trees must go with it."""
+    builds = []
+    real_tree = scenes.cKDTree
+
+    def counting_tree(points):
+        builds.append(len(points))
+        return real_tree(points)
+
+    monkeypatch.setattr(scenes, "cKDTree", counting_tree)
+    sphere = Primitive("sphere", (0.03,), translation=(0.0, 0.0, 0.03))
+    scene = bare_scene(sphere)
+    centers = np.array([[0.0, 0.0, 0.06], [0.03, 0.0, 0.03]])
+    scenes._SEAL_SAMPLE_CACHE.clear()
+    first = seal_quality_batch(scene, centers)
+    seal_quality_batch(scene, centers)
+    assert len(builds) == 1  # one tree per shape, reused
+    assert any(isinstance(tree, real_tree) for _, tree in scenes._SEAL_SAMPLE_CACHE.values())
+    scenes._SEAL_SAMPLE_CACHE.clear()
+    assert np.array_equal(seal_quality_batch(scene, centers), first)
+    assert len(builds) == 2  # rebuilt after the reset
 
 
 def test_seal_on_sphere_matches_cap_integral(rng):
@@ -418,7 +533,7 @@ def parallel_candidates_reference(scene, cfg, seed):
             if np.linalg.norm(v) < 1e-6:
                 v = np.array([1.0, 0.0, 0.0]) - u[0] * u
             v = v / np.linalg.norm(v)
-            g = ParallelGrasp(center=mids[i] - cfg.gt_depth * v, approach=v, angle_deg=closing_angle_deg(v, u),
+            g = ParallelGrasp(center=mids[i] - cfg.gt_depth * v, approach=v, angle_deg=closing_angles_deg(v, u)[0],
                               width=min(cfg.max_width, float(sep[i]) + cfg.width_margin), depth=cfg.gt_depth,
                               score=scenes.friction_to_graspness(mu[i]))
             out.append([*g.center, *g.approach, g.angle_deg, g.width, g.score, float(mu[i])])
