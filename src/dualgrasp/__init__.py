@@ -22,7 +22,7 @@ from .cloud import (
     radius_query,
 )
 from .grasps import PARALLEL, VACUUM, ParallelGrasp, VacuumGrasp
-from .labels import GraspnessMaps, LabelConfig, build_label_maps
+from .labels import GraspnessMaps, build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, precision_at_k
 from .pipeline import GraspPipeline
 from .primitives import Primitive

@@ -97,7 +97,7 @@ def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str, cfg: EvalConfig):
     target = int(owning_objects(scene, grasp.center, tol=0.002)[0])
     if target == 0:
         return -1, False
-    seal = oracle_seal_quality(scene, grasp, cfg.cup_radius)
+    seal = oracle_seal_quality(scene, grasp)
     return target, bool(seal >= cfg.exec_mu_vacuum)
 
 

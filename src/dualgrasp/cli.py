@@ -22,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureConfig
 from .grasps import PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
 from .json_io import write_json
-from .labels import LabelConfig, build_label_maps
+from .labels import build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
-from .mlp import ModelConfig, load_checkpoint, save_checkpoint
+from .mlp import load_checkpoint, save_checkpoint
 from .pipeline import GraspPipeline, grasp_target_ids
 from .ply_io import read_ply, write_ply
 from .refine_parallel import RefineParallelConfig
@@ -52,12 +51,10 @@ METRICS_FIELDS = [
 
 _SECTIONS = {
     "synth": SynthConfig,
-    "labels": LabelConfig,
     "sampling": SamplingConfig,
     "refine": RefineParallelConfig,
     "train": TrainConfig,
     "eval": EvalConfig,
-    "features": FeatureConfig,
 }
 
 
@@ -153,7 +150,7 @@ def cmd_labels(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for stem in _scene_stems(args.scenes):
         cloud, scene, grasps = load_scene(stem)
-        maps = build_label_maps(cloud, scene, grasps, cfgs["labels"])
+        maps = build_label_maps(cloud, scene, grasps)
         channels = {name: ch.astype(np.float32) for name, ch in maps.channels().items()}
         write_ply(out / f"{stem.name}_labels.ply", cloud.points, channels=channels)
         for channel in ("graspness_parallel", "graspness_vacuum"):
@@ -185,17 +182,8 @@ def cmd_train(args) -> int:
     prepared = []
     for stem in _scene_stems(args.scenes):
         cloud, scene, grasps = load_scene(stem)
-        prepared.append(
-            prepare_training_scene(cloud, scene, grasps, cfgs["labels"], rcfg, tcfg, cfgs["features"])
-        )
-    mcfg = ModelConfig(
-        feature_dim=prepared[0].features.shape[1],
-        n_views=rcfg.n_views,
-        n_angle_bins=rcfg.n_angle_bins,
-        n_depth_bins=len(rcfg.depth_bins),
-        n_score_bins=rcfg.n_score_bins,
-    )
-    model, history = train(prepared, tcfg, mcfg)
+        prepared.append(prepare_training_scene(cloud, scene, grasps, rcfg, tcfg))
+    model, history = train(prepared, tcfg, rcfg)
     variant = model.meta["variant"]
     save_checkpoint(out / "checkpoint.json", model)
     save_history_csv(out / "train_log.csv", history, variant=variant)
@@ -227,11 +215,9 @@ def _make_pipeline(args, cfgs) -> GraspPipeline:
             model=model,
             sampling=sampling,
             refine=cfgs["refine"],
-            label_config=cfgs["labels"],
-            feature_config=cfgs["features"],
             max_parallel_refine=args.max_refine,
         )
-    except ValueError as e:  # e.g. a checkpoint whose view head does not fit refine.n_views
+    except ValueError as e:  # e.g. a checkpoint whose refiner heads do not fit the refine grid
         raise UsageError(str(e)) from e
 
 
@@ -304,7 +290,7 @@ def cmd_eval(args) -> int:
             doc = json.loads(gfile.read_text())
             # lists arrive ranked; precision@k never looks past k_max
             grasps = [grasp_from_dict(d) for d in doc["grasps"][: ecfg.k_max]]
-            qualities = grasp_qualities(grasps, scene, gripper, ecfg)
+            qualities = grasp_qualities(grasps, scene, gripper)
             for mu in ecfg.mu_grid(gripper):
                 rows.append(_ap_row(stem.name, scene.split, gripper, mu,
                                     ap_mu(grasps, scene, mu, gripper, ecfg, qualities)))
@@ -376,6 +362,8 @@ def _clearing_row(scene, gripper, m):
 
 
 def cmd_export_ply(args) -> int:
+    if args.vmax <= args.vmin:
+        raise UsageError("--vmax must exceed --vmin")
     points, _, channels = read_ply(args.input)
     if args.channel not in channels:
         raise UsageError(f"channel {args.channel!r} not in {sorted(channels)}")

@@ -12,7 +12,6 @@ from .features import compute_point_features
 from .grasps import PARALLEL, VACUUM
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_overall, grasp_qualities, roc_auc
-from .mlp import ModelConfig
 from .pipeline import GraspPipeline
 from .refine_parallel import RefineParallelConfig
 from .scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
@@ -77,14 +76,7 @@ def train_and_score_heldout(train_scenes, heldout_scenes, train_cfg: TrainConfig
         prepare_training_scene(cloud, scene, grasps, refine_config=rcfg, train_config=tcfg)
         for cloud, scene, grasps in train_scenes
     ]
-    mcfg = ModelConfig(
-        feature_dim=prepared[0].features.shape[1],
-        n_views=rcfg.n_views,
-        n_angle_bins=rcfg.n_angle_bins,
-        n_depth_bins=len(rcfg.depth_bins),
-        n_score_bins=rcfg.n_score_bins,
-    )
-    model, history = train(prepared, tcfg, mcfg)
+    model, history = train(prepared, tcfg, rcfg)
     aucs = {}
     for i, (cloud, scene, grasps) in enumerate(heldout_scenes):
         maps = build_label_maps(cloud, scene, grasps)
@@ -105,7 +97,7 @@ def ap_by_gripper(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None
         for gripper in (PARALLEL, VACUUM):
             result = pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats)
             ranked = result.grasps[: ecfg.k_max]
-            q = grasp_qualities(ranked, scene, gripper, ecfg)
+            q = grasp_qualities(ranked, scene, gripper)
             values[gripper].append(ap_overall(ranked, scene, gripper, ecfg, q))
     return {g: float(np.mean(v)) if v else 0.0 for g, v in values.items()}
 

@@ -6,30 +6,23 @@ count inside the feature radius, and the distance to the cloud centroid. This
 stands in for a heavyweight learned backbone at desk scale.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, neighborhood_eigh
 
 FEATURE_DIM = 7
-
-
-@dataclass
-class FeatureConfig:
-    radius: float = 0.015
+FEATURE_RADIUS = 0.015  # neighbourhood radius of the normal, curvature and count [m]
 
 
 def compute_point_features(cloud: PointCloud, table_height: float = 0.0,
-                           config: FeatureConfig = None) -> np.ndarray:
+                           radius: float = FEATURE_RADIUS) -> np.ndarray:
     """(N, 7) finite feature matrix for every cloud point.
 
     Points with degenerate neighborhoods get the view direction as normal and
     zero curvature instead of being dropped; every point must stay addressable.
     """
-    cfg = config or FeatureConfig()
     pts = cloud.points
-    starts, members = SpatialIndex(cloud).radius_csr(cfg.radius)
+    starts, members = SpatialIndex(cloud).radius_csr(radius)
     sizes = np.diff(starts)
     evals, evecs = neighborhood_eigh(pts, starts, members)
 

@@ -4,6 +4,10 @@ A parallel grasp is [center, approach, angle, width, depth, score]: the jaw
 closing line runs through center + depth * approach, along the in-plane
 direction given by angle (see geometry.closing_direction). A vacuum grasp is
 [center, normal, score].
+
+Each gripper has one fixed geometry, shared by its oracle, the label-map
+collision filters, the pose search and evaluation, as the GraspNet-1Billion
+jaw and the SuctionNet-1Billion cup are shared by their labels and metrics.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,12 @@ from .geometry import as_point, closing_direction, normalize
 
 PARALLEL = "parallel"
 VACUUM = "vacuum"
+
+MAX_WIDTH = 0.1  # jaw opening [m]
+WIDTH_MARGIN = 0.005  # clearance added to a contact span to set the opening [m]
+FINGER_LENGTH = 0.04  # finger extent along the approach [m]
+JAW_THICKNESS = 0.01  # finger thickness [m]
+CUP_RADIUS = 0.01  # suction-cup radius [m]
 
 GRASP_SCHEMA_VERSION = 1
 

@@ -4,7 +4,9 @@ Pipeline: drop grasps colliding with other objects or the table, drop vacuum
 grasps sealing below 0.004, prune below-table and background points, then give
 every surviving point the quality of its nearest grasp per gripper. The vacuum
 channel is min-max rescaled to [0, 1] and values under 0.1 are zeroed; the
-parallel channel maps required friction mu to graspness 1 - mu / mu_max.
+parallel channel maps required friction mu to graspness 1 - mu. The filters
+use the fixed gripper geometry of grasps (FINGER_LENGTH, JAW_THICKNESS,
+CUP_RADIUS).
 """
 
 from dataclasses import dataclass
@@ -14,22 +16,11 @@ from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .geometry import closing_directions, row_norms, unit_rows
-from .grasps import PARALLEL, VACUUM
+from .grasps import CUP_RADIUS, FINGER_LENGTH, JAW_THICKNESS, VACUUM
 from .scenes import SceneAnnotation, friction_to_graspness, owning_objects
 
 SEAL_FILTER_MIN = 0.004
 VACUUM_CUTOFF = 0.1
-
-
-@dataclass
-class LabelConfig:
-    seal_min: float = SEAL_FILTER_MIN
-    vacuum_cutoff: float = VACUUM_CUTOFF
-    mu_max: float = 1.0
-    finger_length: float = 0.04
-    jaw_thickness: float = 0.01
-    cup_radius: float = 0.01
-    collision_filter: bool = True
 
 
 @dataclass
@@ -75,16 +66,16 @@ class GraspnessMaps:
 _BOX_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
 
 
-def _swept_jaw_corners(grasps, cfg: LabelConfig) -> np.ndarray:
+def _swept_jaw_corners(grasps) -> np.ndarray:
     """(G, 8, 3) corners of the conservative boxes swept by the closing jaws."""
     v = np.array([g.approach for g in grasps]).reshape(-1, 3)
     u = closing_directions(v, [g.angle_deg for g in grasps])
     w = unit_rows(np.cross(v, u))
     jaw = np.array([g.center for g in grasps]).reshape(-1, 3) + np.array([g.depth for g in grasps])[:, None] * v
-    center = jaw - (cfg.finger_length / 2.0) * v
-    hu = np.array([g.width for g in grasps]) / 2.0 + cfg.jaw_thickness
-    hv = cfg.finger_length / 2.0
-    hw = cfg.jaw_thickness
+    center = jaw - (FINGER_LENGTH / 2.0) * v
+    hu = np.array([g.width for g in grasps]) / 2.0 + JAW_THICKNESS
+    hv = FINGER_LENGTH / 2.0
+    hw = JAW_THICKNESS
     # one (8, 3) @ (3, 3) product per grasp: the BLAS call, and bits, of a one-grasp product
     return center[:, None, :] + np.matmul(_BOX_SIGNS, np.stack([hu[:, None] * u, hw * w, hv * v], axis=1))
 
@@ -98,41 +89,40 @@ def _hits_other_objects(scene: SceneAnnotation, centers, radii, owners) -> np.nd
     return hit
 
 
-def parallel_collisions(scene: SceneAnnotation, grasps, owners, cfg: LabelConfig) -> np.ndarray:
+def parallel_collisions(scene: SceneAnnotation, grasps, owners) -> np.ndarray:
     """Conservative per-grasp test: swept-jaw box vs table plane and other objects' bounding spheres.
 
     owners holds the object id owning each grasp's jaw center (owning_objects).
     """
-    corners = _swept_jaw_corners(grasps, cfg)
+    corners = _swept_jaw_corners(grasps)
     center = corners.mean(axis=1)
     radius = row_norms(corners[:, 0] - center)
     below = corners[:, :, 2].min(axis=1) < scene.table_height + 1e-6
     return below | _hits_other_objects(scene, center, radius, owners)
 
 
-def vacuum_collisions(scene: SceneAnnotation, grasps, owners, cfg: LabelConfig) -> np.ndarray:
+def vacuum_collisions(scene: SceneAnnotation, grasps, owners) -> np.ndarray:
     """Conservative per-grasp test: suction-cup disc vs table plane and other objects' bounding spheres.
 
     owners holds the object id owning each grasp's center (owning_objects).
     """
     center = np.array([g.center for g in grasps]).reshape(-1, 3)
     nz = np.array([g.normal[2] for g in grasps])
-    disc_drop = cfg.cup_radius * np.sqrt(np.maximum(0.0, 1.0 - nz**2))
+    disc_drop = CUP_RADIUS * np.sqrt(np.maximum(0.0, 1.0 - nz**2))
     below = center[:, 2] - disc_drop < scene.table_height - 1e-9
-    return below | _hits_other_objects(scene, center, cfg.cup_radius, owners)
+    return below | _hits_other_objects(scene, center, CUP_RADIUS, owners)
 
 
 # -- map construction ------------------------------------------------------------
 
 
-def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: LabelConfig = None) -> GraspnessMaps:
+def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps) -> GraspnessMaps:
     if len(cloud) != len(scene.per_point_object_id):
         raise ValueError(
             f"cloud has {len(cloud)} points but annotation covers {len(scene.per_point_object_id)}"
         )
     if not grasps:
         raise ValueError("need ground-truth grasps for at least one gripper")
-    cfg = config or LabelConfig()
 
     is_vac = np.array([g.gripper == VACUUM for g in grasps])
     par = [g.pose for g in grasps if g.gripper != VACUUM]
@@ -142,11 +132,10 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: 
     owners = owning_objects(scene, np.vstack([centers] + [p.jaw_center() for p in par]))
     center_owner, jaw_owner = owners[: len(grasps)], owners[len(grasps):]
 
-    keep = ~(is_vac & (quality < cfg.seal_min))
-    if cfg.collision_filter:
-        vac = [g.pose for g in grasps if g.gripper == VACUUM]
-        keep[is_vac] &= ~vacuum_collisions(scene, vac, center_owner[is_vac], cfg)
-        keep[~is_vac] &= ~parallel_collisions(scene, par, jaw_owner, cfg)
+    keep = ~(is_vac & (quality < SEAL_FILTER_MIN))
+    vac = [g.pose for g in grasps if g.gripper == VACUUM]
+    keep[is_vac] &= ~vacuum_collisions(scene, vac, center_owner[is_vac])
+    keep[~is_vac] &= ~parallel_collisions(scene, par, jaw_owner)
 
     n = len(cloud)
     objectness = (scene.per_point_object_id > 0).astype(np.float64)
@@ -159,7 +148,7 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: 
     raw_par = _associate(cloud, scene, centers[use], quality[use], center_owner[use], surviving)
     parallel = np.zeros(n)
     has_par = raw_par >= 0
-    parallel[has_par] = friction_to_graspness(raw_par[has_par], cfg.mu_max)
+    parallel[has_par] = friction_to_graspness(raw_par[has_par])
 
     vacuum = np.zeros(n)
     use = keep & is_vac
@@ -169,7 +158,7 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps, config: 
         seals = raw_vac[has_vac]
         lo, hi = seals.min(), seals.max()
         rescaled = (seals - lo) / (hi - lo) if hi > lo else np.ones_like(seals)
-        rescaled[rescaled < cfg.vacuum_cutoff] = 0.0
+        rescaled[rescaled < VACUUM_CUTOFF] = 0.0
         vacuum[has_vac] = rescaled
 
     return GraspnessMaps(objectness, parallel, vacuum, role="label")

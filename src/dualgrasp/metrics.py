@@ -25,7 +25,6 @@ class EvalConfig:
     max_consecutive_failures: int = 3
     exec_mu_parallel: float = 0.8
     exec_mu_vacuum: float = 0.4
-    cup_radius: float = 0.01
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -38,16 +37,15 @@ class EvalConfig:
         return self.mu_parallel_grid if gripper == PARALLEL else self.mu_vacuum_grid
 
 
-def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str, config: EvalConfig = None) -> np.ndarray:
+def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str) -> np.ndarray:
     """Oracle quality per grasp: required friction (parallel, inf on miss) or seal.
 
     One parallel_quality_batch or seal_quality_batch call grades the whole
     list; each value has the bits of oracle_parallel_quality (inf for
     NoContact) or oracle_seal_quality on that grasp alone.
     """
-    cfg = config or EvalConfig()
     if gripper != PARALLEL:
-        return seal_quality_batch(scene, [g.center for g in grasps], cfg.cup_radius)
+        return seal_quality_batch(scene, [g.center for g in grasps])
     if len(grasps) == 0:
         return np.empty(0)
     approaches = np.array([g.approach for g in grasps])
@@ -63,14 +61,14 @@ def successes_at(qualities: np.ndarray, mu: float, gripper: str) -> np.ndarray:
 
 
 def precision_at_k(grasps, scene: SceneAnnotation, mu: float, gripper: str, k: int,
-                   config: EvalConfig = None, qualities=None) -> float:
+                   qualities=None) -> float:
     """Fraction of the top-min(k, len) score-ranked grasps the oracle accepts at mu."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(grasps) == 0:
         return 0.0
     if qualities is None:
-        qualities = grasp_qualities(grasps, scene, gripper, config)
+        qualities = grasp_qualities(grasps, scene, gripper)
     top = min(k, len(grasps))
     return float(np.mean(successes_at(np.asarray(qualities)[:top], mu, gripper)))
 
@@ -82,7 +80,7 @@ def ap_mu(grasps, scene: SceneAnnotation, mu: float, gripper: str,
     if len(grasps) == 0:
         return 0.0
     if qualities is None:
-        qualities = grasp_qualities(grasps, scene, gripper, cfg)
+        qualities = grasp_qualities(grasps, scene, gripper)
     succ = successes_at(np.asarray(qualities), mu, gripper).astype(np.float64)
     cum = np.cumsum(succ)
     ks = np.minimum(np.arange(1, cfg.k_max + 1), len(grasps))
@@ -94,7 +92,7 @@ def ap_overall(grasps, scene: SceneAnnotation, gripper: str,
     """Mean of ap_mu over the gripper's coefficient grid."""
     cfg = config or EvalConfig()
     if qualities is None:
-        qualities = grasp_qualities(grasps, scene, gripper, cfg)
+        qualities = grasp_qualities(grasps, scene, gripper)
     return float(np.mean([ap_mu(grasps, scene, mu, gripper, cfg, qualities) for mu in cfg.mu_grid(gripper)]))
 
 

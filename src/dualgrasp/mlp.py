@@ -5,8 +5,8 @@ the trunk output concatenated with the standardized input (a linear bypass),
 and start at zero weights: in the very short training runs this package
 targets, the bypass lets the first gradient steps already induce a sensible
 ranking in feature space while the trunk refines it. Map heads (objectness,
-parallel, vacuum) emit one logit per point; optional refiner heads (view,
-angle, depth, width, score) emit per-seed predictions.
+parallel, vacuum) emit one logit per point; refiner heads (view, angle,
+depth, width, score) emit per-seed predictions.
 """
 
 import base64
@@ -27,23 +27,23 @@ class ModelConfig:
     feature_dim: int = 7
     hidden: tuple = (64, 64)
     bypass_gain: float = 8.0  # scale on the input-bypass block feeding the heads
-    refiner: bool = True
+    # refiner head sizes; RefineParallelConfig.head_sizes() gives the ones a grid decodes
     n_views: int = 300
     n_angle_bins: int = 12
     n_depth_bins: int = 4
     n_score_bins: int = 10
 
     def head_dims(self) -> dict:
-        dims = {"objectness": 1, "parallel": 1, "vacuum": 1}
-        if self.refiner:
-            dims.update(
-                view=self.n_views,
-                angle=self.n_angle_bins,
-                depth=self.n_depth_bins,
-                width=1,
-                score=self.n_score_bins,
-            )
-        return dims
+        return {
+            "objectness": 1,
+            "parallel": 1,
+            "vacuum": 1,
+            "view": self.n_views,
+            "angle": self.n_angle_bins,
+            "depth": self.n_depth_bins,
+            "width": 1,
+            "score": self.n_score_bins,
+        }
 
 
 class MlpModel:
@@ -184,8 +184,6 @@ class MlpModel:
 
     def refiner_outputs(self, features: np.ndarray) -> dict:
         """Raw refiner head outputs for (N, F) seed features."""
-        if not self.config.refiner:
-            raise ValueError("model was built without refiner heads")
         outputs, _ = self.forward(features)
         return {
             "view": outputs["view"],
@@ -224,7 +222,7 @@ def save_checkpoint(path, model: MlpModel):
             "feature_dim": cfg.feature_dim,
             "hidden": list(cfg.hidden),
             "bypass_gain": cfg.bypass_gain,
-            "refiner": cfg.refiner,
+            "refiner": True,  # every model has refiner heads; load_checkpoint rejects false
             "n_views": cfg.n_views,
             "n_angle_bins": cfg.n_angle_bins,
             "n_depth_bins": cfg.n_depth_bins,
@@ -248,11 +246,12 @@ def load_checkpoint(path) -> MlpModel:
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint schema_version {doc.get('schema_version')!r}")
     c = doc["config"]
+    if c.get("refiner") is not True:
+        raise ValueError(f"{path}: unsupported checkpoint without refiner heads")
     cfg = ModelConfig(
         feature_dim=c["feature_dim"],
         hidden=tuple(c["hidden"]),
         bypass_gain=c.get("bypass_gain", ModelConfig.bypass_gain),
-        refiner=c["refiner"],
         n_views=c["n_views"],
         n_angle_bins=c["n_angle_bins"],
         n_depth_bins=c["n_depth_bins"],

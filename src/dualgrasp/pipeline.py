@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .features import FeatureConfig, compute_point_features
+from .features import compute_point_features
 from .grasps import PARALLEL, VACUUM
-from .labels import GraspnessMaps, LabelConfig, build_label_maps
+from .labels import GraspnessMaps, build_label_maps
 from .mlp import MlpModel
 from .refine_parallel import RefineParallelConfig, fallback_refine_batch, learned_refine_batch
 from .refine_vacuum import refine_vacuum_poses, rank_vacuum
@@ -40,17 +40,11 @@ class GraspPipeline:
     def __init__(self, model: MlpModel = None,
                  sampling: SamplingConfig = None,
                  refine: RefineParallelConfig = None,
-                 label_config: LabelConfig = None,
-                 feature_config: FeatureConfig = None,
-                 normal_radius: float = 0.01,
                  max_parallel_refine: int = None,
                  pose_head: str = None):
         self.model = model
         self.sampling = sampling or SamplingConfig()
         self.refine = refine or RefineParallelConfig()
-        self.label_config = label_config or LabelConfig()
-        self.feature_config = feature_config or FeatureConfig()
-        self.normal_radius = normal_radius
         # Refine only the max_parallel_refine best-fused seeds (None = all);
         # a throughput knob for the oracle-driven fallback in tight loops.
         self.max_parallel_refine = max_parallel_refine
@@ -58,30 +52,29 @@ class GraspPipeline:
         # heads; "oracle" runs the geometric searcher even when a model
         # provides the maps (ranking then stays purely prediction-driven)
         if pose_head is None:
-            pose_head = "learned" if model is not None and model.config.refiner else "oracle"
+            pose_head = "oracle" if model is None else "learned"
         if pose_head not in ("learned", "oracle"):
             raise ValueError(f"unknown pose_head {pose_head!r}")
-        if pose_head == "learned" and (model is None or not model.config.refiner):
-            raise ValueError("learned pose head needs a model with refiner heads")
+        if pose_head == "learned" and model is None:
+            raise ValueError("learned pose head needs a model")
         self.pose_head = pose_head
-        if model is not None and model.config.refiner:
-            if model.config.n_views != self.refine.n_views:
-                raise ValueError(
-                    f"model view head ({model.config.n_views}) does not match refine config "
-                    f"({self.refine.n_views})"
-                )
+        if model is not None:
+            misfit = [f"{name} {getattr(model.config, name)} != {size}"
+                      for name, size in self.refine.head_sizes().items() if getattr(model.config, name) != size]
+            if misfit:
+                raise ValueError(f"model refiner heads do not fit the refine config: {', '.join(misfit)}")
 
     def predict_maps(self, cloud: PointCloud, scene: SceneAnnotation, gt_grasps=None):
         """Prediction-role maps from the model, or oracle label maps in fallback mode."""
         if self.model is not None:
-            feats = compute_point_features(cloud, scene.table_height, self.feature_config)
+            feats = compute_point_features(cloud, scene.table_height)
             scores = self.model.predict_map_scores(feats)
             maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"],
                                  role="prediction")
             return maps, feats
         if gt_grasps is None:
             raise ValueError("fallback mode needs the scene's ground-truth grasps")
-        maps = build_label_maps(cloud, scene, gt_grasps, self.label_config)
+        maps = build_label_maps(cloud, scene, gt_grasps)
         return maps, None
 
     def propose(self, cloud: PointCloud, scene: SceneAnnotation, gripper: str,
@@ -93,7 +86,7 @@ class GraspPipeline:
             seeds = select_seeds(cloud, fused, self.sampling.t_vacuum, self.sampling.m_vacuum, VACUUM)
             if not len(seeds):
                 return PipelineResult(VACUUM, [], seeds)
-            grasps, dropped = refine_vacuum_poses(cloud, seeds, self.normal_radius)
+            grasps, dropped = refine_vacuum_poses(cloud, seeds)
             return PipelineResult(VACUUM, rank_vacuum(grasps, len(grasps)), seeds, dropped)
 
         fused = fuse_scores(maps.objectness, maps.parallel_graspness)
@@ -120,7 +113,7 @@ class GraspPipeline:
         if self.pose_head == "oracle":
             return fallback_refine_batch(cloud, scene, seeds.indices, self.refine)
         if feats is None:
-            feats = compute_point_features(cloud, scene.table_height, self.feature_config)
+            feats = compute_point_features(cloud, scene.table_height)
         refiner_out = self.model.refiner_outputs(feats[seeds.indices])
         return learned_refine_batch(cloud, seeds.indices, refiner_out, self.refine), 0
 

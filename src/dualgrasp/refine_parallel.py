@@ -18,7 +18,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .geometry import approach_frames, fibonacci_hemisphere
-from .grasps import ParallelGrasp
+from .grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
 from .scenes import SceneAnnotation, friction_to_graspness, parallel_quality_batch
 
 
@@ -27,8 +27,6 @@ class RefineParallelConfig:
     n_views: int = 300
     n_angle_bins: int = 12
     depth_bins: tuple = (0.01, 0.02, 0.03, 0.04)
-    max_width: float = 0.1
-    width_margin: float = 0.005
     n_score_bins: int = 10
     # strides thinning the (angle, depth) grid when the fallback ranks views;
     # the winning view is always refined on the full grid
@@ -45,6 +43,15 @@ class RefineParallelConfig:
     def score_bin_values(self) -> np.ndarray:
         """Representative score per classification bin (uniform bin centers)."""
         return (np.arange(self.n_score_bins) + 0.5) / self.n_score_bins
+
+    def head_sizes(self) -> dict:
+        """The ModelConfig refiner head sizes whose outputs decode against this grid."""
+        return {
+            "n_views": self.n_views,
+            "n_angle_bins": self.n_angle_bins,
+            "n_depth_bins": len(self.depth_bins),
+            "n_score_bins": self.n_score_bins,
+        }
 
 
 @dataclass
@@ -77,7 +84,7 @@ PoseSearch = namedtuple(
 )
 
 
-def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths, max_width):
+def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths):
     """Oracle (mu, t0, t1) of every (angle, depth) jaw line, each of shape (S, M, A, D).
 
     approaches is (K, M, 3) with K in {1, S}. The jaw line for candidate
@@ -94,7 +101,7 @@ def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths, m
     centers = seeds[:, None, None, :] + depths[None, None, :, None] * approaches[:, :, None, :]
     origins = np.broadcast_to(centers[:, :, None, :, :], shape + (3,)).reshape(-1, 3)
     dirs = np.broadcast_to(closings[:, :, :, None, :], shape + (3,)).reshape(-1, 3)
-    res = parallel_quality_batch(scene, origins, dirs, np.full(len(origins), max_width))
+    res = parallel_quality_batch(scene, origins, dirs, np.full(len(origins), MAX_WIDTH))
     return res.mu.reshape(shape), res.t0.reshape(shape), res.t1.reshape(shape)
 
 
@@ -113,7 +120,7 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     chunk_lines ranking jaw lines (and at least one seed).
 
     Returns a PoseSearch of per-seed arrays: view_scores (S, V), view index,
-    angle_idx, depth_idx, width (jaw span plus margin, capped at max_width),
+    angle_idx, depth_idx, width (jaw span plus WIDTH_MARGIN, capped at MAX_WIDTH),
     score (graspness of the best candidate) and reachable (some full-grid
     candidate can close). Only reachable rows carry a meaningful pose.
     """
@@ -130,12 +137,11 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     t0, t1 = np.empty_like(mu), np.empty_like(mu)
     for start in range(0, s_n, per_chunk):
         rows = slice(start, start + per_chunk)
-        probe_mu, _, _ = _grid_qualities(scene, seeds[rows], -views[None], probe_angles, probe_depths,
-                                         config.max_width)
+        probe_mu, _, _ = _grid_qualities(scene, seeds[rows], -views[None], probe_angles, probe_depths)
         quality = np.mean(friction_to_graspness(probe_mu.reshape(len(probe_mu), v_n, -1)), axis=2)
         view_scores[rows] = quality - config.view_vertical_bias * (1.0 - views[None, :, 2])
         approaches = -views[np.argmax(view_scores[rows], axis=1)]
-        full = _grid_qualities(scene, seeds[rows], approaches[:, None, :], angles, depths, config.max_width)
+        full = _grid_qualities(scene, seeds[rows], approaches[:, None, :], angles, depths)
         for out, part in zip((mu, t0, t1), full):
             out[rows] = part.reshape(len(approaches), -1)
 
@@ -147,7 +153,7 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
         view=np.argmax(view_scores, axis=1),
         angle_idx=best // len(depths),
         depth_idx=best % len(depths),
-        width=np.minimum(config.max_width, 2.0 * reach + config.width_margin),
+        width=np.minimum(MAX_WIDTH, 2.0 * reach + WIDTH_MARGIN),
         score=friction_to_graspness(mu[pick]),
         reachable=np.any(np.isfinite(mu), axis=1),
     )
@@ -183,7 +189,7 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
     """Decode MLP refiner outputs (one row per seed) into one parallel pose per seed.
 
     Each row takes the argmax view, angle, depth and score bin (ties: lowest
-    index) and its regressed width clamped to [1e-4, max_width]. The approach
+    index) and its regressed width clamped to [1e-4, MAX_WIDTH]. The approach
     is the re-normalized grid approach of the view, which can differ from the
     fallback's raw grid vector in the last bit.
     """
@@ -192,7 +198,7 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
     angles = config.angle_values()[np.argmax(refiner_out["angle_logits"], axis=1)]
     depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth_logits"], axis=1)]
     scores = config.score_bin_values()[np.argmax(refiner_out["score_logits"], axis=1)]
-    widths = np.clip(refiner_out["width"], 1e-4, config.max_width)
+    widths = np.clip(refiner_out["width"], 1e-4, MAX_WIDTH)
     grasps = []
     for row, seed in enumerate(np.asarray(seed_indices, dtype=np.intp).tolist()):
         v = -grid[views[row]]

@@ -12,8 +12,7 @@ from .sampling import SeedSet
 DEFAULT_NORMAL_RADIUS = 0.01
 
 
-def refine_vacuum_poses(cloud: PointCloud, seeds: SeedSet, r: float = DEFAULT_NORMAL_RADIUS,
-                        index: SpatialIndex = None):
+def refine_vacuum_poses(cloud: PointCloud, seeds: SeedSet, r: float = DEFAULT_NORMAL_RADIUS):
     """One vacuum pose per seed: center at the seed, covariance normal, fused score.
 
     All seed normals come from one radius query and one batched covariance
@@ -23,8 +22,7 @@ def refine_vacuum_poses(cloud: PointCloud, seeds: SeedSet, r: float = DEFAULT_NO
     """
     if seeds.gripper != "vacuum":
         raise ValueError(f"expected vacuum seeds, got {seeds.gripper!r}")
-    idx = index or SpatialIndex(cloud)
-    evals, evecs = neighborhood_eigh(cloud.points, *idx.radius_csr(r, seeds.indices))
+    evals, evecs = neighborhood_eigh(cloud.points, *SpatialIndex(cloud).radius_csr(r, seeds.indices))
     grasps = []
     for i in np.flatnonzero(evals[:, 1] > 1e-12).tolist():
         seed = int(seeds.indices[i])

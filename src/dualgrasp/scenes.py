@@ -18,8 +18,11 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import (
+    CUP_RADIUS,
+    MAX_WIDTH,
     PARALLEL,
     VACUUM,
+    WIDTH_MARGIN,
     ParallelGrasp,
     VacuumGrasp,
     grasp_from_dict,
@@ -27,7 +30,7 @@ from .grasps import (
 )
 from .json_io import write_json
 from .ply_io import read_ply, write_ply
-from .primitives import Primitive
+from .primitives import KINDS, Primitive
 
 SCENE_SCHEMA_VERSION = 1
 _SEAL_RNG_SEED = 715_225_739  # fixed: the seal oracle must be a pure function
@@ -43,7 +46,10 @@ class NoContact(ValueError):
 
 @dataclass
 class SynthConfig:
-    """Knobs for scene generation and the gripper/oracle geometry."""
+    """Knobs for scene generation, ground-truth candidate sampling and the seal oracle.
+
+    The gripper geometry is fixed (grasps.MAX_WIDTH, CUP_RADIUS, ...).
+    """
 
     kinds: tuple = ("box", "sphere", "cylinder", "plane-slab")
     kind_sequence: tuple = None  # exact per-object kinds (cycled); overrides random choice
@@ -62,19 +68,22 @@ class SynthConfig:
     porous_prob: float = 0.0
     placement_gap: float = 0.02
     max_retries: int = 400
-    # gripper geometry shared by oracles, label building, and refinement
-    max_width: float = 0.1
-    cup_radius: float = 0.01
     # ground-truth grasp candidate sampling
     vacuum_grasps_per_object: int = 96
     parallel_grasps_per_object: int = 96
     gt_depth: float = 0.02
     gt_mu_cap: float = 1.5
-    width_margin: float = 0.005
     # seal oracle sampling
     seal_sample_density: float = 1.0e6
     seal_sample_limits: tuple = (2000, 60000)
     on_surface_tol: float = 0.002
+
+    def __post_init__(self):
+        if not self.kinds:
+            raise ValueError("kinds must name at least one primitive kind")
+        for kind in tuple(self.kinds) + tuple(self.kind_sequence or ()):
+            if kind not in KINDS:
+                raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
 
 
 @dataclass
@@ -329,11 +338,11 @@ def oracle_parallel_quality(scene: SceneAnnotation, grasp: ParallelGrasp) -> flo
     return float(res.mu[0])
 
 
-def friction_to_graspness(mu, mu_max: float = 1.0):
-    """Map required friction to a [0, 1] graspness score (1 = frictionless closure)."""
+def friction_to_graspness(mu):
+    """Map required friction to a [0, 1] graspness score, 1 - mu (1 = frictionless closure)."""
     mu = np.asarray(mu, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        g = np.where(np.isfinite(mu), np.clip(1.0 - mu / mu_max, 0.0, 1.0), 0.0)
+        g = np.where(np.isfinite(mu), np.clip(1.0 - mu, 0.0, 1.0), 0.0)
     return g if g.ndim else float(g)
 
 
@@ -382,7 +391,7 @@ def _seal_surface_samples(prim: Primitive, count: int):
     return entry
 
 
-def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01,
+def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_RADIUS,
                        config: SynthConfig = None) -> np.ndarray:
     """Seal coefficient in [0, 1] at each of K suction-cup centers, from surface planarity.
 
@@ -422,7 +431,7 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = 0.01
     return seal
 
 
-def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = 0.01,
+def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = CUP_RADIUS,
                         config: SynthConfig = None) -> float:
     """seal_quality_batch at one vacuum grasp's center."""
     return float(seal_quality_batch(scene, grasp.center, cup_radius, config)[0])
@@ -458,7 +467,7 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
     grasps = []
     for prim in scene.objects():
         pts_v, nrm_v, _ = prim.sample_surface(cfg.vacuum_grasps_per_object, rng)
-        seals = seal_quality_batch(scene, pts_v, cfg.cup_radius, cfg)
+        seals = seal_quality_batch(scene, pts_v, config=cfg)
         for p, n, seal in zip(pts_v, nrm_v, seals.tolist()):
             pose = VacuumGrasp(center=p, normal=n, score=seal)
             grasps.append(GroundTruthGrasp(gripper=VACUUM, pose=pose, quality_coeff=seal))
@@ -468,13 +477,13 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
         t0, t1, hit = prim.line_intersections(pts_p, closing)
         mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
         sep = t1 - t0
-        mu = parallel_quality_batch(scene, mids, closing, np.full(len(mids), cfg.max_width)).mu
-        ok = hit & ~(sep + cfg.width_margin > cfg.max_width) & np.isfinite(mu) & ~(mu > cfg.gt_mu_cap)
+        mu = parallel_quality_batch(scene, mids, closing, np.full(len(mids), MAX_WIDTH)).mu
+        ok = hit & ~(sep + WIDTH_MARGIN > MAX_WIDTH) & np.isfinite(mu) & ~(mu > cfg.gt_mu_cap)
         u = unit_rows(closing[ok])
         v = _perpendicular_approaches(u)
         centers = mids[ok] - cfg.gt_depth * v
         angles = closing_angles_deg(v, u)
-        widths = np.minimum(cfg.max_width, sep[ok] + cfg.width_margin)
+        widths = np.minimum(MAX_WIDTH, sep[ok] + WIDTH_MARGIN)
         scores = friction_to_graspness(mu[ok])
         for i, m in enumerate(mu[ok].tolist()):
             pose = ParallelGrasp(center=centers[i], approach=v[i], angle_deg=angles[i], width=float(widths[i]),

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .features import FeatureConfig, compute_point_features
-from .labels import GraspnessMaps, LabelConfig, build_label_maps
+from .features import compute_point_features
+from .labels import build_label_maps
 from .losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
 from .mlp import MAP_HEADS, MlpModel, ModelConfig
 from .pcgrad import combine_without_surgery, pcgrad
@@ -71,18 +71,13 @@ class PreparedScene:
 
 
 def prepare_training_scene(cloud: PointCloud, scene: SceneAnnotation, grasps,
-                           label_config: LabelConfig = None,
                            refine_config: RefineParallelConfig = None,
-                           train_config: TrainConfig = None,
-                           feature_config: FeatureConfig = None,
-                           maps: GraspnessMaps = None) -> PreparedScene:
+                           train_config: TrainConfig = None) -> PreparedScene:
     """Label maps + features + oracle refiner targets for one scene."""
-    lcfg = label_config or LabelConfig()
     rcfg = refine_config or RefineParallelConfig()
     tcfg = train_config or TrainConfig()
-    if maps is None:
-        maps = build_label_maps(cloud, scene, grasps, lcfg)
-    feats = compute_point_features(cloud, scene.table_height, feature_config)
+    maps = build_label_maps(cloud, scene, grasps)
+    feats = compute_point_features(cloud, scene.table_height)
 
     fused = maps.objectness * maps.parallel_graspness
     seeds = select_seeds(cloud, fused, tcfg.seed_threshold, tcfg.refiner_seeds_per_scene)
@@ -134,8 +129,6 @@ def _init_map_head_biases(model: MlpModel, scenes, cfg: TrainConfig):
         rate = float(np.clip(rate, 1e-4, 1.0 - 1e-4))
         model.heads[head][1][0] = np.log(rate / (1.0 - rate))
 
-    if not model.config.refiner:
-        return
     targeted = [s.refiner_targets for s in scenes if s.refiner_targets is not None]
     if not targeted:
         return
@@ -172,7 +165,7 @@ def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
     par = np.concatenate([s.parallel_label for s in batch])
     vac = np.concatenate([s.vacuum_label for s in batch])
 
-    rows, targets = _stack_refiner_targets(batch) if model.config.refiner else (None, None)
+    rows, targets = _stack_refiner_targets(batch)
     # the refiner heads run on the seed rows only; with no seed, not at all
     outputs, cache = model.forward(feats, MAP_HEADS if rows is None else None, rows)
     n_total = len(feats)
@@ -217,10 +210,12 @@ def _stack_refiner_targets(batch):
     return np.concatenate(rows), targets
 
 
-def train(scenes: list, config: TrainConfig = None, model_config: ModelConfig = None):
+def train(scenes: list, config: TrainConfig = None, refine_config: RefineParallelConfig = None):
     """Train the per-point predictor on prepared scenes.
 
-    Deterministic for a given (scenes, config) pair. Returns (model, history)
+    The refiner head sizes come from refine_config (the grid the scenes'
+    refiner targets were prepared on). Deterministic for a given (scenes,
+    config, refine_config). Returns (model, history)
     where history holds one row per epoch: epoch, lr, loss_obj, loss_vac,
     loss_par, loss_refiner. Raises on non-finite losses.
     """
@@ -228,8 +223,8 @@ def train(scenes: list, config: TrainConfig = None, model_config: ModelConfig = 
         raise ValueError("need at least one training scene")
     cfg = config or TrainConfig()
     rng = np.random.default_rng(cfg.rng_seed)
-    mcfg = model_config or ModelConfig(feature_dim=scenes[0].features.shape[1])
-    model = MlpModel(mcfg, rng)
+    rcfg = refine_config or RefineParallelConfig()
+    model = MlpModel(ModelConfig(feature_dim=scenes[0].features.shape[1], **rcfg.head_sizes()), rng)
 
     all_feats = np.concatenate([s.features for s in scenes], axis=0)
     model.set_feature_stats(all_feats.mean(axis=0), all_feats.std(axis=0))

@@ -318,11 +318,11 @@ def test_criterion_8_metric_correctness():
     ecfg = EvalConfig()
     scene, c, r = sphere_scene()
     three_of_five = ranked_list(c, r, [True, False, True, True, False])
-    q3 = grasp_qualities(three_of_five, scene, PARALLEL, ecfg)
-    ok = precision_at_k(three_of_five, scene, 0.4, PARALLEL, 5, ecfg, q3) == pytest.approx(0.6)
+    q3 = grasp_qualities(three_of_five, scene, PARALLEL)
+    ok = precision_at_k(three_of_five, scene, 0.4, PARALLEL, 5, q3) == pytest.approx(0.6)
 
     grasps = ranked_list(c, r, [True, False, True, False, False])
-    qual = grasp_qualities(grasps, scene, PARALLEL, ecfg)
+    qual = grasp_qualities(grasps, scene, PARALLEL)
     expected = sum(sum([1, 0, 1, 0, 0][: min(k, 5)]) / min(k, 5) for k in range(1, 51)) / 50
     ok &= ap_mu(grasps, scene, 0.4, PARALLEL, ecfg, qual) == pytest.approx(expected)
     ref = np.mean([ap_mu(grasps, scene, mu, PARALLEL, ecfg, qual) for mu in ecfg.mu_parallel_grid])
@@ -337,11 +337,11 @@ def test_criterion_8_metric_correctness():
         par = [g.pose for g in gt if g.gripper == PARALLEL][:40]
         vacg = [g.pose for g in gt if g.gripper == VACUUM][:40]
         if par:
-            qp = grasp_qualities(par, scene_s, PARALLEL, ecfg)
+            qp = grasp_qualities(par, scene_s, PARALLEL)
             aps = [ap_mu(par, scene_s, mu, PARALLEL, ecfg, qp) for mu in ecfg.mu_parallel_grid]
             mono &= all(a <= b + 1e-12 for a, b in zip(aps, aps[1:]))
         if vacg:
-            qv = grasp_qualities(vacg, scene_s, VACUUM, ecfg)
+            qv = grasp_qualities(vacg, scene_s, VACUUM)
             aps = [ap_mu(vacg, scene_s, mu, VACUUM, ecfg, qv) for mu in ecfg.mu_vacuum_grid]
             mono &= all(a >= b - 1e-12 for a, b in zip(aps, aps[1:]))
     ok &= mono

@@ -1,9 +1,13 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualgrasp.cli import build_configs, load_config_file, main
+from dualgrasp.cli import _SECTIONS, build_configs, load_config_file, main
+from dualgrasp.mlp import MlpModel, ModelConfig, save_checkpoint
 
 
 def run(*args):
@@ -177,6 +181,30 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sampling.bogus = 1\n")
     assert run("synth", "--out", tmp_path / "x", "--config", cfg) == 2
+    # the gripper, label and feature parameters are constants, not config keys
+    for key in ("labels.cup_radius", "labels.mu_max", "labels.collision_filter", "features.radius",
+                "synth.max_width", "synth.cup_radius", "synth.width_margin",
+                "refine.max_width", "refine.width_margin", "eval.cup_radius"):
+        with pytest.raises(UsageError):
+            build_configs({key: 0.01})
+        cfg.write_text(f"{key} = 0.01\n")
+        assert run("synth", "--out", tmp_path / "x", "--config", cfg) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_field_names_are_unique_across_sections():
+    """A quantity set in two sections could silently disagree; each name has one home."""
+    owners = {}
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            owners.setdefault(f.name, []).append(section)
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+
+def test_readme_names_the_config_sections():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = re.search(r"^Sections: (.*)$", readme, re.M).group(1)
+    assert re.findall(r"`([a-z_]+)`", line) == list(_SECTIONS)
 
 
 def test_predict_rerun_byte_identical(workspace, tmp_path):
@@ -214,24 +242,40 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--max-refine", "0"],
     ["predict", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
+    ["predict", "--checkpoint", "{angle6_checkpoint}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{angle6_checkpoint}"],
+    ["synth", "--kinds", "bogus"],
+    ["synth", "--kinds", "box,,sphere"],
+    ["synth", "--config", "{no_kinds_config}"],
+    ["synth", "--config", "{bad_sequence_config}"],
+    ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "1", "--vmax", "0"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "clearing-max-refine-0",
-        "checkpoint-views", "clearing-checkpoint-views"])
+        "checkpoint-views", "clearing-checkpoint-views",
+        "checkpoint-angle-bins", "clearing-checkpoint-angle-bins",
+        "kinds-unknown", "kinds-empty-name", "kinds-empty", "kind-sequence-unknown", "vmax-not-above-vmin"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
         "{views_config}": "refine.n_views = 100",  # the checkpoint's view head has 300
         "{seed_threshold_config}": "train.seed_threshold = 1.5",
         "{refiner_seeds_config}": "train.refiner_seeds_per_scene = 0",
+        "{no_kinds_config}": "synth.kinds = []",
+        "{bad_sequence_config}": 'synth.kind_sequence = ["box", "cone"]',
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
-            "{checkpoint}": workspace / "model" / "checkpoint.json"}
+            "{checkpoint}": workspace / "model" / "checkpoint.json",
+            "{labels_ply}": workspace / "labels" / "scene_0000_labels.ply",
+            "{angle6_checkpoint}": tmp_path / "angle6.json"}
+    # an untrained model whose angle head has 6 bins against the grid's 12
+    save_checkpoint(fill["{angle6_checkpoint}"], MlpModel(ModelConfig(n_angle_bins=6), np.random.default_rng(0)))
     for i, (key, line) in enumerate(configs.items()):
         fill[key] = tmp_path / f"config{i}.cfg"
         fill[key].write_text(line + "\n")
     out = tmp_path / "out"
-    argv = [argv[0], "--scenes", workspace / "scenes", "--out", out] + [fill.get(a, a) for a in argv[1:]]
+    scenes = [] if argv[0] in ("synth", "export-ply") else ["--scenes", workspace / "scenes"]
+    argv = [argv[0], *scenes, "--out", out] + [fill.get(a, a) for a in argv[1:]]
     assert run(*argv) == 2
     assert not out.exists()  # usage errors are raised before any output is written
 

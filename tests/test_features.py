@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualgrasp.cloud import PointCloud, SpatialIndex
-from dualgrasp.features import FeatureConfig, compute_point_features
+from dualgrasp.features import FEATURE_RADIUS, compute_point_features
 from dualgrasp.scenes import SynthConfig, generate_scene, remove_object
 
 
@@ -65,14 +65,14 @@ CLOUDS = {
 @pytest.mark.parametrize("kind", sorted(CLOUDS))
 def test_features_match_per_point_reference_bitwise(kind, radius):
     for cloud, table_height in CLOUDS[kind]():
-        got = compute_point_features(cloud, table_height, FeatureConfig(radius=radius))
+        got = compute_point_features(cloud, table_height, radius)
         assert got.shape == (len(cloud), 7)
         np.testing.assert_array_equal(got, reference_features(cloud, table_height, radius))
 
 
 def test_degenerate_neighbourhoods_fall_back_to_view_direction():
     cloud = collinear_cloud()
-    feats = compute_point_features(cloud, 0.0, FeatureConfig(radius=0.015))
+    feats = compute_point_features(cloud, 0.0, FEATURE_RADIUS)
     isolated = len(cloud) - 1
     assert feats[isolated, 5] == 1.0  # only itself in range
     toward = cloud.viewpoint - cloud.points[:40]

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from dualgrasp.cloud import PointCloud
-from dualgrasp.grasps import PARALLEL, VACUUM, ParallelGrasp, VacuumGrasp
+from dualgrasp.grasps import (
+    CUP_RADIUS,
+    FINGER_LENGTH,
+    JAW_THICKNESS,
+    PARALLEL,
+    VACUUM,
+    ParallelGrasp,
+    VacuumGrasp,
+)
 from dualgrasp.geometry import normalize
 from dualgrasp.labels import (
-    LabelConfig,
     _swept_jaw_corners,
     build_label_maps,
     parallel_collisions,
@@ -119,7 +126,7 @@ def test_parallel_friction_mapping():
     pose = ParallelGrasp(center=(0, 0, 0.04), approach=(0, 0, -1), angle_deg=0.0,
                          width=0.07, depth=0.02)
     grasps = [GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=0.3)]
-    maps = build_label_maps(cloud, scene, grasps, LabelConfig(collision_filter=False))
+    maps = build_label_maps(cloud, scene, grasps)
     top = scene.per_point_object_id == 1
     assert np.allclose(maps.parallel_graspness[top], 0.7)
     assert np.all(maps.vacuum_graspness == 0)
@@ -149,20 +156,20 @@ def owner_reference(scene, point):
     return best
 
 
-def corners_reference(grasp, cfg):
+def corners_reference(grasp):
     v = grasp.approach
     u = grasp.closing_dir()
     w = normalize(np.cross(v, u))
-    center = grasp.jaw_center() - (cfg.finger_length / 2.0) * v
-    hu = grasp.width / 2.0 + cfg.jaw_thickness
-    hv = cfg.finger_length / 2.0
-    hw = cfg.jaw_thickness
+    center = grasp.jaw_center() - (FINGER_LENGTH / 2.0) * v
+    hu = grasp.width / 2.0 + JAW_THICKNESS
+    hv = FINGER_LENGTH / 2.0
+    hw = JAW_THICKNESS
     signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     return center + signs @ np.vstack([hu * u, hw * w, hv * v])
 
 
-def parallel_collides_reference(scene, grasp, cfg):
-    corners = corners_reference(grasp, cfg)
+def parallel_collides_reference(scene, grasp):
+    corners = corners_reference(grasp)
     if corners[:, 2].min() < scene.table_height + 1e-6:
         return True
     owner = owner_reference(scene, grasp.jaw_center())
@@ -176,23 +183,22 @@ def parallel_collides_reference(scene, grasp, cfg):
     return False
 
 
-def vacuum_collides_reference(scene, grasp, cfg):
+def vacuum_collides_reference(scene, grasp):
     n = grasp.normal
-    disc_drop = cfg.cup_radius * np.sqrt(max(0.0, 1.0 - n[2] ** 2))
+    disc_drop = CUP_RADIUS * np.sqrt(max(0.0, 1.0 - n[2] ** 2))
     if grasp.center[2] - disc_drop < scene.table_height - 1e-9:
         return True
     owner = owner_reference(scene, grasp.center)
     for prim in scene.objects():
         if prim is owner:
             continue
-        if np.linalg.norm(grasp.center - prim.translation) < cfg.cup_radius + prim.bounding_radius():
+        if np.linalg.norm(grasp.center - prim.translation) < CUP_RADIUS + prim.bounding_radius():
             return True
     return False
 
 
 def test_batched_collision_filters_match_one_grasp_filters():
     rng = np.random.default_rng(11)
-    cfg = LabelConfig()
     tallies = np.zeros(2, dtype=int)
     for seed in range(4):
         synth = SynthConfig(density=5000.0)
@@ -204,12 +210,12 @@ def test_batched_collision_filters_match_one_grasp_filters():
         par += [ParallelGrasp(center=g.center + rng.normal(0.0, 0.01, 3), approach=g.approach + rng.normal(0.0, 0.5, 3),
                               angle_deg=rng.uniform(0, 180), width=rng.uniform(0.01, 0.1), depth=g.depth)
                 for g in par]
-        assert np.array_equal(_swept_jaw_corners(par, cfg), [corners_reference(g, cfg) for g in par])
+        assert np.array_equal(_swept_jaw_corners(par), [corners_reference(g) for g in par])
         jaw_owner = owning_objects(scene, [g.jaw_center() for g in par])
-        got = parallel_collisions(scene, par, jaw_owner, cfg)
-        assert got.tolist() == [parallel_collides_reference(scene, g, cfg) for g in par]
-        got_v = vacuum_collisions(scene, vac, owning_objects(scene, [g.center for g in vac]), cfg)
-        assert got_v.tolist() == [vacuum_collides_reference(scene, g, cfg) for g in vac]
+        got = parallel_collisions(scene, par, jaw_owner)
+        assert got.tolist() == [parallel_collides_reference(scene, g) for g in par]
+        got_v = vacuum_collisions(scene, vac, owning_objects(scene, [g.center for g in vac]))
+        assert got_v.tolist() == [vacuum_collides_reference(scene, g) for g in vac]
         tallies += [got.sum(), got_v.sum()]
         assert 0 < got.sum() < len(par) and 0 < got_v.sum() < len(vac)
     assert tallies.min() > 40

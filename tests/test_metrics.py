@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualgrasp.grasps import PARALLEL, VACUUM, VacuumGrasp
+from dualgrasp.grasps import CUP_RADIUS, PARALLEL, VACUUM, VacuumGrasp
 from dualgrasp.metrics import (
     EvalConfig,
     ap_mu,
@@ -108,7 +108,7 @@ def test_parallel_qualities_match_per_grasp_oracle_bitwise(four_kind_scene, rng)
     jittered = [replace(g, center=g.center + rng.normal(0.0, 0.02, 3), angle_deg=rng.uniform(0.0, 180.0))
                 for g in ground]
     grasps = fallback + learned + ground + jittered
-    got = grasp_qualities(grasps, scene, PARALLEL, CFG)
+    got = grasp_qualities(grasps, scene, PARALLEL)
     want = []
     for g in grasps:
         try:
@@ -117,7 +117,7 @@ def test_parallel_qualities_match_per_grasp_oracle_bitwise(four_kind_scene, rng)
             want.append(np.inf)
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(np.isinf(got)) < len(got)
-    assert grasp_qualities([], scene, PARALLEL, CFG).shape == (0,)
+    assert grasp_qualities([], scene, PARALLEL).shape == (0,)
 
 
 def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):
@@ -125,11 +125,11 @@ def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):
     grasps = [g.pose for g in gt if g.gripper == VACUUM]
     # plus jittered cups, some off the surface (seal 0)
     grasps += [VacuumGrasp(center=g.center + rng.normal(0.0, 0.002, 3), normal=g.normal) for g in grasps]
-    got = grasp_qualities(grasps, scene, VACUUM, CFG)
-    want = [seal_reference(scene, g.center, CFG.cup_radius) for g in grasps]
+    got = grasp_qualities(grasps, scene, VACUUM)
+    want = [seal_reference(scene, g.center, CUP_RADIUS) for g in grasps]
     assert np.array_equal(got, want)
     assert 0 < np.count_nonzero(got) < len(got)
-    assert grasp_qualities([], scene, VACUUM, CFG).shape == (0,)
+    assert grasp_qualities([], scene, VACUUM).shape == (0,)
 
 
 def test_ap_mu_hand_example():
@@ -171,7 +171,7 @@ def test_ap_overall_vacuum_step_function():
 def test_ap_overall_matches_nested_loop(small_scene):
     cloud, scene, gt, _ = small_scene
     grasps = [g.pose for g in gt if g.gripper == VACUUM][:30]
-    qualities = grasp_qualities(grasps, scene, VACUUM, CFG)
+    qualities = grasp_qualities(grasps, scene, VACUUM)
     got = ap_overall(grasps, scene, VACUUM, CFG, qualities)
     ref = 0.0
     for mu in CFG.mu_vacuum_grid:
@@ -187,8 +187,8 @@ def test_ap_monotone_in_mu(small_scene):
     cloud, scene, gt, _ = small_scene
     par = [g.pose for g in gt if g.gripper == PARALLEL][:40]
     vac = [g.pose for g in gt if g.gripper == VACUUM][:40]
-    q_par = grasp_qualities(par, scene, PARALLEL, CFG)
-    q_vac = grasp_qualities(vac, scene, VACUUM, CFG)
+    q_par = grasp_qualities(par, scene, PARALLEL)
+    q_vac = grasp_qualities(vac, scene, VACUUM)
     ap_par = [ap_mu(par, scene, mu, PARALLEL, CFG, q_par) for mu in CFG.mu_parallel_grid]
     ap_vac = [ap_mu(vac, scene, mu, VACUUM, CFG, q_vac) for mu in CFG.mu_vacuum_grid]
     # a larger friction budget admits more parallel positives; a larger seal
@@ -201,7 +201,7 @@ def test_prepending_success_never_lowers_precision(small_scene):
     cloud, scene, gt, _ = small_scene
     scene_s, c, r = sphere_scene()
     grasps = ranked_list(c, r, [False, True, False])
-    qual = grasp_qualities(grasps, scene_s, PARALLEL, CFG)
+    qual = grasp_qualities(grasps, scene_s, PARALLEL)
     better = [good_grasp(c)] + grasps
     qual_better = np.concatenate([[0.0], qual])
     for k in (1, 2, 3, 4):

@@ -7,8 +7,8 @@ from dualgrasp.losses import loss_objectness, loss_refiner, loss_vacuum
 from dualgrasp.mlp import MAP_HEADS, MlpModel, ModelConfig, load_checkpoint, save_checkpoint
 
 
-def small_model(refiner=False, seed=0):
-    cfg = ModelConfig(feature_dim=4, hidden=(6, 5), bypass_gain=2.0, refiner=refiner,
+def small_model(seed=0):
+    cfg = ModelConfig(feature_dim=4, hidden=(6, 5), bypass_gain=2.0,
                       n_views=3, n_angle_bins=4, n_depth_bins=2, n_score_bins=3)
     return MlpModel(cfg, np.random.default_rng(seed))
 
@@ -22,7 +22,7 @@ def test_zero_init_heads_give_half_sigmoid(rng):
 
 
 def test_forward_matches_hand_computation():
-    cfg = ModelConfig(feature_dim=2, hidden=(2,), bypass_gain=1.0, refiner=False)
+    cfg = ModelConfig(feature_dim=2, hidden=(2,), bypass_gain=1.0)
     model = MlpModel(cfg, np.random.default_rng(0))
     model.trunk[0][0] = np.array([[1.0, -1.0], [0.5, 2.0]])
     model.trunk[0][1] = np.array([0.1, -0.2])
@@ -40,7 +40,7 @@ def test_forward_matches_hand_computation():
 
 
 def test_batching_transparency(rng):
-    model = small_model(refiner=True)
+    model = small_model()
     params = model.get_flat_params() + rng.normal(0, 0.2, model.n_params())
     model.set_flat_params(params)
     X = rng.normal(size=(7, 4))
@@ -52,7 +52,7 @@ def test_batching_transparency(rng):
 
 
 def test_forward_named_heads_match_full_forward(rng):
-    model = small_model(refiner=True)
+    model = small_model()
     model.set_flat_params(rng.normal(0, 0.3, model.n_params()))
     X = rng.normal(size=(9, 4))
     full, _ = model.forward(X)
@@ -63,7 +63,7 @@ def test_forward_named_heads_match_full_forward(rng):
 
 
 def test_flat_params_roundtrip(rng):
-    model = small_model(refiner=True)
+    model = small_model()
     flat = rng.normal(size=model.n_params())
     model.set_flat_params(flat)
     assert np.array_equal(model.get_flat_params(), flat)
@@ -81,7 +81,7 @@ def test_backward_full_fd(rng):
 
 
 def check_backward_fd(rng, rows):
-    model = small_model(refiner=True, seed=2)
+    model = small_model(seed=2)
     params = model.get_flat_params() + rng.normal(0, 0.3, model.n_params())
     model.set_flat_params(params)
     X = rng.normal(size=(8, 4))
@@ -138,7 +138,7 @@ def check_backward_fd(rng, rows):
 def test_refiner_rows_match_dense_zero_filled_reference(rng):
     """Refiner heads on a row subset equal the all-rows heads read at those
     rows, and their gradients equal a dense gradient that is zero elsewhere."""
-    model = small_model(refiner=True, seed=4)
+    model = small_model(seed=4)
     model.set_flat_params(rng.normal(0, 0.3, model.n_params()))
     X = rng.normal(size=(12, 4))
     rows = np.array([9, 0, 4, 11])
@@ -163,11 +163,11 @@ def test_refiner_rows_match_dense_zero_filled_reference(rng):
 
 def test_refiner_rows_must_be_distinct(rng):
     with pytest.raises(ValueError, match="distinct"):
-        small_model(refiner=True).forward(rng.normal(size=(5, 4)), rows=[1, 3, 1])
+        small_model().forward(rng.normal(size=(5, 4)), rows=[1, 3, 1])
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
-    model = small_model(refiner=True, seed=5)
+    model = small_model(seed=5)
     model.set_flat_params(rng.normal(size=model.n_params()))
     model.set_feature_stats(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
     model.meta = {"variant": "test"}
@@ -192,6 +192,18 @@ def test_checkpoint_without_bypass_gain_uses_model_default(tmp_path):
     del doc["config"]["bypass_gain"]
     path.write_text(json.dumps(doc))
     assert load_checkpoint(path).config.bypass_gain == ModelConfig().bypass_gain == 8.0
+
+
+def test_checkpoint_without_refiner_heads_rejected(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, small_model())
+    doc = json.loads(path.read_text())
+    assert doc["config"]["refiner"] is True
+    for value in (False, None):
+        doc["config"]["refiner"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="without refiner heads"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualgrasp.geometry import fibonacci_hemisphere
-from dualgrasp.grasps import PARALLEL, VACUUM
+from dualgrasp.grasps import MAX_WIDTH, PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline, grasp_target_ids
 from dualgrasp.refine_parallel import RefineParallelConfig
@@ -35,7 +35,7 @@ def test_fallback_parallel_ranked_and_on_seeds(small_scene, fallback_pipe):
     for g in result.grasps:
         assert g.seed_index in seed_set
         assert g.depth in cfg.depth_bins
-        assert 0 < g.width <= cfg.max_width
+        assert 0 < g.width <= MAX_WIDTH
         assert abs(np.linalg.norm(g.approach) - 1.0) < 1e-9
 
 
@@ -79,10 +79,14 @@ def test_model_mode_learned_head_wiring(small_scene):
         assert g.score == pytest.approx(0.05 * fused_by_seed[g.seed_index])
 
 
-def test_model_view_count_mismatch_rejected():
-    model = MlpModel(ModelConfig(n_views=16), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        GraspPipeline(model=model, refine=RefineParallelConfig(n_views=300))
+@pytest.mark.parametrize("head, size", [("n_views", 16), ("n_angle_bins", 6), ("n_angle_bins", 24),
+                                        ("n_depth_bins", 2), ("n_score_bins", 5)])
+def test_model_view_count_mismatch_rejected(head, size):
+    """Every refiner head must have the size of the refine grid it decodes against."""
+    model = MlpModel(ModelConfig(**{head: size}), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"{head} {size} != "):
+        GraspPipeline(model=model, refine=RefineParallelConfig())
+    GraspPipeline(model=MlpModel(ModelConfig(), np.random.default_rng(0)), refine=RefineParallelConfig())
 
 
 def test_fallback_needs_gt_grasps(small_scene, fallback_pipe):

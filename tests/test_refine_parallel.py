@@ -7,7 +7,7 @@ from scipy.spatial.transform import Rotation
 from dualgrasp.cloud import PointCloud
 from dualgrasp import refine_parallel
 from dualgrasp.geometry import closing_directions, fibonacci_hemisphere
-from dualgrasp.grasps import ParallelGrasp
+from dualgrasp.grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import (
     RefineParallelConfig,
@@ -139,7 +139,7 @@ def test_fallback_head_on_isolated_sphere():
     assert dropped == 0
     grasp = grasps[0]
     # width ~ sphere diameter + margin, with slack for the discrete view grid
-    assert 0.04 <= grasp.width <= 0.04 * 1.1 + CFG.width_margin
+    assert 0.04 <= grasp.width <= 0.04 * 1.1 + WIDTH_MARGIN
     assert oracle_parallel_quality(scene, grasp) < 0.12
 
 
@@ -150,7 +150,7 @@ def assert_argmin_over_bins(cloud, scene, grasp):
     for a in CFG.angle_values():
         for d in CFG.depth_bins:
             probe = ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=a,
-                                  width=CFG.max_width, depth=d)
+                                  width=MAX_WIDTH, depth=d)
             try:
                 mu = oracle_parallel_quality(scene, probe)
             except NoContact:
@@ -159,7 +159,7 @@ def assert_argmin_over_bins(cloud, scene, grasp):
     achieved = oracle_parallel_quality(
         scene,
         ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=grasp.angle_deg,
-                      width=CFG.max_width, depth=grasp.depth),
+                      width=MAX_WIDTH, depth=grasp.depth),
     )
     assert achieved == pytest.approx(best, abs=1e-12)
     assert grasp.score == pytest.approx(friction_to_graspness(best))
@@ -180,7 +180,7 @@ def test_decoded_angle_on_bin_lattice():
     for g in grasps:
         assert round(g.angle_deg, 9) in lattice
         assert g.depth in CFG.depth_bins
-        assert 0 < g.width <= CFG.max_width
+        assert 0 < g.width <= MAX_WIDTH
 
 
 def test_learned_head_bin_decoding():
@@ -284,7 +284,7 @@ def test_grid_closings_are_the_geometry_closing_directions(monkeypatch):
     seeds = np.array([[0.0, 0.0, 0.12], [0.01, 0.0, 0.1], [0.0, -0.02, 0.1]])
     per_seed = np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])  # vertical included
     for approaches in (-fibonacci_hemisphere(CFG.n_views)[None], per_seed[:, None, :]):
-        refine_parallel._grid_qualities(scene, seeds, approaches, angles, depths, CFG.max_width)
+        refine_parallel._grid_qualities(scene, seeds, approaches, angles, depths)
         k_n, m_n = approaches.shape[:2]
         flat = approaches.reshape(-1, 3)
         want = closing_directions(np.repeat(flat, len(angles), axis=0), np.tile(angles, len(flat)))

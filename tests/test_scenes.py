@@ -7,7 +7,7 @@ from scipy.spatial.transform import Rotation
 
 from dualgrasp import scenes
 from dualgrasp.geometry import closing_angles_deg
-from dualgrasp.grasps import ParallelGrasp, VacuumGrasp
+from dualgrasp.grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp, VacuumGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import (
     NoContact,
@@ -408,7 +408,7 @@ def test_seal_batch_matches_per_center_oracle_bitwise():
         _, scene = generate_scene(seed, 4, cfg)
         vac = [g for g in sample_ground_truth_grasps(scene, cfg, seed=seed) if g.gripper == "vacuum"]
         centers = np.array([g.pose.center for g in vac])
-        want = np.array([seal_reference(scene, c, cfg.cup_radius, cfg) for c in centers])
+        want = np.array([seal_reference(scene, c, CUP_RADIUS, cfg) for c in centers])
         assert np.array_equal([g.quality_coeff for g in vac], want)
         if seed == 12:
             assert not np.any(want)  # every object porous
@@ -507,7 +507,7 @@ def test_gt_grasps_deterministic_and_scored(small_scene):
     for g in grasps:
         assert g.quality_coeff >= 0
         if g.gripper == "parallel":
-            assert g.pose.width <= cfg.max_width + 1e-12
+            assert g.pose.width <= MAX_WIDTH + 1e-12
             assert np.isfinite(g.quality_coeff)
 
 
@@ -522,9 +522,9 @@ def parallel_candidates_reference(scene, cfg, seed):
         t0, t1, hit = prim.line_intersections(pts_p, closing)
         mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
         sep = t1 - t0
-        mu = scenes.parallel_quality_batch(scene, mids, closing, np.full(len(mids), cfg.max_width)).mu
+        mu = scenes.parallel_quality_batch(scene, mids, closing, np.full(len(mids), MAX_WIDTH)).mu
         for i in range(len(pts_p)):
-            if not hit[i] or sep[i] + cfg.width_margin > cfg.max_width:
+            if not hit[i] or sep[i] + WIDTH_MARGIN > MAX_WIDTH:
                 continue
             if not np.isfinite(mu[i]) or mu[i] > cfg.gt_mu_cap:
                 continue
@@ -534,7 +534,7 @@ def parallel_candidates_reference(scene, cfg, seed):
                 v = np.array([1.0, 0.0, 0.0]) - u[0] * u
             v = v / np.linalg.norm(v)
             g = ParallelGrasp(center=mids[i] - cfg.gt_depth * v, approach=v, angle_deg=closing_angles_deg(v, u)[0],
-                              width=min(cfg.max_width, float(sep[i]) + cfg.width_margin), depth=cfg.gt_depth,
+                              width=min(MAX_WIDTH, float(sep[i]) + WIDTH_MARGIN), depth=cfg.gt_depth,
                               score=scenes.friction_to_graspness(mu[i]))
             out.append([*g.center, *g.approach, g.angle_deg, g.width, g.score, float(mu[i])])
     return np.array(out)

@@ -136,7 +136,7 @@ def test_nonfinite_loss_aborts():
         vacuum_label=np.array([0.5, 0.0]),
     )
     with pytest.raises(RuntimeError, match="non-finite"):
-        train([bad], TrainConfig(epochs=1), ModelConfig(refiner=False))
+        train([bad], TrainConfig(epochs=1))
 
 
 def test_requires_scenes():
