@@ -15,11 +15,8 @@ from .cloud import (
     DegenerateNeighborhood,
     PointCloud,
     SpatialIndex,
-    build_index,
     estimate_normal,
     farthest_point_sampling,
-    knn,
-    radius_query,
 )
 from .grasps import PARALLEL, VACUUM, ParallelGrasp, VacuumGrasp
 from .labels import GraspnessMaps, build_label_maps
@@ -29,11 +26,9 @@ from .primitives import Primitive
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
 from .scenes import (
     GroundTruthGrasp,
-    NoContact,
     SceneAnnotation,
     SynthConfig,
     generate_scene,
-    oracle_parallel_quality,
     oracle_seal_quality,
     sample_ground_truth_grasps,
 )

@@ -10,14 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grasps import PARALLEL
-from .metrics import EvalConfig
-from .scenes import (
-    SceneAnnotation,
-    oracle_seal_quality,
-    owning_objects,
-    parallel_quality_batch,
-    remove_object,
-)
+from .metrics import EvalConfig, grasp_qualities, successes_at
+from .scenes import SceneAnnotation, remove_object
 
 
 @dataclass
@@ -86,19 +80,13 @@ def metrics_from_attempts(attempts, objects_total: int, detected_ids) -> Clearin
 
 
 def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str, cfg: EvalConfig):
-    """(target object id or -1, success) for an executed grasp."""
-    if gripper == PARALLEL:
-        res = parallel_quality_batch(
-            scene, grasp.jaw_center()[None, :], grasp.closing_dir()[None, :], np.array([grasp.width])
-        )
-        if not res.hit[0]:
-            return -1, False
-        return int(res.object_id[0]), bool(res.mu[0] <= cfg.exec_mu_parallel)
-    target = int(owning_objects(scene, grasp.center, tol=0.002)[0])
-    if target == 0:
-        return -1, False
-    seal = oracle_seal_quality(scene, grasp)
-    return target, bool(seal >= cfg.exec_mu_vacuum)
+    """(target object id or -1, success) for an executed grasp, graded as eval grades it.
+
+    A grasp without a target fails at any threshold.
+    """
+    quality, target = grasp_qualities([grasp], scene, gripper)
+    mu = cfg.exec_mu_parallel if gripper == PARALLEL else cfg.exec_mu_vacuum
+    return int(target[0]), bool(target[0] > 0 and successes_at(quality, mu, gripper)[0])
 
 
 def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,

@@ -290,11 +290,10 @@ def cmd_eval(args) -> int:
             doc = json.loads(gfile.read_text())
             # lists arrive ranked; precision@k never looks past k_max
             grasps = [grasp_from_dict(d) for d in doc["grasps"][: ecfg.k_max]]
-            qualities = grasp_qualities(grasps, scene, gripper)
+            qualities, _ = grasp_qualities(grasps, scene, gripper)
             for mu in ecfg.mu_grid(gripper):
-                rows.append(_ap_row(stem.name, scene.split, gripper, mu,
-                                    ap_mu(grasps, scene, mu, gripper, ecfg, qualities)))
-            overall = ap_overall(grasps, scene, gripper, ecfg, qualities)
+                rows.append(_ap_row(stem.name, scene.split, gripper, mu, ap_mu(qualities, mu, gripper, ecfg)))
+            overall = ap_overall(qualities, gripper, ecfg)
             rows.append(_ap_row(stem.name, scene.split, gripper, None, overall, record="ap_overall"))
             bucket = summary.setdefault(scene.split, {}).setdefault(gripper, [])
             bucket.append(overall)

@@ -101,18 +101,6 @@ class SpatialIndex:
         return starts, pairs["j"][order].astype(np.intp)
 
 
-def build_index(cloud: PointCloud) -> SpatialIndex:
-    return SpatialIndex(cloud)
-
-
-def knn(index: SpatialIndex, query, k: int) -> np.ndarray:
-    return index.knn(query, k)
-
-
-def radius_query(index: SpatialIndex, query, r: float) -> np.ndarray:
-    return index.radius(query, r)
-
-
 def farthest_point_sampling(cloud: PointCloud, subset, m: int) -> np.ndarray:
     """Deterministic greedy farthest point sampling over a subset of cloud indices.
 

@@ -97,8 +97,8 @@ def ap_by_gripper(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None
         for gripper in (PARALLEL, VACUUM):
             result = pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats)
             ranked = result.grasps[: ecfg.k_max]
-            q = grasp_qualities(ranked, scene, gripper)
-            values[gripper].append(ap_overall(ranked, scene, gripper, ecfg, q))
+            qualities, _ = grasp_qualities(ranked, scene, gripper)
+            values[gripper].append(ap_overall(qualities, gripper, ecfg))
     return {g: float(np.mean(v)) if v else 0.0 for g, v in values.items()}
 
 

@@ -25,16 +25,15 @@ VACUUM_CUTOFF = 0.1
 
 @dataclass
 class GraspnessMaps:
-    """Per-point objectness / parallel / vacuum graspness channels.
+    """Per-point objectness / parallel / vacuum graspness channels, each in [0, 1].
 
-    role is "label" (objectness binary, graspness from oracles) or
-    "prediction" (all channels are sigmoid outputs in [0, 1]).
+    Labels have binary objectness and oracle graspness; predictions are
+    sigmoid outputs.
     """
 
     objectness: np.ndarray
     parallel_graspness: np.ndarray
     vacuum_graspness: np.ndarray
-    role: str = "label"
 
     def __post_init__(self):
         self.objectness = np.asarray(self.objectness, dtype=np.float64)
@@ -43,8 +42,6 @@ class GraspnessMaps:
         n = len(self.objectness)
         if len(self.parallel_graspness) != n or len(self.vacuum_graspness) != n:
             raise ValueError("graspness channels must have equal lengths")
-        if self.role not in ("label", "prediction"):
-            raise ValueError(f"unknown role {self.role!r}")
         for name in ("objectness", "parallel_graspness", "vacuum_graspness"):
             ch = getattr(self, name)
             if np.any(ch < -1e-9) or np.any(ch > 1.0 + 1e-9):
@@ -161,7 +158,7 @@ def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps) -> Grasp
         rescaled[rescaled < VACUUM_CUTOFF] = 0.0
         vacuum[has_vac] = rescaled
 
-    return GraspnessMaps(objectness, parallel, vacuum, role="label")
+    return GraspnessMaps(objectness, parallel, vacuum)
 
 
 def _associate(cloud: PointCloud, scene: SceneAnnotation, anchors, quality, targets, surviving) -> np.ndarray:

@@ -6,6 +6,10 @@ positive at mu when its oracle seal coefficient is >= mu (a larger mu is
 stricter). Precision@k is computed over min(k, len) so short high-precision
 lists are not penalized; this differs from zero-filling conventions used by
 some benchmarks, so compare AP numbers across tools with care (see README).
+
+grasp_qualities is the one grader of proposed grasps: eval's AP and the
+clearing loop's executed grasps both go through it, and the AP functions take
+its graded list.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,11 @@ class EvalConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if self.max_consecutive_failures < 1:
+            raise ValueError("max_consecutive_failures must be >= 1")
         for grid in (self.mu_parallel_grid, self.mu_vacuum_grid):
+            if len(grid) == 0:
+                raise ValueError("mu grid must name at least one coefficient")
             if list(grid) != sorted(grid):
                 raise ValueError(f"mu grid must be ascending: {grid}")
 
@@ -37,21 +45,22 @@ class EvalConfig:
         return self.mu_parallel_grid if gripper == PARALLEL else self.mu_vacuum_grid
 
 
-def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str) -> np.ndarray:
-    """Oracle quality per grasp: required friction (parallel, inf on miss) or seal.
+def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str):
+    """(quality, object id) per grasp, from one oracle pass over the whole list.
 
-    One parallel_quality_batch or seal_quality_batch call grades the whole
-    list; each value has the bits of oracle_parallel_quality (inf for
-    NoContact) or oracle_seal_quality on that grasp alone.
+    The quality is the required friction (parallel, inf when the jaw line
+    misses) or the seal (vacuum). The object id is the object the grasp acts
+    on: the one the jaw line closes on, or the one owning the cup center; -1
+    for none. Each value has the bits of a one-grasp call.
     """
     if gripper != PARALLEL:
-        return seal_quality_batch(scene, [g.center for g in grasps])
+        return tuple(seal_quality_batch(scene, [g.center for g in grasps]))
     if len(grasps) == 0:
-        return np.empty(0)
+        return np.empty(0), np.empty(0, dtype=np.intp)
     approaches = np.array([g.approach for g in grasps])
     closings = closing_directions(approaches, [g.angle_deg for g in grasps])
     res = parallel_quality_batch(scene, [g.jaw_center() for g in grasps], closings, [g.width for g in grasps])
-    return np.where(res.hit, res.mu, np.inf)
+    return np.where(res.hit, res.mu, np.inf), res.object_id
 
 
 def successes_at(qualities: np.ndarray, mu: float, gripper: str) -> np.ndarray:
@@ -60,40 +69,31 @@ def successes_at(qualities: np.ndarray, mu: float, gripper: str) -> np.ndarray:
     return qualities >= mu
 
 
-def precision_at_k(grasps, scene: SceneAnnotation, mu: float, gripper: str, k: int,
-                   qualities=None) -> float:
-    """Fraction of the top-min(k, len) score-ranked grasps the oracle accepts at mu."""
+def precision_at_k(qualities, mu: float, gripper: str, k: int) -> float:
+    """Fraction of the top-min(k, len) of a score-ranked graded list accepted at mu."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(grasps) == 0:
+    if len(qualities) == 0:
         return 0.0
-    if qualities is None:
-        qualities = grasp_qualities(grasps, scene, gripper)
-    top = min(k, len(grasps))
+    top = min(k, len(qualities))
     return float(np.mean(successes_at(np.asarray(qualities)[:top], mu, gripper)))
 
 
-def ap_mu(grasps, scene: SceneAnnotation, mu: float, gripper: str,
-          config: EvalConfig = None, qualities=None) -> float:
+def ap_mu(qualities, mu: float, gripper: str, config: EvalConfig = None) -> float:
     """Average of Precision@k for k = 1..k_max at one coefficient threshold."""
     cfg = config or EvalConfig()
-    if len(grasps) == 0:
+    if len(qualities) == 0:
         return 0.0
-    if qualities is None:
-        qualities = grasp_qualities(grasps, scene, gripper)
     succ = successes_at(np.asarray(qualities), mu, gripper).astype(np.float64)
     cum = np.cumsum(succ)
-    ks = np.minimum(np.arange(1, cfg.k_max + 1), len(grasps))
+    ks = np.minimum(np.arange(1, cfg.k_max + 1), len(qualities))
     return float(np.mean(cum[ks - 1] / ks))
 
 
-def ap_overall(grasps, scene: SceneAnnotation, gripper: str,
-               config: EvalConfig = None, qualities=None) -> float:
+def ap_overall(qualities, gripper: str, config: EvalConfig = None) -> float:
     """Mean of ap_mu over the gripper's coefficient grid."""
     cfg = config or EvalConfig()
-    if qualities is None:
-        qualities = grasp_qualities(grasps, scene, gripper)
-    return float(np.mean([ap_mu(grasps, scene, mu, gripper, cfg, qualities) for mu in cfg.mu_grid(gripper)]))
+    return float(np.mean([ap_mu(qualities, mu, gripper, cfg) for mu in cfg.mu_grid(gripper)]))
 
 
 def roc_auc(scores, labels) -> float:

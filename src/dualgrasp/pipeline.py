@@ -65,12 +65,11 @@ class GraspPipeline:
                 raise ValueError(f"model refiner heads do not fit the refine config: {', '.join(misfit)}")
 
     def predict_maps(self, cloud: PointCloud, scene: SceneAnnotation, gt_grasps=None):
-        """Prediction-role maps from the model, or oracle label maps in fallback mode."""
+        """Predicted maps from the model, or oracle label maps in fallback mode."""
         if self.model is not None:
             feats = compute_point_features(cloud, scene.table_height)
             scores = self.model.predict_map_scores(feats)
-            maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"],
-                                 role="prediction")
+            maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
             return maps, feats
         if gt_grasps is None:
             raise ValueError("fallback mode needs the scene's ground-truth grasps")

@@ -37,6 +37,13 @@ class RefineParallelConfig:
     # alone cannot rank reachability
     view_vertical_bias: float = 0.02
 
+    def __post_init__(self):
+        for name in ("n_views", "n_angle_bins", "n_score_bins", "probe_angle_stride", "probe_depth_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not isinstance(self.depth_bins, tuple) or not self.depth_bins or min(self.depth_bins) <= 0:
+            raise ValueError(f"depth_bins must be a non-empty tuple of positive depths, got {self.depth_bins!r}")
+
     def angle_values(self) -> np.ndarray:
         return 180.0 * np.arange(self.n_angle_bins) / self.n_angle_bins
 

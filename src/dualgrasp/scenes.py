@@ -40,15 +40,13 @@ class SceneGenerationError(RuntimeError):
     """Object placement failed after the configured number of retries."""
 
 
-class NoContact(ValueError):
-    """The jaw closing line does not intersect any object."""
-
-
 @dataclass
 class SynthConfig:
-    """Knobs for scene generation, ground-truth candidate sampling and the seal oracle.
+    """Knobs for scene generation and ground-truth candidate sampling.
 
-    The gripper geometry is fixed (grasps.MAX_WIDTH, CUP_RADIUS, ...).
+    The gripper geometry (grasps.MAX_WIDTH, CUP_RADIUS, ...) and the seal
+    oracle's sampling (SEAL_SAMPLE_DENSITY, ...) are fixed, so the stored
+    ground truth and the evaluation grade a pose alike.
     """
 
     kinds: tuple = ("box", "sphere", "cylinder", "plane-slab")
@@ -73,12 +71,10 @@ class SynthConfig:
     parallel_grasps_per_object: int = 96
     gt_depth: float = 0.02
     gt_mu_cap: float = 1.5
-    # seal oracle sampling
-    seal_sample_density: float = 1.0e6
-    seal_sample_limits: tuple = (2000, 60000)
-    on_surface_tol: float = 0.002
 
     def __post_init__(self):
+        if not self.density > 0:
+            raise ValueError(f"density must be positive, got {self.density}")
         if not self.kinds:
             raise ValueError("kinds must name at least one primitive kind")
         for kind in tuple(self.kinds) + tuple(self.kind_sequence or ()):
@@ -324,20 +320,6 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
     return ContactBatch(mu=mu, object_id=best_id, t0=best_t0, t1=best_t1, hit=hit_any)
 
 
-def oracle_parallel_quality(scene: SceneAnnotation, grasp: ParallelGrasp) -> float:
-    """Minimum friction coefficient at which the grasp achieves force closure.
-
-    Lower is better; np.inf means the intersected object cannot be closed on.
-    Raises NoContact when the jaw line misses every object.
-    """
-    res = parallel_quality_batch(
-        scene, grasp.jaw_center()[None, :], grasp.closing_dir()[None, :], np.array([grasp.width])
-    )
-    if not res.hit[0]:
-        raise NoContact("jaw closing line misses all objects")
-    return float(res.mu[0])
-
-
 def friction_to_graspness(mu):
     """Map required friction to a [0, 1] graspness score, 1 - mu (1 = frictionless closure)."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -367,6 +349,12 @@ def owning_objects(scene: SceneAnnotation, points, tol: float = np.inf) -> np.nd
     return ids
 
 
+# The seal oracle's sampling is fixed, like the cup: synth's stored ground truth
+# and eval's grade of the same pose must agree.
+SEAL_SAMPLE_DENSITY = 1.0e6  # surface samples per m^2
+SEAL_SAMPLE_LIMITS = (2000, 60000)  # clip on the samples per object
+ON_SURFACE_TOL = 0.002  # a cup center farther than this from every surface seals nothing [m]
+
 _SEAL_SAMPLE_CACHE = {}
 
 
@@ -391,30 +379,32 @@ def _seal_surface_samples(prim: Primitive, count: int):
     return entry
 
 
-def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_RADIUS,
-                       config: SynthConfig = None) -> np.ndarray:
+SealBatch = namedtuple("SealBatch", ["seal", "object_id"])
+
+
+def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_RADIUS) -> SealBatch:
     """Seal coefficient in [0, 1] at each of K suction-cup centers, from surface planarity.
 
     seal = max(0, 1 - RMS / cup_radius) where RMS is the root-mean-square
     deviation of the owning object's surface samples within cup_radius of the
     center from the tangent plane there. 0 for porous objects, for centers that
-    are not within on_surface_tol of an object surface, and for cups that hold
-    no sample. The samples are gathered by one query of their cached local-frame
-    tree per object, with a radius padded far beyond the rounding of a rigid
-    transform; the exact world-frame distance test then keeps them in ascending
-    sample order, and one row-exact surface_normal call per object gives the
-    tangent planes, so every value has the bits of a one-center call.
+    are not within ON_SURFACE_TOL of an object surface, and for cups that hold
+    no sample. object_id is that owning object (owning_objects), -1 for none.
+    The samples are gathered by one query of their cached local-frame tree per
+    object, with a radius padded far beyond the rounding of a rigid transform;
+    the exact world-frame distance test then keeps them in ascending sample
+    order, and one row-exact surface_normal call per object gives the tangent
+    planes, so every value has the bits of a one-center call.
     """
-    cfg = config or SynthConfig()
     c = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     seal = np.zeros(len(c))
-    owners = owning_objects(scene, c, cfg.on_surface_tol)
-    lo, hi = cfg.seal_sample_limits
+    owners = owning_objects(scene, c, ON_SURFACE_TOL)
+    lo, hi = SEAL_SAMPLE_LIMITS
     for prim in scene.objects():
         rows = np.flatnonzero(owners == prim.object_id)
         if len(rows) == 0 or prim.porosity_flag:
             continue
-        count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
+        count = int(np.clip(prim.surface_area() * SEAL_SAMPLE_DENSITY, lo, hi))
         local, tree = _seal_surface_samples(prim, count)
         pts = prim.to_world(local)
         near = tree.query_ball_point(prim.to_local(c[rows]), cup_radius * (1.0 + 1e-9) + 1e-12,
@@ -428,13 +418,12 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
             dev = (pts[in_cup] - c[row]) @ n
             rms = float(np.sqrt(np.mean(dev**2)))
             seal[row] = max(0.0, 1.0 - rms / cup_radius)
-    return seal
+    return SealBatch(seal=seal, object_id=np.where(owners > 0, owners, -1))
 
 
-def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = CUP_RADIUS,
-                        config: SynthConfig = None) -> float:
+def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = CUP_RADIUS) -> float:
     """seal_quality_batch at one vacuum grasp's center."""
-    return float(seal_quality_batch(scene, grasp.center, cup_radius, config)[0])
+    return float(seal_quality_batch(scene, grasp.center, cup_radius).seal[0])
 
 
 # -- ground-truth grasp candidates ---------------------------------------------
@@ -467,7 +456,7 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
     grasps = []
     for prim in scene.objects():
         pts_v, nrm_v, _ = prim.sample_surface(cfg.vacuum_grasps_per_object, rng)
-        seals = seal_quality_batch(scene, pts_v, config=cfg)
+        seals = seal_quality_batch(scene, pts_v).seal
         for p, n, seal in zip(pts_v, nrm_v, seals.tolist()):
             pose = VacuumGrasp(center=p, normal=n, score=seal)
             grasps.append(GroundTruthGrasp(gripper=VACUUM, pose=pose, quality_coeff=seal))

@@ -14,7 +14,7 @@ import pytest
 
 from dualgrasp.clearing import metrics_from_attempts
 from dualgrasp.cli import main as cli
-from dualgrasp.cloud import PointCloud, build_index, estimate_normal, farthest_point_sampling, knn, radius_query
+from dualgrasp.cloud import PointCloud, SpatialIndex, estimate_normal, farthest_point_sampling
 from dualgrasp.experiments import complementarity_stats, make_scenes, seen_vs_novel_trend, train_and_score_heldout
 from dualgrasp.geometry import fibonacci_hemisphere
 from dualgrasp.grasps import PARALLEL, VACUUM
@@ -51,17 +51,17 @@ def test_criterion_1_oracle_equivalence():
         n = int(rng.integers(5, 1001))
         pts = rng.uniform(-0.5, 0.5, size=(n, 3))
         cloud = PointCloud(pts)
-        idx = build_index(cloud)
+        idx = SpatialIndex(cloud)
         q = rng.uniform(-0.5, 0.5, 3)
 
         k = int(rng.integers(1, min(n, 32) + 1))
         d2 = np.sum((pts - q) ** 2, axis=1)
         expect = np.lexsort((np.arange(n), d2))[:k]
-        assert list(knn(idx, q, k)) == list(expect)
+        assert list(idx.knn(q, k)) == list(expect)
 
         r = float(rng.uniform(0.05, 0.6))
         expect_r = set(np.flatnonzero(d2 <= r * r))
-        got_r = radius_query(idx, q, r)
+        got_r = idx.radius(q, r)
         assert set(got_r) == expect_r and list(got_r) == sorted(got_r)
 
         sub = rng.choice(n, size=min(n, int(rng.integers(4, 129))), replace=False)
@@ -110,7 +110,7 @@ def test_criterion_2_normal_accuracy():
     full = np.vstack([dirs, -dirs])  # 20k near-uniform sphere samples
     sphere_pts = 0.05 * full
     sphere = PointCloud(sphere_pts, viewpoint=(0.0, 0.0, 0.4))
-    idx = build_index(sphere)
+    idx = SpatialIndex(sphere)
     errs = []
     oriented = 0
     for i in range(len(sphere)):
@@ -124,7 +124,7 @@ def test_criterion_2_normal_accuracy():
     rngp = np.random.default_rng(2)
     xy = rngp.uniform(-0.1, 0.1, size=(20000, 2))
     plane = PointCloud(np.column_stack([xy, np.zeros(20000)]), viewpoint=(0, 0, 1))
-    pidx = build_index(plane)
+    pidx = SpatialIndex(plane)
     perr = []
     for i in range(0, 20000, 10):
         n = estimate_normal(pidx, i, 0.01)
@@ -318,15 +318,15 @@ def test_criterion_8_metric_correctness():
     ecfg = EvalConfig()
     scene, c, r = sphere_scene()
     three_of_five = ranked_list(c, r, [True, False, True, True, False])
-    q3 = grasp_qualities(three_of_five, scene, PARALLEL)
-    ok = precision_at_k(three_of_five, scene, 0.4, PARALLEL, 5, q3) == pytest.approx(0.6)
+    q3, _ = grasp_qualities(three_of_five, scene, PARALLEL)
+    ok = precision_at_k(q3, 0.4, PARALLEL, 5) == pytest.approx(0.6)
 
     grasps = ranked_list(c, r, [True, False, True, False, False])
-    qual = grasp_qualities(grasps, scene, PARALLEL)
+    qual, _ = grasp_qualities(grasps, scene, PARALLEL)
     expected = sum(sum([1, 0, 1, 0, 0][: min(k, 5)]) / min(k, 5) for k in range(1, 51)) / 50
-    ok &= ap_mu(grasps, scene, 0.4, PARALLEL, ecfg, qual) == pytest.approx(expected)
-    ref = np.mean([ap_mu(grasps, scene, mu, PARALLEL, ecfg, qual) for mu in ecfg.mu_parallel_grid])
-    ok &= ap_overall(grasps, scene, PARALLEL, ecfg, qual) == pytest.approx(float(ref))
+    ok &= ap_mu(qual, 0.4, PARALLEL, ecfg) == pytest.approx(expected)
+    ref = np.mean([ap_mu(qual, mu, PARALLEL, ecfg) for mu in ecfg.mu_parallel_grid])
+    ok &= ap_overall(qual, PARALLEL, ecfg) == pytest.approx(float(ref))
 
     # monotonicity across 50 randomized scenes
     mono = True
@@ -337,12 +337,12 @@ def test_criterion_8_metric_correctness():
         par = [g.pose for g in gt if g.gripper == PARALLEL][:40]
         vacg = [g.pose for g in gt if g.gripper == VACUUM][:40]
         if par:
-            qp = grasp_qualities(par, scene_s, PARALLEL)
-            aps = [ap_mu(par, scene_s, mu, PARALLEL, ecfg, qp) for mu in ecfg.mu_parallel_grid]
+            qp, _ = grasp_qualities(par, scene_s, PARALLEL)
+            aps = [ap_mu(qp, mu, PARALLEL, ecfg) for mu in ecfg.mu_parallel_grid]
             mono &= all(a <= b + 1e-12 for a, b in zip(aps, aps[1:]))
         if vacg:
-            qv = grasp_qualities(vacg, scene_s, VACUUM)
-            aps = [ap_mu(vacg, scene_s, mu, VACUUM, ecfg, qv) for mu in ecfg.mu_vacuum_grid]
+            qv, _ = grasp_qualities(vacg, scene_s, VACUUM)
+            aps = [ap_mu(qv, mu, VACUUM, ecfg) for mu in ecfg.mu_vacuum_grid]
             mono &= all(a >= b - 1e-12 for a, b in zip(aps, aps[1:]))
     ok &= mono
 

@@ -10,7 +10,7 @@ from dualgrasp.clearing import (
     run_clearing_loop,
 )
 from dualgrasp.cloud import PointCloud
-from dualgrasp.grasps import PARALLEL
+from dualgrasp.grasps import PARALLEL, VACUUM, VacuumGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import SceneAnnotation
 
@@ -172,6 +172,43 @@ def test_loop_mixed_success_failure():
     assert metrics.grasps_successful == 2
     assert metrics.objects_cleared == 2
     assert metrics.r_mix == 1.0  # the miss had no resolvable target object
+
+
+def two_slab_scene():
+    """A solid slab (object 1) and a porous one (object 2), tops at z = 0.01."""
+    solid = Primitive("plane-slab", (0.08, 0.08, 0.01), translation=(-0.06, 0, 0.005), object_id=1)
+    porous = Primitive("plane-slab", (0.08, 0.08, 0.01), translation=(0.06, 0, 0.005), object_id=2,
+                       porosity_flag=True)
+    rng = np.random.default_rng(0)
+    pts1, _, f1 = solid.sample_surface(150, rng)
+    pts2, _, f2 = porous.sample_surface(150, rng)
+    cloud = PointCloud(np.vstack([pts1, pts2]), viewpoint=(0, 0, 1))
+    scene = SceneAnnotation(
+        primitives=[solid, porous],
+        table_height=-1.0,
+        camera_viewpoint=(0, 0, 1),
+        per_point_object_id=np.concatenate([np.ones(150, dtype=int), np.full(150, 2)]),
+        per_point_flat=np.concatenate([f1, f2]),
+    )
+    return cloud, scene
+
+
+def test_vacuum_loop_judges_seal_and_cup_owner():
+    cloud, scene = two_slab_scene()
+    # off every surface (no target), on the porous top (fails), on the solid top (seals)
+    script = iter([(0.3, 0.3, 0.3), (0.06, 0.0, 0.01), (-0.06, 0.0, 0.01)])
+
+    def pipeline(cloud, scene, gripper):
+        assert gripper == VACUUM
+        center = next(script, (0.06, 0.0, 0.01))
+        return [VacuumGrasp(center=center, normal=(0, 0, 1), score=1.0)], np.zeros(0, dtype=int)
+
+    metrics, trace = run_clearing_loop(cloud, scene, pipeline, VACUUM)
+    assert trace.attempts == [(-1, False), (2, False), (1, True), (2, False), (2, False), (2, False)]
+    assert trace.cleared == {1: True, 2: False}
+    assert trace.attempts_on == {1: 1, 2: 4}
+    assert metrics.objects_cleared == 1 and metrics.grasps_successful == 1 and metrics.grasps_total == 6
+    assert metrics.objects_detected == 2  # both were targeted
 
 
 # -- post-hoc gripper combination ----------------------------------------------------------

@@ -181,10 +181,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sampling.bogus = 1\n")
     assert run("synth", "--out", tmp_path / "x", "--config", cfg) == 2
-    # the gripper, label and feature parameters are constants, not config keys
+    # the gripper, label, feature and seal-oracle parameters are constants, not config keys
     for key in ("labels.cup_radius", "labels.mu_max", "labels.collision_filter", "features.radius",
                 "synth.max_width", "synth.cup_radius", "synth.width_margin",
-                "refine.max_width", "refine.width_margin", "eval.cup_radius"):
+                "refine.max_width", "refine.width_margin", "eval.cup_radius",
+                "synth.seal_sample_density", "synth.seal_sample_limits", "synth.on_surface_tol"):
         with pytest.raises(UsageError):
             build_configs({key: 0.01})
         cfg.write_text(f"{key} = 0.01\n")
@@ -248,13 +249,29 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["synth", "--kinds", "box,,sphere"],
     ["synth", "--config", "{no_kinds_config}"],
     ["synth", "--config", "{bad_sequence_config}"],
+    ["synth", "--config", "{density_zero_config}"],
+    ["synth", "--config", "{density_negative_config}"],
+    ["predict", "--fallback-head", "--config", "{views_zero_config}"],
+    ["predict", "--fallback-head", "--config", "{angle_bins_zero_config}"],
+    ["predict", "--fallback-head", "--config", "{score_bins_zero_config}"],
+    ["predict", "--fallback-head", "--config", "{depth_bins_empty_config}"],
+    ["predict", "--fallback-head", "--config", "{depth_bins_negative_config}"],
+    ["predict", "--fallback-head", "--config", "{angle_stride_zero_config}"],
+    ["predict", "--fallback-head", "--config", "{depth_stride_zero_config}"],
+    ["eval", "--grasps", "{pred}", "--config", "{parallel_grid_empty_config}"],
+    ["eval", "--grasps", "{pred}", "--config", "{vacuum_grid_empty_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{failures_zero_config}"],
     ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "1", "--vmax", "0"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "clearing-max-refine-0",
         "checkpoint-views", "clearing-checkpoint-views",
         "checkpoint-angle-bins", "clearing-checkpoint-angle-bins",
-        "kinds-unknown", "kinds-empty-name", "kinds-empty", "kind-sequence-unknown", "vmax-not-above-vmin"])
+        "kinds-unknown", "kinds-empty-name", "kinds-empty", "kind-sequence-unknown",
+        "density-0", "density-negative", "n-views-0", "n-angle-bins-0", "n-score-bins-0",
+        "depth-bins-empty", "depth-bins-negative", "probe-angle-stride-0", "probe-depth-stride-0",
+        "mu-parallel-grid-empty", "mu-vacuum-grid-empty", "max-consecutive-failures-0",
+        "vmax-not-above-vmin"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -263,6 +280,18 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{refiner_seeds_config}": "train.refiner_seeds_per_scene = 0",
         "{no_kinds_config}": "synth.kinds = []",
         "{bad_sequence_config}": 'synth.kind_sequence = ["box", "cone"]',
+        "{density_zero_config}": "synth.density = 0",
+        "{density_negative_config}": "synth.density = -5",
+        "{views_zero_config}": "refine.n_views = 0",
+        "{angle_bins_zero_config}": "refine.n_angle_bins = 0",
+        "{score_bins_zero_config}": "refine.n_score_bins = 0",
+        "{depth_bins_empty_config}": "refine.depth_bins = []",
+        "{depth_bins_negative_config}": "refine.depth_bins = [-0.01]",
+        "{angle_stride_zero_config}": "refine.probe_angle_stride = 0",
+        "{depth_stride_zero_config}": "refine.probe_depth_stride = 0",
+        "{parallel_grid_empty_config}": "eval.mu_parallel_grid = []",
+        "{vacuum_grid_empty_config}": "eval.mu_vacuum_grid = []",
+        "{failures_zero_config}": "eval.max_consecutive_failures = 0",
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from dualgrasp.cloud import (
     DegenerateNeighborhood,
     PointCloud,
-    build_index,
+    SpatialIndex,
     estimate_normal,
     farthest_point_sampling,
-    knn,
-    radius_query,
 )
 from dualgrasp.geometry import fibonacci_hemisphere
 
@@ -51,44 +49,44 @@ def brute_fps(points, subset, m):
 
 def test_single_point_cloud_knn():
     cloud = PointCloud([[0.3, 0.2, 0.1]])
-    idx = build_index(cloud)
-    assert list(knn(idx, [5.0, -2.0, 0.0], 1)) == [0]
+    idx = SpatialIndex(cloud)
+    assert list(idx.knn([5.0, -2.0, 0.0], 1)) == [0]
 
 
 def test_knn_query_at_existing_point():
     cloud = PointCloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    idx = build_index(cloud)
-    assert knn(idx, [1, 0, 0], 1)[0] == 1
+    idx = SpatialIndex(cloud)
+    assert idx.knn([1, 0, 0], 1)[0] == 1
 
 
 def test_knn_tiebreak_by_index():
     # unit square corners; (0.1, 0.1) is nearest to corner 0, then corners 1/2 tie
     cloud = PointCloud([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    idx = build_index(cloud)
-    assert list(knn(idx, [0.1, 0.1, 0.0], 2)) == [0, 1]
+    idx = SpatialIndex(cloud)
+    assert list(idx.knn([0.1, 0.1, 0.0], 2)) == [0, 1]
 
 
 def test_knn_duplicates_come_first():
     cloud = PointCloud([[0.5, 0.5, 0.5]] * 3 + [[2, 2, 2]])
-    idx = build_index(cloud)
-    assert list(knn(idx, [0.5, 0.5, 0.5], 3)) == [0, 1, 2]
+    idx = SpatialIndex(cloud)
+    assert list(idx.knn([0.5, 0.5, 0.5], 3)) == [0, 1, 2]
 
 
 def test_knn_matches_bruteforce(rng):
     cloud = random_cloud(rng, 200)
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     for _ in range(20):
         q = rng.uniform(-1, 1, 3)
-        assert list(knn(idx, q, 10)) == list(brute_knn(cloud.points, q, 10))
+        assert list(idx.knn(q, 10)) == list(brute_knn(cloud.points, q, 10))
 
 
 def test_knn_k_out_of_range(rng):
     cloud = random_cloud(rng, 5)
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     with pytest.raises(ValueError):
-        knn(idx, [0, 0, 0], 6)
+        idx.knn([0, 0, 0], 6)
     with pytest.raises(ValueError):
-        knn(idx, [0, 0, 0], 0)
+        idx.knn([0, 0, 0], 0)
 
 
 # -- radius query ----------------------------------------------------------------
@@ -96,8 +94,8 @@ def test_knn_k_out_of_range(rng):
 
 def test_radius_empty_result(rng):
     cloud = random_cloud(rng, 50)
-    idx = build_index(cloud)
-    assert len(radius_query(idx, [10, 10, 10], 0.5)) == 0
+    idx = SpatialIndex(cloud)
+    assert len(idx.radius([10, 10, 10], 0.5)) == 0
 
 
 def test_radius_grid_axis_neighbors():
@@ -106,34 +104,34 @@ def test_radius_grid_axis_neighbors():
     g = np.arange(5) * 0.01
     pts = np.array([[x, y, z] for x in g for y in g for z in g])
     cloud = PointCloud(pts)
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     center = np.array([0.02, 0.02, 0.02])
-    got = radius_query(idx, center, 0.012)
+    got = idx.radius(center, 0.012)
     assert len(got) == 7
     d = np.linalg.norm(pts[got] - center, axis=1)
     assert np.all(np.sort(d)[1:] > 0.009)
     # at r = 0.015 the 12 face diagonals (0.01414) fall inside as well
-    assert len(radius_query(idx, center, 0.015)) == 19
+    assert len(idx.radius(center, 0.015)) == 19
 
 
 def test_radius_matches_bruteforce(rng):
     cloud = random_cloud(rng, 300)
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     for r in (0.05, 0.3, 1.0):
         q = rng.uniform(-1, 1, 3)
-        got = radius_query(idx, q, r)
+        got = idx.radius(q, r)
         assert list(got) == sorted(got)
         assert set(got) == set(brute_radius(cloud.points, q, r))
 
 
 def test_radius_rejects_nonpositive(rng):
-    idx = build_index(random_cloud(rng, 10))
+    idx = SpatialIndex(random_cloud(rng, 10))
     with pytest.raises(ValueError):
-        radius_query(idx, [0, 0, 0], 0.0)
+        idx.radius([0, 0, 0], 0.0)
 
 
 def assert_csr_matches_radius(cloud, r):
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     starts, members = idx.radius_csr(r)
     assert starts.shape == (len(cloud) + 1,) and starts[0] == 0 and starts[-1] == len(members)
     assert starts.dtype == members.dtype == np.intp
@@ -160,7 +158,7 @@ def test_radius_csr_lattice_at_exact_radius():
 
 
 def test_radius_csr_rejects_nonpositive(rng):
-    idx = build_index(random_cloud(rng, 10))
+    idx = SpatialIndex(random_cloud(rng, 10))
     with pytest.raises(ValueError):
         idx.radius_csr(0.0)
 
@@ -170,12 +168,12 @@ def test_radius_csr_rejects_nonpositive(rng):
 def test_queries_match_bruteforce_property(n, seed):
     r = np.random.default_rng(seed)
     cloud = PointCloud(r.uniform(-1, 1, size=(n, 3)))
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     q = r.uniform(-1, 1, 3)
     k = int(r.integers(1, n + 1))
-    assert list(knn(idx, q, k)) == list(brute_knn(cloud.points, q, k))
+    assert list(idx.knn(q, k)) == list(brute_knn(cloud.points, q, k))
     rad = float(r.uniform(0.05, 1.5))
-    assert set(radius_query(idx, q, rad)) == set(brute_radius(cloud.points, q, rad))
+    assert set(idx.radius(q, rad)) == set(brute_radius(cloud.points, q, rad))
 
 
 # -- farthest point sampling -------------------------------------------------------
@@ -235,7 +233,7 @@ def test_normal_on_plane(rng):
     xy = rng.uniform(-0.05, 0.05, size=(500, 2))
     pts = np.column_stack([xy, np.zeros(500)])
     cloud = PointCloud(pts, viewpoint=(0, 0, 1))
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     n = estimate_normal(idx, 0, 0.02)
     assert np.arccos(abs(np.clip(n @ [0, 0, 1], -1, 1))) < 1e-6
     assert n[2] > 0  # oriented toward the viewpoint
@@ -246,7 +244,7 @@ def test_normal_on_sphere(rng):
     full = np.vstack([dirs, -dirs])
     pts = 0.1 * full
     cloud = PointCloud(pts, viewpoint=(0, 0, 1.0))
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     errs = []
     for seed in range(0, 800, 50):
         n = estimate_normal(idx, seed, 0.02)
@@ -259,14 +257,14 @@ def test_normal_on_sphere(rng):
 
 def test_normal_degenerate_two_points():
     cloud = PointCloud([[0, 0, 0], [0.001, 0, 0], [1, 1, 1]])
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     with pytest.raises(DegenerateNeighborhood):
         estimate_normal(idx, 0, 0.005)
 
 
 def test_normal_degenerate_collinear():
     pts = np.column_stack([np.linspace(0, 0.01, 10), np.zeros(10), np.zeros(10)])
-    idx = build_index(PointCloud(pts))
+    idx = SpatialIndex(PointCloud(pts))
     with pytest.raises(DegenerateNeighborhood):
         estimate_normal(idx, 5, 0.02)
 
@@ -278,19 +276,19 @@ def test_normal_rotation_equivariance(seed):
     # anisotropic local patch so the smallest eigenvalue is well separated
     pts = r.normal(size=(60, 3)) * [0.05, 0.03, 0.004]
     cloud = PointCloud(pts, viewpoint=(0, 0, 1.0))
-    n0 = estimate_normal(build_index(cloud), 0, 0.2)
+    n0 = estimate_normal(SpatialIndex(cloud), 0, 0.2)
 
     from scipy.spatial.transform import Rotation
 
     rot = Rotation.random(random_state=int(seed)).as_matrix()
     cloud_r = PointCloud(pts @ rot.T, viewpoint=rot @ np.array([0, 0, 1.0]))
-    n1 = estimate_normal(build_index(cloud_r), 0, 0.2)
+    n1 = estimate_normal(SpatialIndex(cloud_r), 0, 0.2)
     assert np.linalg.norm(n1 - rot @ n0) < 1e-6
 
 
 def test_normal_unit_and_oriented(small_scene):
     cloud, scene, _, _ = small_scene
-    idx = build_index(cloud)
+    idx = SpatialIndex(cloud)
     r = np.random.default_rng(0)
     for seed in r.integers(0, len(cloud), size=30):
         try:

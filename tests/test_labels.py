@@ -75,7 +75,6 @@ def test_vacuum_only_labels_on_top_face():
     # single quality level keeps every associated point positive
     grasps = [vac((0.0, 0.0, 0.04), 0.9), vac((0.01, 0.01, 0.04), 0.9)]
     maps = build_label_maps(cloud, scene, grasps)
-    assert maps.role == "label"
     assert np.all(maps.vacuum_graspness[top] > 0)
     assert np.all(maps.vacuum_graspness[~top] == 0)
     assert np.all(maps.parallel_graspness == 0)

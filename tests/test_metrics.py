@@ -15,14 +15,15 @@ from dualgrasp.metrics import (
 from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import RefineParallelConfig, fallback_refine_batch, learned_refine_batch
 from dualgrasp.scenes import (
-    NoContact,
+    ON_SURFACE_TOL,
     SynthConfig,
     generate_scene,
-    oracle_parallel_quality,
+    load_scene,
     sample_ground_truth_grasps,
+    save_scene,
 )
 
-from test_scenes import bare_scene, down_grasp, seal_reference
+from test_scenes import bare_scene, down_grasp, jaw_contact, owning_object_reference, seal_reference
 
 CFG = EvalConfig()
 
@@ -41,6 +42,10 @@ def bad_grasp(center, radius):
     return down_grasp(jaw_center=(center[0], center[1] + h, center[2]), closing=(1, 0, 0), width=0.09)
 
 
+def graded(grasps, scene, gripper=PARALLEL):
+    return grasp_qualities(grasps, scene, gripper)[0]
+
+
 def ranked_list(scene_center, radius, pattern):
     """Grasp list with descending scores; pattern marks which ranks succeed."""
     out = []
@@ -54,16 +59,16 @@ def ranked_list(scene_center, radius, pattern):
 def test_precision_examples():
     scene, c, r = sphere_scene()
     grasps = ranked_list(c, r, [True, False, True, True, False])
-    assert precision_at_k(grasps, scene, 0.4, PARALLEL, 5) == pytest.approx(3 / 5)
-    assert precision_at_k(grasps[:3], scene, 0.4, PARALLEL, 2) == pytest.approx(0.5)
-    assert precision_at_k([], scene, 0.4, PARALLEL, 5) == 0.0
+    assert precision_at_k(graded(grasps, scene), 0.4, PARALLEL, 5) == pytest.approx(3 / 5)
+    assert precision_at_k(graded(grasps[:3], scene), 0.4, PARALLEL, 2) == pytest.approx(0.5)
+    assert precision_at_k(graded([], scene), 0.4, PARALLEL, 5) == 0.0
 
 
 def test_precision_all_successful():
     scene, c, r = sphere_scene()
     grasps = ranked_list(c, r, [True] * 4)
     for k in (1, 2, 4, 50):
-        assert precision_at_k(grasps, scene, 0.2, PARALLEL, k) == 1.0
+        assert precision_at_k(graded(grasps, scene), 0.2, PARALLEL, k) == 1.0
 
 
 def test_precision_matches_per_grasp_oracle_loop(small_scene):
@@ -72,13 +77,11 @@ def test_precision_matches_per_grasp_oracle_loop(small_scene):
     for g in grasps:
         g.score = 1.0
     mu = 0.6
-    got = precision_at_k(grasps, scene, mu, PARALLEL, 50)
+    got = precision_at_k(graded(grasps, scene), mu, PARALLEL, 50)
     wins = 0
     for g in grasps:
-        try:
-            wins += oracle_parallel_quality(scene, g) <= mu
-        except NoContact:
-            pass
+        res = jaw_contact(scene, g)
+        wins += bool(res.hit[0] and res.mu[0] <= mu)
     assert got == pytest.approx(wins / len(grasps))
 
 
@@ -108,16 +111,13 @@ def test_parallel_qualities_match_per_grasp_oracle_bitwise(four_kind_scene, rng)
     jittered = [replace(g, center=g.center + rng.normal(0.0, 0.02, 3), angle_deg=rng.uniform(0.0, 180.0))
                 for g in ground]
     grasps = fallback + learned + ground + jittered
-    got = grasp_qualities(grasps, scene, PARALLEL)
-    want = []
-    for g in grasps:
-        try:
-            want.append(oracle_parallel_quality(scene, g))
-        except NoContact:
-            want.append(np.inf)
-    assert np.array_equal(got, want)
+    got, ids = grasp_qualities(grasps, scene, PARALLEL)
+    rows = [jaw_contact(scene, g) for g in grasps]
+    assert np.array_equal(got, [res.mu[0] if res.hit[0] else np.inf for res in rows])
+    assert np.array_equal(ids, [res.object_id[0] for res in rows])
     assert 0 < np.count_nonzero(np.isinf(got)) < len(got)
-    assert grasp_qualities([], scene, PARALLEL).shape == (0,)
+    assert 0 < np.count_nonzero(ids == -1) < len(ids)
+    assert [a.shape for a in grasp_qualities([], scene, PARALLEL)] == [(0,), (0,)]
 
 
 def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):
@@ -125,11 +125,23 @@ def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):
     grasps = [g.pose for g in gt if g.gripper == VACUUM]
     # plus jittered cups, some off the surface (seal 0)
     grasps += [VacuumGrasp(center=g.center + rng.normal(0.0, 0.002, 3), normal=g.normal) for g in grasps]
-    got = grasp_qualities(grasps, scene, VACUUM)
-    want = [seal_reference(scene, g.center, CUP_RADIUS) for g in grasps]
-    assert np.array_equal(got, want)
+    got, ids = grasp_qualities(grasps, scene, VACUUM)
+    assert np.array_equal(got, [seal_reference(scene, g.center, CUP_RADIUS) for g in grasps])
+    assert np.array_equal(ids, [owning_object_reference(scene, g.center, ON_SURFACE_TOL) or -1 for g in grasps])
     assert 0 < np.count_nonzero(got) < len(got)
-    assert grasp_qualities([], scene, VACUUM).shape == (0,)
+    assert 0 < np.count_nonzero(ids == -1) < len(ids)
+    assert [a.shape for a in grasp_qualities([], scene, VACUUM)] == [(0,), (0,)]
+
+
+def test_stored_vacuum_ground_truth_is_the_eval_grade_bitwise(four_kind_scene, tmp_path):
+    """synth's stored seal and eval's grade of the same pose come from one oracle."""
+    cloud, scene, gt = four_kind_scene
+    save_scene(tmp_path / "scene", cloud, scene, gt)
+    _, loaded, stored = load_scene(tmp_path / "scene")
+    vac = [g for g in stored if g.gripper == VACUUM]
+    got, ids = grasp_qualities([g.pose for g in vac], loaded, VACUUM)
+    assert np.array_equal(got, [g.quality_coeff for g in vac])
+    assert np.count_nonzero(got) > len(vac) // 2 and np.all(ids > 0)
 
 
 def test_ap_mu_hand_example():
@@ -142,7 +154,7 @@ def test_ap_mu_hand_example():
         kk = min(k, 5)
         expected += sum(succ[:kk]) / kk
     expected /= 50
-    got = ap_mu(grasps, scene, 0.4, PARALLEL)
+    got = ap_mu(graded(grasps, scene), 0.4, PARALLEL)
     assert got == pytest.approx(expected)
     assert got == pytest.approx((1 + 0.5 + 2 / 3 + 0.5 + 0.4 + 45 * 0.4) / 50)
 
@@ -150,29 +162,27 @@ def test_ap_mu_hand_example():
 def test_ap_mu_single_grasp_clamps():
     scene, c, r = sphere_scene()
     grasps = ranked_list(c, r, [True])
-    assert ap_mu(grasps, scene, 0.2, PARALLEL) == 1.0
+    assert ap_mu(graded(grasps, scene), 0.2, PARALLEL) == 1.0
 
 
 def test_ap_overall_friction_independent():
     scene, c, r = sphere_scene()
     grasps = ranked_list(c, r, [True, True])
-    overall = ap_overall(grasps, scene, PARALLEL)
-    assert overall == pytest.approx(ap_mu(grasps, scene, 0.2, PARALLEL)) == 1.0
+    qualities = graded(grasps, scene)
+    assert ap_overall(qualities, PARALLEL) == pytest.approx(ap_mu(qualities, 0.2, PARALLEL)) == 1.0
 
 
 def test_ap_overall_vacuum_step_function():
-    scene, _, _ = sphere_scene()
-    grasps = [VacuumGrasp(center=(0, 0, 0.13), normal=(0, 0, 1), score=0.9) for _ in range(5)]
     qualities = np.full(5, 0.5)  # positive exactly at mu_v in {0.2, 0.4}
-    got = ap_overall(grasps, scene, VACUUM, qualities=qualities)
+    got = ap_overall(qualities, VACUUM)
     assert got == pytest.approx(np.mean([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_ap_overall_matches_nested_loop(small_scene):
     cloud, scene, gt, _ = small_scene
     grasps = [g.pose for g in gt if g.gripper == VACUUM][:30]
-    qualities = grasp_qualities(grasps, scene, VACUUM)
-    got = ap_overall(grasps, scene, VACUUM, CFG, qualities)
+    qualities = graded(grasps, scene, VACUUM)
+    got = ap_overall(qualities, VACUUM, CFG)
     ref = 0.0
     for mu in CFG.mu_vacuum_grid:
         ap = 0.0
@@ -187,10 +197,10 @@ def test_ap_monotone_in_mu(small_scene):
     cloud, scene, gt, _ = small_scene
     par = [g.pose for g in gt if g.gripper == PARALLEL][:40]
     vac = [g.pose for g in gt if g.gripper == VACUUM][:40]
-    q_par = grasp_qualities(par, scene, PARALLEL)
-    q_vac = grasp_qualities(vac, scene, VACUUM)
-    ap_par = [ap_mu(par, scene, mu, PARALLEL, CFG, q_par) for mu in CFG.mu_parallel_grid]
-    ap_vac = [ap_mu(vac, scene, mu, VACUUM, CFG, q_vac) for mu in CFG.mu_vacuum_grid]
+    q_par = graded(par, scene)
+    q_vac = graded(vac, scene, VACUUM)
+    ap_par = [ap_mu(q_par, mu, PARALLEL, CFG) for mu in CFG.mu_parallel_grid]
+    ap_vac = [ap_mu(q_vac, mu, VACUUM, CFG) for mu in CFG.mu_vacuum_grid]
     # a larger friction budget admits more parallel positives; a larger seal
     # threshold is stricter for vacuum
     assert all(a <= b + 1e-12 for a, b in zip(ap_par, ap_par[1:]))
@@ -201,12 +211,11 @@ def test_prepending_success_never_lowers_precision(small_scene):
     cloud, scene, gt, _ = small_scene
     scene_s, c, r = sphere_scene()
     grasps = ranked_list(c, r, [False, True, False])
-    qual = grasp_qualities(grasps, scene_s, PARALLEL)
-    better = [good_grasp(c)] + grasps
-    qual_better = np.concatenate([[0.0], qual])
+    qual = graded(grasps, scene_s)
+    qual_better = np.concatenate([[0.0], qual])  # a success prepended
     for k in (1, 2, 3, 4):
-        p0 = precision_at_k(grasps, scene_s, 0.4, PARALLEL, k, qualities=qual)
-        p1 = precision_at_k(better, scene_s, 0.4, PARALLEL, k, qualities=qual_better)
+        p0 = precision_at_k(qual, 0.4, PARALLEL, k)
+        p1 = precision_at_k(qual_better, 0.4, PARALLEL, k)
         assert p1 >= p0 - 1e-12
 
 

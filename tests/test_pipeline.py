@@ -65,7 +65,6 @@ def test_model_mode_learned_head_wiring(small_scene):
     )
     pipe = GraspPipeline(model=model, refine=rcfg)
     maps, feats = pipe.predict_maps(cloud, scene)
-    assert maps.role == "prediction"
     assert np.allclose(maps.objectness, 0.5)  # zero-init heads
     result = pipe.propose(cloud, scene, PARALLEL, gt_grasps=None, maps=maps, feats=feats)
     views = fibonacci_hemisphere(24)

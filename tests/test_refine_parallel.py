@@ -16,9 +16,9 @@ from dualgrasp.refine_parallel import (
     learned_refine_batch,
     oracle_search,
 )
-from dualgrasp.scenes import NoContact, friction_to_graspness, oracle_parallel_quality
+from dualgrasp.scenes import friction_to_graspness
 
-from test_scenes import bare_scene
+from test_scenes import bare_scene, jaw_contact
 
 
 CFG = RefineParallelConfig()
@@ -140,7 +140,7 @@ def test_fallback_head_on_isolated_sphere():
     grasp = grasps[0]
     # width ~ sphere diameter + margin, with slack for the discrete view grid
     assert 0.04 <= grasp.width <= 0.04 * 1.1 + WIDTH_MARGIN
-    assert oracle_parallel_quality(scene, grasp) < 0.12
+    assert jaw_contact(scene, grasp).mu[0] < 0.12
 
 
 def assert_argmin_over_bins(cloud, scene, grasp):
@@ -151,16 +151,14 @@ def assert_argmin_over_bins(cloud, scene, grasp):
         for d in CFG.depth_bins:
             probe = ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=a,
                                   width=MAX_WIDTH, depth=d)
-            try:
-                mu = oracle_parallel_quality(scene, probe)
-            except NoContact:
-                continue
-            best = min(best, mu)
-    achieved = oracle_parallel_quality(
+            res = jaw_contact(scene, probe)
+            if res.hit[0]:
+                best = min(best, res.mu[0])
+    achieved = jaw_contact(
         scene,
         ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=grasp.angle_deg,
                       width=MAX_WIDTH, depth=grasp.depth),
-    )
+    ).mu[0]
     assert achieved == pytest.approx(best, abs=1e-12)
     assert grasp.score == pytest.approx(friction_to_graspness(best))
 

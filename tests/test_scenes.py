@@ -10,14 +10,16 @@ from dualgrasp.geometry import closing_angles_deg
 from dualgrasp.grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp, VacuumGrasp
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import (
-    NoContact,
+    ON_SURFACE_TOL,
+    SEAL_SAMPLE_DENSITY,
+    SEAL_SAMPLE_LIMITS,
     SceneAnnotation,
     SynthConfig,
     generate_scene,
     load_scene,
-    oracle_parallel_quality,
     oracle_seal_quality,
     owning_objects,
+    parallel_quality_batch,
     sample_ground_truth_grasps,
     save_scene,
     seal_quality_batch,
@@ -43,6 +45,11 @@ def down_grasp(jaw_center, closing, width=0.09, depth=0.02):
     center = np.asarray(jaw_center, dtype=float) - depth * v
     return ParallelGrasp(center=center, approach=v, angle_deg=closing_angles_deg(v, closing)[0],
                          width=width, depth=depth)
+
+
+def jaw_contact(scene, g):
+    """parallel_quality_batch on one grasp's jaw line; a miss is hit == False."""
+    return parallel_quality_batch(scene, g.jaw_center()[None, :], g.closing_dir()[None, :], [g.width])
 
 
 # -- scene generation -----------------------------------------------------------
@@ -123,14 +130,14 @@ def test_sphere_diametral_grasp_zero_friction():
     sphere = Primitive("sphere", (0.03,), translation=(0, 0, 0.1))
     scene = bare_scene(sphere)
     g = down_grasp(jaw_center=(0, 0, 0.1), closing=(1, 0, 0), width=0.08)
-    assert oracle_parallel_quality(scene, g) == pytest.approx(0.0, abs=1e-9)
+    assert jaw_contact(scene, g).mu[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_box_face_pair_zero_friction():
     box = Primitive("box", (0.04, 0.05, 0.03), translation=(0, 0, 0.2))
     scene = bare_scene(box)
     g = down_grasp(jaw_center=(0, 0, 0.2), closing=(1, 0, 0))
-    assert oracle_parallel_quality(scene, g) == pytest.approx(0.0, abs=1e-9)
+    assert jaw_contact(scene, g).mu[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_box_30_degrees_off_normal():
@@ -138,7 +145,7 @@ def test_box_30_degrees_off_normal():
     scene = bare_scene(box)
     a = np.deg2rad(30.0)
     g = down_grasp(jaw_center=(0, 0, 0), closing=(np.cos(a), np.sin(a), 0.0))
-    assert oracle_parallel_quality(scene, g) == pytest.approx(np.tan(a), rel=1e-9)
+    assert jaw_contact(scene, g).mu[0] == pytest.approx(np.tan(a), rel=1e-9)
 
 
 def sampled_contact_mu(prim, jaw_center, closing, rng, n=200_000):
@@ -166,24 +173,25 @@ def test_sphere_offset_chord_matches_sampled_oracle(rng):
     sphere = Primitive("sphere", (R,), translation=(0, 0, 0.1))
     scene = bare_scene(sphere)
     g = down_grasp(jaw_center=(0, h, 0.1), closing=(1, 0, 0), width=0.09)
-    mu = oracle_parallel_quality(scene, g)
+    mu = jaw_contact(scene, g).mu[0]
     assert mu == pytest.approx(h / np.sqrt(R * R - h * h), rel=1e-9)
     assert mu == pytest.approx(sampled_contact_mu(sphere, np.array([0, h, 0.1]), [1, 0, 0], rng), rel=0.05)
 
 
-def test_no_contact_raises():
+def test_no_contact_is_a_miss():
     sphere = Primitive("sphere", (0.02,), translation=(0, 0, 0.1))
     scene = bare_scene(sphere)
     g = down_grasp(jaw_center=(0.5, 0.5, 0.5), closing=(1, 0, 0))
-    with pytest.raises(NoContact):
-        oracle_parallel_quality(scene, g)
+    res = jaw_contact(scene, g)
+    assert not res.hit[0] and res.object_id[0] == -1 and res.mu[0] == np.inf
 
 
 def test_object_wider_than_jaws_cannot_close():
     box = Primitive("box", (0.2, 0.05, 0.03), translation=(0, 0, 0))
     scene = bare_scene(box)
     g = down_grasp(jaw_center=(0, 0, 0), closing=(1, 0, 0), width=0.09)
-    assert oracle_parallel_quality(scene, g) == np.inf
+    res = jaw_contact(scene, g)
+    assert res.hit[0] and res.mu[0] == np.inf
 
 
 def test_rigid_invariance_of_parallel_oracle():
@@ -191,7 +199,7 @@ def test_rigid_invariance_of_parallel_oracle():
     scene = bare_scene(box)
     a = np.deg2rad(20.0)
     g = down_grasp(jaw_center=(0.02, -0.01, 0.12), closing=(np.cos(a), np.sin(a), 0))
-    mu0 = oracle_parallel_quality(scene, g)
+    mu0 = jaw_contact(scene, g).mu[0]
 
     rot = Rotation.from_euler("zyx", [0.7, 0.3, -0.2])
     quat_xyzw = rot.as_quat()
@@ -203,7 +211,7 @@ def test_rigid_invariance_of_parallel_oracle():
     # the rotated jaw line: angle re-derived in the rotated approach frame
     u, v = rot.apply(g.closing_dir()), rot.apply(g.approach)
     g_r = replace(g, center=rot.apply(g.center) + shift, approach=v, angle_deg=closing_angles_deg(v, u)[0])
-    mu1 = oracle_parallel_quality(bare_scene(box_r), g_r)
+    mu1 = jaw_contact(bare_scene(box_r), g_r).mu[0]
     assert mu1 == pytest.approx(mu0, rel=1e-9, abs=1e-12)
 
 
@@ -378,16 +386,15 @@ def test_owning_objects_matches_per_point_scan():
 # -- batched seal oracle -------------------------------------------------------------
 
 
-def seal_reference(scene, center, cup_radius=0.01, cfg=None):
+def seal_reference(scene, center, cup_radius=0.01):
     """The one-center seal oracle that seal_quality_batch replaced (a full scan of the samples)."""
-    cfg = cfg or SynthConfig()
     c = np.asarray(center, dtype=np.float64)
-    oid = owning_object_reference(scene, c, cfg.on_surface_tol)
+    oid = owning_object_reference(scene, c, ON_SURFACE_TOL)
     prim = next((p for p in scene.objects() if p.object_id == oid), None)
     if prim is None or prim.porosity_flag:
         return 0.0
-    lo, hi = cfg.seal_sample_limits
-    count = int(np.clip(prim.surface_area() * cfg.seal_sample_density, lo, hi))
+    lo, hi = SEAL_SAMPLE_LIMITS
+    count = int(np.clip(prim.surface_area() * SEAL_SAMPLE_DENSITY, lo, hi))
     pts = prim.to_world(scenes._seal_surface_samples(prim, count)[0])
     in_cup = np.linalg.norm(pts - c, axis=1) <= cup_radius
     if not np.any(in_cup):
@@ -408,7 +415,7 @@ def test_seal_batch_matches_per_center_oracle_bitwise():
         _, scene = generate_scene(seed, 4, cfg)
         vac = [g for g in sample_ground_truth_grasps(scene, cfg, seed=seed) if g.gripper == "vacuum"]
         centers = np.array([g.pose.center for g in vac])
-        want = np.array([seal_reference(scene, c, CUP_RADIUS, cfg) for c in centers])
+        want = np.array([seal_reference(scene, c, CUP_RADIUS) for c in centers])
         assert np.array_equal([g.quality_coeff for g in vac], want)
         if seed == 12:
             assert not np.any(want)  # every object porous
@@ -417,11 +424,14 @@ def test_seal_batch_matches_per_center_oracle_bitwise():
         # a mixed batch: the candidates plus centers pushed 3 to 6 mm off the surface (seal 0)
         normals = np.array([g.pose.normal for g in vac])
         off = centers + rng.uniform(0.003, 0.006, (len(vac), 1)) * normals
-        batch = seal_quality_batch(scene, np.vstack([off, centers])[rng.permutation(2 * len(vac))], 0.01, cfg)
-        assert sorted(batch.tolist()) == sorted([0.0] * len(vac) + want.tolist())
+        mixed = np.vstack([off, centers])[rng.permutation(2 * len(vac))]
+        batch = seal_quality_batch(scene, mixed, 0.01)
+        assert sorted(batch.seal.tolist()) == sorted([0.0] * len(vac) + want.tolist())
+        owners = [owning_object_reference(scene, c, ON_SURFACE_TOL) or -1 for c in mixed]
+        assert np.array_equal(batch.object_id, owners)
         for r in (0.004, 0.02):
-            assert np.array_equal(seal_quality_batch(scene, centers, r, cfg),
-                                  [seal_reference(scene, c, r, cfg) for c in centers])
+            assert np.array_equal(seal_quality_batch(scene, centers, r).seal,
+                                  [seal_reference(scene, c, r) for c in centers])
     assert sealed > 500 and 4 < porous < 48
 
 
@@ -431,9 +441,10 @@ def test_seal_batch_empty_cup_and_no_centers():
     center = np.array([0.0, 0.0, 0.01])
     # 1 um holds none of the few thousand samples: the flat face would otherwise seal at 1
     assert seal_reference(scene, center, 1e-6) == 0.0
-    assert seal_quality_batch(scene, center, 1e-6).tolist() == [0.0]
-    assert seal_quality_batch(scene, center, 0.01).tolist() == [1.0]
-    assert seal_quality_batch(scene, np.zeros((0, 3))).shape == (0,)
+    assert seal_quality_batch(scene, center, 1e-6).seal.tolist() == [0.0]
+    assert seal_quality_batch(scene, center, 0.01).seal.tolist() == [1.0]
+    empty = seal_quality_batch(scene, np.zeros((0, 3)))
+    assert empty.seal.shape == empty.object_id.shape == (0,)
 
 
 def test_seal_batch_keeps_samples_at_exactly_cup_radius(monkeypatch):
@@ -445,7 +456,7 @@ def test_seal_batch_keeps_samples_at_exactly_cup_radius(monkeypatch):
     monkeypatch.setattr(scenes, "_seal_surface_samples", lambda prim, count: (local, cKDTree(local)))
     scene = bare_scene(slab)
     nodes = np.array([[x, y, 0.0] for x in g[1:-1] for y in g[1:-1]])
-    got = seal_quality_batch(scene, nodes, 0.25)
+    got = seal_quality_batch(scene, nodes, 0.25).seal
     assert np.array_equal(got, [seal_reference(scene, c, 0.25) for c in nodes])
     # the node, four in-plane neighbours and two at +-r along the normal: RMS = r * sqrt(2 / 7)
     assert got == pytest.approx(np.full(len(nodes), 1.0 - np.sqrt(2.0 / 7.0)), rel=1e-12)
@@ -465,12 +476,12 @@ def test_clearing_the_seal_cache_drops_the_trees(monkeypatch):
     scene = bare_scene(sphere)
     centers = np.array([[0.0, 0.0, 0.06], [0.03, 0.0, 0.03]])
     scenes._SEAL_SAMPLE_CACHE.clear()
-    first = seal_quality_batch(scene, centers)
+    first = seal_quality_batch(scene, centers).seal
     seal_quality_batch(scene, centers)
     assert len(builds) == 1  # one tree per shape, reused
     assert any(isinstance(tree, real_tree) for _, tree in scenes._SEAL_SAMPLE_CACHE.values())
     scenes._SEAL_SAMPLE_CACHE.clear()
-    assert np.array_equal(seal_quality_batch(scene, centers), first)
+    assert np.array_equal(seal_quality_batch(scene, centers).seal, first)
     assert len(builds) == 2  # rebuilt after the reset
 
 
