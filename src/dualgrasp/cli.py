@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .clearing import run_clearing_loop
 from .grasps import PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
 from .json_io import write_json
 from .labels import build_label_maps
@@ -297,11 +298,12 @@ def cmd_eval(args) -> int:
             rows.append(_ap_row(stem.name, scene.split, gripper, None, overall, record="ap_overall"))
             bucket = summary.setdefault(scene.split, {}).setdefault(gripper, [])
             bucket.append(overall)
-
-    if pipe is not None:
-        for stem in _scene_stems(args.scenes):
+        if pipe is not None:
+            # both grippers clear the same initial scene through one adapter, so the
+            # vacuum loop's first round reuses the parallel loop's full-scene features
+            adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=grasp_target_ids(scene, gt))
             for gripper in (PARALLEL, VACUUM):
-                metrics = _run_clearing(pipe, stem, gripper, ecfg)
+                metrics, _ = run_clearing_loop(cloud, scene, adapter, gripper, ecfg)
                 rows.append(_clearing_row(stem.name, gripper, metrics))
 
     rows.sort(key=lambda r: (r["record"], r["scene"], r["gripper"], str(r["mu"])))
@@ -329,15 +331,6 @@ def cmd_eval(args) -> int:
         for gripper, vals in sorted(by_gripper.items()):
             print(f"[{split}] {gripper}: AP={np.mean(vals):.4f} over {len(vals)} scenes")
     return 0
-
-
-def _run_clearing(pipe, stem, gripper, ecfg):
-    from .clearing import run_clearing_loop
-
-    cloud, scene, gt = load_scene(stem)
-    adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=grasp_target_ids(scene, gt))
-    metrics, _ = run_clearing_loop(cloud, scene, adapter, gripper, ecfg)
-    return metrics
 
 
 def _ap_row(scene, split, gripper, mu, value, record="ap"):

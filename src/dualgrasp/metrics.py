@@ -40,6 +40,10 @@ class EvalConfig:
                 raise ValueError("mu grid must name at least one coefficient")
             if list(grid) != sorted(grid):
                 raise ValueError(f"mu grid must be ascending: {grid}")
+        if not (np.isfinite(self.exec_mu_parallel) and self.exec_mu_parallel > 0):
+            raise ValueError(f"exec_mu_parallel must be finite and > 0, got {self.exec_mu_parallel}")
+        if not 0 < self.exec_mu_vacuum <= 1:
+            raise ValueError(f"exec_mu_vacuum must be in (0, 1], got {self.exec_mu_vacuum}")
 
     def mu_grid(self, gripper: str) -> tuple:
         return self.mu_parallel_grid if gripper == PARALLEL else self.mu_vacuum_grid

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .features import compute_point_features
+from .features import FeatureState, compute_point_features
 from .grasps import PARALLEL, VACUUM
 from .labels import GraspnessMaps, build_label_maps
 from .mlp import MlpModel
@@ -68,13 +68,15 @@ class GraspPipeline:
         """Predicted maps from the model, or oracle label maps in fallback mode."""
         if self.model is not None:
             feats = compute_point_features(cloud, scene.table_height)
-            scores = self.model.predict_map_scores(feats)
-            maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
-            return maps, feats
+            return self._model_maps(feats), feats
         if gt_grasps is None:
             raise ValueError("fallback mode needs the scene's ground-truth grasps")
         maps = build_label_maps(cloud, scene, gt_grasps)
         return maps, None
+
+    def _model_maps(self, feats) -> GraspnessMaps:
+        scores = self.model.predict_map_scores(feats)
+        return GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
 
     def propose(self, cloud: PointCloud, scene: SceneAnnotation, gripper: str,
                 gt_grasps=None, maps=None, feats=None) -> PipelineResult:
@@ -121,18 +123,72 @@ class GraspPipeline:
 
         In fallback mode gt_grasps must cover the full scene; grasps whose
         target object is gone are filtered out each round via object_of_grasp
-        (a list of object ids aligned with gt_grasps).
+        (a list of object ids aligned with gt_grasps). One adapter may serve
+        the loops of both grippers on the same scene.
         """
+        return _ClearingAdapter(self, gt_grasps, object_of_grasp)
 
-        def run(cloud, scene, gripper):
-            grasps = gt_grasps
-            if grasps is not None and object_of_grasp is not None:
-                alive = {p.object_id for p in scene.objects()}
-                grasps = [g for g, oid in zip(gt_grasps, object_of_grasp) if oid in alive]
-            result = self.propose(cloud, scene, gripper, gt_grasps=grasps)
-            return result.grasps, result.seeds.indices
 
-        return run
+class _ClearingAdapter:
+    """Proposals for the clearing loop that redo only the work a removal requires.
+
+    A call with the cloud and scene of the same gripper's previous call, which
+    the loop makes after a failed or empty round, returns that call's result.
+    In model mode the features come from a FeatureState: the first scene's
+    state and the latest one are kept, and a scene that is one of them minus
+    whole objects updates it rather than recomputing every neighbourhood.
+    """
+
+    def __init__(self, pipe: GraspPipeline, gt_grasps, object_of_grasp):
+        self.pipe = pipe
+        self.gt_grasps = gt_grasps
+        self.object_of_grasp = object_of_grasp
+        self.last = {}  # gripper -> (cloud, scene, (grasps, seed indices)) of its previous call
+        self.known = []  # (scene, FeatureState, maps) of the first scene and of the latest one
+
+    def __call__(self, cloud, scene, gripper):
+        last = self.last.get(gripper)
+        if last is not None and last[0] is cloud and last[1] is scene:
+            return last[2]
+        grasps = self.gt_grasps
+        if grasps is not None and self.object_of_grasp is not None:
+            alive = {p.object_id for p in scene.objects()}
+            grasps = [g for g, oid in zip(self.gt_grasps, self.object_of_grasp) if oid in alive]
+        maps, feats = self._maps_and_features(cloud, scene) if self.pipe.model is not None else (None, None)
+        result = self.pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats)
+        self.last[gripper] = (cloud, scene, (result.grasps, result.seeds.indices))
+        return self.last[gripper][2]
+
+    def _maps_and_features(self, cloud, scene):
+        for known_scene, state, maps in self.known:
+            if known_scene is scene and state.cloud is cloud:
+                return maps, state.features
+        state = None
+        for known_scene, known, _ in reversed(self.known):
+            keep = _removal_mask(known.cloud, known_scene, cloud, scene)
+            if keep is not None:
+                state = known.remove(cloud, keep)
+                break
+        if state is None:
+            state = FeatureState.fresh(cloud, scene.table_height)
+        maps = self.pipe._model_maps(state.features)
+        self.known = self.known[:1] + [(scene, state, maps)]
+        return maps, state.features
+
+
+def _removal_mask(prev_cloud: PointCloud, prev_scene: SceneAnnotation, cloud: PointCloud, scene: SceneAnnotation):
+    """Mask of the previous points that cloud keeps, if (cloud, scene) is the previous state minus whole objects.
+
+    None when it is not: the table, the viewpoint or a kept point differs.
+    """
+    if scene.table_height != prev_scene.table_height or not np.array_equal(cloud.viewpoint, prev_cloud.viewpoint):
+        return None
+    alive = {p.object_id for p in scene.objects()}
+    gone = [p.object_id for p in prev_scene.objects() if p.object_id not in alive]
+    keep = ~np.isin(prev_scene.per_point_object_id, gone)
+    if np.count_nonzero(keep) != len(cloud) or not np.array_equal(cloud.points, prev_cloud.points[keep]):
+        return None
+    return keep
 
 
 def grasp_target_ids(scene: SceneAnnotation, gt_grasps) -> list:

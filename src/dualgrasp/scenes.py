@@ -75,6 +75,11 @@ class SynthConfig:
     def __post_init__(self):
         if not self.density > 0:
             raise ValueError(f"density must be positive, got {self.density}")
+        for name in ("parallel_grasps_per_object", "vacuum_grasps_per_object"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.gt_depth > 0:
+            raise ValueError(f"gt_depth must be positive, got {self.gt_depth}")
         if not self.kinds:
             raise ValueError("kinds must name at least one primitive kind")
         for kind in tuple(self.kinds) + tuple(self.kind_sequence or ()):

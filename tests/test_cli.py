@@ -261,6 +261,15 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["eval", "--grasps", "{pred}", "--config", "{parallel_grid_empty_config}"],
     ["eval", "--grasps", "{pred}", "--config", "{vacuum_grid_empty_config}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{failures_zero_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{exec_mu_parallel_zero_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{exec_mu_parallel_inf_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{exec_mu_vacuum_zero_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{exec_mu_vacuum_negative_config}"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--config", "{exec_mu_vacuum_above_one_config}"],
+    ["synth", "--config", "{parallel_gt_zero_config}"],
+    ["synth", "--config", "{vacuum_gt_zero_config}"],
+    ["synth", "--config", "{gt_depth_zero_config}"],
+    ["synth", "--config", "{gt_depth_negative_config}"],
     ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "1", "--vmax", "0"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
@@ -271,6 +280,9 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         "density-0", "density-negative", "n-views-0", "n-angle-bins-0", "n-score-bins-0",
         "depth-bins-empty", "depth-bins-negative", "probe-angle-stride-0", "probe-depth-stride-0",
         "mu-parallel-grid-empty", "mu-vacuum-grid-empty", "max-consecutive-failures-0",
+        "exec-mu-parallel-0", "exec-mu-parallel-inf", "exec-mu-vacuum-0", "exec-mu-vacuum-negative",
+        "exec-mu-vacuum-1.5", "parallel-grasps-per-object-0", "vacuum-grasps-per-object-0",
+        "gt-depth-0", "gt-depth-negative",
         "vmax-not-above-vmin"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
@@ -292,6 +304,15 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{parallel_grid_empty_config}": "eval.mu_parallel_grid = []",
         "{vacuum_grid_empty_config}": "eval.mu_vacuum_grid = []",
         "{failures_zero_config}": "eval.max_consecutive_failures = 0",
+        "{exec_mu_parallel_zero_config}": "eval.exec_mu_parallel = 0",
+        "{exec_mu_parallel_inf_config}": "eval.exec_mu_parallel = Infinity",
+        "{exec_mu_vacuum_zero_config}": "eval.exec_mu_vacuum = 0",
+        "{exec_mu_vacuum_negative_config}": "eval.exec_mu_vacuum = -1",
+        "{exec_mu_vacuum_above_one_config}": "eval.exec_mu_vacuum = 1.5",
+        "{parallel_gt_zero_config}": "synth.parallel_grasps_per_object = 0",
+        "{vacuum_gt_zero_config}": "synth.vacuum_grasps_per_object = 0",
+        "{gt_depth_zero_config}": "synth.gt_depth = 0",
+        "{gt_depth_negative_config}": "synth.gt_depth = -0.05",
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

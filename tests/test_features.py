@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualgrasp.cloud import PointCloud, SpatialIndex
-from dualgrasp.features import FEATURE_RADIUS, compute_point_features
+from dualgrasp.features import FEATURE_RADIUS, FeatureState, compute_point_features
 from dualgrasp.scenes import SynthConfig, generate_scene, remove_object
 
 
@@ -78,3 +78,20 @@ def test_degenerate_neighbourhoods_fall_back_to_view_direction():
     toward = cloud.viewpoint - cloud.points[:40]
     assert np.allclose(feats[:40, 1:4], toward / np.linalg.norm(toward, axis=1, keepdims=True))
     assert np.all(feats[:40, 4] == 0.0) and np.all(feats[isolated, 4] == 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(CLOUDS))
+def test_removal_matches_a_fresh_pass_bitwise(kind):
+    """Dropping points, whole neighbourhoods or single members, gives the fresh pass's CSR and features."""
+    cloud, table_height = CLOUDS[kind]()[0]
+    rng = np.random.default_rng(7)
+    state = FeatureState.fresh(cloud, table_height)
+    for share in (0.0, 0.1, 0.3):
+        keep = rng.uniform(size=len(state.cloud)) >= share
+        keep[0] = True
+        later = PointCloud(state.cloud.points[keep], viewpoint=cloud.viewpoint)
+        state = state.remove(later, keep)
+        fresh = FeatureState.fresh(later, table_height)
+        np.testing.assert_array_equal(state.starts, fresh.starts)
+        np.testing.assert_array_equal(state.members, fresh.members)
+        assert state.features.tobytes() == fresh.features.tobytes()

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from dualgrasp.clearing import run_clearing_loop
+from dualgrasp.cloud import PointCloud
+from dualgrasp.features import FEATURE_RADIUS, FeatureState, compute_point_features
 from dualgrasp.geometry import fibonacci_hemisphere
 from dualgrasp.grasps import MAX_WIDTH, PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline, grasp_target_ids
+from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import RefineParallelConfig
 from dualgrasp.sampling import SamplingConfig
+from dualgrasp.scenes import SceneAnnotation
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +117,100 @@ def test_clearing_adapter_filters_removed_objects(small_scene, fallback_pipe):
     remaining = {p.object_id for p in scene2.objects()}
     for g in proposals2:
         assert scene2.per_point_object_id[g.seed_index] in remaining
+
+
+# -- clearing rounds through one adapter --------------------------------------------------
+
+
+def row_of_boxes():
+    """Three boxes 1 cm apart in a row: a removed box's side face lies in its neighbour's neighbourhoods."""
+    prims = [Primitive("box", (0.04, 0.04, 0.03), translation=(x, 0.0, 0.015), object_id=i + 1)
+             for i, x in enumerate((-0.05, 0.0, 0.05))]
+    rng = np.random.default_rng(5)
+    pts, ids, flat = [], [], []
+    for p in prims:
+        q, _, f = p.sample_surface(600, rng)
+        up = q[:, 2] > 1e-6  # the bottom faces rest on the table
+        pts.append(q[up])
+        flat.append(f[up])
+        ids.append(np.full(np.count_nonzero(up), p.object_id))
+    cloud = PointCloud(np.vstack(pts), viewpoint=(0.0, 0.0, 1.0))
+    scene = SceneAnnotation(primitives=prims, table_height=0.0, camera_viewpoint=(0.0, 0.0, 1.0),
+                            per_point_object_id=np.concatenate(ids), per_point_flat=np.concatenate(flat))
+    return cloud, scene
+
+
+def seeding_pipe():
+    """A small model whose maps seed the box tops; its zero refiner heads give parallel grasps that miss."""
+    model = MlpModel(ModelConfig(hidden=(8,), n_views=24), np.random.default_rng(0))
+    bypass = model.config.hidden[-1]  # head rows past the trunk read the standardized features
+    model.heads["objectness"][0][bypass + 0, 0] = 100.0 / model.config.bypass_gain  # height
+    model.heads["objectness"][1][0] = -1.0
+    model.heads["vacuum"][0][bypass + 3, 0] = 4.0 / model.config.bypass_gain  # normal z
+    return GraspPipeline(model=model, refine=RefineParallelConfig(n_views=24),
+                         sampling=SamplingConfig(m_parallel=64, m_vacuum=64))
+
+
+def clear_both(cloud, scene, pipeline):
+    """(metrics, attempts) of a parallel then a vacuum clearing run of the same scene."""
+    runs = [run_clearing_loop(cloud, scene, pipeline, gripper) for gripper in (PARALLEL, VACUUM)]
+    return [(m, t.attempts) for m, t in runs]
+
+
+def test_clearing_features_equal_a_fresh_pass_every_round(monkeypatch):
+    cloud, scene = row_of_boxes()
+    ids = scene.per_point_object_id
+    for a, b in ((1, 2), (2, 3)):
+        gaps, _ = cKDTree(cloud.points[ids == b]).query(cloud.points[ids == a])
+        assert gaps.min() < FEATURE_RADIUS
+    fresh, propose = FeatureState.fresh.__func__, GraspPipeline.propose
+    builds, seen = [], []
+
+    def counted_fresh(cls, cloud, table_height):
+        builds.append(len(cloud))
+        return fresh(cls, cloud, table_height)
+
+    def spy(self, cloud, scene, gripper, gt_grasps=None, maps=None, feats=None):
+        seen.append((cloud, scene, feats))
+        return propose(self, cloud, scene, gripper, gt_grasps, maps, feats)
+
+    monkeypatch.setattr(FeatureState, "fresh", classmethod(counted_fresh))
+    monkeypatch.setattr(GraspPipeline, "propose", spy)
+    (_, parallel), (_, vacuum) = clear_both(cloud, scene, seeding_pipe().clearing_adapter())
+    monkeypatch.undo()
+
+    assert parallel == [(-1, False)] * 3 and vacuum == [(1, True), (2, True), (3, True)]
+    assert builds == [len(cloud)]  # the vacuum loop starts from the parallel loop's full-scene state
+    assert [len(c) for c, _, _ in seen] == [len(cloud), len(cloud), 958, 474]
+    for c, s, feats in seen:
+        assert feats.tobytes() == compute_point_features(c, s.table_height).tobytes()
+
+
+def test_clearing_adapter_proposes_once_per_scene_state(monkeypatch):
+    cloud, scene = row_of_boxes()
+    pipe = seeding_pipe()
+
+    def unmemoised(c, s, g):
+        result = pipe.propose(c, s, g)
+        return result.grasps, result.seeds.indices
+
+    expected = clear_both(cloud, scene, unmemoised)
+
+    propose, calls, rounds = GraspPipeline.propose, [], []
+
+    def counted_propose(self, c, s, g, *args, **kwargs):
+        calls.append((c, s, g))
+        return propose(self, c, s, g, *args, **kwargs)
+
+    monkeypatch.setattr(GraspPipeline, "propose", counted_propose)
+    adapter = pipe.clearing_adapter()
+
+    def counted_round(c, s, g):
+        rounds.append((c, s, g))
+        return adapter(c, s, g)
+
+    assert clear_both(cloud, scene, counted_round) == expected
+    assert len(rounds) == 6 and len(calls) == 4  # three parallel rounds on one unchanged scene
+    # the lists keep every state alive, so no two of them share an id
+    states = [{(id(c), id(s), g) for c, s, g in runs} for runs in (calls, rounds)]
+    assert len(states[0]) == len(calls) and states[0] == states[1]
