@@ -276,13 +276,17 @@ def cmd_eval(args) -> int:
     grasps_dir = Path(args.grasps)
     if not grasps_dir.is_dir():
         raise UsageError(f"--grasps {grasps_dir} is not a directory")
+    stems = _scene_stems(args.scenes)
+    if not any((grasps_dir / f"{stem.name}_grasps_{gripper}.json").exists()
+               for stem in stems for gripper in (PARALLEL, VACUUM)):
+        raise UsageError(f"--grasps {grasps_dir} holds no <scene>_grasps_<gripper>.json for any scene")
     pipe = _make_pipeline(args, cfgs) if args.clearing else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     summary = {}
-    for stem in _scene_stems(args.scenes):
+    for stem in stems:
         cloud, scene, gt = load_scene(stem)
         for gripper in (PARALLEL, VACUUM):
             gfile = grasps_dir / f"{stem.name}_grasps_{gripper}.json"

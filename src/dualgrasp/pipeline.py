@@ -16,10 +16,10 @@ from .features import FeatureState, compute_point_features
 from .grasps import PARALLEL, VACUUM
 from .labels import GraspnessMaps, build_label_maps
 from .mlp import MlpModel
-from .refine_parallel import RefineParallelConfig, fallback_refine_batch, learned_refine_batch
+from .refine_parallel import ProbeMemory, RefineParallelConfig, fallback_refine_batch, learned_refine_batch
 from .refine_vacuum import refine_vacuum_poses, rank_vacuum
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
-from .scenes import SceneAnnotation, owning_objects
+from .scenes import SceneAnnotation, owning_objects, removal_mask
 
 
 @dataclass
@@ -79,7 +79,8 @@ class GraspPipeline:
         return GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
 
     def propose(self, cloud: PointCloud, scene: SceneAnnotation, gripper: str,
-                gt_grasps=None, maps=None, feats=None) -> PipelineResult:
+                gt_grasps=None, maps=None, feats=None, probes: ProbeMemory = None) -> PipelineResult:
+        """Ranked proposals of one gripper; probes lends the oracle pose head its known probe rows."""
         if maps is None:
             maps, feats = self.predict_maps(cloud, scene, gt_grasps)
         if gripper == VACUUM:
@@ -98,7 +99,7 @@ class GraspPipeline:
         if self.max_parallel_refine is not None and len(seeds) > self.max_parallel_refine:
             order = np.lexsort((seeds.indices, -seeds.fused_scores))[: self.max_parallel_refine]
             refine_seeds = SeedSet(PARALLEL, seeds.indices[order], seeds.fused_scores[order])
-        grasps, dropped = self._refine_parallel(cloud, scene, refine_seeds, feats)
+        grasps, dropped = self._refine_parallel(cloud, scene, refine_seeds, feats, probes)
         if self.model is not None:
             # prediction-driven ranking: gate the decoded pose score by the map
             # confidence at its seed (with the oracle pose head the decoded
@@ -110,9 +111,9 @@ class GraspPipeline:
         grasps.sort(key=lambda g: (-g.score, g.seed_index))
         return PipelineResult(PARALLEL, grasps, seeds, dropped)
 
-    def _refine_parallel(self, cloud, scene, seeds: SeedSet, feats):
+    def _refine_parallel(self, cloud, scene, seeds: SeedSet, feats, probes):
         if self.pose_head == "oracle":
-            return fallback_refine_batch(cloud, scene, seeds.indices, self.refine)
+            return fallback_refine_batch(cloud, scene, seeds.indices, self.refine, probes)
         if feats is None:
             feats = compute_point_features(cloud, scene.table_height)
         refiner_out = self.model.refiner_outputs(feats[seeds.indices])
@@ -137,6 +138,8 @@ class _ClearingAdapter:
     In model mode the features come from a FeatureState: the first scene's
     state and the latest one are kept, and a scene that is one of them minus
     whole objects updates it rather than recomputing every neighbourhood.
+    The oracle pose head searches through one ProbeMemory (probes), so after
+    a removal it re-scores only the probe views that a removed object won.
     """
 
     def __init__(self, pipe: GraspPipeline, gt_grasps, object_of_grasp):
@@ -145,6 +148,7 @@ class _ClearingAdapter:
         self.object_of_grasp = object_of_grasp
         self.last = {}  # gripper -> (cloud, scene, (grasps, seed indices)) of its previous call
         self.known = []  # (scene, FeatureState, maps) of the first scene and of the latest one
+        self.probes = ProbeMemory(pipe.refine)
 
     def __call__(self, cloud, scene, gripper):
         last = self.last.get(gripper)
@@ -155,7 +159,8 @@ class _ClearingAdapter:
             alive = {p.object_id for p in scene.objects()}
             grasps = [g for g, oid in zip(self.gt_grasps, self.object_of_grasp) if oid in alive]
         maps, feats = self._maps_and_features(cloud, scene) if self.pipe.model is not None else (None, None)
-        result = self.pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats)
+        result = self.pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats,
+                                   probes=self.probes)
         self.last[gripper] = (cloud, scene, (result.grasps, result.seeds.indices))
         return self.last[gripper][2]
 
@@ -165,7 +170,7 @@ class _ClearingAdapter:
                 return maps, state.features
         state = None
         for known_scene, known, _ in reversed(self.known):
-            keep = _removal_mask(known.cloud, known_scene, cloud, scene)
+            keep = removal_mask(known.cloud, known_scene, cloud, scene)
             if keep is not None:
                 state = known.remove(cloud, keep)
                 break
@@ -174,21 +179,6 @@ class _ClearingAdapter:
         maps = self.pipe._model_maps(state.features)
         self.known = self.known[:1] + [(scene, state, maps)]
         return maps, state.features
-
-
-def _removal_mask(prev_cloud: PointCloud, prev_scene: SceneAnnotation, cloud: PointCloud, scene: SceneAnnotation):
-    """Mask of the previous points that cloud keeps, if (cloud, scene) is the previous state minus whole objects.
-
-    None when it is not: the table, the viewpoint or a kept point differs.
-    """
-    if scene.table_height != prev_scene.table_height or not np.array_equal(cloud.viewpoint, prev_cloud.viewpoint):
-        return None
-    alive = {p.object_id for p in scene.objects()}
-    gone = [p.object_id for p in prev_scene.objects() if p.object_id not in alive]
-    keep = ~np.isin(prev_scene.per_point_object_id, gone)
-    if np.count_nonzero(keep) != len(cloud) or not np.array_equal(cloud.points, prev_cloud.points[keep]):
-        return None
-    return keep
 
 
 def grasp_target_ids(scene: SceneAnnotation, gt_grasps) -> list:

@@ -9,6 +9,9 @@ drops seeds with no reachable candidate, which makes the full pipeline
 runnable untrained. oracle_search also produces the refiner training targets.
 Neither head groups points: a seed always lies in its own cylinder group
 (cylinder_group), so a group is never empty.
+
+oracle_search can take known probe rows and then scores only the views marked
+unknown; a ProbeMemory keeps those rows across a clearing loop's removals.
 """
 
 from collections import namedtuple
@@ -19,7 +22,7 @@ import numpy as np
 from .cloud import PointCloud
 from .geometry import approach_frames, fibonacci_hemisphere
 from .grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
-from .scenes import SceneAnnotation, friction_to_graspness, parallel_quality_batch
+from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parallel_quality_batch, removal_mask
 
 
 @dataclass
@@ -87,33 +90,40 @@ def cylinder_group(cloud: PointCloud, seed_index: int, view, radius: float, heig
 
 
 PoseSearch = namedtuple(
-    "PoseSearch", ["view_scores", "view", "angle_idx", "depth_idx", "width", "score", "reachable"]
+    "PoseSearch", ["view_scores", "view_winners", "view", "angle_idx", "depth_idx", "width", "score", "reachable"]
 )
 
 
-def _grid_qualities(scene: SceneAnnotation, seeds, approaches, angles, depths):
-    """Oracle (mu, t0, t1) of every (angle, depth) jaw line, each of shape (S, M, A, D).
+def _view_lines(approaches, angles, depths):
+    """Jaw-line offsets (M, D, 3) and closing directions (M, A, D, 3) of M approaches on an (angle, depth) grid.
 
-    approaches is (K, M, 3) with K in {1, S}. The jaw line for candidate
-    (s, m, a, d) runs through seed s + depth d * approach m along the angle-a
-    closing direction of that approach's frame: each closing has the bits of
+    The jaw line for candidate (m, a, d) at a seed runs through seed + offset
+    (m, d), that is depth d * approach m, along the angle-a closing direction
+    of that approach's frame: each closing has the bits of
     geometry.closing_directions, which ParallelGrasp.closing_dir also takes.
     """
-    k_n, m_n = approaches.shape[:2]
-    shape = (len(seeds), m_n, len(angles), len(depths))
-    e1, e2 = approach_frames(approaches.reshape(-1, 3))
+    e1, e2 = approach_frames(approaches)
     rad = np.deg2rad(angles)
     closings = np.cos(rad)[None, :, None] * e1[:, None, :] + np.sin(rad)[None, :, None] * e2[:, None, :]
-    closings = closings.reshape(k_n, m_n, len(angles), 3)
-    centers = seeds[:, None, None, :] + depths[None, None, :, None] * approaches[:, :, None, :]
-    origins = np.broadcast_to(centers[:, :, None, :, :], shape + (3,)).reshape(-1, 3)
-    dirs = np.broadcast_to(closings[:, :, :, None, :], shape + (3,)).reshape(-1, 3)
-    res = parallel_quality_batch(scene, origins, dirs, np.full(len(origins), MAX_WIDTH))
-    return res.mu.reshape(shape), res.t0.reshape(shape), res.t1.reshape(shape)
+    dirs = np.broadcast_to(closings[:, :, None, :], (len(approaches), len(angles), len(depths), 3))
+    return depths[None, :, None] * approaches[:, None, :], np.ascontiguousarray(dirs)
+
+
+def _grid_qualities(scene: SceneAnnotation, seeds, offsets, dirs):
+    """Oracle ContactBatch of the jaw lines of P (seed, approach) pairs, each field (P, A, D).
+
+    seeds is (P, 3); offsets (P, D, 3) and dirs (P, A, D, 3) are rows of _view_lines.
+    """
+    shape = dirs.shape[:3]
+    centers = seeds[:, None, :] + offsets
+    origins = np.broadcast_to(centers[:, None, :, :], shape + (3,)).reshape(-1, 3)
+    res = parallel_quality_batch(scene, origins, dirs.reshape(-1, 3), np.full(len(origins), MAX_WIDTH))
+    return ContactBatch(*(field.reshape(shape) for field in res))
 
 
 def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelConfig,
-                  angle_stride: int = 1, depth_stride: int = 1, chunk_lines: int = 1 << 18) -> PoseSearch:
+                  angle_stride: int = 1, depth_stride: int = 1, chunk_lines: int = 1 << 18,
+                  known=None) -> PoseSearch:
     """Best oracle parallel pose at each of S seeds: the one pose search of the package.
 
     Views are ranked by mean candidate graspness over the (angle, depth) grid,
@@ -123,41 +133,68 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     around surface-normal approaches; the bias settles the remaining near-ties
     toward reachable top-down poses. The winning view (ties: lowest index) is
     then searched on the full grid for the lowest required friction (ties:
-    lowest (angle, depth)). Seeds go to the oracle in chunks of at most
-    chunk_lines ranking jaw lines (and at least one seed).
+    lowest (angle, depth)). The (seed, view) probe rows go to the oracle in
+    chunks of at most chunk_lines jaw lines (and at least one row), then the
+    winning views' full grids in chunks of at most chunk_lines lines (and at
+    least one seed).
 
-    Returns a PoseSearch of per-seed arrays: view_scores (S, V), view index,
-    angle_idx, depth_idx, width (jaw span plus WIDTH_MARGIN, capped at MAX_WIDTH),
-    score (graspness of the best candidate) and reachable (some full-grid
-    candidate can close). Only reachable rows carry a meaningful pose.
+    known, if given, is a (view_scores, view_winners) pair shaped like this
+    function's fields of those names, from an earlier search of the same seed
+    points on a scene that held this one's objects (the same primitives) and
+    possibly more. Only its NaN view scores are evaluated; the others are
+    taken as they are. That is exact when no line of such a view was won by an
+    object this scene lacks: a jaw line's oracle result depends only on its
+    winning object (parallel_quality_batch), so removing any other object
+    leaves it bit for bit the same. The full grid is always searched.
+
+    Returns a PoseSearch of per-seed arrays: view_scores (S, V), view_winners
+    (S, V, K), true where object k of scene.objects() won a probe line of the
+    view, view index, angle_idx, depth_idx, width (jaw span plus
+    WIDTH_MARGIN, capped at MAX_WIDTH), score (graspness of the best
+    candidate) and reachable (some full-grid candidate can close). Only
+    reachable rows carry a meaningful pose.
     """
     seeds = np.asarray(seed_points, dtype=np.float64).reshape(-1, 3)
     views = fibonacci_hemisphere(config.n_views)
     angles = config.angle_values()
     depths = np.asarray(config.depth_bins)
-    probe_angles, probe_depths = angles[::angle_stride], depths[::depth_stride]
+    probe_offsets, probe_dirs = _view_lines(-views, angles[::angle_stride], depths[::depth_stride])
+    ids = np.array([p.object_id for p in scene.objects()], dtype=np.intp)
     s_n, v_n = len(seeds), len(views)
-    per_chunk = max(1, chunk_lines // (v_n * len(probe_angles) * len(probe_depths)))
 
-    view_scores = np.empty((s_n, v_n))
+    if known is None:
+        view_scores, view_winners = np.full((s_n, v_n), np.nan), np.zeros((s_n, v_n, len(ids)), dtype=bool)
+    else:
+        view_scores, view_winners = np.array(known[0], dtype=np.float64), np.array(known[1], dtype=bool)
+    todo = np.flatnonzero(np.isnan(view_scores))
+    per_chunk = max(1, chunk_lines // (probe_dirs.shape[1] * probe_dirs.shape[2]))  # pairs of a probe chunk
+    for start in range(0, len(todo), per_chunk):
+        pairs = todo[start:start + per_chunk]
+        s_idx, v_idx = np.divmod(pairs, v_n)
+        probe_mu, winner = _grid_qualities(scene, seeds[s_idx], probe_offsets[v_idx], probe_dirs[v_idx])[:2]
+        quality = np.mean(friction_to_graspness(probe_mu.reshape(len(pairs), -1)), axis=1)
+        view_scores.flat[pairs] = quality - config.view_vertical_bias * (1.0 - views[v_idx, 2])
+        # (lines, objects, pairs), reduced over its contiguous leading axis
+        won = np.ascontiguousarray(winner.reshape(len(pairs), -1).T)[:, None, :] == ids[:, None]
+        view_winners.reshape(s_n * v_n, len(ids))[pairs] = np.any(won, axis=0).T
+
+    view = np.argmax(view_scores, axis=1)
+    offsets, dirs = _view_lines(-views, angles, depths)
     mu = np.empty((s_n, len(angles) * len(depths)))
     t0, t1 = np.empty_like(mu), np.empty_like(mu)
+    per_chunk = max(1, chunk_lines // mu.shape[1])
     for start in range(0, s_n, per_chunk):
         rows = slice(start, start + per_chunk)
-        probe_mu, _, _ = _grid_qualities(scene, seeds[rows], -views[None], probe_angles, probe_depths)
-        quality = np.mean(friction_to_graspness(probe_mu.reshape(len(probe_mu), v_n, -1)), axis=2)
-        view_scores[rows] = quality - config.view_vertical_bias * (1.0 - views[None, :, 2])
-        approaches = -views[np.argmax(view_scores[rows], axis=1)]
-        full = _grid_qualities(scene, seeds[rows], approaches[:, None, :], angles, depths)
-        for out, part in zip((mu, t0, t1), full):
-            out[rows] = part.reshape(len(approaches), -1)
+        full = _grid_qualities(scene, seeds[rows], offsets[view[rows]], dirs[view[rows]])
+        mu[rows], t0[rows], t1[rows] = (f.reshape(len(f), -1) for f in (full.mu, full.t0, full.t1))
 
     best = np.argmin(mu, axis=1)
     pick = np.arange(s_n), best
     reach = np.maximum(np.abs(t0[pick]), np.abs(t1[pick]))
     return PoseSearch(
         view_scores=view_scores,
-        view=np.argmax(view_scores, axis=1),
+        view_winners=view_winners,
+        view=view,
         angle_idx=best // len(depths),
         depth_idx=best % len(depths),
         width=np.minimum(MAX_WIDTH, 2.0 * reach + WIDTH_MARGIN),
@@ -166,15 +203,76 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     )
 
 
+class ProbeMemory:
+    """The probe rows (view scores and winners) of oracle_search for every point seeded so far.
+
+    One memory follows a chain of scene states, such as the rounds of a
+    clearing loop. When a state is the previous one minus whole objects
+    (scenes.removal_mask), the rows of the surviving points carry over and
+    the views a removed object won are marked for re-evaluation (NaN score);
+    any other state empties the memory. lines_evaluated and lines_reused
+    count the probe jaw lines that searches through it sent to the oracle
+    and took from it.
+    """
+
+    def __init__(self, config: RefineParallelConfig):
+        self.n_views = config.n_views
+        self.lines_per_view = len(config.angle_values()[::config.probe_angle_stride]) \
+            * len(config.depth_bins[::config.probe_depth_stride])
+        self.lines_evaluated = self.lines_reused = 0
+        self.cloud = self.scene = None
+
+    def recall(self, cloud: PointCloud, scene: SceneAnnotation, seed_indices):
+        """oracle_search's known rows for seeds of (cloud, scene); unseen seeds get all-NaN rows."""
+        self._follow(cloud, scene)
+        fresh = np.unique(seed_indices[self.row[seed_indices] < 0])
+        if len(fresh):
+            self.row[fresh] = len(self.scores) + np.arange(len(fresh))
+            self.scores = np.vstack([self.scores, np.full((len(fresh), self.n_views), np.nan)])
+            self.winners = np.concatenate([self.winners, np.zeros((len(fresh),) + self.winners.shape[1:], bool)])
+        rows = self.row[seed_indices]
+        scores = self.scores[rows]
+        evaluated = int(np.count_nonzero(np.isnan(scores)))
+        self.lines_evaluated += evaluated * self.lines_per_view
+        self.lines_reused += (scores.size - evaluated) * self.lines_per_view
+        return scores, self.winners[rows]
+
+    def store(self, seed_indices, found: PoseSearch):
+        rows = self.row[seed_indices]
+        self.scores[rows] = found.view_scores
+        self.winners[rows] = found.view_winners
+
+    def _follow(self, cloud, scene):
+        if self.cloud is cloud and self.scene is scene:
+            return
+        keep = None if self.cloud is None else removal_mask(self.cloud, self.scene, cloud, scene)
+        ids = [p.object_id for p in scene.objects()]
+        if keep is None:
+            self.row = np.full(len(cloud), -1, dtype=np.intp)
+            self.scores = np.empty((0, self.n_views))
+            self.winners = np.zeros((0, self.n_views, len(ids)), dtype=bool)
+        else:
+            gone = ~np.isin(self.ids, ids)
+            self.scores[np.any(self.winners[:, :, gone], axis=2)] = np.nan
+            self.winners = self.winners[:, :, ~gone]
+            self.row = self.row[keep]
+        self.cloud, self.scene, self.ids = cloud, scene, ids
+
+
 def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indices,
-                          config: RefineParallelConfig):
+                          config: RefineParallelConfig, probes: ProbeMemory = None):
     """Oracle-driven parallel poses for many seeds: oracle_search on the probe grid.
 
-    Seeds with no reachable candidate are dropped. Returns (grasps, dropped_count).
+    With probes, the search takes the probe rows that memory holds for these
+    seeds and leaves its own rows in it. Seeds with no reachable candidate are
+    dropped. Returns (grasps, dropped_count).
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
+    known = None if probes is None else probes.recall(cloud, scene, seed_indices)
     found = oracle_search(scene, cloud.points[seed_indices], config,
-                          config.probe_angle_stride, config.probe_depth_stride)
+                          config.probe_angle_stride, config.probe_depth_stride, known=known)
+    if probes is not None:
+        probes.store(seed_indices, found)
     approaches = -fibonacci_hemisphere(config.n_views)[found.view]
     angles = config.angle_values()
     grasps = [

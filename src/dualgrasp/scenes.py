@@ -247,6 +247,25 @@ def remove_object(cloud: PointCloud, scene: SceneAnnotation, object_id: int):
     return new_cloud, new_scene
 
 
+def removal_mask(prev_cloud: PointCloud, prev_scene: SceneAnnotation, cloud: PointCloud, scene: SceneAnnotation):
+    """Mask of the previous points that cloud keeps, if (cloud, scene) is the previous state minus whole objects.
+
+    None when it is not: the table, the viewpoint, a kept point or a kept
+    primitive (the same object, as remove_object keeps it) differs.
+    """
+    if scene.table_height != prev_scene.table_height or not np.array_equal(cloud.viewpoint, prev_cloud.viewpoint):
+        return None
+    alive = {p.object_id for p in scene.primitives}
+    kept = [p for p in prev_scene.primitives if p.object_id in alive]
+    if len(kept) != len(scene.primitives) or any(a is not b for a, b in zip(kept, scene.primitives)):
+        return None
+    gone = [p.object_id for p in prev_scene.primitives if p.object_id not in alive]
+    keep = ~np.isin(prev_scene.per_point_object_id, gone)
+    if np.count_nonzero(keep) != len(cloud) or not np.array_equal(cloud.points, prev_cloud.points[keep]):
+        return None
+    return keep
+
+
 # -- parallel (force closure) oracle ------------------------------------------
 
 ContactBatch = namedtuple("ContactBatch", ["mu", "object_id", "t0", "t1", "hit"])

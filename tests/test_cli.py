@@ -240,6 +240,7 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["train", "--config", "{seed_threshold_config}"],
     ["train", "--config", "{refiner_seeds_config}"],
     ["eval", "--grasps", "{missing}"],
+    ["eval", "--grasps", "{scenes}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--fallback-head", "--max-refine", "0"],
     ["predict", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
     ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{checkpoint}", "--config", "{views_config}"],
@@ -273,7 +274,7 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "1", "--vmax", "0"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
-        "refiner-seeds-0", "grasps-missing", "clearing-max-refine-0",
+        "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
         "checkpoint-views", "clearing-checkpoint-views",
         "checkpoint-angle-bins", "clearing-checkpoint-angle-bins",
         "kinds-unknown", "kinds-empty-name", "kinds-empty", "kind-sequence-unknown",
@@ -314,7 +315,7 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{gt_depth_zero_config}": "synth.gt_depth = 0",
         "{gt_depth_negative_config}": "synth.gt_depth = -0.05",
     }
-    fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred",
+    fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",
             "{labels_ply}": workspace / "labels" / "scene_0000_labels.ply",
             "{angle6_checkpoint}": tmp_path / "angle6.json"}

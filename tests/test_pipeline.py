@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -10,9 +12,10 @@ from dualgrasp.grasps import MAX_WIDTH, PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline, grasp_target_ids
 from dualgrasp.primitives import Primitive
+from dualgrasp import refine_parallel
 from dualgrasp.refine_parallel import RefineParallelConfig
 from dualgrasp.sampling import SamplingConfig
-from dualgrasp.scenes import SceneAnnotation
+from dualgrasp.scenes import SceneAnnotation, SynthConfig, remove_object, sample_ground_truth_grasps
 
 
 @pytest.fixture(scope="module")
@@ -122,14 +125,12 @@ def test_clearing_adapter_filters_removed_objects(small_scene, fallback_pipe):
 # -- clearing rounds through one adapter --------------------------------------------------
 
 
-def row_of_boxes():
-    """Three boxes 1 cm apart in a row: a removed box's side face lies in its neighbour's neighbourhoods."""
-    prims = [Primitive("box", (0.04, 0.04, 0.03), translation=(x, 0.0, 0.015), object_id=i + 1)
-             for i, x in enumerate((-0.05, 0.0, 0.05))]
+def resting_scene(prims, samples: int):
+    """The cloud of the primitives' surfaces above the table (z = 0) and its annotation."""
     rng = np.random.default_rng(5)
     pts, ids, flat = [], [], []
     for p in prims:
-        q, _, f = p.sample_surface(600, rng)
+        q, _, f = p.sample_surface(samples, rng)
         up = q[:, 2] > 1e-6  # the bottom faces rest on the table
         pts.append(q[up])
         flat.append(f[up])
@@ -138,6 +139,12 @@ def row_of_boxes():
     scene = SceneAnnotation(primitives=prims, table_height=0.0, camera_viewpoint=(0.0, 0.0, 1.0),
                             per_point_object_id=np.concatenate(ids), per_point_flat=np.concatenate(flat))
     return cloud, scene
+
+
+def row_of_boxes():
+    """Three boxes 1 cm apart in a row: a removed box's side face lies in its neighbour's neighbourhoods."""
+    return resting_scene([Primitive("box", (0.04, 0.04, 0.03), translation=(x, 0.0, 0.015), object_id=i + 1)
+                          for i, x in enumerate((-0.05, 0.0, 0.05))], 600)
 
 
 def seeding_pipe():
@@ -170,9 +177,9 @@ def test_clearing_features_equal_a_fresh_pass_every_round(monkeypatch):
         builds.append(len(cloud))
         return fresh(cls, cloud, table_height)
 
-    def spy(self, cloud, scene, gripper, gt_grasps=None, maps=None, feats=None):
+    def spy(self, cloud, scene, gripper, gt_grasps=None, maps=None, feats=None, probes=None):
         seen.append((cloud, scene, feats))
-        return propose(self, cloud, scene, gripper, gt_grasps, maps, feats)
+        return propose(self, cloud, scene, gripper, gt_grasps, maps, feats, probes)
 
     monkeypatch.setattr(FeatureState, "fresh", classmethod(counted_fresh))
     monkeypatch.setattr(GraspPipeline, "propose", spy)
@@ -214,3 +221,109 @@ def test_clearing_adapter_proposes_once_per_scene_state(monkeypatch):
     # the lists keep every state alive, so no two of them share an id
     states = [{(id(c), id(s), g) for c, s, g in runs} for runs in (calls, rounds)]
     assert len(states[0]) == len(calls) and states[0] == states[1]
+
+
+# -- fallback clearing rounds through the probe memory ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def three_spheres():
+    """Spheres 1 cm apart in a row: a removed sphere won jaw lines of its neighbours' seeds that close."""
+    cloud, scene = resting_scene([Primitive("sphere", (r,), translation=(x, 0.0, r), object_id=i + 1)
+                                  for i, (x, r) in enumerate(((0.0, 0.03), (0.06, 0.02), (-0.06, 0.02)))], 800)
+    gt = sample_ground_truth_grasps(scene, SynthConfig(), seed=0)
+    return cloud, scene, gt, grasp_target_ids(scene, gt)
+
+
+def probe_pipe():
+    return GraspPipeline(sampling=SamplingConfig(m_parallel=128, m_vacuum=128))
+
+
+def grasp_bytes(grasps) -> bytes:
+    return np.array([[*g.center, *g.approach, g.angle_deg, g.width, g.depth, g.score, g.seed_index]
+                     for g in grasps]).tobytes()
+
+
+def fresh_proposal(pipe, cloud, scene, gt, targets):
+    alive = {p.object_id for p in scene.objects()}
+    return pipe.propose(cloud, scene, PARALLEL, gt_grasps=[g for g, oid in zip(gt, targets) if oid in alive])
+
+
+def probe_lines(adapter):
+    return adapter.probes.lines_evaluated, adapter.probes.lines_reused
+
+
+def test_fallback_clearing_searches_equal_a_fresh_search_every_round(three_spheres, monkeypatch):
+    cloud, scene, gt, targets = three_spheres
+    pipe = probe_pipe()
+    rcfg = pipe.refine
+    adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=targets)
+    real, searches, last_scores, changed = refine_parallel.oracle_search, [], {}, []
+
+    def spy(scene, seed_points, config, *args, known=None, **kwargs):
+        found = real(scene, seed_points, config, *args, known=known, **kwargs)
+        if known is not None:  # a search through the adapter's probe memory
+            searches.append((scene, seed_points, found))
+            for point, stale, scores in zip(seed_points, np.isnan(known[0]), found.view_scores):
+                old = last_scores.get(point.tobytes())
+                if old is not None:  # a seed of an earlier round: its re-evaluated views
+                    changed.append(np.any(old[stale] != scores[stale]))
+                last_scores[point.tobytes()] = scores
+        return found
+
+    lines_per_seed = rcfg.n_views * 6 * 2
+    counts = []
+
+    def checked_round(c, s, g):
+        before = probe_lines(adapter)
+        grasps, seeds = adapter(c, s, g)
+        fresh = fresh_proposal(pipe, c, s, gt, targets)
+        assert seeds.tobytes() == fresh.seeds.indices.tobytes()
+        assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
+        (evaluated, reused), n_seeds = np.subtract(probe_lines(adapter), before), len(seeds)
+        assert evaluated + reused == n_seeds * lines_per_seed
+        counts.append((evaluated, reused))
+        return grasps, seeds
+
+    monkeypatch.setattr(refine_parallel, "oracle_search", spy)
+    _, trace = run_clearing_loop(cloud, scene, checked_round, PARALLEL)
+    monkeypatch.undo()
+
+    assert trace.attempts == [(3, True), (1, True), (2, True)]
+    assert len(searches) == len(counts) == 3
+    assert counts[0][1] == 0 and all(reused > 0 for _, reused in counts[1:])
+    assert any(changed)  # a removal moved the score of some view that was searched again
+    for s, points, found in searches:
+        want = real(s, points, rcfg, rcfg.probe_angle_stride, rcfg.probe_depth_stride)
+        for a, b in zip(found, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_probe_memory_is_dropped_when_a_state_is_not_a_removal(three_spheres):
+    cloud, scene, gt, targets = three_spheres
+    cloud2, scene2 = remove_object(cloud, scene, 2)
+    moved = cloud2.points.copy()
+    moved[0, 2] += 1e-6
+    first, *rest = scene2.primitives
+    shifted = replace(first, translation=first.translation + [1e-3, 0.0, 0.0])
+    unrelated = [
+        (PointCloud(cloud2.points, viewpoint=cloud2.viewpoint + [0.1, 0.0, 0.0]), scene2),  # another viewpoint
+        (PointCloud(moved, viewpoint=cloud2.viewpoint), scene2),  # a moved point
+        (cloud2, replace(scene2, primitives=[shifted, *rest])),  # a moved object
+    ]
+    pipe = probe_pipe()
+    for c, s in unrelated:
+        adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=targets)
+        adapter(cloud, scene, PARALLEL)
+        evaluated, reused = probe_lines(adapter)
+        assert reused == 0
+        grasps, seeds = adapter(c, s, PARALLEL)
+        fresh = fresh_proposal(pipe, c, s, gt, targets)
+        assert seeds.tobytes() == fresh.seeds.indices.tobytes()
+        assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
+        assert probe_lines(adapter) == (evaluated + len(seeds) * pipe.refine.n_views * 6 * 2, 0)
+    # the same removal without the change reuses lines
+    adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=targets)
+    adapter(cloud, scene, PARALLEL)
+    adapter(cloud2, scene2, PARALLEL)
+    assert probe_lines(adapter)[1] > 0

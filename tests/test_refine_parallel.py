@@ -16,7 +16,7 @@ from dualgrasp.refine_parallel import (
     learned_refine_batch,
     oracle_search,
 )
-from dualgrasp.scenes import friction_to_graspness
+from dualgrasp.scenes import friction_to_graspness, parallel_quality_batch
 
 from test_scenes import bare_scene, jaw_contact
 
@@ -237,15 +237,56 @@ def test_unreachable_seed_is_dropped():
     assert dropped == 1 and [g.seed_index for g in grasps] == [top_idx]
 
 
-def test_oracle_search_chunking_is_invisible():
-    cloud, scene, _ = sphere_cloud_and_scene(radius=0.03)
+def assert_same_search(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_oracle_search_chunking_is_invisible(monkeypatch):
+    cloud, scene, sphere = sphere_cloud_and_scene(radius=0.03)
     pts = cloud.points[[5, 40, 111, 200, 333]]
     whole = oracle_search(scene, pts, CFG, 2, 2)
-    lines_per_seed = CFG.n_views * 6 * 2
-    for chunk_lines in (1, 2 * lines_per_seed):  # one seed, then two seeds per chunk
-        part = oracle_search(scene, pts, CFG, 2, 2, chunk_lines=chunk_lines)
-        for a, b in zip(whole, part):
-            assert np.array_equal(a, b)
+    lines_per_view, full_lines = 6 * 2, CFG.n_angle_bins * len(CFG.depth_bins)
+    lines_per_seed = CFG.n_views * lines_per_view
+    for chunk_lines in (1, 2 * lines_per_seed):  # one view, then two seeds per chunk
+        assert_same_search(oracle_search(scene, pts, CFG, 2, 2, chunk_lines=chunk_lines), whole)
+
+    # known rows: the same seeds searched beside a second sphere, which is then removed
+    near = Primitive("sphere", (0.02,), translation=(0.06, 0.0, 0.1), object_id=2)
+    before = oracle_search(bare_scene(sphere, near), pts, CFG, 2, 2)
+    # view_winners: the objects that won each view's probe lines, (seed, view, angle, depth) in order
+    approach = np.tile(np.repeat(-fibonacci_hemisphere(CFG.n_views), lines_per_view, axis=0), (len(pts), 1))
+    angle = np.tile(np.repeat(CFG.angle_values()[::2], 2), len(pts) * CFG.n_views)
+    depth = np.tile(CFG.depth_bins[::2], len(pts) * CFG.n_views * 6)
+    origins = np.repeat(pts, lines_per_seed, axis=0) + depth[:, None] * approach
+    winner = parallel_quality_batch(bare_scene(sphere, near), origins, closing_directions(approach, angle), MAX_WIDTH)
+    winner = winner.object_id.reshape(len(pts), CFG.n_views, lines_per_view, 1)
+    assert np.array_equal(before.view_winners, np.any(winner == np.array([1, 2]), axis=2))
+    touched = before.view_winners[:, :, 1]
+    assert np.all(np.count_nonzero(touched, axis=1) > 7) and not np.all(touched)  # seven views split every seed
+    assert np.any(before.view_scores[touched] != whole.view_scores[touched])  # the removal moves some of them
+    known = (np.where(touched, np.nan, before.view_scores), before.view_winners[:, :, :1])
+    calls = []
+    real = refine_parallel.parallel_quality_batch
+
+    def counted(scene, jaw_centers, closing_dirs, widths):
+        calls.append(len(jaw_centers))
+        return real(scene, jaw_centers, closing_dirs, widths)
+
+    monkeypatch.setattr(refine_parallel, "parallel_quality_batch", counted)
+    for chunk_lines in (1, 7 * lines_per_view, 2 * lines_per_seed):  # one view, seven views, all views per chunk
+        calls.clear()
+        assert_same_search(oracle_search(scene, pts, CFG, 2, 2, chunk_lines=chunk_lines, known=known), whole)
+        assert sum(calls) == np.count_nonzero(touched) * lines_per_view + len(pts) * full_lines
+    assert calls[0] == np.count_nonzero(touched) * lines_per_view
+
+    # nothing touched: only the winning views' full grids reach the oracle
+    calls.clear()
+    assert_same_search(oracle_search(scene, pts, CFG, 2, 2, known=(whole.view_scores, whole.view_winners)), whole)
+    assert calls == [len(pts) * full_lines]
+    # every view touched: the known winners are overwritten, as in a fresh search
+    every = (np.full_like(whole.view_scores, np.nan), np.ones_like(whole.view_winners))
+    assert_same_search(oracle_search(scene, pts, CFG, 2, 2, known=every), whole)
 
 
 def test_oracle_search_fallback_uses_probe_strides():
@@ -281,11 +322,11 @@ def test_grid_closings_are_the_geometry_closing_directions(monkeypatch):
     angles, depths = CFG.angle_values(), np.asarray(CFG.depth_bins)
     seeds = np.array([[0.0, 0.0, 0.12], [0.01, 0.0, 0.1], [0.0, -0.02, 0.1]])
     per_seed = np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])  # vertical included
-    for approaches in (-fibonacci_hemisphere(CFG.n_views)[None], per_seed[:, None, :]):
-        refine_parallel._grid_qualities(scene, seeds, approaches, angles, depths)
-        k_n, m_n = approaches.shape[:2]
-        flat = approaches.reshape(-1, 3)
+    for approaches in (-fibonacci_hemisphere(CFG.n_views), per_seed):
+        offsets, dirs = refine_parallel._view_lines(approaches, angles, depths)
+        pair_seed, pair_approach = np.divmod(np.arange(len(seeds) * len(approaches)), len(approaches))
+        refine_parallel._grid_qualities(scene, seeds[pair_seed], offsets[pair_approach], dirs[pair_approach])
+        flat = approaches[pair_approach]
         want = closing_directions(np.repeat(flat, len(angles), axis=0), np.tile(angles, len(flat)))
-        want = np.broadcast_to(want.reshape(k_n, m_n, len(angles), 1, 3),
-                               (len(seeds), m_n, len(angles), len(depths), 3))
+        want = np.broadcast_to(want.reshape(len(flat), len(angles), 1, 3), (len(flat), len(angles), len(depths), 3))
         assert np.array_equal(seen[-1].reshape(want.shape), want)
