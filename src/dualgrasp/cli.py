@@ -358,6 +358,8 @@ def _clearing_row(scene, gripper, m):
 
 
 def cmd_export_ply(args) -> int:
+    if not (np.isfinite(args.vmin) and np.isfinite(args.vmax)):
+        raise UsageError("--vmin and --vmax must be finite")
     if args.vmax <= args.vmin:
         raise UsageError("--vmax must exceed --vmin")
     points, _, channels = read_ply(args.input)

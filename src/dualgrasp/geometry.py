@@ -62,24 +62,25 @@ def row_norms(x) -> np.ndarray:
 
 
 def col_dots(a, b) -> np.ndarray:
-    """Dot product of each row pair of (M, 3) arrays, bitwise equal to np.sum(a * b, axis=1).
+    """Dot product of each line of two (3, M) coordinate-column arrays, bitwise equal to np.sum(a.T * b.T, axis=1).
 
-    Summed column by column, in np.sum's order and from its +0.0 start (a row
-    of -0.0 products sums to +0.0), without the cost of a reduction over an
-    axis of length 3. Not a shortcut for row_dots: the BLAS dot fuses
-    multiply-adds and gives other bits than np.sum.
+    Summed coordinate by coordinate, in np.sum's order and from its +0.0 start
+    (a line of -0.0 products sums to +0.0), without the cost of a reduction
+    over an axis of length 3. Rows (M, 3) pass as their transpose. Not a
+    shortcut for row_dots: the BLAS dot fuses multiply-adds and gives other
+    bits than np.sum.
     """
-    return 0.0 + a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def col_norms(x) -> np.ndarray:
-    """Euclidean norm of each row of an (M, 2) or (M, 3) array, bitwise equal to np.linalg.norm(x, axis=1).
+    """Euclidean norm of each line of (2, M) or (3, M) coordinate columns, bitwise equal to np.linalg.norm(x.T, axis=1).
 
     Same rules as col_dots; squares carry no sign, so no +0.0 start is needed.
     """
-    s = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
-    if x.shape[1] == 3:
-        s += x[:, 2] * x[:, 2]
+    s = x[0] * x[0] + x[1] * x[1]
+    if len(x) == 3:
+        s += x[2] * x[2]
     return np.sqrt(s)
 
 

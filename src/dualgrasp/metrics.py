@@ -38,8 +38,12 @@ class EvalConfig:
         for grid in (self.mu_parallel_grid, self.mu_vacuum_grid):
             if len(grid) == 0:
                 raise ValueError("mu grid must name at least one coefficient")
+            if not all(np.isfinite(mu) and mu > 0 for mu in grid):
+                raise ValueError(f"mu grid entries must be finite and > 0: {grid}")
             if list(grid) != sorted(grid):
                 raise ValueError(f"mu grid must be ascending: {grid}")
+        if max(self.mu_vacuum_grid) > 1:
+            raise ValueError(f"mu_vacuum_grid entries are seal coefficients, <= 1: {self.mu_vacuum_grid}")
         if not (np.isfinite(self.exec_mu_parallel) and self.exec_mu_parallel > 0):
             raise ValueError(f"exec_mu_parallel must be finite and > 0, got {self.exec_mu_parallel}")
         if not 0 < self.exec_mu_vacuum <= 1:

@@ -2,11 +2,18 @@
 
 All primitive math happens in the primitive's local frame (pose = rotation
 quaternion + translation). Supported kinds: box, sphere, cylinder (axis +z),
-and plane-slab (a thin box, used for flat tiles and the table). Every query
-is row-exact: a row gives the same bits alone as in a stack of rows. The
-per-row arithmetic works on coordinate columns, each column form doing the
-same IEEE operations in the same order as the axis=1 reduction it stands for,
-so no query runs a reduction over a short axis.
+and plane-slab (a thin box, used for flat tiles and the table).
+
+Points and directions go in and come out as (3, M) coordinate columns, so
+every per-line operation streams M contiguous values instead of running
+numpy's inner loop over 3; only sample_surface returns (M, 3) rows, for the
+cloud. Every query is line-exact: a line gives the same bits alone as in a
+batch, and the bits of the (M, 3) row form, where each rotation was a
+(M, 3) @ (3, 3) product. A (3, 3) @ (3, M) product has those bits for
+M >= 2; for M = 1 BLAS takes a matrix-vector kernel with other bits, so a
+one-line batch is rotated in the row form (_turn). The per-line arithmetic
+does the same IEEE operations in the same order as the axis=1 reduction it
+stands for (col_dots, col_norms), so no query reduces over a short axis.
 """
 
 from dataclasses import dataclass, field
@@ -58,19 +65,19 @@ class Primitive:
         # would depend on the batch it came in.
         self._rot_t = np.ascontiguousarray(self._rot.T)
 
-    # -- frames -------------------------------------------------------------
+    # -- frames: (3, M) columns in, C-contiguous (3, M) columns out ---------
 
     def to_local(self, points: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points) - self.translation) @ self._rot
+        return _turn(self._rot_t, self._rot, _columns(points) - self.translation[:, None])
 
     def to_world(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self._rot_t + self.translation
+        return _turn(self._rot, self._rot_t, _columns(points)) + self.translation[:, None]
 
     def dirs_to_local(self, dirs: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(dirs) @ self._rot
+        return _turn(self._rot_t, self._rot, _columns(dirs))
 
     def dirs_to_world(self, dirs: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(dirs) @ self._rot_t
+        return _turn(self._rot, self._rot_t, _columns(dirs))
 
     # -- shape measures -----------------------------------------------------
 
@@ -98,8 +105,9 @@ class Primitive:
     def sample_surface(self, count: int, rng: np.random.Generator):
         """Area-uniform surface samples.
 
-        Returns (points, normals, flat) in world coordinates; flat marks
-        samples that lie on a planar face (box faces, cylinder caps).
+        Returns (points, normals, flat) in world coordinates, points and
+        normals as C-contiguous (count, 3) rows; flat marks samples that lie
+        on a planar face (box faces, cylinder caps).
         """
         if self.kind in _BOX_LIKE:
             pts, nrm, flat = _sample_box(self.dimensions, count, rng)
@@ -107,12 +115,12 @@ class Primitive:
             pts, nrm, flat = _sample_sphere(self.dimensions[0], count, rng)
         else:
             pts, nrm, flat = _sample_cylinder(*self.dimensions, count, rng)
-        return self.to_world(pts), self.dirs_to_world(nrm), flat
+        return self.to_world(pts).T.copy(), self.dirs_to_world(nrm).T.copy(), flat
 
     # -- analytic queries ---------------------------------------------------
 
     def line_intersections(self, origins: np.ndarray, dirs: np.ndarray):
-        """Intersect M infinite lines (unit dirs) with the surface.
+        """Intersect M infinite lines, (3, M) origins and unit dirs, with the surface.
 
         Returns (t0, t1, hit): entry/exit parameters per line (t0 <= t1) and a
         bool mask. Tangent touches (t1 - t0 ~ 0) count as misses.
@@ -129,12 +137,12 @@ class Primitive:
         return t0, t1, hit
 
     def surface_normal(self, points: np.ndarray) -> np.ndarray:
-        """Outward normals at world points on (or near) the surface."""
+        """Outward normals, (3, M), at world points on (or near) the surface."""
         p = self.to_local(points)
         if self.kind in _BOX_LIKE:
             n = _box_normal(np.asarray(self.dimensions) / 2.0, p)
         elif self.kind == "sphere":
-            n = p / np.maximum(col_norms(p), 1e-12)[:, None]
+            n = p / np.maximum(col_norms(p), 1e-12)
         else:
             n = _cylinder_normal(*self.dimensions, p)
         return self.dirs_to_world(n)
@@ -162,7 +170,26 @@ class Primitive:
         return sd < -pad if pad <= 0 else sd < pad
 
 
-# -- local-frame implementations ---------------------------------------------
+# -- local-frame implementations: (3, M) columns ------------------------------
+
+
+def _columns(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or len(x) != 3:
+        raise ValueError(f"expected (3, M) coordinate columns, got shape {x.shape}")
+    return x
+
+
+def _turn(m, m_t, x):
+    """m @ x on (3, M) columns, with the bits of the row form x.T @ m_t (m_t: m's C-contiguous transpose).
+
+    x is made C-contiguous first, so that the product always takes the BLAS
+    kernel whose bits were checked against the row form.
+    """
+    x = np.ascontiguousarray(x)
+    if x.shape[1] == 1:
+        return (x.reshape(1, 3) @ m_t).reshape(3, 1)
+    return m @ x
 
 
 def _sample_box(dims, count, rng):
@@ -170,8 +197,8 @@ def _sample_box(dims, count, rng):
     areas = np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy, sx * sy])
     face = rng.choice(6, size=count, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=(count, 2))
-    pts = np.zeros((count, 3))
-    nrm = np.zeros((count, 3))
+    pts = np.zeros((3, count))
+    nrm = np.zeros((3, count))
     half = np.array([sx, sy, sz]) / 2.0
     axis = face // 2  # 0:x faces, 1:y faces, 2:z faces
     sign = np.where(face % 2 == 0, 1.0, -1.0)
@@ -181,16 +208,16 @@ def _sample_box(dims, count, rng):
         if not np.any(m):
             continue
         o1, o2 = others[a]
-        pts[m, a] = sign[m] * half[a]
-        pts[m, o1] = u[m, 0] * dims[o1]
-        pts[m, o2] = u[m, 1] * dims[o2]
-        nrm[m, a] = sign[m]
+        pts[a, m] = sign[m] * half[a]
+        pts[o1, m] = u[m, 0] * dims[o1]
+        pts[o2, m] = u[m, 1] * dims[o2]
+        nrm[a, m] = sign[m]
     return pts, nrm, np.ones(count, dtype=bool)
 
 
 def _sample_sphere(radius, count, rng):
-    v = rng.normal(size=(count, 3))
-    v /= col_norms(v)[:, None]
+    v = rng.normal(size=(count, 3)).T
+    v = v / col_norms(v)
     return radius * v, v, np.zeros(count, dtype=bool)
 
 
@@ -199,31 +226,32 @@ def _sample_cylinder(radius, height, count, rng):
     a_cap = np.pi * radius * radius
     comp = rng.choice(3, size=count, p=np.array([a_side, a_cap, a_cap]) / (a_side + 2 * a_cap))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    pts = np.zeros((count, 3))
-    nrm = np.zeros((count, 3))
+    pts = np.zeros((3, count))
+    nrm = np.zeros((3, count))
     flat = np.zeros(count, dtype=bool)
 
     side = comp == 0
-    pts[side, 0] = radius * np.cos(theta[side])
-    pts[side, 1] = radius * np.sin(theta[side])
-    pts[side, 2] = rng.uniform(-height / 2.0, height / 2.0, size=int(side.sum()))
-    nrm[side, 0] = np.cos(theta[side])
-    nrm[side, 1] = np.sin(theta[side])
+    pts[0, side] = radius * np.cos(theta[side])
+    pts[1, side] = radius * np.sin(theta[side])
+    pts[2, side] = rng.uniform(-height / 2.0, height / 2.0, size=int(side.sum()))
+    nrm[0, side] = np.cos(theta[side])
+    nrm[1, side] = np.sin(theta[side])
 
     for which, zsign in ((comp == 1, 1.0), (comp == 2, -1.0)):
         k = int(which.sum())
         if k == 0:
             continue
         rr = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
-        pts[which, 0] = rr * np.cos(theta[which])
-        pts[which, 1] = rr * np.sin(theta[which])
-        pts[which, 2] = zsign * height / 2.0
-        nrm[which, 2] = zsign
+        pts[0, which] = rr * np.cos(theta[which])
+        pts[1, which] = rr * np.sin(theta[which])
+        pts[2, which] = zsign * height / 2.0
+        nrm[2, which] = zsign
         flat[which] = True
     return pts, nrm, flat
 
 
 def _intersect_box(half, o, d):
+    half = np.reshape(half, (3, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / d
         ta = (-half - o) * inv
@@ -231,12 +259,12 @@ def _intersect_box(half, o, d):
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
     # Parallel-to-slab axes: inside -> unbounded, outside -> empty interval.
-    par = np.abs(d) < 1e-12
-    inside = np.abs(o) <= half
-    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
-    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
-    t0 = np.maximum(np.maximum(lo[:, 0], lo[:, 1]), lo[:, 2])
-    t1 = np.minimum(np.minimum(hi[:, 0], hi[:, 1]), hi[:, 2])
+    axis, line = np.nonzero(np.abs(d) < 1e-12)
+    inside = np.abs(o[axis, line]) <= half[axis, 0]
+    lo[axis, line] = np.where(inside, -np.inf, np.inf)
+    hi[axis, line] = np.where(inside, np.inf, -np.inf)
+    t0 = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+    t1 = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
     hit = (t0 < t1) & np.isfinite(t0) & np.isfinite(t1)
     return t0, t1, hit
 
@@ -254,24 +282,24 @@ def _intersect_cylinder(radius, height, o, d):
     # Candidate parameters: two on the side, then the +h/2 and -h/2 caps.
     cand_t, ok = [], []
     # Side surface: quadratic in the xy-plane.
-    a = d[:, 0] ** 2 + d[:, 1] ** 2
-    b = o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1]
-    c = o[:, 0] ** 2 + o[:, 1] ** 2 - radius * radius
+    a = d[0] ** 2 + d[1] ** 2
+    b = o[0] * d[0] + o[1] * d[1]
+    c = o[0] ** 2 + o[1] ** 2 - radius * radius
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - a * c
         s = np.sqrt(np.maximum(disc, 0.0))
         q_ok = (a > 1e-14) & (disc > 0)
         for sgn in (-1.0, 1.0):
             t = np.where(q_ok, (-b + sgn * s) / np.where(q_ok, a, 1.0), np.nan)
-            z = o[:, 2] + t * d[:, 2]
+            z = o[2] + t * d[2]
             cand_t.append(t)
             ok.append(q_ok & (np.abs(z) <= height / 2.0))
         # Caps at z = +-h/2.
-        dz_ok = np.abs(d[:, 2]) > 1e-12
+        dz_ok = np.abs(d[2]) > 1e-12
         for zc in (height / 2.0, -height / 2.0):
-            t = np.where(dz_ok, (zc - o[:, 2]) / np.where(dz_ok, d[:, 2], 1.0), np.nan)
-            x = o[:, 0] + t * d[:, 0]
-            y = o[:, 1] + t * d[:, 1]
+            t = np.where(dz_ok, (zc - o[2]) / np.where(dz_ok, d[2], 1.0), np.nan)
+            x = o[0] + t * d[0]
+            y = o[1] + t * d[1]
             cand_t.append(t)
             ok.append(dz_ok & (x * x + y * y <= radius * radius))
     hit = (ok[0].astype(np.intp) + ok[1] + ok[2] + ok[3]) >= 2
@@ -286,40 +314,39 @@ def _intersect_cylinder(radius, height, o, d):
 
 def _box_normal(half, p):
     # Face whose plane the point is closest to wins; ties go to the lowest axis.
-    gap = half - np.abs(p)
-    g0, g1, g2 = gap[:, 0], gap[:, 1], gap[:, 2]
+    g0, g1, g2 = np.reshape(half, (3, 1)) - np.abs(p)
     axis = np.where((g0 <= g1) & (g0 <= g2), 0, np.where(g1 <= g2, 1, 2))
-    n = np.empty_like(p)
+    n = np.empty(p.shape)
     for k in range(3):
-        sign = np.sign(p[:, k])
-        n[:, k] = np.where(axis == k, np.where(sign == 0.0, 1.0, sign), 0.0)
+        sign = np.sign(p[k])
+        n[k] = np.where(axis == k, np.where(sign == 0.0, 1.0, sign), 0.0)
     return n
 
 
 def _cylinder_normal(radius, height, p):
-    r = col_norms(p[:, :2])
+    r = col_norms(p[:2])
     side_gap = np.abs(radius - r)
-    cap_gap = np.abs(height / 2.0 - np.abs(p[:, 2]))
-    n = np.zeros_like(p)
+    cap_gap = np.abs(height / 2.0 - np.abs(p[2]))
+    n = np.zeros(p.shape)
     use_cap = cap_gap < side_gap
     safe_r = np.maximum(r, 1e-12)
-    n[:, 0] = np.where(use_cap, 0.0, p[:, 0] / safe_r)
-    n[:, 1] = np.where(use_cap, 0.0, p[:, 1] / safe_r)
-    n[:, 2] = np.where(use_cap, np.sign(p[:, 2]), 0.0)
-    n[:, 2] = np.where(use_cap & (n[:, 2] == 0.0), 1.0, n[:, 2])
+    n[0] = np.where(use_cap, 0.0, p[0] / safe_r)
+    n[1] = np.where(use_cap, 0.0, p[1] / safe_r)
+    n[2] = np.where(use_cap, np.sign(p[2]), 0.0)
+    n[2] = np.where(use_cap & (n[2] == 0.0), 1.0, n[2])
     return n
 
 
 def _box_sdf(half, p):
-    q = np.abs(p) - half
+    q = np.abs(p) - np.reshape(half, (3, 1))
     outside = col_norms(np.maximum(q, 0.0))
-    inside = np.minimum(np.maximum(np.maximum(q[:, 0], q[:, 1]), q[:, 2]), 0.0)
+    inside = np.minimum(np.maximum(np.maximum(q[0], q[1]), q[2]), 0.0)
     return outside + inside
 
 
 def _cylinder_sdf(radius, height, p):
-    qr = col_norms(p[:, :2]) - radius
-    qz = np.abs(p[:, 2]) - height / 2.0
+    qr = col_norms(p[:2]) - radius
+    qz = np.abs(p[2]) - height / 2.0
     qr_out, qz_out = np.maximum(qr, 0.0), np.maximum(qz, 0.0)
     outside = np.sqrt(qr_out * qr_out + qz_out * qz_out)
     inside = np.minimum(np.maximum(qr, qz), 0.0)

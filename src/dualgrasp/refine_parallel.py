@@ -46,6 +46,9 @@ class RefineParallelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not isinstance(self.depth_bins, tuple) or not self.depth_bins or min(self.depth_bins) <= 0:
             raise ValueError(f"depth_bins must be a non-empty tuple of positive depths, got {self.depth_bins!r}")
+        # NaN would rank every view equal (view 0 wins) and mark every stored probe score unknown
+        if not (np.isfinite(self.view_vertical_bias) and self.view_vertical_bias >= 0):
+            raise ValueError(f"view_vertical_bias must be finite and >= 0, got {self.view_vertical_bias}")
 
     def angle_values(self) -> np.ndarray:
         return 180.0 * np.arange(self.n_angle_bins) / self.n_angle_bins
@@ -95,29 +98,32 @@ PoseSearch = namedtuple(
 
 
 def _view_lines(approaches, angles, depths):
-    """Jaw-line offsets (M, D, 3) and closing directions (M, A, D, 3) of M approaches on an (angle, depth) grid.
+    """Jaw-line offsets (3, M, D) and closing directions (3, M, A, D) of M approaches on an (angle, depth) grid.
 
-    The jaw line for candidate (m, a, d) at a seed runs through seed + offset
-    (m, d), that is depth d * approach m, along the angle-a closing direction
-    of that approach's frame: each closing has the bits of
-    geometry.closing_directions, which ParallelGrasp.closing_dir also takes.
+    Both are coordinate columns: the jaw line for candidate (m, a, d) at a
+    seed runs through seed + offsets[:, m, d], that is depth d * approach m,
+    along dirs[:, m, a, d], the angle-a closing direction of that approach's
+    frame. Each closing has the bits of geometry.closing_directions, which
+    ParallelGrasp.closing_dir also takes.
     """
     e1, e2 = approach_frames(approaches)
     rad = np.deg2rad(angles)
-    closings = np.cos(rad)[None, :, None] * e1[:, None, :] + np.sin(rad)[None, :, None] * e2[:, None, :]
-    dirs = np.broadcast_to(closings[:, :, None, :], (len(approaches), len(angles), len(depths), 3))
-    return depths[None, :, None] * approaches[:, None, :], np.ascontiguousarray(dirs)
+    closings = np.cos(rad) * e1.T[:, :, None] + np.sin(rad) * e2.T[:, :, None]
+    dirs = np.broadcast_to(closings[:, :, :, None], (3, len(approaches), len(angles), len(depths)))
+    return approaches.T[:, :, None] * depths, np.ascontiguousarray(dirs)
 
 
 def _grid_qualities(scene: SceneAnnotation, seeds, offsets, dirs):
     """Oracle ContactBatch of the jaw lines of P (seed, approach) pairs, each field (P, A, D).
 
-    seeds is (P, 3); offsets (P, D, 3) and dirs (P, A, D, 3) are rows of _view_lines.
+    seeds is (P, 3); offsets (3, P, D) and dirs (3, P, A, D) are C-contiguous
+    gathers of _view_lines' columns. The lines reach parallel_quality_batch
+    as the transposes of (3, P * A * D) columns, which it holds without a copy.
     """
-    shape = dirs.shape[:3]
-    centers = seeds[:, None, :] + offsets
-    origins = np.broadcast_to(centers[:, None, :, :], shape + (3,)).reshape(-1, 3)
-    res = parallel_quality_batch(scene, origins, dirs.reshape(-1, 3), np.full(len(origins), MAX_WIDTH))
+    shape = dirs.shape[1:]
+    centers = seeds.T[:, :, None] + offsets
+    origins = np.broadcast_to(centers[:, :, None, :], dirs.shape).reshape(3, -1)
+    res = parallel_quality_batch(scene, origins.T, dirs.reshape(3, -1).T, np.full(origins.shape[1], MAX_WIDTH))
     return ContactBatch(*(field.reshape(shape) for field in res))
 
 
@@ -167,11 +173,12 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     else:
         view_scores, view_winners = np.array(known[0], dtype=np.float64), np.array(known[1], dtype=bool)
     todo = np.flatnonzero(np.isnan(view_scores))
-    per_chunk = max(1, chunk_lines // (probe_dirs.shape[1] * probe_dirs.shape[2]))  # pairs of a probe chunk
+    per_chunk = max(1, chunk_lines // (probe_dirs.shape[2] * probe_dirs.shape[3]))  # pairs of a probe chunk
     for start in range(0, len(todo), per_chunk):
         pairs = todo[start:start + per_chunk]
         s_idx, v_idx = np.divmod(pairs, v_n)
-        probe_mu, winner = _grid_qualities(scene, seeds[s_idx], probe_offsets[v_idx], probe_dirs[v_idx])[:2]
+        probe_mu, winner = _grid_qualities(scene, seeds[s_idx], probe_offsets.take(v_idx, axis=1),
+                                           probe_dirs.take(v_idx, axis=1))[:2]
         quality = np.mean(friction_to_graspness(probe_mu.reshape(len(pairs), -1)), axis=1)
         view_scores.flat[pairs] = quality - config.view_vertical_bias * (1.0 - views[v_idx, 2])
         # (lines, objects, pairs), reduced over its contiguous leading axis
@@ -185,7 +192,7 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     per_chunk = max(1, chunk_lines // mu.shape[1])
     for start in range(0, s_n, per_chunk):
         rows = slice(start, start + per_chunk)
-        full = _grid_qualities(scene, seeds[rows], offsets[view[rows]], dirs[view[rows]])
+        full = _grid_qualities(scene, seeds[rows], offsets.take(view[rows], axis=1), dirs.take(view[rows], axis=1))
         mu[rows], t0[rows], t1[rows] = (f.reshape(len(f), -1) for f in (full.mu, full.t0, full.t1))
 
     best = np.argmin(mu, axis=1)

@@ -214,7 +214,7 @@ def generate_scene(seed, n_objects: int, config: SynthConfig = None):
         for other in prims:
             if other is prim:
                 continue
-            buried |= other.contains(pts, pad=1e-7)
+            buried |= other.contains(pts.T, pad=1e-7)
         keep = facing & ~buried
         all_pts.append(pts[keep])
         all_ids.append(np.full(int(keep.sum()), prim.object_id, dtype=np.intp))
@@ -270,6 +270,32 @@ def removal_mask(prev_cloud: PointCloud, prev_scene: SceneAnnotation, cloud: Poi
 
 ContactBatch = namedtuple("ContactBatch", ["mu", "object_id", "t0", "t1", "hit"])
 
+_PREFILTER_BLOCK = 8192  # lines per block of the bounding-sphere prefilter
+
+
+def _sphere_candidates(objs, q, u) -> list:
+    """Per object, the lines of (3, M) columns q, u that pass within its bounding radius of its center.
+
+    A line that stays farther from the center cannot touch the surface, so
+    this is an exact superset of the lines that hit it. Both sums run
+    coordinate by coordinate from +0.0 in col_dots' order, one offset
+    coordinate at a time. The lines go through in blocks, so that every
+    object's temporaries stay in cache.
+    """
+    radii2 = [prim.bounding_radius() ** 2 + 1e-12 for prim in objs]
+    found = [[np.zeros(0, dtype=np.intp)] for _ in objs]
+    for start in range(0, q.shape[1], _PREFILTER_BLOCK):
+        qb, ub = q[:, start:start + _PREFILTER_BLOCK], u[:, start:start + _PREFILTER_BLOCK]
+        for prim, r2, out in zip(objs, radii2, found):
+            along, d2 = np.zeros(qb.shape[1]), np.zeros(qb.shape[1])
+            for k in range(3):
+                rel = prim.translation[k] - qb[k]
+                along += rel * ub[k]
+                d2 += rel * rel
+            d2 -= along * along
+            out.append(start + np.flatnonzero(d2 <= r2))
+    return [np.concatenate(out) for out in found]
+
 
 def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, widths) -> ContactBatch:
     """Vectorized required-friction evaluation for M candidate jaw lines.
@@ -280,17 +306,19 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
     opposing the closing force). hit marks lines that intersect at least one
     object; among several, the object whose chord is centered closest to the
     jaw center wins. t0/t1 are the chord parameters on the winning object.
-    Per-line dot products and norms are summed column by column (col_dots,
-    col_norms), with the bits of the axis=1 reductions they replace.
+    The lines are held as (3, M) coordinate columns, as the Primitive queries
+    take them, and per-line dot products and norms are summed coordinate by
+    coordinate (col_dots, col_norms), with the bits of the axis=1 reductions
+    they replace.
     """
-    # Column-major copies: the dense per-object prefilter streams each coordinate
-    # column contiguously; row gathers from them are C-ordered as before.
-    q = np.asfortranarray(np.atleast_2d(np.asarray(jaw_centers, dtype=np.float64)))
-    u = np.asfortranarray(np.atleast_2d(np.asarray(closing_dirs, dtype=np.float64)))
-    u = u / col_norms(u)[:, None]
-    w = np.broadcast_to(np.asarray(widths, dtype=np.float64), (len(q),))
+    # (3, M) C-contiguous columns: the transpose of a Fortran-ordered copy of the
+    # rows (no copy when the caller passes the transpose of columns already).
+    q = np.asfortranarray(np.atleast_2d(np.asarray(jaw_centers, dtype=np.float64))).T
+    u = np.asfortranarray(np.atleast_2d(np.asarray(closing_dirs, dtype=np.float64))).T
+    u = u / col_norms(u)
+    m = q.shape[1]
+    w = np.broadcast_to(np.asarray(widths, dtype=np.float64), (m,))
 
-    m = len(q)
     best_mid = np.full(m, np.inf)
     best_t0 = np.zeros(m)
     best_t1 = np.zeros(m)
@@ -298,21 +326,10 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
     hit_any = np.zeros(m, dtype=bool)
 
     objs = scene.objects()
-    for prim in objs:
-        # Bounding-sphere prefilter: a line that stays farther from the center
-        # than the bounding radius cannot touch the surface (exact superset).
-        # Both sums run column by column from +0.0 in col_dots' order, without
-        # an (M, 3) offset array.
-        along, d2 = np.zeros(m), np.zeros(m)
-        for k in range(3):
-            rel = prim.translation[k] - q[:, k]
-            along += rel * u[:, k]
-            d2 += rel * rel
-        d2 -= along * along
-        cand = np.flatnonzero(d2 <= prim.bounding_radius() ** 2 + 1e-12)
+    for prim, cand in zip(objs, _sphere_candidates(objs, q, u)):
         if len(cand) == 0:
             continue
-        t0c, t1c, hitc = prim.line_intersections(q[cand], u[cand])
+        t0c, t1c, hitc = prim.line_intersections(q.take(cand, axis=1), u.take(cand, axis=1))
         with np.errstate(invalid="ignore"):
             midc = np.where(hitc, np.abs((t0c + t1c) / 2.0), np.inf)
         betterc = hitc & (midc < best_mid[cand])
@@ -328,9 +345,9 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
         sel = np.flatnonzero(hit_any & (best_id == prim.object_id))
         if len(sel) == 0:
             continue
-        qs, us, t0s, t1s, ws = q[sel], u[sel], best_t0[sel], best_t1[sel], w[sel]
-        n0 = prim.surface_normal(qs + t0s[:, None] * us)
-        n1 = prim.surface_normal(qs + t1s[:, None] * us)
+        qs, us, t0s, t1s, ws = q.take(sel, axis=1), u.take(sel, axis=1), best_t0[sel], best_t1[sel], w[sel]
+        n0 = prim.surface_normal(qs + t0s * us)
+        n1 = prim.surface_normal(qs + t1s * us)
         cos0 = -col_dots(us, n0)
         cos1 = col_dots(us, n1)
         cmin = np.minimum(cos0, cos1)
@@ -365,7 +382,7 @@ def owning_objects(scene: SceneAnnotation, points, tol: float = np.inf) -> np.nd
     ids = np.zeros(len(pts), dtype=np.intp)
     best = np.full(len(pts), np.inf)
     for prim in scene.objects():
-        d = prim.surface_distance(pts)
+        d = prim.surface_distance(pts.T)
         closer = d < best
         ids[closer] = prim.object_id
         best[closer] = d[closer]
@@ -417,7 +434,7 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
     The samples are gathered by one query of their cached local-frame tree per
     object, with a radius padded far beyond the rounding of a rigid transform;
     the exact world-frame distance test then keeps them in ascending sample
-    order, and one row-exact surface_normal call per object gives the tangent
+    order, and one line-exact surface_normal call per object gives the tangent
     planes, so every value has the bits of a one-center call.
     """
     c = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
@@ -430,10 +447,10 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
             continue
         count = int(np.clip(prim.surface_area() * SEAL_SAMPLE_DENSITY, lo, hi))
         local, tree = _seal_surface_samples(prim, count)
-        pts = prim.to_world(local)
-        near = tree.query_ball_point(prim.to_local(c[rows]), cup_radius * (1.0 + 1e-9) + 1e-12,
+        pts = prim.to_world(local.T).T
+        near = tree.query_ball_point(prim.to_local(c[rows].T).T, cup_radius * (1.0 + 1e-9) + 1e-12,
                                      return_sorted=True)
-        normals = prim.surface_normal(c[rows])
+        normals = prim.surface_normal(c[rows].T).T.copy()
         for row, cand, n in zip(rows, near, normals):
             cand = np.asarray(cand, dtype=np.intp)
             in_cup = cand[np.linalg.norm(pts[cand] - c[row], axis=1) <= cup_radius]
@@ -487,7 +504,7 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
 
         pts_p, nrm_p, _ = prim.sample_surface(cfg.parallel_grasps_per_object, rng)
         closing = -nrm_p
-        t0, t1, hit = prim.line_intersections(pts_p, closing)
+        t0, t1, hit = prim.line_intersections(pts_p.T, closing.T)
         mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
         sep = t1 - t0
         mu = parallel_quality_batch(scene, mids, closing, np.full(len(mids), MAX_WIDTH)).mu

@@ -41,8 +41,8 @@ class TrainConfig:
     seed_threshold: float = 0.1
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not (np.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

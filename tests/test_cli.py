@@ -272,6 +272,16 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["synth", "--config", "{gt_depth_zero_config}"],
     ["synth", "--config", "{gt_depth_negative_config}"],
     ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "1", "--vmax", "0"],
+    ["predict", "--fallback-head", "--config", "{bias_nan_config}"],
+    ["predict", "--fallback-head", "--config", "{bias_negative_config}"],
+    ["eval", "--grasps", "{pred}", "--config", "{parallel_grid_nan_config}"],
+    ["eval", "--grasps", "{pred}", "--config", "{parallel_grid_negative_config}"],
+    ["eval", "--grasps", "{pred}", "--config", "{vacuum_grid_above_one_config}"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--config", "{lr_inf_config}"],
+    ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "nan"],
+    ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmax", "inf"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -284,7 +294,9 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         "exec-mu-parallel-0", "exec-mu-parallel-inf", "exec-mu-vacuum-0", "exec-mu-vacuum-negative",
         "exec-mu-vacuum-1.5", "parallel-grasps-per-object-0", "vacuum-grasps-per-object-0",
         "gt-depth-0", "gt-depth-negative",
-        "vmax-not-above-vmin"])
+        "vmax-not-above-vmin", "view-vertical-bias-nan", "view-vertical-bias-negative",
+        "mu-parallel-grid-nan", "mu-parallel-grid-negative", "mu-vacuum-grid-above-one",
+        "lr-nan", "lr-inf", "lr0-inf", "vmin-nan", "vmax-inf"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -314,6 +326,12 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{vacuum_gt_zero_config}": "synth.vacuum_grasps_per_object = 0",
         "{gt_depth_zero_config}": "synth.gt_depth = 0",
         "{gt_depth_negative_config}": "synth.gt_depth = -0.05",
+        "{bias_nan_config}": "refine.view_vertical_bias = NaN",
+        "{bias_negative_config}": "refine.view_vertical_bias = -0.01",
+        "{parallel_grid_nan_config}": "eval.mu_parallel_grid = [NaN]",
+        "{parallel_grid_negative_config}": "eval.mu_parallel_grid = [-1.0, 0.4]",
+        "{vacuum_grid_above_one_config}": "eval.mu_vacuum_grid = [0.2, 0.4, 1.5]",
+        "{lr_inf_config}": "train.lr0 = Infinity",
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

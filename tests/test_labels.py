@@ -149,7 +149,7 @@ def test_collision_filter_drops_table_pinch():
 def owner_reference(scene, point):
     best, best_d = None, np.inf
     for prim in scene.objects():
-        d = float(prim.surface_distance(point[None, :])[0])
+        d = float(prim.surface_distance(point[:, None])[0])
         if d < best_d:
             best, best_d = prim, d
     return best

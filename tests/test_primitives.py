@@ -45,7 +45,7 @@ def test_sample_surface_on_surface(rng):
         Primitive("cylinder", (0.02, 0.07), rotation=yaw_quat(1.0), translation=(0.2, 0, 0.035)),
     ):
         pts, nrm, flat = prim.sample_surface(500, rng)
-        assert np.all(prim.surface_distance(pts) < 1e-9)
+        assert np.all(prim.surface_distance(pts.T) < 1e-9)
         assert np.allclose(np.linalg.norm(nrm, axis=1), 1.0)
         if prim.kind == "sphere":
             assert not flat.any()
@@ -63,16 +63,16 @@ def test_sample_surface_area_uniformity(rng):
 
 def test_box_line_intersection_axis(box):
     # line through the center along x in world coordinates
-    o = np.array([[0.1 - 1.0, -0.05, 0.01]])
-    d = np.array([[1.0, 0.0, 0.0]])
+    o = np.array([[0.1 - 1.0], [-0.05], [0.01]])
+    d = np.array([[1.0], [0.0], [0.0]])
     t0, t1, hit = box.line_intersections(o, d)
     assert hit[0]
     assert t1[0] - t0[0] == pytest.approx(0.04, abs=1e-12)
 
 
 def test_box_line_miss(box):
-    o = np.array([[0.0, 0.0, 1.0]])
-    d = np.array([[1.0, 0.0, 0.0]])
+    o = np.array([[0.0], [0.0], [1.0]])
+    d = np.array([[1.0], [0.0], [0.0]])
     _, _, hit = box.line_intersections(o, d)
     assert not hit[0]
 
@@ -80,8 +80,8 @@ def test_box_line_miss(box):
 def test_sphere_chord_length():
     prim = Primitive("sphere", (0.05,))
     h = 0.03  # offset chord: length 2*sqrt(r^2 - h^2)
-    o = np.array([[0.0, h, 0.0]])
-    d = np.array([[1.0, 0.0, 0.0]])
+    o = np.array([[0.0], [h], [0.0]])
+    d = np.array([[1.0], [0.0], [0.0]])
     t0, t1, hit = prim.line_intersections(o, d)
     assert hit[0]
     assert t1[0] - t0[0] == pytest.approx(2 * np.sqrt(0.05**2 - h**2))
@@ -90,13 +90,13 @@ def test_sphere_chord_length():
 def test_cylinder_side_and_caps():
     prim = Primitive("cylinder", (0.02, 0.1))
     # horizontal line through the axis at mid height: side-to-side chord
-    t0, t1, hit = prim.line_intersections(np.array([[0, 0, 0.0]]), np.array([[1.0, 0, 0]]))
+    t0, t1, hit = prim.line_intersections(np.array([[0, 0, 0.0]]).T, np.array([[1.0, 0, 0]]).T)
     assert hit[0] and (t1[0] - t0[0]) == pytest.approx(0.04)
     # vertical line down the axis: cap-to-cap chord
-    t0, t1, hit = prim.line_intersections(np.array([[0, 0, 0.0]]), np.array([[0.0, 0, 1.0]]))
+    t0, t1, hit = prim.line_intersections(np.array([[0, 0, 0.0]]).T, np.array([[0.0, 0, 1.0]]).T)
     assert hit[0] and (t1[0] - t0[0]) == pytest.approx(0.1)
     # vertical line outside the radius misses
-    _, _, hit = prim.line_intersections(np.array([[0.03, 0, 0.0]]), np.array([[0.0, 0, 1.0]]))
+    _, _, hit = prim.line_intersections(np.array([[0.03, 0, 0.0]]).T, np.array([[0.0, 0, 1.0]]).T)
     assert not hit[0]
 
 
@@ -107,7 +107,7 @@ def test_intersections_match_sampled_surface(rng):
     for _ in range(40):
         o = rng.uniform(-0.05, 0.15, 3)
         d = unit(rng.normal(size=3))
-        t0, t1, hit = prim.line_intersections(o[None], d[None])
+        t0, t1, hit = prim.line_intersections(o[:, None], d[:, None])
         rel = pts - o
         dist_to_line = np.linalg.norm(rel - np.outer(rel @ d, d), axis=1)
         near = (dist_to_line < 0.002).sum()
@@ -118,26 +118,26 @@ def test_intersections_match_sampled_surface(rng):
 
 
 def test_surface_normal_box_faces(box):
-    top = box.to_world(np.array([[0.0, 0.0, 0.01]]))
+    top = box.to_world(np.array([[0.0], [0.0], [0.01]]))
     n = box.surface_normal(top)
-    assert np.allclose(n, [[0, 0, 1]], atol=1e-12)
-    side = box.to_world(np.array([[0.02, 0.0, 0.0]]))
-    assert np.allclose(box.surface_normal(side), [[1, 0, 0]], atol=1e-12)
+    assert np.allclose(n, [[0], [0], [1]], atol=1e-12)
+    side = box.to_world(np.array([[0.02], [0.0], [0.0]]))
+    assert np.allclose(box.surface_normal(side), [[1], [0], [0]], atol=1e-12)
 
 
 def test_surface_normal_sphere_radial():
     prim = Primitive("sphere", (0.04,), translation=(0.1, 0.1, 0.04))
     p = prim.translation + 0.04 * unit([1, 2, 0.5])
-    n = prim.surface_normal(p[None])
-    assert np.allclose(n[0], unit([1, 2, 0.5]), atol=1e-12)
+    n = prim.surface_normal(p[:, None])
+    assert np.allclose(n[:, 0], unit([1, 2, 0.5]), atol=1e-12)
 
 
 def test_surface_distance_and_contains():
     prim = Primitive("sphere", (0.05,))
     pts = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.1, 0, 0]])
-    d = prim.surface_distance(pts)
+    d = prim.surface_distance(pts.T)
     assert d == pytest.approx([0.05, 0.0, 0.05])
-    inside = prim.contains(pts, pad=0.0)
+    inside = prim.contains(pts.T, pad=0.0)
     assert list(inside) == [True, False, False]
 
 
@@ -150,16 +150,16 @@ def test_line_intersection_points_lie_on_surface(seed):
     prim = Primitive(kind, dims, rotation=yaw_quat(r.uniform(0, 6.28)), translation=r.uniform(-0.05, 0.05, 3))
     o = prim.translation + r.normal(size=3) * 0.01  # near the center: usually hits
     d = unit(r.normal(size=3))
-    t0, t1, hit = prim.line_intersections(o[None], d[None])
+    t0, t1, hit = prim.line_intersections(o[:, None], d[:, None])
     if hit[0]:
         for t in (t0[0], t1[0]):
             p = o + t * d
-            assert prim.surface_distance(p[None])[0] < 1e-9
+            assert prim.surface_distance(p[:, None])[0] < 1e-9
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_queries_give_a_row_the_same_bits_alone_or_stacked(kind):
-    """Every transform-based query is row-exact at random poses, on and off the surface."""
+    """Every transform-based query is line-exact at random poses, on and off the surface."""
     r = np.random.default_rng(KINDS.index(kind))
     dims = {"box": (0.05, 0.03, 0.04), "sphere": (0.03,), "cylinder": (0.02, 0.05),
             "plane-slab": (0.1, 0.08, 0.01)}[kind]
@@ -169,12 +169,14 @@ def test_queries_give_a_row_the_same_bits_alone_or_stacked(kind):
         pts = np.concatenate([on_surface, prim.translation + r.normal(scale=0.03, size=(32, 3))])
         dirs = r.normal(size=(64, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        queries = {
-            "to_world": lambda x, d: prim.to_world(x),
-            "dirs_to_world": lambda x, d: prim.dirs_to_world(d),
-            "surface_normal": lambda x, d: prim.surface_normal(x),
-            "surface_distance": lambda x, d: prim.surface_distance(x),
-            "line_intersections": lambda x, d: np.column_stack(prim.line_intersections(x, d)),
+        queries = {  # rows in and out, through the (3, M) columns of the queries
+            "to_local": lambda x, d: prim.to_local(x.T).T,
+            "to_world": lambda x, d: prim.to_world(x.T).T,
+            "dirs_to_local": lambda x, d: prim.dirs_to_local(d.T).T,
+            "dirs_to_world": lambda x, d: prim.dirs_to_world(d.T).T,
+            "surface_normal": lambda x, d: prim.surface_normal(x.T).T,
+            "surface_distance": lambda x, d: prim.surface_distance(x.T),
+            "line_intersections": lambda x, d: np.column_stack(prim.line_intersections(x.T, d.T)),
         }
         for name, query in queries.items():
             stacked = query(pts, dirs)
@@ -290,9 +292,9 @@ def kernel_inputs(kind, r):
         surf, _, _ = prim.sample_surface(300, r)
         world = np.concatenate([surf, prim.translation + r.normal(scale=0.3, size=(300, 3))])
         dirs = r.normal(size=(600, 3))
-        o_parts.append(prim.to_local(world))
-        d_parts.append(prim.dirs_to_local(dirs / np.linalg.norm(dirs, axis=1, keepdims=True)))
-        p_parts.append(prim.to_local(world))
+        o_parts.append(prim.to_local(world.T).T)
+        d_parts.append(prim.dirs_to_local((dirs / np.linalg.norm(dirs, axis=1, keepdims=True)).T).T)
+        p_parts.append(prim.to_local(world.T).T)
     # identity pose: origins on a grid of sixteenths, axis-parallel and zero-component directions
     grid = np.arange(-6, 7) * 0.0625
     lattice = np.array([[x, y, z] for x in grid[::2] for y in grid[::3] for z in grid])
@@ -328,19 +330,20 @@ def test_column_kernels_match_row_reductions_bitwise(kind):
 
     def checks(p):
         """(column form, row form, name) of every kernel of this kind on points p, plus the row sdf."""
+        oc, dc, pc = o.T, d.T, p.T  # the kernels take (3, M) columns
         if kind in ("box", "plane-slab"):
             half = np.asarray(dims) / 2.0
             sdf = row_box_sdf(half, p)
-            return [(P._intersect_box(half, o, d), row_intersect_box(half, o, d), "intersect"),
-                    (P._box_normal(half, p), row_box_normal(half, p), "normal"),
-                    (P._box_sdf(half, p), sdf, "sdf")], sdf
+            return [(P._intersect_box(half, oc, dc), row_intersect_box(half, o, d), "intersect"),
+                    (P._box_normal(half, pc).T, row_box_normal(half, p), "normal"),
+                    (P._box_sdf(half, pc), sdf, "sdf")], sdf
         if kind == "sphere":
-            return [(P._intersect_sphere(dims[0], o, d), row_intersect_sphere(dims[0], o, d), "intersect")], \
+            return [(P._intersect_sphere(dims[0], oc, dc), row_intersect_sphere(dims[0], o, d), "intersect")], \
                 np.linalg.norm(p, axis=1) - dims[0]
         sdf = row_cylinder_sdf(*dims, p)
-        return [(P._intersect_cylinder(*dims, o, d), row_intersect_cylinder(*dims, o, d), "intersect"),
-                (P._cylinder_normal(*dims, p), row_cylinder_normal(*dims, p), "normal"),
-                (P._cylinder_sdf(*dims, p), sdf, "sdf")], sdf
+        return [(P._intersect_cylinder(*dims, oc, dc), row_intersect_cylinder(*dims, o, d), "intersect"),
+                (P._cylinder_normal(*dims, pc).T, row_cylinder_normal(*dims, p), "normal"),
+                (P._cylinder_sdf(*dims, pc), sdf, "sdf")], sdf
 
     pairs, _ = checks(p)
     for got, want, what in pairs:
@@ -354,13 +357,13 @@ def test_column_kernels_match_row_reductions_bitwise(kind):
         assert np.any(hit & ((t0 == 0.0) | (t1 == 0.0)))  # rim origins: +0.0 and -0.0 candidates tie
     # the public queries at a random pose, which reach the sphere's inline normal and distance too
     prim = Primitive(kind, dims, rotation=unit(r.normal(size=4)), translation=r.uniform(-0.5, 0.5, 3))
-    world = prim.to_world(p)
-    local = prim.to_local(world)
+    world = prim.to_world(p.T)
+    local = prim.to_local(world).T
     _, sdf = checks(local)
     assert_same_bits(prim.surface_distance(world), np.abs(sdf), f"{kind} distance")
     assert_same_bits(prim.contains(world, pad=0.01), sdf < 0.01, f"{kind} contains")
     if kind == "sphere":
-        want = prim.dirs_to_world(local / np.maximum(np.linalg.norm(local, axis=1, keepdims=True), 1e-12))
+        want = prim.dirs_to_world((local / np.maximum(np.linalg.norm(local, axis=1, keepdims=True), 1e-12)).T)
         assert_same_bits(prim.surface_normal(world), want, "sphere normal")
 
 
@@ -372,9 +375,122 @@ def test_column_helpers_match_row_reductions_and_not_the_blas_dot():
         d[:3] = [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [-0.0, 1.0, -2.0]]  # rows of -0.0 products
         for a, b in ((o, d), (p, p), (d, o)):
             want = np.sum(a * b, axis=1)
-            assert_same_bits(col_dots(a, b), want, "col_dots")
+            assert_same_bits(col_dots(a.T, b.T), want, "col_dots")
             assert not np.signbit(want[:3]).any()  # np.sum starts from +0.0
             # a BLAS dot fuses multiply-adds: it is not a shortcut for these helpers
             assert not np.array_equal(row_dots(a, b), want)
         for x in (o, d, p, p[:, :2], np.maximum(np.abs(p) - 0.25, 0.0)):
-            assert_same_bits(col_norms(x), np.linalg.norm(x, axis=1), "col_norms")
+            assert_same_bits(col_norms(x.T), np.linalg.norm(x, axis=1), "col_norms")
+
+
+# -- (3, M) column queries against the (M, 3) row form they replaced -------------
+
+
+def row_form(prim, name, x, d):
+    """A Primitive query as written on (M, 3) rows, before the column layout; rows out."""
+    to_local = (x - prim.translation) @ prim._rot
+    half = np.asarray(prim.dimensions) / 2.0
+    if name == "to_local":
+        return to_local
+    if name == "to_world":
+        return x @ prim._rot_t + prim.translation
+    if name == "dirs_to_local":
+        return d @ prim._rot
+    if name == "dirs_to_world":
+        return d @ prim._rot_t
+    if name == "line_intersections":
+        o, dl = to_local, d @ prim._rot
+        if prim.kind in ("box", "plane-slab"):
+            t0, t1, hit = row_intersect_box(half, o, dl)
+        elif prim.kind == "sphere":
+            t0, t1, hit = row_intersect_sphere(prim.dimensions[0], o, dl)
+        else:
+            t0, t1, hit = row_intersect_cylinder(*prim.dimensions, o, dl)
+        return np.column_stack([t0, t1, hit & ((t1 - t0) > 1e-9)])
+    if name == "surface_normal":
+        if prim.kind in ("box", "plane-slab"):
+            n = row_box_normal(half, to_local)
+        elif prim.kind == "sphere":
+            n = to_local / np.maximum(np.linalg.norm(to_local, axis=1, keepdims=True), 1e-12)
+        else:
+            n = row_cylinder_normal(*prim.dimensions, to_local)
+        return n @ prim._rot_t
+    if prim.kind in ("box", "plane-slab"):
+        sdf = row_box_sdf(half, to_local)
+    elif prim.kind == "sphere":
+        sdf = np.linalg.norm(to_local, axis=1) - prim.dimensions[0]
+    else:
+        sdf = row_cylinder_sdf(*prim.dimensions, to_local)
+    return np.abs(sdf) if name == "surface_distance" else sdf < 0.005
+
+
+def column_form(prim, name, xc, dc):
+    """The same query on (3, M) columns; rows out."""
+    if name == "line_intersections":
+        return np.column_stack(prim.line_intersections(xc, dc))
+    if name in ("surface_distance", "contains"):
+        return prim.surface_distance(xc) if name == "surface_distance" else prim.contains(xc, pad=0.005)
+    if name in ("dirs_to_local", "dirs_to_world"):
+        return getattr(prim, name)(dc).T
+    return getattr(prim, name)(xc).T
+
+
+QUERIES = ("to_local", "to_world", "dirs_to_local", "dirs_to_world", "line_intersections", "surface_normal",
+           "surface_distance", "contains")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_column_queries_match_the_row_form_bitwise(kind):
+    """Batches of 1, 2, 7 and 10,000 lines: every column query has the bits of the row form.
+
+    A (3, 3) @ (3, 1) product takes a matrix-vector BLAS kernel whose bits
+    differ from the row form's, so a one-line batch must not take it; it is
+    checked on 40 single lines. Inputs hold -0.0 coordinates, and the columns
+    arrive contiguous, as a Fortran-ordered transpose of rows and as a strided
+    gather.
+    """
+    r = np.random.default_rng(200 + KINDS.index(kind))
+    dims = KERNEL_DIMS[kind]
+    naive_differs = 0
+    for _ in range(4):
+        prim = Primitive(kind, dims, rotation=unit(r.normal(size=4)), translation=r.uniform(-0.5, 0.5, 3))
+        surf, _, _ = prim.sample_surface(5000, r)
+        x = np.concatenate([surf, prim.translation + r.normal(scale=0.3, size=(5000, 3))])
+        d = r.normal(size=(10000, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        x[r.random(x.shape) < 0.05] = -0.0
+        d[r.random(d.shape) < 0.05] = -0.0
+        x[:3], d[:3] = -0.0, [[-0.0, -0.0, 1.0], [1.0, -0.0, -0.0], [-0.0, 1.0, -0.0]]
+        order = r.permutation(len(x))
+        x, d = x[order], d[order]
+        for name in QUERIES:
+            for n in (2, 7, 10000):
+                want = row_form(prim, name, x[:n], d[:n])
+                assert_same_bits(column_form(prim, name, np.ascontiguousarray(x[:n].T),
+                                             np.ascontiguousarray(d[:n].T)), want, f"{kind} {name} n={n}")
+                assert_same_bits(column_form(prim, name, x[:n].T, d[:n].T), want, f"{kind} {name} n={n} F-order")
+            for i in range(40):
+                want = row_form(prim, name, x[i:i + 1], d[i:i + 1])
+                assert_same_bits(column_form(prim, name, x[i:i + 1].T.copy(), d[i:i + 1].T.copy()), want,
+                                 f"{kind} {name} one line")
+            # a strided gather of every third line, as a (3, M) view with a column stride of 24 bytes
+            block = np.ascontiguousarray(np.concatenate([x, d], axis=1).T)
+            xs, ds = block[:3, ::3], block[3:, ::3]
+            assert not xs.flags.c_contiguous
+            assert_same_bits(column_form(prim, name, xs, ds), row_form(prim, name, x[::3], d[::3]),
+                             f"{kind} {name} strided")
+        for i in range(40):
+            naive_differs += not np.array_equal(prim._rot_t @ (x[i:i + 1].T - prim.translation[:, None]),
+                                                row_form(prim, "to_local", x[i:i + 1], d[i:i + 1]).T)
+    # on this BLAS, the raw one-column product does give other bits for some lines
+    assert naive_differs > 0
+
+
+def test_queries_refuse_rows():
+    prim = Primitive("box", (0.1, 0.2, 0.3))
+    for bad in (np.zeros((5, 3)), np.zeros(3), np.zeros((3, 2, 2))):
+        with pytest.raises(ValueError, match="coordinate columns"):
+            prim.to_local(bad)
+        with pytest.raises(ValueError, match="coordinate columns"):
+            prim.line_intersections(bad, bad)
+    assert prim.surface_distance(np.zeros((3, 0))).shape == (0,)

@@ -325,7 +325,7 @@ def test_grid_closings_are_the_geometry_closing_directions(monkeypatch):
     for approaches in (-fibonacci_hemisphere(CFG.n_views), per_seed):
         offsets, dirs = refine_parallel._view_lines(approaches, angles, depths)
         pair_seed, pair_approach = np.divmod(np.arange(len(seeds) * len(approaches)), len(approaches))
-        refine_parallel._grid_qualities(scene, seeds[pair_seed], offsets[pair_approach], dirs[pair_approach])
+        refine_parallel._grid_qualities(scene, seeds[pair_seed], offsets[:, pair_approach], dirs[:, pair_approach])
         flat = approaches[pair_approach]
         want = closing_directions(np.repeat(flat, len(angles), axis=0), np.tile(angles, len(flat)))
         want = np.broadcast_to(want.reshape(len(flat), len(angles), 1, 3), (len(flat), len(angles), len(depths), 3))

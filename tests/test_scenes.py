@@ -101,7 +101,7 @@ def test_objects_do_not_interpenetrate():
         pts, _, _ = a.sample_surface(200, rng)
         for b in objs:
             if b is not a:
-                assert not b.contains(pts, pad=-1e-9).any()
+                assert not b.contains(pts.T, pad=-1e-9).any()
 
 
 def test_cloud_points_face_camera():
@@ -112,7 +112,7 @@ def test_cloud_points_face_camera():
         mask = scene.per_point_object_id == prim.object_id
         if not mask.any():
             continue
-        nrm = prim.surface_normal(cloud.points[mask])
+        nrm = prim.surface_normal(cloud.points[mask].T).T
         dots = np.sum(nrm * (cloud.viewpoint - cloud.points[mask]), axis=1)
         assert np.all(dots > 0)
 
@@ -235,7 +235,7 @@ def parallel_quality_batch_reference(scene, jaw_centers, closing_dirs, widths):
         cand = np.flatnonzero(d2 <= prim.bounding_radius() ** 2 + 1e-12)
         if len(cand) == 0:
             continue
-        t0c, t1c, hitc = prim.line_intersections(q[cand], u[cand])
+        t0c, t1c, hitc = prim.line_intersections(q[cand].T, u[cand].T)
         with np.errstate(invalid="ignore"):
             midc = np.where(hitc, np.abs((t0c + t1c) / 2.0), np.inf)
         betterc = hitc & (midc < best_mid[cand])
@@ -250,8 +250,8 @@ def parallel_quality_batch_reference(scene, jaw_centers, closing_dirs, widths):
         sel = hit_any & (best_id == prim.object_id)
         if not np.any(sel):
             continue
-        n0 = prim.surface_normal(q[sel] + best_t0[sel, None] * u[sel])
-        n1 = prim.surface_normal(q[sel] + best_t1[sel, None] * u[sel])
+        n0 = prim.surface_normal((q[sel] + best_t0[sel, None] * u[sel]).T).T
+        n1 = prim.surface_normal((q[sel] + best_t1[sel, None] * u[sel]).T).T
         cos0 = -np.sum(u[sel] * n0, axis=1)
         cos1 = np.sum(u[sel] * n1, axis=1)
         cmin = np.minimum(cos0, cos1)
@@ -363,7 +363,7 @@ def owning_object_reference(scene, point, tol=np.inf):
     """The per-point scan owning_objects replaced: object id, 0 beyond tol."""
     best, best_d = 0, np.inf
     for prim in scene.objects():
-        d = float(prim.surface_distance(point[None, :])[0])
+        d = float(prim.surface_distance(point[:, None])[0])
         if d < best_d:
             best, best_d = prim.object_id, d
     return 0 if best_d > tol else best
@@ -395,11 +395,11 @@ def seal_reference(scene, center, cup_radius=0.01):
         return 0.0
     lo, hi = SEAL_SAMPLE_LIMITS
     count = int(np.clip(prim.surface_area() * SEAL_SAMPLE_DENSITY, lo, hi))
-    pts = prim.to_world(scenes._seal_surface_samples(prim, count)[0])
+    pts = prim.to_world(scenes._seal_surface_samples(prim, count)[0].T).T
     in_cup = np.linalg.norm(pts - c, axis=1) <= cup_radius
     if not np.any(in_cup):
         return 0.0
-    n = prim.surface_normal(c[None, :])[0]
+    n = prim.surface_normal(c[:, None])[:, 0]
     dev = (pts[in_cup] - c) @ n
     rms = float(np.sqrt(np.mean(dev**2)))
     return max(0.0, 1.0 - rms / cup_radius)
@@ -530,7 +530,7 @@ def parallel_candidates_reference(scene, cfg, seed):
         prim.sample_surface(cfg.vacuum_grasps_per_object, rng)
         pts_p, nrm_p, _ = prim.sample_surface(cfg.parallel_grasps_per_object, rng)
         closing = -nrm_p
-        t0, t1, hit = prim.line_intersections(pts_p, closing)
+        t0, t1, hit = prim.line_intersections(pts_p.T, closing.T)
         mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
         sep = t1 - t0
         mu = scenes.parallel_quality_batch(scene, mids, closing, np.full(len(mids), MAX_WIDTH)).mu
