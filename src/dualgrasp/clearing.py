@@ -5,7 +5,7 @@ the top grasp executes against the oracle. Success removes the target
 object's points and primitive; three consecutive failures end the run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +49,13 @@ class ClearingMetrics:
 
 @dataclass
 class ClearingTrace:
-    """Per-object bookkeeping of one clearing run, for post-hoc gripper combination."""
+    """The executed attempts of one clearing run."""
 
     gripper: str
-    objects_total: int
-    object_ids: tuple
-    attempts_on: dict  # object id -> attempts targeting it (including the clearing one)
-    cleared: dict  # object id -> bool
-    detected_ids: frozenset
-    attempts: list = field(default_factory=list)  # (object id or -1, success)
+    attempts: list  # (object id or -1, success)
 
 
-def metrics_from_attempts(attempts, objects_total: int, detected_ids) -> ClearingMetrics:
+def metrics_from_attempts(attempts, objects_total: int, detected) -> ClearingMetrics:
     """Aggregate a list of (target object id, success) attempts into R metrics.
 
     An object is cleared when any attempt on it succeeded; grasps_on_cleared
@@ -73,7 +68,7 @@ def metrics_from_attempts(attempts, objects_total: int, detected_ids) -> Clearin
         grasps_total=len(attempts),
         grasps_successful=sum(1 for _, ok in attempts if ok),
         grasps_on_cleared=sum(1 for oid, _ in attempts if oid in cleared_ids),
-        objects_detected=len(set(detected_ids)),
+        objects_detected=len(set(detected)),
     )
     m.validate()
     return m
@@ -100,17 +95,13 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
     cleared <= detected always holds.
     """
     cfg = config or EvalConfig()
-    object_ids = tuple(sorted(p.object_id for p in scene.objects()))
+    objects_total = remaining = len({p.object_id for p in scene.objects()})
     attempts = []
-    attempts_on = {oid: 0 for oid in object_ids}
-    cleared = {oid: False for oid in object_ids}
     detected = set()
     consecutive = 0
-    max_attempts = 3 * (len(object_ids) + 1)
+    max_attempts = 3 * (objects_total + 1)
 
-    while any(not c for c in cleared.values()) and consecutive < cfg.max_consecutive_failures:
-        if len(attempts) >= max_attempts:
-            break
+    while remaining and consecutive < cfg.max_consecutive_failures and len(attempts) < max_attempts:
         grasps, seed_indices = pipeline(cloud, scene, gripper)
         seed_indices = np.asarray(seed_indices, dtype=np.intp)
         if len(seed_indices):
@@ -118,70 +109,16 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
         if not grasps:
             consecutive += 1
             continue
-        top = grasps[0]
-        target, ok = _judge_grasp(top, scene, gripper, cfg)
+        target, ok = _judge_grasp(grasps[0], scene, gripper, cfg)
         attempts.append((target, ok))
         if target > 0:
             detected.add(target)
-        if target in attempts_on:
-            attempts_on[target] += 1
-        if ok:
-            cleared[target] = True
-            consecutive = 0
-            remaining = [oid for oid, c in cleared.items() if not c]
-            if not remaining:
-                break
-            cloud, scene = remove_object(cloud, scene, target)
-        else:
+        if not ok:
             consecutive += 1
+            continue
+        consecutive = 0
+        remaining -= 1
+        if remaining:
+            cloud, scene = remove_object(cloud, scene, target)
 
-    metrics = metrics_from_attempts(attempts, len(object_ids), detected)
-    trace = ClearingTrace(
-        gripper=gripper,
-        objects_total=len(object_ids),
-        object_ids=object_ids,
-        attempts_on=attempts_on,
-        cleared=cleared,
-        detected_ids=frozenset(detected),
-        attempts=attempts,
-    )
-    return metrics, trace
-
-
-def combine_grippers_posthoc(traces) -> ClearingMetrics:
-    """Per-object best-gripper combination of clearing runs on the same scene.
-
-    For each object the gripper that cleared it with the fewest attempts is
-    selected (uncleared objects fall back to the fewest-attempt gripper).
-    """
-    if len(traces) < 2:
-        raise ValueError("need at least two gripper traces to combine")
-    ids = traces[0].object_ids
-    for t in traces[1:]:
-        if t.object_ids != ids:
-            raise ValueError(f"traces cover different objects: {ids} vs {t.object_ids}")
-
-    objects_cleared = 0
-    grasps_total = 0
-    grasps_on_cleared = 0
-    for oid in ids:
-        clearing = [t for t in traces if t.cleared[oid]]
-        pool = clearing if clearing else list(traces)
-        best = min(pool, key=lambda t: t.attempts_on[oid])
-        grasps_total += best.attempts_on[oid]
-        if clearing:
-            objects_cleared += 1
-            grasps_on_cleared += best.attempts_on[oid]
-    detected = set()
-    for t in traces:
-        detected |= set(t.detected_ids)
-    m = ClearingMetrics(
-        objects_total=len(ids),
-        objects_cleared=objects_cleared,
-        grasps_total=grasps_total,
-        grasps_successful=objects_cleared,
-        grasps_on_cleared=grasps_on_cleared,
-        objects_detected=len(detected),
-    )
-    m.validate()
-    return m
+    return metrics_from_attempts(attempts, objects_total, detected), ClearingTrace(gripper, attempts)

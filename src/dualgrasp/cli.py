@@ -28,7 +28,7 @@ from .json_io import write_json
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
 from .mlp import load_checkpoint, save_checkpoint
-from .pipeline import GraspPipeline, grasp_target_ids
+from .pipeline import ClearingAdapter, GraspPipeline
 from .ply_io import read_ply, write_ply
 from .refine_parallel import RefineParallelConfig
 from .sampling import SamplingConfig
@@ -100,14 +100,32 @@ def build_configs(overrides: dict) -> dict:
         if section not in configs:
             raise UsageError(f"unknown config section {section!r} in key {key!r}")
         cfg = configs[section]
-        field_types = {f.name: f for f in dc_fields(cfg)}
-        if name not in field_types:
+        field = {f.name: f for f in dc_fields(cfg)}.get(name)
+        if field is None:
             raise UsageError(f"unknown config key {key!r}")
-        current = getattr(cfg, name)
-        if isinstance(current, tuple) and isinstance(value, list):
+        if not _fits(field, value):
+            takes = _TYPE_NAMES[field.type] + (" or null" if field.default is None else "")
+            raise UsageError(f"config key {key!r} takes {takes}, got {json.dumps(value)}")
+        if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         configs[section] = _replace_config(cfg, **{name: value})
     return configs
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", tuple: "a list"}
+
+
+def _fits(field, value) -> bool:
+    """Whether a config file's JSON value fits the type of the field it sets; null fits only a null default."""
+    if field.type is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if field.type is int:
+        return isinstance(value, int)
+    if field.type is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, list) or (value is None and field.default is None)
 
 
 def _scene_stems(scenes_dir) -> list:
@@ -305,7 +323,7 @@ def cmd_eval(args) -> int:
         if pipe is not None:
             # both grippers clear the same initial scene through one adapter, so the
             # vacuum loop's first round reuses the parallel loop's full-scene features
-            adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=grasp_target_ids(scene, gt))
+            adapter = ClearingAdapter(pipe, scene, gt)
             for gripper in (PARALLEL, VACUUM):
                 metrics, _ = run_clearing_loop(cloud, scene, adapter, gripper, ecfg)
                 rows.append(_clearing_row(stem.name, gripper, metrics))

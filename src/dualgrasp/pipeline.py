@@ -7,7 +7,7 @@ head. Proposals come back ranked by score; an empty seed set is a valid
 "no graspable region" outcome, not an error.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,69 +119,76 @@ class GraspPipeline:
         refiner_out = self.model.refiner_outputs(feats[seeds.indices])
         return learned_refine_batch(cloud, seeds.indices, refiner_out, self.refine), 0
 
-    def clearing_adapter(self, gt_grasps=None, object_of_grasp=None):
-        """Callable (cloud, scene, gripper) -> (grasps, seed indices) for the clearing loop.
 
-        In fallback mode gt_grasps must cover the full scene; grasps whose
-        target object is gone are filtered out each round via object_of_grasp
-        (a list of object ids aligned with gt_grasps). One adapter may serve
-        the loops of both grippers on the same scene.
-        """
-        return _ClearingAdapter(self, gt_grasps, object_of_grasp)
+@dataclass(eq=False)
+class _SceneState:
+    """A scene state a ClearingAdapter keeps: its features and maps (model mode) and each gripper's proposal."""
+
+    cloud: PointCloud
+    scene: SceneAnnotation
+    feature_state: FeatureState = None
+    maps: GraspnessMaps = None
+    proposals: dict = field(default_factory=dict)  # gripper -> (ranked grasps, seed indices)
+
+    def holds(self, cloud, scene) -> bool:
+        return self.cloud is cloud and self.scene is scene
 
 
-class _ClearingAdapter:
-    """Proposals for the clearing loop that redo only the work a removal requires.
+class ClearingAdapter:
+    """Callable (cloud, scene, gripper) -> (ranked grasps, seed indices) for clearing loops on scene.
 
-    A call with the cloud and scene of the same gripper's previous call, which
-    the loop makes after a failed or empty round, returns that call's result.
-    In model mode the features come from a FeatureState: the first scene's
-    state and the latest one are kept, and a scene that is one of them minus
-    whole objects updates it rather than recomputing every neighbourhood.
-    The oracle pose head searches through one ProbeMemory (probes), so after
-    a removal it re-scores only the probe views that a removed object won.
+    It redoes only the work a scene change requires. It keeps the first state
+    it was called on and the latest one, and a call on either returns that
+    state's proposal for the gripper if it has one. A state that is the
+    latest minus whole objects (scenes.removal_mask) updates the latest's
+    FeatureState, which recomputes only the neighbourhoods that lost a point,
+    and keeps the probe rows of the surviving points, so the oracle pose head
+    re-scores only the views a removed object won. Any other new state starts
+    afresh; a return to the first state reuses its features and forgets the
+    probe rows. In fallback mode gt_grasps must cover the full scene, and each
+    state proposes from those whose owning object it still holds. One adapter
+    may serve the loops of both grippers.
     """
 
-    def __init__(self, pipe: GraspPipeline, gt_grasps, object_of_grasp):
+    def __init__(self, pipe: GraspPipeline, scene: SceneAnnotation, gt_grasps=None):
         self.pipe = pipe
         self.gt_grasps = gt_grasps
-        self.object_of_grasp = object_of_grasp
-        self.last = {}  # gripper -> (cloud, scene, (grasps, seed indices)) of its previous call
-        self.known = []  # (scene, FeatureState, maps) of the first scene and of the latest one
+        self.owners = None if gt_grasps is None else owning_objects(scene, [g.pose.center for g in gt_grasps])
+        self.first = self.latest = None
         self.probes = ProbeMemory(pipe.refine)
 
     def __call__(self, cloud, scene, gripper):
-        last = self.last.get(gripper)
-        if last is not None and last[0] is cloud and last[1] is scene:
-            return last[2]
-        grasps = self.gt_grasps
-        if grasps is not None and self.object_of_grasp is not None:
-            alive = {p.object_id for p in scene.objects()}
-            grasps = [g for g, oid in zip(self.gt_grasps, self.object_of_grasp) if oid in alive]
-        maps, feats = self._maps_and_features(cloud, scene) if self.pipe.model is not None else (None, None)
-        result = self.pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats,
-                                   probes=self.probes)
-        self.last[gripper] = (cloud, scene, (result.grasps, result.seeds.indices))
-        return self.last[gripper][2]
+        state = self._state(cloud, scene)
+        if gripper not in state.proposals:
+            grasps = self.gt_grasps
+            if grasps is not None:
+                alive = np.isin(self.owners, [p.object_id for p in scene.objects()])
+                grasps = [g for g, kept in zip(grasps, alive) if kept]
+            feats = None if state.feature_state is None else state.feature_state.features
+            result = self.pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=state.maps, feats=feats,
+                                       probes=self.probes)
+            state.proposals[gripper] = (result.grasps, result.seeds.indices)
+        return state.proposals[gripper]
 
-    def _maps_and_features(self, cloud, scene):
-        for known_scene, state, maps in self.known:
-            if known_scene is scene and state.cloud is cloud:
-                return maps, state.features
-        state = None
-        for known_scene, known, _ in reversed(self.known):
-            keep = removal_mask(known.cloud, known_scene, cloud, scene)
-            if keep is not None:
-                state = known.remove(cloud, keep)
-                break
-        if state is None:
-            state = FeatureState.fresh(cloud, scene.table_height)
-        maps = self.pipe._model_maps(state.features)
-        self.known = self.known[:1] + [(scene, state, maps)]
-        return maps, state.features
-
-
-def grasp_target_ids(scene: SceneAnnotation, gt_grasps) -> list:
-    """Object id owning each ground-truth grasp (nearest primitive surface), -1 for none."""
-    ids = owning_objects(scene, [g.pose.center for g in gt_grasps])
-    return np.where(ids > 0, ids, -1).tolist()
+    def _state(self, cloud, scene) -> _SceneState:
+        latest = self.latest
+        if latest is not None and latest.holds(cloud, scene):
+            return latest
+        ids = [p.object_id for p in scene.objects()]
+        if self.first is not None and self.first.holds(cloud, scene):
+            self.probes.forget(len(cloud), ids)  # its rows were the latest state's
+            self.latest = self.first
+            return self.first
+        keep = None if latest is None else removal_mask(latest.cloud, latest.scene, cloud, scene)
+        if keep is None:
+            self.probes.forget(len(cloud), ids)
+        else:
+            self.probes.remove(keep, ids)
+        self.latest = state = _SceneState(cloud, scene)
+        if self.pipe.model is not None:
+            state.feature_state = FeatureState.fresh(cloud, scene.table_height) if keep is None \
+                else latest.feature_state.remove(cloud, keep)
+            state.maps = self.pipe._model_maps(state.feature_state.features)
+        if self.first is None:
+            self.first = state
+        return state

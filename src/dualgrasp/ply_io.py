@@ -1,4 +1,4 @@
-"""PLY point-cloud reader/writer (ASCII and binary little-endian).
+"""PLY point-cloud writer (binary little-endian) and reader (ASCII or binary little-endian).
 
 Supported per-vertex layout: float32 x, y, z, optional uchar r, g, b color,
 plus any number of named float32 scalar channels (graspness maps, object ids).
@@ -11,8 +11,8 @@ _FLOAT_NAMES = {"float", "float32"}
 _UCHAR_NAMES = {"uchar", "uint8"}
 
 
-def write_ply(path, points, colors=None, channels=None, binary=True):
-    """Write a point cloud to a PLY file.
+def write_ply(path, points, colors=None, channels=None):
+    """Write a point cloud to a binary little-endian PLY file.
 
     points: (N, 3) array, stored as float32.
     colors: optional (N, 3) uint8 array, stored as uchar r, g, b.
@@ -25,9 +25,7 @@ def write_ply(path, points, colors=None, channels=None, binary=True):
     channels = dict(channels or {})
 
     names = ["x", "y", "z"]
-    header = ["ply"]
-    header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
-    header.append(f"element vertex {n}")
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
     header += ["property float x", "property float y", "property float z"]
     if colors is not None:
         colors = np.asarray(colors, dtype=np.uint8)
@@ -53,19 +51,11 @@ def write_ply(path, points, colors=None, channels=None, binary=True):
 
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            f.write(rec.tobytes())
-        else:
-            for row in rec:
-                cols = []
-                for nm in names:
-                    v = row[nm]
-                    cols.append(str(int(v)) if nm in ("red", "green", "blue") else repr(float(v)))
-                f.write((" ".join(cols) + "\n").encode("ascii"))
+        f.write(rec.tobytes())
 
 
 def read_ply(path):
-    """Read a PLY file written by write_ply (or any file with the same vertex layout).
+    """Read a PLY file written by write_ply, or any ASCII or binary little-endian file with its vertex layout.
 
     Returns (points, colors, channels): points is (N, 3) float32, colors is
     (N, 3) uint8 or None, channels is a dict of named float32 arrays.

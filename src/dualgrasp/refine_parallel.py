@@ -22,7 +22,7 @@ import numpy as np
 from .cloud import PointCloud
 from .geometry import approach_frames, fibonacci_hemisphere
 from .grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
-from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parallel_quality_batch, removal_mask
+from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parallel_quality_batch
 
 
 @dataclass
@@ -213,13 +213,15 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
 class ProbeMemory:
     """The probe rows (view scores and winners) of oracle_search for every point seeded so far.
 
-    One memory follows a chain of scene states, such as the rounds of a
-    clearing loop. When a state is the previous one minus whole objects
-    (scenes.removal_mask), the rows of the surviving points carry over and
-    the views a removed object won are marked for re-evaluation (NaN score);
-    any other state empties the memory. lines_evaluated and lines_reused
-    count the probe jaw lines that searches through it sent to the oracle
-    and took from it.
+    A row store over one scene state's points, whose owner moves it along a
+    chain of states. remove(keep, object_ids) moves it to the state without
+    some whole objects: the rows of the kept points carry over, and the views
+    a removed object won are marked for re-evaluation (NaN score).
+    forget(n_points, object_ids) empties it for an unrelated state.
+    object_ids are the state's objects in scene.objects() order, which
+    indexes the winners' last axis. lines_evaluated and lines_reused count the
+    probe jaw lines that searches through it sent to the oracle and took from
+    it.
     """
 
     def __init__(self, config: RefineParallelConfig):
@@ -227,11 +229,23 @@ class ProbeMemory:
         self.lines_per_view = len(config.angle_values()[::config.probe_angle_stride]) \
             * len(config.depth_bins[::config.probe_depth_stride])
         self.lines_evaluated = self.lines_reused = 0
-        self.cloud = self.scene = None
+        self.forget(0, ())
 
-    def recall(self, cloud: PointCloud, scene: SceneAnnotation, seed_indices):
-        """oracle_search's known rows for seeds of (cloud, scene); unseen seeds get all-NaN rows."""
-        self._follow(cloud, scene)
+    def forget(self, n_points: int, object_ids):
+        self.row = np.full(n_points, -1, dtype=np.intp)
+        self.scores = np.empty((0, self.n_views))
+        self.winners = np.zeros((0, self.n_views, len(object_ids)), dtype=bool)
+        self.ids = list(object_ids)
+
+    def remove(self, keep, object_ids):
+        gone = ~np.isin(self.ids, object_ids)
+        self.scores[np.any(self.winners[:, :, gone], axis=2)] = np.nan
+        self.winners = self.winners[:, :, ~gone]
+        self.row = self.row[keep]
+        self.ids = list(object_ids)
+
+    def recall(self, seed_indices):
+        """oracle_search's known rows for these seeds; unseen seeds get all-NaN rows."""
         fresh = np.unique(seed_indices[self.row[seed_indices] < 0])
         if len(fresh):
             self.row[fresh] = len(self.scores) + np.arange(len(fresh))
@@ -249,33 +263,18 @@ class ProbeMemory:
         self.scores[rows] = found.view_scores
         self.winners[rows] = found.view_winners
 
-    def _follow(self, cloud, scene):
-        if self.cloud is cloud and self.scene is scene:
-            return
-        keep = None if self.cloud is None else removal_mask(self.cloud, self.scene, cloud, scene)
-        ids = [p.object_id for p in scene.objects()]
-        if keep is None:
-            self.row = np.full(len(cloud), -1, dtype=np.intp)
-            self.scores = np.empty((0, self.n_views))
-            self.winners = np.zeros((0, self.n_views, len(ids)), dtype=bool)
-        else:
-            gone = ~np.isin(self.ids, ids)
-            self.scores[np.any(self.winners[:, :, gone], axis=2)] = np.nan
-            self.winners = self.winners[:, :, ~gone]
-            self.row = self.row[keep]
-        self.cloud, self.scene, self.ids = cloud, scene, ids
-
 
 def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indices,
                           config: RefineParallelConfig, probes: ProbeMemory = None):
     """Oracle-driven parallel poses for many seeds: oracle_search on the probe grid.
 
-    With probes, the search takes the probe rows that memory holds for these
-    seeds and leaves its own rows in it. Seeds with no reachable candidate are
-    dropped. Returns (grasps, dropped_count).
+    With probes, which must be on the state of (cloud, scene), the search
+    takes the probe rows that memory holds for these seeds and leaves its own
+    rows in it. Seeds with no reachable candidate are dropped. Returns
+    (grasps, dropped_count).
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
-    known = None if probes is None else probes.recall(cloud, scene, seed_indices)
+    known = None if probes is None else probes.recall(seed_indices)
     found = oracle_search(scene, cloud.points[seed_indices], config,
                           config.probe_angle_stride, config.probe_depth_stride, known=known)
     if probes is not None:

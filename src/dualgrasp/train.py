@@ -30,13 +30,6 @@ class TrainConfig:
     positive_weight_parallel: float = 10.0
     pcgrad_enabled: bool = True
     rng_seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-8
-    w_objectness: float = 1.0
-    w_vacuum: float = 1.0
-    w_parallel_map: float = 1.0
-    w_refiner: float = 1.0
     refiner_seeds_per_scene: int = 8
     seed_threshold: float = 0.1
 
@@ -143,11 +136,12 @@ def _init_map_head_biases(model: MlpModel, scenes, cfg: TrainConfig):
 
 
 class Adam:
-    def __init__(self, n_params: int, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.99, 1e-8
+
+    def __init__(self, n_params: int):
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
         self.t += 1
@@ -176,18 +170,18 @@ def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
         outputs["parallel"][:, 0], par, pos_weight=cfg.positive_weight_parallel
     )
 
-    parallel_head_grads = {"parallel": cfg.w_parallel_map * g_par[:, None]}
+    parallel_head_grads = {"parallel": g_par[:, None]}
     l_ref = 0.0
     if rows is not None:
         l_ref, ref_grads, _ = loss_refiner(
             outputs["view"], outputs["width"][:, 0], outputs["angle"], outputs["depth"], outputs["score"], targets
         )
         for head in ("view", "angle", "depth", "width", "score"):
-            parallel_head_grads[head] = cfg.w_refiner * ref_grads[head]
+            parallel_head_grads[head] = ref_grads[head]
 
     grad_parallel_task = model.backward(cache, parallel_head_grads)
-    grad_vacuum_task = model.backward(cache, {"vacuum": cfg.w_vacuum * g_vac[:, None]})
-    grad_objectness = model.backward(cache, {"objectness": cfg.w_objectness * g_obj[:, None]})
+    grad_vacuum_task = model.backward(cache, {"vacuum": g_vac[:, None]})
+    grad_objectness = model.backward(cache, {"objectness": g_obj[:, None]})
 
     losses = {"obj": l_obj, "vac": l_vac, "par": l_par, "refiner": l_ref}
     return grad_parallel_task, grad_vacuum_task, grad_objectness, losses, n_total
@@ -232,7 +226,7 @@ def train(scenes: list, config: TrainConfig = None, refine_config: RefineParalle
     model.meta = {"variant": "multitask+pcgrad" if cfg.pcgrad_enabled else "w/o PCGrad"}
 
     params = model.get_flat_params()
-    adam = Adam(model.n_params(), cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    adam = Adam(model.n_params())
     history = []
 
     for epoch in range(cfg.epochs):

@@ -8,19 +8,23 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "dgbench" / "spans.py"
 
 
-def load_targets():
+def load_spans():
+    """dgbench/spans.py, with every module it instruments imported."""
     spec = importlib.util.spec_from_file_location("dgbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    for target in module.TARGETS:
+        importlib.import_module(f"dualgrasp.{target.module}")
+    return module
 
 
-@pytest.mark.parametrize("target", load_targets(), ids=lambda t: f"{t.module}.{t.attr}")
+@pytest.mark.parametrize("target", load_spans().TARGETS, ids=lambda t: f"{t.module}.{t.attr}")
 def test_trace_target_resolves(target):
     obj = importlib.import_module(f"dualgrasp.{target.module}")
     for part in target.attr.split("."):
@@ -36,11 +40,7 @@ def test_oracle_line_counter_counts_every_jaw_line(small_scene):
     x 2 depths at stride 2) and 48 lines on its winning view's full grid
     (12 angles x 4 depths).
     """
-    spec = importlib.util.spec_from_file_location("dgbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for target in spans.TARGETS:
-        importlib.import_module(f"dualgrasp.{target.module}")
+    spans = load_spans()
     from dualgrasp.refine_parallel import RefineParallelConfig, oracle_search
 
     cloud, scene, _, _ = small_scene
@@ -53,3 +53,38 @@ def test_oracle_line_counter_counts_every_jaw_line(small_scene):
                           chunk_lines=chunk_lines)
         assert tracer.counters["scenes.parallel_oracle.lines"] == s * v * 12 + s * 48
         assert tracer.totals()["scenes.parallel_oracle"]["calls"] == calls
+
+
+def test_clearing_hooks_count_a_real_loop():
+    """The clearing hooks read the loop's trace (result[1].attempts) and wrap its pipeline (third argument).
+
+    The scripted pipeline proposes nothing, then a grasp that misses, then a
+    grasp that clears an object in each of two rounds: four rounds, three
+    attempts.
+    """
+    spans = load_spans()
+    from dualgrasp import clearing
+    from dualgrasp.grasps import PARALLEL
+
+    from test_clearing import diametral, two_sphere_scene
+    from test_scenes import down_grasp
+
+    cloud, scene = two_sphere_scene()
+    calls = []
+
+    def pipeline(cloud, scene, gripper):
+        calls.append(gripper)
+        if len(calls) == 1:
+            return [], np.zeros(0, dtype=np.intp)
+        grasp = down_grasp(jaw_center=(0.4, 0.4, 0.4), closing=(1, 0, 0)) if len(calls) == 2 \
+            else diametral(scene.objects()[0])
+        return [grasp], np.flatnonzero(scene.per_point_object_id == scene.objects()[0].object_id)[:3]
+
+    tracer = spans.Tracer()
+    with spans.Instrumentation(tracer):
+        _, trace = clearing.run_clearing_loop(cloud, scene, pipeline, PARALLEL)
+    assert trace.attempts == [(-1, False), (1, True), (2, True)]
+    assert tracer.counters["clearing.attempts"] == len(trace.attempts)
+    totals = tracer.totals()
+    assert totals["clearing.round"]["calls"] == len(calls) == 4
+    assert totals["clearing.loop"]["calls"] == 1

@@ -3,12 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualgrasp.clearing import (
-    ClearingTrace,
-    combine_grippers_posthoc,
-    metrics_from_attempts,
-    run_clearing_loop,
-)
+from dualgrasp.clearing import metrics_from_attempts, run_clearing_loop
 from dualgrasp.cloud import PointCloud
 from dualgrasp.grasps import PARALLEL, VACUUM, VacuumGrasp
 from dualgrasp.primitives import Primitive
@@ -22,7 +17,7 @@ from test_scenes import down_grasp
 
 def test_perfect_run():
     attempts = [(i, True) for i in range(1, 7)]
-    m = metrics_from_attempts(attempts, objects_total=6, detected_ids=range(1, 7))
+    m = metrics_from_attempts(attempts, objects_total=6, detected=range(1, 7))
     assert m.r_object == 1.0 and m.r_grasp == 1.0 and m.r_mix == 1.0 and m.r_seen == 1.0
 
 
@@ -30,7 +25,7 @@ def test_r_mix_eight_over_six():
     # 8 attempts all targeting eventually-cleared objects, 6 objects cleared
     attempts = [(1, False), (1, True), (2, True), (3, False), (3, True),
                 (4, True), (5, True), (6, True)]
-    m = metrics_from_attempts(attempts, objects_total=6, detected_ids=range(1, 7))
+    m = metrics_from_attempts(attempts, objects_total=6, detected=range(1, 7))
     assert m.grasps_on_cleared == 8 and m.objects_cleared == 6
     assert m.r_mix == pytest.approx(8 / 6)
     assert m.r_grasp == pytest.approx(6 / 8)
@@ -38,7 +33,7 @@ def test_r_mix_eight_over_six():
 
 def test_attempts_on_never_cleared_objects_excluded_from_mix():
     attempts = [(1, True), (2, False), (2, False)]
-    m = metrics_from_attempts(attempts, objects_total=3, detected_ids={1, 2})
+    m = metrics_from_attempts(attempts, objects_total=3, detected={1, 2})
     assert m.r_mix == 1.0  # only the attempt on object 1 counts
     assert m.r_object == pytest.approx(1 / 3)
     assert m.r_seen == pytest.approx(2 / 3)
@@ -47,7 +42,7 @@ def test_attempts_on_never_cleared_objects_excluded_from_mix():
 def test_counter_invariants_enforced():
     with pytest.raises(ValueError):
         # detected fewer than cleared is impossible
-        metrics_from_attempts([(1, True)], objects_total=2, detected_ids=set())
+        metrics_from_attempts([(1, True)], objects_total=2, detected=set())
 
 
 def test_scripted_trace_examples():
@@ -104,7 +99,7 @@ def test_loop_clears_all_objects():
     assert metrics.grasps_total == 2
     assert metrics.r_object == 1.0 and metrics.r_grasp == 1.0 and metrics.r_mix == 1.0
     assert metrics.objects_detected == 2
-    assert trace.cleared == {1: True, 2: True}
+    assert trace.attempts == [(1, True), (2, True)]
 
 
 def test_grasp_seeded_off_object_detects_its_target():
@@ -120,10 +115,9 @@ def test_grasp_seeded_off_object_detects_its_target():
         g.score = 1.0
         return [g], np.flatnonzero(scene.per_point_object_id == 0)
 
-    metrics, trace = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
+    metrics, _ = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
     assert metrics.objects_cleared == 2
     assert metrics.objects_detected == 2
-    assert trace.detected_ids == {1, 2}
 
 
 def test_loop_stops_after_three_consecutive_failures():
@@ -205,67 +199,5 @@ def test_vacuum_loop_judges_seal_and_cup_owner():
 
     metrics, trace = run_clearing_loop(cloud, scene, pipeline, VACUUM)
     assert trace.attempts == [(-1, False), (2, False), (1, True), (2, False), (2, False), (2, False)]
-    assert trace.cleared == {1: True, 2: False}
-    assert trace.attempts_on == {1: 1, 2: 4}
     assert metrics.objects_cleared == 1 and metrics.grasps_successful == 1 and metrics.grasps_total == 6
     assert metrics.objects_detected == 2  # both were targeted
-
-
-# -- post-hoc gripper combination ----------------------------------------------------------
-
-
-def trace(gripper, attempts_on, cleared, detected, total=3):
-    return ClearingTrace(
-        gripper=gripper,
-        objects_total=total,
-        object_ids=tuple(sorted(attempts_on)),
-        attempts_on=attempts_on,
-        cleared=cleared,
-        detected_ids=frozenset(detected),
-    )
-
-
-def test_combine_picks_fewer_attempts():
-    a = trace("parallel", {1: 1, 2: 3, 3: 0}, {1: True, 2: True, 3: False}, {1, 2})
-    b = trace("vacuum", {1: 2, 2: 1, 3: 0}, {1: True, 2: True, 3: False}, {2, 3})
-    m = combine_grippers_posthoc([a, b])
-    assert m.objects_cleared == 2
-    assert m.grasps_on_cleared == 1 + 1  # best of (1,2) and (3,1)
-    assert m.r_mix == 1.0
-    assert m.objects_detected == 3
-
-
-def test_combine_object_cleared_by_single_gripper():
-    a = trace("parallel", {1: 2, 2: 0}, {1: True, 2: False}, {1}, total=2)
-    b = trace("vacuum", {1: 0, 2: 1}, {1: False, 2: True}, {2}, total=2)
-    m = combine_grippers_posthoc([a, b])
-    assert m.objects_cleared == 2
-    assert m.grasps_on_cleared == 3
-    assert m.r_grasp == pytest.approx(2 / 3)
-
-
-def test_combine_rejects_mismatched_objects():
-    a = trace("parallel", {1: 1, 2: 1}, {1: True, 2: True}, {1, 2}, total=2)
-    b = trace("vacuum", {1: 1, 3: 1}, {1: True, 3: True}, {1, 3}, total=2)
-    with pytest.raises(ValueError):
-        combine_grippers_posthoc([a, b])
-
-
-def test_combine_matches_exhaustive_min_over_batch(rng):
-    # 5 random synthetic trace pairs: combined r_mix equals the per-object min oracle
-    for _ in range(5):
-        ids = tuple(range(1, 1 + int(rng.integers(2, 6))))
-        traces = []
-        for gripper in ("parallel", "vacuum"):
-            attempts = {i: int(rng.integers(0, 4)) for i in ids}
-            cleared = {i: bool(attempts[i] and rng.uniform() < 0.7) for i in ids}
-            traces.append(trace(gripper, attempts, cleared, set(ids), total=len(ids)))
-        m = combine_grippers_posthoc(traces)
-        exp_cleared = sum(1 for i in ids if any(t.cleared[i] for t in traces))
-        exp_attempts = sum(
-            min(t.attempts_on[i] for t in traces if t.cleared[i])
-            for i in ids
-            if any(t.cleared[i] for t in traces)
-        )
-        assert m.objects_cleared == exp_cleared
-        assert m.grasps_on_cleared == exp_attempts

@@ -163,12 +163,16 @@ def test_no_graspable_region_flow(tmp_path):
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("# comment\nsampling.t_parallel = 0.25\ntrain.epochs = 5\n"
-                   "synth.kinds = [\"box\", \"sphere\"]\n")
+                   "synth.kinds = [\"box\", \"sphere\"]\nsynth.density = 40000\n"
+                   "synth.kind_sequence = null\ntrain.pcgrad_enabled = false\n")
     overrides = load_config_file(cfg)
     configs = build_configs(overrides)
     assert configs["sampling"].t_parallel == 0.25
     assert configs["train"].epochs == 5
     assert configs["synth"].kinds == ("box", "sphere")
+    assert configs["synth"].density == 40000 and configs["synth"].kind_sequence is None
+    assert configs["train"].pcgrad_enabled is False
+    assert build_configs({"synth.kind_sequence": ["box", "sphere"]})["synth"].kind_sequence == ("box", "sphere")
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -282,6 +286,19 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["train", "--config", "{lr_inf_config}"],
     ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmin", "nan"],
     ["export-ply", "--input", "{labels_ply}", "--channel", "graspness_vacuum", "--vmax", "inf"],
+    ["train", "--config", "{pcgrad_string_config}"],
+    ["train", "--config", "{pcgrad_bare_config}"],
+    ["train", "--config", "{pcgrad_number_config}"],
+    ["synth", "--config", "{density_string_config}"],
+    ["synth", "--config", "{density_bool_config}"],
+    ["predict", "--fallback-head", "--config", "{m_parallel_fraction_config}"],
+    ["train", "--config", "{epochs_fraction_config}"],
+    ["predict", "--fallback-head", "--config", "{views_bool_config}"],
+    ["predict", "--fallback-head", "--config", "{depth_bins_number_config}"],
+    ["synth", "--config", "{kinds_null_config}"],
+    ["synth", "--config", "{kind_sequence_string_config}"],
+    ["train", "--config", "{deleted_weight_config}"],
+    ["train", "--config", "{deleted_adam_config}"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -296,7 +313,10 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         "gt-depth-0", "gt-depth-negative",
         "vmax-not-above-vmin", "view-vertical-bias-nan", "view-vertical-bias-negative",
         "mu-parallel-grid-nan", "mu-parallel-grid-negative", "mu-vacuum-grid-above-one",
-        "lr-nan", "lr-inf", "lr0-inf", "vmin-nan", "vmax-inf"])
+        "lr-nan", "lr-inf", "lr0-inf", "vmin-nan", "vmax-inf",
+        "pcgrad-string", "pcgrad-bare-word", "pcgrad-number", "density-string", "density-bool",
+        "m-parallel-fraction", "epochs-fraction", "n-views-bool", "depth-bins-number", "kinds-null",
+        "kind-sequence-string", "deleted-weight-key", "deleted-adam-key"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -332,6 +352,21 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{parallel_grid_negative_config}": "eval.mu_parallel_grid = [-1.0, 0.4]",
         "{vacuum_grid_above_one_config}": "eval.mu_vacuum_grid = [0.2, 0.4, 1.5]",
         "{lr_inf_config}": "train.lr0 = Infinity",
+        # a value whose JSON type does not fit the key's field
+        "{pcgrad_string_config}": 'train.pcgrad_enabled = "no"',
+        "{pcgrad_bare_config}": "train.pcgrad_enabled = off",
+        "{pcgrad_number_config}": "train.pcgrad_enabled = 0",
+        "{density_string_config}": 'synth.density = "abc"',
+        "{density_bool_config}": "synth.density = true",
+        "{m_parallel_fraction_config}": "sampling.m_parallel = 2.5",
+        "{epochs_fraction_config}": "train.epochs = 1.5",
+        "{views_bool_config}": "refine.n_views = true",
+        "{depth_bins_number_config}": "refine.depth_bins = 0.02",
+        "{kinds_null_config}": "synth.kinds = null",
+        "{kind_sequence_string_config}": 'synth.kind_sequence = "box"',
+        # keys that held a single value in use are constants now
+        "{deleted_weight_config}": "train.w_refiner = 1.0",
+        "{deleted_adam_config}": "train.adam_beta2 = 0.99",
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,12 +10,12 @@ from dualgrasp.features import FEATURE_RADIUS, FeatureState, compute_point_featu
 from dualgrasp.geometry import fibonacci_hemisphere
 from dualgrasp.grasps import MAX_WIDTH, PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig
-from dualgrasp.pipeline import GraspPipeline, grasp_target_ids
+from dualgrasp.pipeline import ClearingAdapter, GraspPipeline
 from dualgrasp.primitives import Primitive
 from dualgrasp import refine_parallel
 from dualgrasp.refine_parallel import RefineParallelConfig
 from dualgrasp.sampling import SamplingConfig
-from dualgrasp.scenes import SceneAnnotation, SynthConfig, remove_object, sample_ground_truth_grasps
+from dualgrasp.scenes import SceneAnnotation, SynthConfig, owning_objects, remove_object, sample_ground_truth_grasps
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +105,8 @@ def test_fallback_needs_gt_grasps(small_scene, fallback_pipe):
 
 def test_clearing_adapter_filters_removed_objects(small_scene, fallback_pipe):
     cloud, scene, grasps, _ = small_scene
-    targets = grasp_target_ids(scene, grasps)
-    assert set(targets) <= {p.object_id for p in scene.objects()}
-    adapter = fallback_pipe.clearing_adapter(gt_grasps=grasps, object_of_grasp=targets)
+    adapter = ClearingAdapter(fallback_pipe, scene, grasps)
+    assert set(adapter.owners.tolist()) <= {p.object_id for p in scene.objects()}
     proposals, seed_idx = adapter(cloud, scene, VACUUM)
     assert len(proposals) > 0
     assert len(seed_idx) > 0
@@ -183,7 +182,7 @@ def test_clearing_features_equal_a_fresh_pass_every_round(monkeypatch):
 
     monkeypatch.setattr(FeatureState, "fresh", classmethod(counted_fresh))
     monkeypatch.setattr(GraspPipeline, "propose", spy)
-    (_, parallel), (_, vacuum) = clear_both(cloud, scene, seeding_pipe().clearing_adapter())
+    (_, parallel), (_, vacuum) = clear_both(cloud, scene, ClearingAdapter(seeding_pipe(), scene))
     monkeypatch.undo()
 
     assert parallel == [(-1, False)] * 3 and vacuum == [(1, True), (2, True), (3, True)]
@@ -210,7 +209,7 @@ def test_clearing_adapter_proposes_once_per_scene_state(monkeypatch):
         return propose(self, c, s, g, *args, **kwargs)
 
     monkeypatch.setattr(GraspPipeline, "propose", counted_propose)
-    adapter = pipe.clearing_adapter()
+    adapter = ClearingAdapter(pipe, scene)
 
     def counted_round(c, s, g):
         rounds.append((c, s, g))
@@ -232,7 +231,7 @@ def three_spheres():
     cloud, scene = resting_scene([Primitive("sphere", (r,), translation=(x, 0.0, r), object_id=i + 1)
                                   for i, (x, r) in enumerate(((0.0, 0.03), (0.06, 0.02), (-0.06, 0.02)))], 800)
     gt = sample_ground_truth_grasps(scene, SynthConfig(), seed=0)
-    return cloud, scene, gt, grasp_target_ids(scene, gt)
+    return cloud, scene, gt, owning_objects(scene, [g.pose.center for g in gt])
 
 
 def probe_pipe():
@@ -240,13 +239,12 @@ def probe_pipe():
 
 
 def grasp_bytes(grasps) -> bytes:
-    return np.array([[*g.center, *g.approach, g.angle_deg, g.width, g.depth, g.score, g.seed_index]
-                     for g in grasps]).tobytes()
+    return np.array([np.hstack([getattr(g, f.name) for f in fields(g)]) for g in grasps]).tobytes()
 
 
-def fresh_proposal(pipe, cloud, scene, gt, targets):
+def fresh_proposal(pipe, cloud, scene, gt, targets, gripper=PARALLEL):
     alive = {p.object_id for p in scene.objects()}
-    return pipe.propose(cloud, scene, PARALLEL, gt_grasps=[g for g, oid in zip(gt, targets) if oid in alive])
+    return pipe.propose(cloud, scene, gripper, gt_grasps=[g for g, oid in zip(gt, targets) if oid in alive])
 
 
 def probe_lines(adapter):
@@ -257,7 +255,7 @@ def test_fallback_clearing_searches_equal_a_fresh_search_every_round(three_spher
     cloud, scene, gt, targets = three_spheres
     pipe = probe_pipe()
     rcfg = pipe.refine
-    adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=targets)
+    adapter = ClearingAdapter(pipe, scene, gt)
     real, searches, last_scores, changed = refine_parallel.oracle_search, [], {}, []
 
     def spy(scene, seed_points, config, *args, known=None, **kwargs):
@@ -299,6 +297,31 @@ def test_fallback_clearing_searches_equal_a_fresh_search_every_round(three_spher
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_fallback_loops_that_return_to_the_first_state_equal_fresh_proposals(three_spheres):
+    """A parallel, a vacuum and a second parallel loop through one adapter, each round against a fresh propose."""
+    cloud, scene, gt, targets = three_spheres
+    pipe = probe_pipe()
+    adapter = ClearingAdapter(pipe, scene, gt)
+    counts = []
+
+    def checked_round(c, s, g):
+        before = probe_lines(adapter)
+        grasps, seeds = adapter(c, s, g)
+        fresh = fresh_proposal(pipe, c, s, gt, targets, g)
+        assert seeds.tobytes() == fresh.seeds.indices.tobytes()
+        assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
+        counts.append(tuple(np.subtract(probe_lines(adapter), before)))
+        return grasps, seeds
+
+    runs = [run_clearing_loop(cloud, scene, checked_round, g)[1].attempts for g in (PARALLEL, VACUUM, PARALLEL)]
+    assert runs[0] == runs[2] == [(3, True), (1, True), (2, True)]
+    assert runs[1] and all(ok for _, ok in runs[1])
+    first, second = counts[:3], counts[-3:]
+    assert first[0][1] == 0 and all(reused > 0 for _, reused in first[1:])
+    # the first state's proposal is kept; the rows it left were forgotten, so the next round reuses none
+    assert second[0] == (0, 0) and second[1][0] > 0 and second[1][1] == 0 and second[2][1] > 0
+
+
 def test_probe_memory_is_dropped_when_a_state_is_not_a_removal(three_spheres):
     cloud, scene, gt, targets = three_spheres
     cloud2, scene2 = remove_object(cloud, scene, 2)
@@ -313,7 +336,7 @@ def test_probe_memory_is_dropped_when_a_state_is_not_a_removal(three_spheres):
     ]
     pipe = probe_pipe()
     for c, s in unrelated:
-        adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=targets)
+        adapter = ClearingAdapter(pipe, scene, gt)
         adapter(cloud, scene, PARALLEL)
         evaluated, reused = probe_lines(adapter)
         assert reused == 0
@@ -323,7 +346,7 @@ def test_probe_memory_is_dropped_when_a_state_is_not_a_removal(three_spheres):
         assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
         assert probe_lines(adapter) == (evaluated + len(seeds) * pipe.refine.n_views * 6 * 2, 0)
     # the same removal without the change reuses lines
-    adapter = pipe.clearing_adapter(gt_grasps=gt, object_of_grasp=targets)
+    adapter = ClearingAdapter(pipe, scene, gt)
     adapter(cloud, scene, PARALLEL)
     adapter(cloud2, scene2, PARALLEL)
     assert probe_lines(adapter)[1] > 0

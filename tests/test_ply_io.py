@@ -4,11 +4,29 @@ import pytest
 from dualgrasp.ply_io import read_ply, write_ply
 
 
+def write_ascii_ply(path, points, colors=None, channels=None):
+    """write_ply's vertex layout in ASCII, as another program would write it."""
+    channels = channels or {}
+    props = ["float x", "float y", "float z"] + [f"float {name}" for name in channels]
+    columns = [np.asarray(points, dtype=np.float64)] + [np.asarray(v, dtype=np.float64)[:, None]
+                                                         for v in channels.values()]
+    if colors is not None:
+        props[3:3] = ["uchar red", "uchar green", "uchar blue"]
+        columns.insert(1, colors)
+    header = ["ply", "format ascii 1.0", f"element vertex {len(points)}"] + [f"property {p}" for p in props]
+    rows = [" ".join(repr(v) for v in row) for row in np.hstack(columns, dtype=object).tolist()]
+    path.write_text("\n".join(header + ["end_header"] + rows) + "\n")
+
+
+def write(path, binary, points, **kwargs):
+    (write_ply if binary else write_ascii_ply)(path, points, **kwargs)
+
+
 @pytest.mark.parametrize("binary", [True, False])
 def test_roundtrip_points_only(tmp_path, binary):
     pts = np.random.default_rng(0).uniform(-1, 1, size=(37, 3)).astype(np.float32)
     path = tmp_path / "pts.ply"
-    write_ply(path, pts, binary=binary)
+    write(path, binary, pts)
     got, colors, channels = read_ply(path)
     assert np.array_equal(got, pts)
     assert colors is None
@@ -25,7 +43,7 @@ def test_roundtrip_colors_and_channels(tmp_path, binary):
         "object_id": rng.integers(0, 5, size=20).astype(np.float32),
     }
     path = tmp_path / "full.ply"
-    write_ply(path, pts, colors=colors, channels=channels, binary=binary)
+    write(path, binary, pts, colors=colors, channels=channels)
     got, got_colors, got_channels = read_ply(path)
     assert np.array_equal(got, pts)
     assert np.array_equal(got_colors, colors)

@@ -70,14 +70,14 @@ def dense_batch_grads(model, batch, cfg):
     rows, targets = _stack_refiner_targets(batch)
     l_ref, ref_grads, _ = loss_refiner(out["view"][rows], out["width"][rows, 0], out["angle"][rows],
                                        out["depth"][rows], out["score"][rows], targets)
-    par_grads = {"parallel": cfg.w_parallel_map * g_par[:, None]}
+    par_grads = {"parallel": g_par[:, None]}
     for head in ("view", "angle", "depth", "width", "score"):
         full = np.zeros_like(out[head])
-        full[rows] = cfg.w_refiner * ref_grads[head].reshape(len(rows), -1)
+        full[rows] = ref_grads[head].reshape(len(rows), -1)
         par_grads[head] = full
     return (model.backward(cache, par_grads),
-            model.backward(cache, {"vacuum": cfg.w_vacuum * g_vac[:, None]}),
-            model.backward(cache, {"objectness": cfg.w_objectness * g_obj[:, None]}),
+            model.backward(cache, {"vacuum": g_vac[:, None]}),
+            model.backward(cache, {"objectness": g_obj[:, None]}),
             l_ref)
 
 
