@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields as dc_fields
 from dataclasses import replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -104,28 +105,54 @@ def build_configs(overrides: dict) -> dict:
         if field is None:
             raise UsageError(f"unknown config key {key!r}")
         if not _fits(field, value):
-            takes = _TYPE_NAMES[field.type] + (" or null" if field.default is None else "")
+            takes = _describe(field.type) + (" or null" if field.default is None else "")
             raise UsageError(f"config key {key!r} takes {takes}, got {json.dumps(value)}")
         if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+            value = tuple(value)
         configs[section] = _replace_config(cfg, **{name: value})
     return configs
 
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", tuple: "a list"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_PLURALS = {float: "numbers", str: "strings"}
+
+
+def _describe(kind) -> str:
+    items = get_args(kind)  # (float, float) for a pair, (str, ...) for a list of any length
+    if not items:
+        return _TYPE_NAMES[kind]
+    if items[-1] is Ellipsis:
+        return f"a list of {_PLURALS[items[0]]}"
+    return f"a list of {len(items)} {_PLURALS[items[0]]}"
 
 
 def _fits(field, value) -> bool:
-    """Whether a config file's JSON value fits the type of the field it sets; null fits only a null default."""
-    if field.type is bool:
+    """Whether a config file's JSON value fits the type of the field it sets; null fits only a null default.
+
+    A tuple field takes a list of its element type: of any length for
+    tuple[float, ...], of exactly its arity for a fixed tuple[float, float].
+    """
+    items = get_args(field.type)
+    if not items:
+        return _is(field.type, value)
+    if not isinstance(value, list):
+        return value is None and field.default is None
+    if items[-1] is not Ellipsis and len(value) != len(items):
+        return False
+    return all(_is(items[0], v) for v in value)
+
+
+def _is(kind, value) -> bool:
+    """Whether a JSON scalar is a kind; a boolean is only a bool, an integer is also a float."""
+    if kind is bool:
         return isinstance(value, bool)
     if isinstance(value, bool):
         return False
-    if field.type is int:
+    if kind is int:
         return isinstance(value, int)
-    if field.type is float:
+    if kind is float:
         return isinstance(value, (int, float))
-    return isinstance(value, list) or (value is None and field.default is None)
+    return isinstance(value, kind)
 
 
 def _scene_stems(scenes_dir) -> list:

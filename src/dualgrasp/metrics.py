@@ -24,8 +24,8 @@ from .scenes import SceneAnnotation, parallel_quality_batch, seal_quality_batch
 @dataclass
 class EvalConfig:
     k_max: int = 50
-    mu_parallel_grid: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)
-    mu_vacuum_grid: tuple = (0.2, 0.4, 0.6, 0.8)
+    mu_parallel_grid: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
+    mu_vacuum_grid: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
     max_consecutive_failures: int = 3
     exec_mu_parallel: float = 0.8
     exec_mu_vacuum: float = 0.4

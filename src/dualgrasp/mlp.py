@@ -118,12 +118,11 @@ class MlpModel:
                 raise ValueError("refiner rows must be distinct")
         x = (x - self.feature_mean) / self.feature_std
         activations = [x]
-        pre = []
         h = x
         for w, b in self.trunk:
-            z = h @ w + b
-            pre.append(z)
-            h = np.maximum(z, 0.0)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
         h_aug = np.concatenate([h, self.config.bypass_gain * x], axis=1)
         h_rows = h_aug[rows]
@@ -132,48 +131,59 @@ class MlpModel:
             name: (h_aug if name in MAP_HEADS else h_rows) @ self.heads[name][0] + self.heads[name][1]
             for name in names
         }
-        cache = (activations, pre, h_aug, rows)
+        cache = (activations, h_aug, h_rows, rows)
         return outputs, cache
 
-    def backward(self, cache, head_grads: dict) -> np.ndarray:
-        """Flat parameter gradient given d(loss)/d(head output) per head.
+    def backward(self, cache, tasks: list) -> list:
+        """Flat parameter gradients, one per task, given d(loss)/d(head output) per head.
 
-        Each gradient has the shape of the head's forward output: every batch
-        row for a map head, the cached refiner rows for a refiner head. Heads
-        missing from head_grads contribute zero gradient.
+        Each task is a dict of head gradients. A gradient has the shape of the
+        head's forward output: every batch row for a map head, the cached
+        refiner rows for a refiner head. Heads missing from a task contribute
+        zero gradient. The tasks share one pass: the ReLU masks are built once
+        and each hidden layer has one buffer that every task reuses, and each
+        gradient keeps the bits of a pass for its task alone.
         """
-        activations, pre, h_aug, rows = cache
-        n_hidden = activations[-1].shape[1]
-        d_hidden = np.zeros((h_aug.shape[0], n_hidden))
-        head_grad_arrays = {}
-        for name, (w, b) in self.heads.items():
-            g = head_grads.get(name)
-            if g is None:
-                head_grad_arrays[name] = (np.zeros_like(w), np.zeros_like(b))
-                continue
-            at = slice(None) if name in MAP_HEADS else rows
-            h_at = h_aug[at]
-            g = np.asarray(g, dtype=np.float64).reshape(h_at.shape[0], w.shape[1])
-            head_grad_arrays[name] = (h_at.T @ g, g.sum(axis=0))
-            # only the trunk-output rows of the head matrix backprop further;
-            # the bypass rows read the (non-parameter) standardized input
-            d_hidden[at] += g @ w[:n_hidden].T
-
-        trunk_grads = [None] * len(self.trunk)
-        grad = d_hidden
-        for i in range(len(self.trunk) - 1, -1, -1):
-            dz = grad * (pre[i] > 0)
-            trunk_grads[i] = (activations[i].T @ dz, dz.sum(axis=0))
-            if i > 0:
-                grad = dz @ self.trunk[i][0].T
-
+        activations, h_aug, h_rows, rows = cache
+        # h > 0 equals the pre-activation test z > 0, NaN included
+        masks = [h > 0 for h in activations[1:]]
+        buffers = [np.empty_like(h) for h in activations[1:]]
+        n_hidden = buffers[-1].shape[1]
         flats = []
-        for gw, gb in trunk_grads:
-            flats += [gw.ravel(), gb.ravel()]
-        for name in sorted(self.heads):
-            gw, gb = head_grad_arrays[name]
-            flats += [gw.ravel(), gb.ravel()]
-        return np.concatenate(flats)
+        for head_grads in tasks:
+            d_hidden = buffers[-1]
+            d_hidden.fill(0.0)  # heads add into +0.0, as into a fresh np.zeros: the same signed zeros
+            head_grad_arrays = {}
+            for name, (w, b) in self.heads.items():
+                g = head_grads.get(name)
+                if g is None:
+                    head_grad_arrays[name] = (np.zeros_like(w), np.zeros_like(b))
+                    continue
+                h_at = h_aug if name in MAP_HEADS else h_rows
+                g = np.asarray(g, dtype=np.float64).reshape(h_at.shape[0], w.shape[1])
+                head_grad_arrays[name] = (h_at.T @ g, g.sum(axis=0))
+                # only the trunk-output rows of the head matrix backprop further;
+                # the bypass rows read the (non-parameter) standardized input
+                if name in MAP_HEADS:  # rank 1: g * w is the (N, 1) @ (1, n_hidden) product
+                    d_hidden += g * w[:n_hidden, 0]
+                else:
+                    d_hidden[rows] += g @ w[:n_hidden].T
+
+            trunk_grads = [None] * len(self.trunk)
+            for i in range(len(self.trunk) - 1, -1, -1):
+                dz = np.multiply(buffers[i], masks[i], out=buffers[i])
+                trunk_grads[i] = (activations[i].T @ dz, dz.sum(axis=0))
+                if i > 0:
+                    np.matmul(dz, self.trunk[i][0].T, out=buffers[i - 1])
+
+            parts = []
+            for gw, gb in trunk_grads:
+                parts += [gw.ravel(), gb.ravel()]
+            for name in sorted(self.heads):
+                gw, gb = head_grad_arrays[name]
+                parts += [gw.ravel(), gb.ravel()]
+            flats.append(np.concatenate(parts))
+        return flats
 
     # -- prediction helpers ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parall
 class RefineParallelConfig:
     n_views: int = 300
     n_angle_bins: int = 12
-    depth_bins: tuple = (0.01, 0.02, 0.03, 0.04)
+    depth_bins: tuple[float, ...] = (0.01, 0.02, 0.03, 0.04)
     n_score_bins: int = 10
     # strides thinning the (angle, depth) grid when the fallback ranks views;
     # the winning view is always refined on the full grid

@@ -49,20 +49,20 @@ class SynthConfig:
     ground truth and the evaluation grade a pose alike.
     """
 
-    kinds: tuple = ("box", "sphere", "cylinder", "plane-slab")
-    kind_sequence: tuple = None  # exact per-object kinds (cycled); overrides random choice
+    kinds: tuple[str, ...] = ("box", "sphere", "cylinder", "plane-slab")
+    kind_sequence: tuple[str, ...] = None  # exact per-object kinds (cycled); overrides random choice
     table_extent: float = 0.5
     table_thickness: float = 0.02
     table_height: float = 0.0
-    camera_viewpoint: tuple = (0.12, -0.08, 0.85)
+    camera_viewpoint: tuple[float, float, float] = (0.12, -0.08, 0.85)
     density: float = 40000.0  # surface points per m^2
-    box_edge: tuple = (0.03, 0.08)
-    sphere_radius: tuple = (0.015, 0.04)
-    cylinder_radius: tuple = (0.015, 0.035)
-    cylinder_height: tuple = (0.03, 0.08)
-    slab_extent: tuple = (0.07, 0.12)
-    slab_thickness: tuple = (0.008, 0.015)
-    friction_range: tuple = (0.4, 1.0)
+    box_edge: tuple[float, float] = (0.03, 0.08)
+    sphere_radius: tuple[float, float] = (0.015, 0.04)
+    cylinder_radius: tuple[float, float] = (0.015, 0.035)
+    cylinder_height: tuple[float, float] = (0.03, 0.08)
+    slab_extent: tuple[float, float] = (0.07, 0.12)
+    slab_thickness: tuple[float, float] = (0.008, 0.015)
+    friction_range: tuple[float, float] = (0.4, 1.0)
     porous_prob: float = 0.0
     placement_gap: float = 0.02
     max_retries: int = 400

@@ -36,6 +36,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lr0) and self.lr0 > 0):
             raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
+        weight = self.positive_weight_parallel
+        if not (np.isfinite(weight) and weight > 0):
+            raise ValueError(f"positive_weight_parallel must be finite and positive, got {weight}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -179,9 +182,9 @@ def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
         for head in ("view", "angle", "depth", "width", "score"):
             parallel_head_grads[head] = ref_grads[head]
 
-    grad_parallel_task = model.backward(cache, parallel_head_grads)
-    grad_vacuum_task = model.backward(cache, {"vacuum": g_vac[:, None]})
-    grad_objectness = model.backward(cache, {"objectness": g_obj[:, None]})
+    grad_parallel_task, grad_vacuum_task, grad_objectness = model.backward(
+        cache, [parallel_head_grads, {"vacuum": g_vac[:, None]}, {"objectness": g_obj[:, None]}]
+    )
 
     losses = {"obj": l_obj, "vac": l_vac, "par": l_par, "refiner": l_ref}
     return grad_parallel_task, grad_vacuum_task, grad_objectness, losses, n_total

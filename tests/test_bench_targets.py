@@ -88,3 +88,37 @@ def test_clearing_hooks_count_a_real_loop():
     totals = tracer.totals()
     assert totals["clearing.round"]["calls"] == len(calls) == 4
     assert totals["clearing.loop"]["calls"] == 1
+
+
+def test_mlp_spans_count_every_training_step():
+    """mlp.backward is one span per optimizer step, and mlp.rows counts every row each step forwards.
+
+    Three prepared scenes of unequal size in batches of two make two steps
+    per epoch; the refiner heads run on one scene's seed rows.
+    """
+    spans = load_spans()
+    from dualgrasp.train import PreparedScene, TrainConfig
+
+    training = importlib.import_module("dualgrasp.train")  # the tracer rebinds its train, not a name bound here
+
+    rng = np.random.default_rng(0)
+    scenes = []
+    for n in (40, 25, 31):
+        scenes.append(PreparedScene(features=rng.normal(size=(n, 7)), objectness=(rng.uniform(size=n) > 0.5) * 1.0,
+                                    parallel_label=rng.uniform(size=n) * (rng.uniform(size=n) > 0.7),
+                                    vacuum_label=rng.uniform(size=n)))
+    k = 3
+    scenes[0].seed_rows = np.array([4, 17, 30])
+    scenes[0].refiner_targets = {"view_scores": rng.uniform(size=(k, 300)), "width": rng.uniform(0.01, 0.1, k),
+                                 "angle_idx": rng.integers(0, 12, k), "depth_idx": rng.integers(0, 4, k),
+                                 "score_idx": rng.integers(0, 10, k)}
+    epochs, steps_per_epoch = 3, 2
+    tracer = spans.Tracer()
+    with spans.Instrumentation(tracer):
+        training.train(scenes, TrainConfig(epochs=epochs, batch_size=2))
+    totals = tracer.totals()
+    assert totals["train.fit"]["calls"] == 1
+    assert totals["mlp.backward"]["calls"] == totals["mlp.forward"]["calls"] == epochs * steps_per_epoch
+    assert totals["pcgrad.pcgrad"]["calls"] == epochs * steps_per_epoch
+    assert tracer.counters["mlp.rows"] == epochs * sum(len(s.features) for s in scenes)
+    assert totals["mlp.backward"]["s"] > 0

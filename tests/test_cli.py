@@ -173,6 +173,11 @@ def test_config_file_parsing(tmp_path):
     assert configs["synth"].density == 40000 and configs["synth"].kind_sequence is None
     assert configs["train"].pcgrad_enabled is False
     assert build_configs({"synth.kind_sequence": ["box", "sphere"]})["synth"].kind_sequence == ("box", "sphere")
+    # fixed-size keys take their arity; integers fit number lists; variable-length lists keep any length
+    configs = build_configs({"synth.camera_viewpoint": [0, 0, 1], "synth.box_edge": [0.02, 0.05],
+                             "refine.depth_bins": [0.01], "eval.mu_parallel_grid": [0.2, 0.4, 0.6, 0.8, 1, 1.2]})
+    assert configs["synth"].camera_viewpoint == (0, 0, 1) and configs["synth"].box_edge == (0.02, 0.05)
+    assert configs["refine"].depth_bins == (0.01,) and len(configs["eval"].mu_parallel_grid) == 6
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -299,6 +304,15 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["synth", "--config", "{kind_sequence_string_config}"],
     ["train", "--config", "{deleted_weight_config}"],
     ["train", "--config", "{deleted_adam_config}"],
+    ["train", "--config", "{positive_weight_negative_config}"],
+    ["train", "--config", "{positive_weight_zero_config}"],
+    ["train", "--config", "{positive_weight_nan_config}"],
+    ["synth", "--config", "{box_edge_short_config}"],
+    ["synth", "--config", "{viewpoint_short_config}"],
+    ["synth", "--config", "{friction_range_long_config}"],
+    ["synth", "--config", "{kinds_number_config}"],
+    ["predict", "--fallback-head", "--config", "{depth_bins_string_config}"],
+    ["eval", "--grasps", "{pred}", "--config", "{parallel_grid_string_config}"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -316,7 +330,10 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         "lr-nan", "lr-inf", "lr0-inf", "vmin-nan", "vmax-inf",
         "pcgrad-string", "pcgrad-bare-word", "pcgrad-number", "density-string", "density-bool",
         "m-parallel-fraction", "epochs-fraction", "n-views-bool", "depth-bins-number", "kinds-null",
-        "kind-sequence-string", "deleted-weight-key", "deleted-adam-key"])
+        "kind-sequence-string", "deleted-weight-key", "deleted-adam-key",
+        "positive-weight-negative", "positive-weight-0", "positive-weight-nan",
+        "box-edge-one-value", "camera-viewpoint-two-values", "friction-range-three-values",
+        "kinds-number", "depth-bins-string", "mu-parallel-grid-string"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -367,6 +384,16 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         # keys that held a single value in use are constants now
         "{deleted_weight_config}": "train.w_refiner = 1.0",
         "{deleted_adam_config}": "train.adam_beta2 = 0.99",
+        "{positive_weight_negative_config}": "train.positive_weight_parallel = -1",
+        "{positive_weight_zero_config}": "train.positive_weight_parallel = 0",
+        "{positive_weight_nan_config}": "train.positive_weight_parallel = NaN",
+        # a list of the wrong element type, or of the wrong length for a fixed-size key
+        "{box_edge_short_config}": "synth.box_edge = [1]",
+        "{viewpoint_short_config}": "synth.camera_viewpoint = [1, 2]",
+        "{friction_range_long_config}": "synth.friction_range = [0.4, 0.7, 1.0]",
+        "{kinds_number_config}": "synth.kinds = [1]",
+        "{depth_bins_string_config}": 'refine.depth_bins = ["a"]',
+        "{parallel_grid_string_config}": 'eval.mu_parallel_grid = ["x"]',
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

@@ -112,9 +112,9 @@ def check_backward_fd(rng, rows):
     _, g_vac = loss_vacuum(out["vacuum"][:, 0], y_vac)
     _, ref_grads, _ = loss_refiner(out["view"], out["width"][:, 0], out["angle"],
                                    out["depth"], out["score"], targets)
-    analytic = model.backward(
+    [analytic] = model.backward(
         cache,
-        {
+        [{
             "objectness": g_obj[:, None],
             "vacuum": g_vac[:, None],
             "view": ref_grads["view"],
@@ -122,7 +122,7 @@ def check_backward_fd(rng, rows):
             "angle": ref_grads["angle"],
             "depth": ref_grads["depth"],
             "score": ref_grads["score"],
-        },
+        }],
     )
     eps = 1e-6
     fd = np.zeros_like(params)
@@ -154,11 +154,84 @@ def test_refiner_rows_match_dense_zero_filled_reference(rng):
             grads[name] = rng.normal(size=(len(rows), out.shape[1]))
             dense_grads[name] = np.zeros_like(out)
             dense_grads[name][rows] = grads[name]
-    np.testing.assert_allclose(model.backward(cache, grads), model.backward(dense_cache, dense_grads),
-                               rtol=1e-10, atol=1e-14)
-    # map heads alone: the refiner rows play no part
     map_grads = {name: grads[name] for name in MAP_HEADS}
-    assert np.array_equal(model.backward(cache, map_grads), model.backward(dense_cache, map_grads))
+    got, got_maps = model.backward(cache, [grads, map_grads])
+    want, want_maps = model.backward(dense_cache, [dense_grads, map_grads])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+    # map heads alone: the refiner rows play no part
+    assert np.array_equal(got_maps, want_maps)
+
+
+def per_task_backward(model, cache, head_grads):
+    """The backward pass of one task alone, as it ran before the tasks shared a pass: the reference for its bits."""
+    activations, h_aug, _, rows = cache
+    pre = [a @ w + b for a, (w, b) in zip(activations, model.trunk)]
+    n_hidden = activations[-1].shape[1]
+    d_hidden = np.zeros((h_aug.shape[0], n_hidden))
+    head_grad_arrays = {}
+    for name, (w, b) in model.heads.items():
+        g = head_grads.get(name)
+        if g is None:
+            head_grad_arrays[name] = (np.zeros_like(w), np.zeros_like(b))
+            continue
+        at = slice(None) if name in MAP_HEADS else rows
+        h_at = h_aug[at]
+        g = np.asarray(g, dtype=np.float64).reshape(h_at.shape[0], w.shape[1])
+        head_grad_arrays[name] = (h_at.T @ g, g.sum(axis=0))
+        d_hidden[at] += g @ w[:n_hidden].T
+
+    trunk_grads = [None] * len(model.trunk)
+    grad = d_hidden
+    for i in range(len(model.trunk) - 1, -1, -1):
+        dz = grad * (pre[i] > 0)
+        trunk_grads[i] = (activations[i].T @ dz, dz.sum(axis=0))
+        if i > 0:
+            grad = dz @ model.trunk[i][0].T
+
+    flats = []
+    for gw, gb in trunk_grads:
+        flats += [gw.ravel(), gb.ravel()]
+    for name in sorted(model.heads):
+        gw, gb = head_grad_arrays[name]
+        flats += [gw.ravel(), gb.ravel()]
+    return np.concatenate(flats)
+
+
+@pytest.mark.parametrize("zero_heads", [True, False])
+def test_shared_backward_keeps_per_task_bits(rng, zero_heads):
+    """One backward over the training step's three tasks gives each task's per-task gradient bit for bit.
+
+    Unequal hidden widths, refiner heads on a row subset, zero-initialised
+    rows of the input (so some pre-activations equal the bias) and one dead
+    ReLU unit. With zero-initialised heads every head product is a signed
+    zero and every trunk gradient must come out +0.0.
+    """
+    cfg = ModelConfig(feature_dim=4, hidden=(7, 5), bypass_gain=2.0,
+                      n_views=3, n_angle_bins=4, n_depth_bins=2, n_score_bins=3)
+    model = MlpModel(cfg, np.random.default_rng(6))
+    if not zero_heads:
+        for w, b in model.heads.values():
+            w[...] = rng.normal(0.0, 0.5, w.shape)
+            b[...] = rng.normal(0.0, 0.5, b.shape)
+    model.trunk[0][1][2] = -1e3  # unit 2 of the first layer never fires
+    X = rng.normal(size=(40, 4))
+    X[:3] = 0.0
+    rows = np.array([31, 2, 17, 0, 8])
+    out, cache = model.forward(X, rows=rows)
+    assert not np.any(cache[0][1][:, 2])
+    parallel = {"parallel": rng.normal(size=(40, 1))}
+    for name in ("view", "angle", "depth", "width", "score"):
+        parallel[name] = rng.normal(size=out[name].shape)
+    parallel["parallel"][::4] = -0.0
+    tasks = [parallel, {"vacuum": rng.normal(size=(40, 1))}, {"objectness": -rng.uniform(size=(40, 1))}]
+    got = model.backward(cache, tasks)
+    assert len(got) == len(tasks)
+    for flat, task in zip(got, tasks):
+        want = per_task_backward(model, cache, task)
+        assert np.array_equal(flat.view(np.uint64), want.view(np.uint64))
+    if zero_heads:
+        n_trunk = sum(w.size + b.size for w, b in model.trunk)
+        assert not np.any(got[2][:n_trunk]) and not np.any(np.signbit(got[2][:n_trunk]))
 
 
 def test_refiner_rows_must_be_distinct(rng):

@@ -75,9 +75,7 @@ def dense_batch_grads(model, batch, cfg):
         full = np.zeros_like(out[head])
         full[rows] = ref_grads[head].reshape(len(rows), -1)
         par_grads[head] = full
-    return (model.backward(cache, par_grads),
-            model.backward(cache, {"vacuum": g_vac[:, None]}),
-            model.backward(cache, {"objectness": g_obj[:, None]}),
+    return (*model.backward(cache, [par_grads, {"vacuum": g_vac[:, None]}, {"objectness": g_obj[:, None]}]),
             l_ref)
 
 
