@@ -29,7 +29,7 @@ from .json_io import write_json
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
 from .mlp import load_checkpoint, save_checkpoint
-from .pipeline import ClearingAdapter, GraspPipeline
+from .pipeline import GraspPipeline, SceneProposer
 from .ply_io import read_ply, write_ply
 from .refine_parallel import RefineParallelConfig
 from .sampling import SamplingConfig
@@ -242,11 +242,9 @@ def cmd_train(args) -> int:
 
 
 def _make_pipeline(args, cfgs) -> GraspPipeline:
-    model = None
-    if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
-    elif not args.fallback_head:
-        raise UsageError("need --checkpoint or --fallback-head")
+    if bool(args.checkpoint) == args.fallback_head:
+        raise UsageError("need exactly one of --checkpoint and --fallback-head")
+    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     if args.max_refine is not None and args.max_refine < 1:
         raise UsageError("--max-refine must be >= 1")
     sampling: SamplingConfig = cfgs["sampling"]
@@ -269,14 +267,14 @@ def _make_pipeline(args, cfgs) -> GraspPipeline:
 
 def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):
     cloud, scene, gt = load_scene(stem)
-    maps, feats = pipe.predict_maps(cloud, scene, gt)
+    proposer = SceneProposer(pipe, scene, gt)
     written = []
-    for channel, values in maps.channels().items():
+    for channel, values in proposer.maps(cloud, scene).channels().items():
         path = out / f"{stem.name}_pred_{channel}_rgb.ply"
         write_ply(path, cloud.points, colors=colorize(values))
         written.append(path.name)
     for gripper in grippers:
-        result = pipe.propose(cloud, scene, gripper, gt_grasps=gt, maps=maps, feats=feats)
+        result = proposer.propose(cloud, scene, gripper)
         doc = {
             "schema_version": GRASP_FILE_SCHEMA_VERSION,
             "scene": stem.name,
@@ -348,11 +346,11 @@ def cmd_eval(args) -> int:
             bucket = summary.setdefault(scene.split, {}).setdefault(gripper, [])
             bucket.append(overall)
         if pipe is not None:
-            # both grippers clear the same initial scene through one adapter, so the
-            # vacuum loop's first round reuses the parallel loop's full-scene features
-            adapter = ClearingAdapter(pipe, scene, gt)
+            # both grippers clear the same initial scene through one proposer, so the
+            # vacuum loop's first round reuses the parallel loop's full-scene maps
+            proposer = SceneProposer(pipe, scene, gt)
             for gripper in (PARALLEL, VACUUM):
-                metrics, _ = run_clearing_loop(cloud, scene, adapter, gripper, ecfg)
+                metrics, _ = run_clearing_loop(cloud, scene, proposer, gripper, ecfg)
                 rows.append(_clearing_row(stem.name, gripper, metrics))
 
     rows.sort(key=lambda r: (r["record"], r["scene"], r["gripper"], str(r["mu"])))

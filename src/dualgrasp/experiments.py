@@ -12,7 +12,7 @@ from .features import compute_point_features
 from .grasps import PARALLEL, VACUUM
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_overall, grasp_qualities, roc_auc
-from .pipeline import GraspPipeline
+from .pipeline import GraspPipeline, SceneProposer
 from .refine_parallel import RefineParallelConfig
 from .scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
 from .train import TrainConfig, prepare_training_scene, train
@@ -51,8 +51,9 @@ def complementarity_stats(n_scenes: int = 10, base_seed: int = 0):
     flat_fracs, small_fracs = [], []
     for cloud, scene, grasps in make_scenes(base_seed, n_scenes, 3, cfg):
         small_ids = {p.object_id for p in scene.objects() if p.kind != "plane-slab"}
-        top_v = pipe.propose(cloud, scene, VACUUM, gt_grasps=grasps).grasps[:10]
-        top_p = pipe.propose(cloud, scene, PARALLEL, gt_grasps=grasps).grasps[:10]
+        proposer = SceneProposer(pipe, scene, grasps)
+        top_v = proposer.propose(cloud, scene, VACUUM).grasps[:10]
+        top_p = proposer.propose(cloud, scene, PARALLEL).grasps[:10]
         flat_fracs.append(float(np.mean([scene.per_point_flat[g.seed_index] for g in top_v])))
         small_fracs.append(
             float(np.mean([scene.per_point_object_id[g.seed_index] in small_ids for g in top_p]))
@@ -93,10 +94,9 @@ def ap_by_gripper(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None
     ecfg = eval_cfg or EvalConfig()
     values = {PARALLEL: [], VACUUM: []}
     for cloud, scene, grasps in scene_tuples:
-        maps, feats = pipe.predict_maps(cloud, scene, grasps)
+        proposer = SceneProposer(pipe, scene, grasps)
         for gripper in (PARALLEL, VACUUM):
-            result = pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=maps, feats=feats)
-            ranked = result.grasps[: ecfg.k_max]
+            ranked = proposer.propose(cloud, scene, gripper).grasps[: ecfg.k_max]
             qualities, _ = grasp_qualities(ranked, scene, gripper)
             values[gripper].append(ap_overall(qualities, gripper, ecfg))
     return {g: float(np.mean(v)) if v else 0.0 for g, v in values.items()}

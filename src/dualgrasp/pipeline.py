@@ -4,7 +4,8 @@ Two prediction modes share the downstream path: "model" runs the trained MLP
 on point features; "fallback" uses oracle label maps built from a scene's
 ground-truth grasps (no training required) together with the geometric grasp
 head. Proposals come back ranked by score; an empty seed set is a valid
-"no graspable region" outcome, not an error.
+"no graspable region" outcome, not an error. SceneProposer is the one way
+from a scene state to its maps and proposals.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .features import FeatureState, compute_point_features
+from .features import FeatureState
 from .grasps import PARALLEL, VACUUM
 from .labels import GraspnessMaps, build_label_maps
 from .mlp import MlpModel
@@ -64,25 +65,13 @@ class GraspPipeline:
             if misfit:
                 raise ValueError(f"model refiner heads do not fit the refine config: {', '.join(misfit)}")
 
-    def predict_maps(self, cloud: PointCloud, scene: SceneAnnotation, gt_grasps=None):
-        """Predicted maps from the model, or oracle label maps in fallback mode."""
-        if self.model is not None:
-            feats = compute_point_features(cloud, scene.table_height)
-            return self._model_maps(feats), feats
-        if gt_grasps is None:
-            raise ValueError("fallback mode needs the scene's ground-truth grasps")
-        maps = build_label_maps(cloud, scene, gt_grasps)
-        return maps, None
+    def propose(self, cloud: PointCloud, scene: SceneAnnotation, gripper: str, maps: GraspnessMaps,
+                feats=None, probes: ProbeMemory = None) -> PipelineResult:
+        """Ranked proposals of one gripper from the scene's maps.
 
-    def _model_maps(self, feats) -> GraspnessMaps:
-        scores = self.model.predict_map_scores(feats)
-        return GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
-
-    def propose(self, cloud: PointCloud, scene: SceneAnnotation, gripper: str,
-                gt_grasps=None, maps=None, feats=None, probes: ProbeMemory = None) -> PipelineResult:
-        """Ranked proposals of one gripper; probes lends the oracle pose head its known probe rows."""
-        if maps is None:
-            maps, feats = self.predict_maps(cloud, scene, gt_grasps)
+        feats (the point features) feed the learned pose head; probes lends
+        the oracle pose head its known probe rows.
+        """
         if gripper == VACUUM:
             fused = fuse_scores(maps.objectness, maps.vacuum_graspness)
             seeds = select_seeds(cloud, fused, self.sampling.t_vacuum, self.sampling.m_vacuum, VACUUM)
@@ -99,7 +88,11 @@ class GraspPipeline:
         if self.max_parallel_refine is not None and len(seeds) > self.max_parallel_refine:
             order = np.lexsort((seeds.indices, -seeds.fused_scores))[: self.max_parallel_refine]
             refine_seeds = SeedSet(PARALLEL, seeds.indices[order], seeds.fused_scores[order])
-        grasps, dropped = self._refine_parallel(cloud, scene, refine_seeds, feats, probes)
+        if self.pose_head == "oracle":
+            grasps, dropped = fallback_refine_batch(cloud, scene, refine_seeds.indices, self.refine, probes)
+        else:
+            refiner_out = self.model.refiner_outputs(feats[refine_seeds.indices])
+            grasps, dropped = learned_refine_batch(cloud, refine_seeds.indices, refiner_out, self.refine), 0
         if self.model is not None:
             # prediction-driven ranking: gate the decoded pose score by the map
             # confidence at its seed (with the oracle pose head the decoded
@@ -111,64 +104,61 @@ class GraspPipeline:
         grasps.sort(key=lambda g: (-g.score, g.seed_index))
         return PipelineResult(PARALLEL, grasps, seeds, dropped)
 
-    def _refine_parallel(self, cloud, scene, seeds: SeedSet, feats, probes):
-        if self.pose_head == "oracle":
-            return fallback_refine_batch(cloud, scene, seeds.indices, self.refine, probes)
-        if feats is None:
-            feats = compute_point_features(cloud, scene.table_height)
-        refiner_out = self.model.refiner_outputs(feats[seeds.indices])
-        return learned_refine_batch(cloud, seeds.indices, refiner_out, self.refine), 0
-
 
 @dataclass(eq=False)
 class _SceneState:
-    """A scene state a ClearingAdapter keeps: its features and maps (model mode) and each gripper's proposal."""
+    """A scene state a SceneProposer keeps: its maps, its features (model mode) and each gripper's result."""
 
     cloud: PointCloud
     scene: SceneAnnotation
+    maps: GraspnessMaps
     feature_state: FeatureState = None
-    maps: GraspnessMaps = None
-    proposals: dict = field(default_factory=dict)  # gripper -> (ranked grasps, seed indices)
+    results: dict = field(default_factory=dict)  # gripper -> PipelineResult
 
     def holds(self, cloud, scene) -> bool:
         return self.cloud is cloud and self.scene is scene
 
 
-class ClearingAdapter:
-    """Callable (cloud, scene, gripper) -> (ranked grasps, seed indices) for clearing loops on scene.
+class SceneProposer:
+    """The way from a scene state to its maps and per-gripper proposals, for predict, sweeps and clearing.
 
-    It redoes only the work a scene change requires. It keeps the first state
-    it was called on and the latest one, and a call on either returns that
-    state's proposal for the gripper if it has one. A state that is the
-    latest minus whole objects (scenes.removal_mask) updates the latest's
-    FeatureState, which recomputes only the neighbourhoods that lost a point,
-    and keeps the probe rows of the surviving points, so the oracle pose head
-    re-scores only the views a removed object won. Any other new state starts
-    afresh; a return to the first state reuses its features and forgets the
-    probe rows. In fallback mode gt_grasps must cover the full scene, and each
-    state proposes from those whose owning object it still holds. One adapter
-    may serve the loops of both grippers.
+    Called as (cloud, scene, gripper) -> (ranked grasps, seed indices), the
+    contract of clearing loops; propose gives the full PipelineResult. Each
+    state builds its maps once and proposes once per gripper. The proposer
+    keeps the first state it was called on and the latest one, and a call on
+    either reuses that state's work. A state that is the latest minus whole
+    objects (scenes.removal_mask) updates the latest's FeatureState, which
+    recomputes only the neighbourhoods that lost a point, and keeps the probe
+    rows of the surviving points, so the oracle pose head re-scores only the
+    views a removed object won. Any other new state starts afresh; a return
+    to the first state reuses its maps and features and forgets the probe
+    rows. In fallback mode gt_grasps must cover the full scene, and each state
+    builds its label maps from those whose owning object it still holds.
     """
 
     def __init__(self, pipe: GraspPipeline, scene: SceneAnnotation, gt_grasps=None):
         self.pipe = pipe
-        self.gt_grasps = gt_grasps
-        self.owners = None if gt_grasps is None else owning_objects(scene, [g.pose.center for g in gt_grasps])
+        if pipe.model is None:
+            if gt_grasps is None:
+                raise ValueError("fallback mode needs the scene's ground-truth grasps")
+            self.gt_grasps = gt_grasps
+            self.owners = owning_objects(scene, [g.pose.center for g in gt_grasps])
         self.first = self.latest = None
         self.probes = ProbeMemory(pipe.refine)
 
     def __call__(self, cloud, scene, gripper):
+        result = self.propose(cloud, scene, gripper)
+        return result.grasps, result.seeds.indices
+
+    def maps(self, cloud, scene) -> GraspnessMaps:
+        return self._state(cloud, scene).maps
+
+    def propose(self, cloud, scene, gripper) -> PipelineResult:
         state = self._state(cloud, scene)
-        if gripper not in state.proposals:
-            grasps = self.gt_grasps
-            if grasps is not None:
-                alive = np.isin(self.owners, [p.object_id for p in scene.objects()])
-                grasps = [g for g, kept in zip(grasps, alive) if kept]
+        if gripper not in state.results:
             feats = None if state.feature_state is None else state.feature_state.features
-            result = self.pipe.propose(cloud, scene, gripper, gt_grasps=grasps, maps=state.maps, feats=feats,
-                                       probes=self.probes)
-            state.proposals[gripper] = (result.grasps, result.seeds.indices)
-        return state.proposals[gripper]
+            state.results[gripper] = self.pipe.propose(cloud, scene, gripper, state.maps, feats, self.probes)
+        return state.results[gripper]
 
     def _state(self, cloud, scene) -> _SceneState:
         latest = self.latest
@@ -184,11 +174,16 @@ class ClearingAdapter:
             self.probes.forget(len(cloud), ids)
         else:
             self.probes.remove(keep, ids)
-        self.latest = state = _SceneState(cloud, scene)
-        if self.pipe.model is not None:
-            state.feature_state = FeatureState.fresh(cloud, scene.table_height) if keep is None \
+        feature_state = None
+        if self.pipe.model is None:
+            alive = np.isin(self.owners, ids)
+            maps = build_label_maps(cloud, scene, [g for g, kept in zip(self.gt_grasps, alive) if kept])
+        else:
+            feature_state = FeatureState.fresh(cloud, scene.table_height) if keep is None \
                 else latest.feature_state.remove(cloud, keep)
-            state.maps = self.pipe._model_maps(state.feature_state.features)
+            scores = self.pipe.model.predict_map_scores(feature_state.features)
+            maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
+        self.latest = state = _SceneState(cloud, scene, maps, feature_state)
         if self.first is None:
             self.first = state
         return state

@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import col_dots, col_norms, quat_to_matrix
 
 KINDS = ("box", "sphere", "cylinder", "plane-slab")
+MAX_FRICTION = 1.2
 _BOX_LIKE = ("box", "plane-slab")
 
 
@@ -57,8 +58,8 @@ class Primitive:
             raise ValueError(f"dimensions must be strictly positive: {self.dimensions}")
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(4)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not 0.0 < self.friction_coeff <= 1.2:
-            raise ValueError(f"friction_coeff must be in (0, 1.2], got {self.friction_coeff}")
+        if not 0.0 < self.friction_coeff <= MAX_FRICTION:
+            raise ValueError(f"friction_coeff must be in (0, {MAX_FRICTION}], got {self.friction_coeff}")
         self._rot = quat_to_matrix(self.rotation)
         # Stored C-contiguous: a product with the strided transpose view takes a
         # different BLAS kernel for one row than for many, so a row's bits

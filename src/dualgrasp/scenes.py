@@ -30,7 +30,7 @@ from .grasps import (
 )
 from .json_io import write_json
 from .ply_io import read_ply, write_ply
-from .primitives import KINDS, Primitive
+from .primitives import KINDS, MAX_FRICTION, Primitive
 
 SCENE_SCHEMA_VERSION = 1
 _SEAL_RNG_SEED = 715_225_739  # fixed: the seal oracle must be a pure function
@@ -85,6 +85,25 @@ class SynthConfig:
         for kind in tuple(self.kinds) + tuple(self.kind_sequence or ()):
             if kind not in KINDS:
                 raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        for name in ("box_edge", "sphere_radius", "cylinder_radius", "cylinder_height", "slab_extent",
+                     "slab_thickness", "friction_range"):
+            low, high = getattr(self, name)
+            if not (np.isfinite(high) and 0 < low <= high):
+                raise ValueError(f"{name} must be a finite range with 0 < low <= high, got {getattr(self, name)}")
+        if not self.friction_range[1] <= MAX_FRICTION:
+            raise ValueError(f"friction_range must end at or below {MAX_FRICTION}, got {self.friction_range}")
+        for name in ("table_extent", "table_thickness"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (np.isfinite(self.placement_gap) and self.placement_gap >= 0):
+            raise ValueError(f"placement_gap must be finite and >= 0, got {self.placement_gap}")
+        if self.max_retries < 1:
+            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
+        if not self.gt_mu_cap > 0:
+            raise ValueError(f"gt_mu_cap must be positive, got {self.gt_mu_cap}")
+        if not 0 <= self.porous_prob <= 1:
+            raise ValueError(f"porous_prob must lie in [0, 1], got {self.porous_prob}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss
 from .mlp import MAP_HEADS, MlpModel, ModelConfig
 from .pcgrad import combine_without_surgery, pcgrad
 from .refine_parallel import RefineParallelConfig, oracle_search
-from .sampling import select_seeds
+from .sampling import fuse_scores, select_seeds
 from .scenes import SceneAnnotation
 
 
@@ -75,7 +75,7 @@ def prepare_training_scene(cloud: PointCloud, scene: SceneAnnotation, grasps,
     maps = build_label_maps(cloud, scene, grasps)
     feats = compute_point_features(cloud, scene.table_height)
 
-    fused = maps.objectness * maps.parallel_graspness
+    fused = fuse_scores(maps.objectness, maps.parallel_graspness)
     seeds = select_seeds(cloud, fused, tcfg.seed_threshold, tcfg.refiner_seeds_per_scene)
 
     found = oracle_search(scene, cloud.points[seeds.indices], rcfg)

@@ -122,3 +122,31 @@ def test_mlp_spans_count_every_training_step():
     assert totals["pcgrad.pcgrad"]["calls"] == epochs * steps_per_epoch
     assert tracer.counters["mlp.rows"] == epochs * sum(len(s.features) for s in scenes)
     assert totals["mlp.backward"]["s"] > 0
+
+
+def test_fallback_proposer_spans_count_one_map_build_per_state(small_scene):
+    """A fallback SceneProposer builds each state's label maps once and proposes once per state and gripper.
+
+    Two states (the full scene and the scene without one object), each asked
+    twice for both grippers: the propose spans, which name themselves from
+    GraspPipeline.propose's gripper argument, and labels.build count each
+    state once.
+    """
+    spans = load_spans()
+    from dualgrasp.grasps import PARALLEL, VACUUM
+    from dualgrasp.pipeline import GraspPipeline, SceneProposer
+    from dualgrasp.sampling import SamplingConfig
+    from dualgrasp.scenes import remove_object
+
+    cloud, scene, gt, _ = small_scene
+    states = [(cloud, scene), remove_object(cloud, scene, scene.objects()[0].object_id)]
+    proposer = SceneProposer(GraspPipeline(sampling=SamplingConfig(m_parallel=16, m_vacuum=16)), scene, gt)
+    tracer = spans.Tracer()
+    with spans.Instrumentation(tracer):
+        for c, s in states:
+            for gripper in (PARALLEL, VACUUM, PARALLEL, VACUUM):
+                proposer(c, s, gripper)
+    totals = tracer.totals()
+    assert totals["labels.build"]["calls"] == len(states)
+    for gripper in (PARALLEL, VACUUM):
+        assert totals[f"pipeline.propose.fallback.{gripper}"]["calls"] == len(states)

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from dualgrasp.cli import _SECTIONS, build_configs, load_config_file, main
-from dualgrasp.mlp import MlpModel, ModelConfig, save_checkpoint
+from dualgrasp.grasps import PARALLEL, VACUUM, grasp_to_dict
+from dualgrasp.mlp import MlpModel, ModelConfig, load_checkpoint, save_checkpoint
+from dualgrasp.pipeline import GraspPipeline, SceneProposer
+from dualgrasp.sampling import SamplingConfig
+from dualgrasp.scenes import load_scene
 
 
 def run(*args):
@@ -89,6 +93,31 @@ def test_predict_with_checkpoint(workspace, tmp_path):
                "--checkpoint", workspace / "model" / "checkpoint.json")
     assert code == 0
     assert (out / "scene_0000_grasps_parallel.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["fallback", "model"])
+def test_predict_writes_the_first_clearing_round(workspace, tmp_path, mode):
+    """Each grasp file holds what a fresh SceneProposer proposes on the full scene, the first clearing round."""
+    pred, checkpoint = workspace / "pred", workspace / "model" / "checkpoint.json"
+    pipe = GraspPipeline(max_parallel_refine=32)  # the workspace's fallback predict
+    if mode == "model":
+        pred = tmp_path / "pred"
+        # the 3-epoch model's maps stay below the default thresholds
+        assert run("predict", "--scenes", workspace / "scenes", "--out", pred, "--checkpoint", checkpoint,
+                   "--t-parallel", "0.01", "--t-vacuum", "0.001") == 0
+        pipe = GraspPipeline(model=load_checkpoint(checkpoint),
+                             sampling=SamplingConfig(t_parallel=0.01, t_vacuum=0.001))
+    compared = {PARALLEL: 0, VACUUM: 0}
+    for stem in ("scene_0000", "scene_0001"):
+        cloud, scene, gt = load_scene(workspace / "scenes" / stem)
+        proposer = SceneProposer(pipe, scene, gt)
+        for gripper in (PARALLEL, VACUUM):
+            doc = json.loads((pred / f"{stem}_grasps_{gripper}.json").read_text())
+            result = proposer.propose(cloud, scene, gripper)
+            assert (doc["status"], doc["dropped_seeds"]) == (result.status, result.dropped_seeds)
+            assert doc["grasps"] == json.loads(json.dumps([grasp_to_dict(g) for g in result.grasps]))
+            compared[gripper] += len(result.grasps)
+    assert all(compared.values())
 
 
 def test_train_outputs(workspace):
@@ -313,6 +342,20 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["synth", "--config", "{kinds_number_config}"],
     ["predict", "--fallback-head", "--config", "{depth_bins_string_config}"],
     ["eval", "--grasps", "{pred}", "--config", "{parallel_grid_string_config}"],
+    ["synth", "--config", "{box_edge_negative_config}"],
+    ["synth", "--config", "{friction_range_negative_config}"],
+    ["synth", "--config", "{friction_range_above_cap_config}"],
+    ["synth", "--config", "{sphere_radius_reversed_config}"],
+    ["synth", "--config", "{cylinder_height_reversed_config}"],
+    ["synth", "--config", "{slab_extent_inf_config}"],
+    ["synth", "--config", "{table_extent_negative_config}"],
+    ["synth", "--config", "{table_thickness_zero_config}"],
+    ["synth", "--config", "{placement_gap_negative_config}"],
+    ["synth", "--config", "{max_retries_zero_config}"],
+    ["synth", "--config", "{gt_mu_cap_negative_config}"],
+    ["synth", "--config", "{porous_prob_two_config}"],
+    ["predict", "--checkpoint", "{checkpoint}", "--fallback-head"],
+    ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{checkpoint}", "--fallback-head"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -333,7 +376,11 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         "kind-sequence-string", "deleted-weight-key", "deleted-adam-key",
         "positive-weight-negative", "positive-weight-0", "positive-weight-nan",
         "box-edge-one-value", "camera-viewpoint-two-values", "friction-range-three-values",
-        "kinds-number", "depth-bins-string", "mu-parallel-grid-string"])
+        "kinds-number", "depth-bins-string", "mu-parallel-grid-string",
+        "box-edge-negative", "friction-range-negative", "friction-range-above-1.2", "sphere-radius-reversed",
+        "cylinder-height-reversed", "slab-extent-inf", "table-extent-negative", "table-thickness-0",
+        "placement-gap-negative", "max-retries-0", "gt-mu-cap-negative", "porous-prob-2",
+        "checkpoint-and-fallback-head", "clearing-checkpoint-and-fallback-head"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -394,6 +441,19 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{kinds_number_config}": "synth.kinds = [1]",
         "{depth_bins_string_config}": 'refine.depth_bins = ["a"]',
         "{parallel_grid_string_config}": 'eval.mu_parallel_grid = ["x"]',
+        # a synth range or scalar out of its domain
+        "{box_edge_negative_config}": "synth.box_edge = [-0.05, -0.01]",
+        "{friction_range_negative_config}": "synth.friction_range = [-1, 0]",
+        "{friction_range_above_cap_config}": "synth.friction_range = [0.4, 1.5]",
+        "{sphere_radius_reversed_config}": "synth.sphere_radius = [0.04, 0.015]",
+        "{cylinder_height_reversed_config}": "synth.cylinder_height = [0.08, 0.03]",
+        "{slab_extent_inf_config}": "synth.slab_extent = [0.07, Infinity]",
+        "{table_extent_negative_config}": "synth.table_extent = -1",
+        "{table_thickness_zero_config}": "synth.table_thickness = 0",
+        "{placement_gap_negative_config}": "synth.placement_gap = -1",
+        "{max_retries_zero_config}": "synth.max_retries = 0",
+        "{gt_mu_cap_negative_config}": "synth.gt_mu_cap = -1",
+        "{porous_prob_two_config}": "synth.porous_prob = 2",
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

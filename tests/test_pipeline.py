@@ -10,7 +10,8 @@ from dualgrasp.features import FEATURE_RADIUS, FeatureState, compute_point_featu
 from dualgrasp.geometry import fibonacci_hemisphere
 from dualgrasp.grasps import MAX_WIDTH, PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig
-from dualgrasp.pipeline import ClearingAdapter, GraspPipeline
+from dualgrasp.labels import GraspnessMaps, build_label_maps
+from dualgrasp.pipeline import GraspPipeline, SceneProposer
 from dualgrasp.primitives import Primitive
 from dualgrasp import refine_parallel
 from dualgrasp.refine_parallel import RefineParallelConfig
@@ -25,7 +26,7 @@ def fallback_pipe():
 
 def test_fallback_vacuum_scores_are_fused_scores(small_scene, fallback_pipe):
     cloud, scene, grasps, _ = small_scene
-    result = fallback_pipe.propose(cloud, scene, VACUUM, gt_grasps=grasps)
+    result = SceneProposer(fallback_pipe, scene, grasps).propose(cloud, scene, VACUUM)
     assert result.status == "ok"
     by_index = dict(zip(result.seeds.indices.tolist(), result.seeds.fused_scores.tolist()))
     for g in result.grasps:
@@ -36,7 +37,7 @@ def test_fallback_vacuum_scores_are_fused_scores(small_scene, fallback_pipe):
 
 def test_fallback_parallel_ranked_and_on_seeds(small_scene, fallback_pipe):
     cloud, scene, grasps, _ = small_scene
-    result = fallback_pipe.propose(cloud, scene, PARALLEL, gt_grasps=grasps)
+    result = SceneProposer(fallback_pipe, scene, grasps).propose(cloud, scene, PARALLEL)
     seed_set = set(result.seeds.indices.tolist())
     scores = [g.score for g in result.grasps]
     assert scores == sorted(scores, reverse=True)
@@ -53,7 +54,7 @@ def test_no_graspable_region(small_scene, fallback_pipe):
     vacuum_only = [g for g in grasps if g.gripper == VACUUM]
     # threshold nothing can pass
     pipe = GraspPipeline(sampling=SamplingConfig(t_parallel=1.0, t_vacuum=1.0))
-    result = pipe.propose(cloud, scene, VACUUM, gt_grasps=vacuum_only)
+    result = SceneProposer(pipe, scene, vacuum_only).propose(cloud, scene, VACUUM)
     assert result.status == "no graspable region"
     assert result.grasps == []
 
@@ -61,7 +62,7 @@ def test_no_graspable_region(small_scene, fallback_pipe):
 def test_max_parallel_refine_caps_work(small_scene):
     cloud, scene, grasps, _ = small_scene
     pipe = GraspPipeline(max_parallel_refine=5)
-    result = pipe.propose(cloud, scene, PARALLEL, gt_grasps=grasps)
+    result = SceneProposer(pipe, scene, grasps).propose(cloud, scene, PARALLEL)
     assert len(result.grasps) <= 5
     assert len(result.seeds) > 5  # the seed set itself is not truncated
 
@@ -73,9 +74,9 @@ def test_model_mode_learned_head_wiring(small_scene):
         ModelConfig(n_views=24), np.random.default_rng(0)
     )
     pipe = GraspPipeline(model=model, refine=rcfg)
-    maps, feats = pipe.predict_maps(cloud, scene)
-    assert np.allclose(maps.objectness, 0.5)  # zero-init heads
-    result = pipe.propose(cloud, scene, PARALLEL, gt_grasps=None, maps=maps, feats=feats)
+    proposer = SceneProposer(pipe, scene)
+    assert np.allclose(proposer.maps(cloud, scene).objectness, 0.5)  # zero-init heads
+    result = proposer.propose(cloud, scene, PARALLEL)
     views = fibonacci_hemisphere(24)
     fused_by_seed = dict(zip(result.seeds.indices.tolist(), result.seeds.fused_scores.tolist()))
     for g in result.grasps[:5]:
@@ -98,16 +99,16 @@ def test_model_view_count_mismatch_rejected(head, size):
 
 
 def test_fallback_needs_gt_grasps(small_scene, fallback_pipe):
-    cloud, scene, _, _ = small_scene
-    with pytest.raises(ValueError):
-        fallback_pipe.predict_maps(cloud, scene, None)
+    _, scene, _, _ = small_scene
+    with pytest.raises(ValueError, match="ground-truth grasps"):
+        SceneProposer(fallback_pipe, scene, None)
 
 
 def test_clearing_adapter_filters_removed_objects(small_scene, fallback_pipe):
     cloud, scene, grasps, _ = small_scene
-    adapter = ClearingAdapter(fallback_pipe, scene, grasps)
-    assert set(adapter.owners.tolist()) <= {p.object_id for p in scene.objects()}
-    proposals, seed_idx = adapter(cloud, scene, VACUUM)
+    proposer = SceneProposer(fallback_pipe, scene, grasps)
+    assert set(proposer.owners.tolist()) <= {p.object_id for p in scene.objects()}
+    proposals, seed_idx = proposer(cloud, scene, VACUUM)
     assert len(proposals) > 0
     assert len(seed_idx) > 0
 
@@ -115,13 +116,13 @@ def test_clearing_adapter_filters_removed_objects(small_scene, fallback_pipe):
 
     gone = scene.objects()[0].object_id
     cloud2, scene2 = remove_object(cloud, scene, gone)
-    proposals2, _ = adapter(cloud2, scene2, VACUUM)
+    proposals2, _ = proposer(cloud2, scene2, VACUUM)
     remaining = {p.object_id for p in scene2.objects()}
     for g in proposals2:
         assert scene2.per_point_object_id[g.seed_index] in remaining
 
 
-# -- clearing rounds through one adapter --------------------------------------------------
+# -- clearing rounds through one proposer -------------------------------------------------
 
 
 def resting_scene(prims, samples: int):
@@ -157,6 +158,14 @@ def seeding_pipe():
                          sampling=SamplingConfig(m_parallel=64, m_vacuum=64))
 
 
+def fresh_model_proposal(pipe, cloud, scene, gripper):
+    """A proposal from features and maps computed afresh."""
+    feats = compute_point_features(cloud, scene.table_height)
+    scores = pipe.model.predict_map_scores(feats)
+    maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
+    return pipe.propose(cloud, scene, gripper, maps, feats)
+
+
 def clear_both(cloud, scene, pipeline):
     """(metrics, attempts) of a parallel then a vacuum clearing run of the same scene."""
     runs = [run_clearing_loop(cloud, scene, pipeline, gripper) for gripper in (PARALLEL, VACUUM)]
@@ -176,13 +185,13 @@ def test_clearing_features_equal_a_fresh_pass_every_round(monkeypatch):
         builds.append(len(cloud))
         return fresh(cls, cloud, table_height)
 
-    def spy(self, cloud, scene, gripper, gt_grasps=None, maps=None, feats=None, probes=None):
+    def spy(self, cloud, scene, gripper, maps, feats=None, probes=None):
         seen.append((cloud, scene, feats))
-        return propose(self, cloud, scene, gripper, gt_grasps, maps, feats, probes)
+        return propose(self, cloud, scene, gripper, maps, feats, probes)
 
     monkeypatch.setattr(FeatureState, "fresh", classmethod(counted_fresh))
     monkeypatch.setattr(GraspPipeline, "propose", spy)
-    (_, parallel), (_, vacuum) = clear_both(cloud, scene, ClearingAdapter(seeding_pipe(), scene))
+    (_, parallel), (_, vacuum) = clear_both(cloud, scene, SceneProposer(seeding_pipe(), scene))
     monkeypatch.undo()
 
     assert parallel == [(-1, False)] * 3 and vacuum == [(1, True), (2, True), (3, True)]
@@ -197,7 +206,7 @@ def test_clearing_adapter_proposes_once_per_scene_state(monkeypatch):
     pipe = seeding_pipe()
 
     def unmemoised(c, s, g):
-        result = pipe.propose(c, s, g)
+        result = fresh_model_proposal(pipe, c, s, g)
         return result.grasps, result.seeds.indices
 
     expected = clear_both(cloud, scene, unmemoised)
@@ -209,11 +218,11 @@ def test_clearing_adapter_proposes_once_per_scene_state(monkeypatch):
         return propose(self, c, s, g, *args, **kwargs)
 
     monkeypatch.setattr(GraspPipeline, "propose", counted_propose)
-    adapter = ClearingAdapter(pipe, scene)
+    proposer = SceneProposer(pipe, scene)
 
     def counted_round(c, s, g):
         rounds.append((c, s, g))
-        return adapter(c, s, g)
+        return proposer(c, s, g)
 
     assert clear_both(cloud, scene, counted_round) == expected
     assert len(rounds) == 6 and len(calls) == 4  # three parallel rounds on one unchanged scene
@@ -243,24 +252,26 @@ def grasp_bytes(grasps) -> bytes:
 
 
 def fresh_proposal(pipe, cloud, scene, gt, targets, gripper=PARALLEL):
+    """A proposal from label maps built afresh on the ground truth of the objects the scene holds."""
     alive = {p.object_id for p in scene.objects()}
-    return pipe.propose(cloud, scene, gripper, gt_grasps=[g for g, oid in zip(gt, targets) if oid in alive])
+    maps = build_label_maps(cloud, scene, [g for g, oid in zip(gt, targets) if oid in alive])
+    return pipe.propose(cloud, scene, gripper, maps)
 
 
-def probe_lines(adapter):
-    return adapter.probes.lines_evaluated, adapter.probes.lines_reused
+def probe_lines(proposer):
+    return proposer.probes.lines_evaluated, proposer.probes.lines_reused
 
 
 def test_fallback_clearing_searches_equal_a_fresh_search_every_round(three_spheres, monkeypatch):
     cloud, scene, gt, targets = three_spheres
     pipe = probe_pipe()
     rcfg = pipe.refine
-    adapter = ClearingAdapter(pipe, scene, gt)
+    proposer = SceneProposer(pipe, scene, gt)
     real, searches, last_scores, changed = refine_parallel.oracle_search, [], {}, []
 
     def spy(scene, seed_points, config, *args, known=None, **kwargs):
         found = real(scene, seed_points, config, *args, known=known, **kwargs)
-        if known is not None:  # a search through the adapter's probe memory
+        if known is not None:  # a search through the proposer's probe memory
             searches.append((scene, seed_points, found))
             for point, stale, scores in zip(seed_points, np.isnan(known[0]), found.view_scores):
                 old = last_scores.get(point.tobytes())
@@ -273,12 +284,12 @@ def test_fallback_clearing_searches_equal_a_fresh_search_every_round(three_spher
     counts = []
 
     def checked_round(c, s, g):
-        before = probe_lines(adapter)
-        grasps, seeds = adapter(c, s, g)
+        before = probe_lines(proposer)
+        grasps, seeds = proposer(c, s, g)
         fresh = fresh_proposal(pipe, c, s, gt, targets)
         assert seeds.tobytes() == fresh.seeds.indices.tobytes()
         assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
-        (evaluated, reused), n_seeds = np.subtract(probe_lines(adapter), before), len(seeds)
+        (evaluated, reused), n_seeds = np.subtract(probe_lines(proposer), before), len(seeds)
         assert evaluated + reused == n_seeds * lines_per_seed
         counts.append((evaluated, reused))
         return grasps, seeds
@@ -298,19 +309,19 @@ def test_fallback_clearing_searches_equal_a_fresh_search_every_round(three_spher
 
 
 def test_fallback_loops_that_return_to_the_first_state_equal_fresh_proposals(three_spheres):
-    """A parallel, a vacuum and a second parallel loop through one adapter, each round against a fresh propose."""
+    """A parallel, a vacuum and a second parallel loop through one proposer, each round against a fresh propose."""
     cloud, scene, gt, targets = three_spheres
     pipe = probe_pipe()
-    adapter = ClearingAdapter(pipe, scene, gt)
+    proposer = SceneProposer(pipe, scene, gt)
     counts = []
 
     def checked_round(c, s, g):
-        before = probe_lines(adapter)
-        grasps, seeds = adapter(c, s, g)
+        before = probe_lines(proposer)
+        grasps, seeds = proposer(c, s, g)
         fresh = fresh_proposal(pipe, c, s, gt, targets, g)
         assert seeds.tobytes() == fresh.seeds.indices.tobytes()
         assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
-        counts.append(tuple(np.subtract(probe_lines(adapter), before)))
+        counts.append(tuple(np.subtract(probe_lines(proposer), before)))
         return grasps, seeds
 
     runs = [run_clearing_loop(cloud, scene, checked_round, g)[1].attempts for g in (PARALLEL, VACUUM, PARALLEL)]
@@ -336,17 +347,17 @@ def test_probe_memory_is_dropped_when_a_state_is_not_a_removal(three_spheres):
     ]
     pipe = probe_pipe()
     for c, s in unrelated:
-        adapter = ClearingAdapter(pipe, scene, gt)
-        adapter(cloud, scene, PARALLEL)
-        evaluated, reused = probe_lines(adapter)
+        proposer = SceneProposer(pipe, scene, gt)
+        proposer(cloud, scene, PARALLEL)
+        evaluated, reused = probe_lines(proposer)
         assert reused == 0
-        grasps, seeds = adapter(c, s, PARALLEL)
+        grasps, seeds = proposer(c, s, PARALLEL)
         fresh = fresh_proposal(pipe, c, s, gt, targets)
         assert seeds.tobytes() == fresh.seeds.indices.tobytes()
         assert grasp_bytes(grasps) == grasp_bytes(fresh.grasps)
-        assert probe_lines(adapter) == (evaluated + len(seeds) * pipe.refine.n_views * 6 * 2, 0)
+        assert probe_lines(proposer) == (evaluated + len(seeds) * pipe.refine.n_views * 6 * 2, 0)
     # the same removal without the change reuses lines
-    adapter = ClearingAdapter(pipe, scene, gt)
-    adapter(cloud, scene, PARALLEL)
-    adapter(cloud2, scene2, PARALLEL)
-    assert probe_lines(adapter)[1] > 0
+    proposer = SceneProposer(pipe, scene, gt)
+    proposer(cloud, scene, PARALLEL)
+    proposer(cloud2, scene2, PARALLEL)
+    assert probe_lines(proposer)[1] > 0
