@@ -19,11 +19,11 @@ import sys
 from dataclasses import fields as dc_fields
 from dataclasses import replace
 from pathlib import Path
-from typing import get_args
 
 import numpy as np
 
 from .clearing import run_clearing_loop
+from .domains import COUNT, FINITE, SEED, UsageError, check
 from .grasps import PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
 from .json_io import write_json
 from .labels import build_label_maps
@@ -60,18 +60,6 @@ _SECTIONS = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _replace_config(cfg, **changes):
-    """dataclasses.replace whose validation errors are usage errors (exit 2)."""
-    try:
-        return replace(cfg, **changes)
-    except ValueError as e:
-        raise UsageError(f"invalid {type(cfg).__name__}: {e}") from e
-
-
 def load_config_file(path) -> dict:
     """Parse `section.key = value` lines; values are JSON literals or bare strings."""
     overrides = {}
@@ -94,7 +82,8 @@ def load_config_file(path) -> dict:
 
 
 def build_configs(overrides: dict) -> dict:
-    """Instantiate every config dataclass, applying dotted overrides; unknown keys fail."""
+    """Instantiate every config dataclass, applying dotted overrides; unknown keys and values
+    outside a key's declared domain fail."""
     configs = {name: cls() for name, cls in _SECTIONS.items()}
     for key, value in overrides.items():
         section, _, name = key.partition(".")
@@ -104,55 +93,11 @@ def build_configs(overrides: dict) -> dict:
         field = {f.name: f for f in dc_fields(cfg)}.get(name)
         if field is None:
             raise UsageError(f"unknown config key {key!r}")
-        if not _fits(field, value):
-            takes = _describe(field.type) + (" or null" if field.default is None else "")
-            raise UsageError(f"config key {key!r} takes {takes}, got {json.dumps(value)}")
+        check(f"config key {key!r}", field.metadata["domain"], value)
         if isinstance(value, list):
             value = tuple(value)
-        configs[section] = _replace_config(cfg, **{name: value})
+        configs[section] = replace(cfg, **{name: value})
     return configs
-
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
-_PLURALS = {float: "numbers", str: "strings"}
-
-
-def _describe(kind) -> str:
-    items = get_args(kind)  # (float, float) for a pair, (str, ...) for a list of any length
-    if not items:
-        return _TYPE_NAMES[kind]
-    if items[-1] is Ellipsis:
-        return f"a list of {_PLURALS[items[0]]}"
-    return f"a list of {len(items)} {_PLURALS[items[0]]}"
-
-
-def _fits(field, value) -> bool:
-    """Whether a config file's JSON value fits the type of the field it sets; null fits only a null default.
-
-    A tuple field takes a list of its element type: of any length for
-    tuple[float, ...], of exactly its arity for a fixed tuple[float, float].
-    """
-    items = get_args(field.type)
-    if not items:
-        return _is(field.type, value)
-    if not isinstance(value, list):
-        return value is None and field.default is None
-    if items[-1] is not Ellipsis and len(value) != len(items):
-        return False
-    return all(_is(items[0], v) for v in value)
-
-
-def _is(kind, value) -> bool:
-    """Whether a JSON scalar is a kind; a boolean is only a bool, an integer is also a float."""
-    if kind is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if kind is int:
-        return isinstance(value, int)
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
 
 
 def _scene_stems(scenes_dir) -> list:
@@ -167,14 +112,10 @@ def _scene_stems(scenes_dir) -> list:
 
 
 def cmd_synth(args) -> int:
-    if args.objects < 1:
-        raise UsageError("--objects must be >= 1")
-    if args.scenes < 1:
-        raise UsageError("--scenes must be >= 1")
     cfgs = _configs_from_args(args)
     synth = cfgs["synth"]
     if args.kinds:
-        synth = _replace_config(synth, kinds=tuple(args.kinds.split(",")))
+        synth = replace(synth, kinds=tuple(args.kinds.split(",")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
@@ -213,7 +154,7 @@ def cmd_labels(args) -> int:
 def cmd_train(args) -> int:
     cfgs = _configs_from_args(args)
     tcfg: TrainConfig = cfgs["train"]
-    tcfg = _replace_config(
+    tcfg = replace(
         tcfg,
         epochs=args.epochs if args.epochs is not None else tcfg.epochs,
         batch_size=args.batch if args.batch is not None else tcfg.batch_size,
@@ -242,18 +183,16 @@ def cmd_train(args) -> int:
 
 
 def _make_pipeline(args, cfgs) -> GraspPipeline:
-    if bool(args.checkpoint) == args.fallback_head:
+    if bool(args.checkpoint) == bool(args.fallback_head):
         raise UsageError("need exactly one of --checkpoint and --fallback-head")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    if args.max_refine is not None and args.max_refine < 1:
-        raise UsageError("--max-refine must be >= 1")
     sampling: SamplingConfig = cfgs["sampling"]
     if args.t_parallel is not None:
-        sampling = _replace_config(sampling, t_parallel=args.t_parallel)
+        sampling = replace(sampling, t_parallel=args.t_parallel)
     if args.t_vacuum is not None:
-        sampling = _replace_config(sampling, t_vacuum=args.t_vacuum)
+        sampling = replace(sampling, t_vacuum=args.t_vacuum)
     if args.seeds is not None:
-        sampling = _replace_config(sampling, m_parallel=args.seeds, m_vacuum=args.seeds)
+        sampling = replace(sampling, m_parallel=args.seeds, m_vacuum=args.seeds)
     try:
         return GraspPipeline(
             model=model,
@@ -292,8 +231,6 @@ def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):
 
 
 def cmd_predict(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     cfgs = _configs_from_args(args)
     pipe = _make_pipeline(args, cfgs)
     grippers = [PARALLEL, VACUUM] if args.grippers == "both" else [args.grippers]
@@ -312,10 +249,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    given = [f"--{name.replace('_', '-')}" for name in _PIPELINE_FLAGS if getattr(args, name) is not None]
+    if given and not args.clearing:
+        raise UsageError(f"{', '.join(given)} only act with --clearing")
     cfgs = _configs_from_args(args)
     ecfg: EvalConfig = cfgs["eval"]
     if args.k is not None:
-        ecfg = _replace_config(ecfg, k_max=args.k)
+        ecfg = replace(ecfg, k_max=args.k)
     grasps_dir = Path(args.grasps)
     if not grasps_dir.is_dir():
         raise UsageError(f"--grasps {grasps_dir} is not a directory")
@@ -401,8 +341,6 @@ def _clearing_row(scene, gripper, m):
 
 
 def cmd_export_ply(args) -> int:
-    if not (np.isfinite(args.vmin) and np.isfinite(args.vmax)):
-        raise UsageError("--vmin and --vmax must be finite")
     if args.vmax <= args.vmin:
         raise UsageError("--vmax must exceed --vmin")
     points, _, channels = read_ply(args.input)
@@ -420,15 +358,31 @@ def _add_common(p):
     p.add_argument("--config", help="key-value config file (section.key = value)")
 
 
+_PIPELINE_FLAGS = ("checkpoint", "fallback_head", "t_parallel", "t_vacuum", "seeds", "max_refine")
+
+
 def _add_pipeline_args(p):
+    """The flags of _PIPELINE_FLAGS, each None unless given."""
     p.add_argument("--checkpoint", help="trained model checkpoint JSON")
-    p.add_argument("--fallback-head", action="store_true",
+    p.add_argument("--fallback-head", action="store_true", default=None,
                    help="use oracle label maps and the geometric grasp head (no model)")
     p.add_argument("--t-parallel", type=float, default=None, help="parallel fused-score threshold")
     p.add_argument("--t-vacuum", type=float, default=None, help="vacuum fused-score threshold")
     p.add_argument("--seeds", type=int, default=None, help="seed count per gripper")
-    p.add_argument("--max-refine", type=int, default=None,
+    p.add_argument("--max-refine", type=_flag(int, COUNT), default=None,
                    help="refine only this many best-fused parallel seeds")
+
+
+def _flag(parse, domain):
+    """An argparse type for a flag that is not a config key: the parsed text, kept only inside domain."""
+    def convert(text):
+        value = parse(text)
+        if not domain.test(value):
+            raise argparse.ArgumentTypeError(f"takes {domain.text}, got {text}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value: 'x'"
+    return convert
 
 
 def _parse_bool(v: str) -> bool:
@@ -448,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic scenes (PLY + JSON sidecar)")
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=int, default=1)
-    p.add_argument("--objects", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scenes", type=_flag(int, COUNT), default=1)
+    p.add_argument("--objects", type=_flag(int, COUNT), default=5)
+    p.add_argument("--seed", type=_flag(int, SEED), default=0)
     p.add_argument("--split", default="default", help="split label stored in the sidecar")
     p.add_argument("--kinds", help="comma-separated primitive kinds to sample from")
     _add_common(p)
@@ -478,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grippers", choices=["both", PARALLEL, VACUUM], default="both")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_flag(int, COUNT), default=1)
     _add_pipeline_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_predict)
@@ -497,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--channel", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vmin", type=float, default=0.0)
-    p.add_argument("--vmax", type=float, default=1.0)
+    p.add_argument("--vmin", type=_flag(float, FINITE), default=0.0)
+    p.add_argument("--vmax", type=_flag(float, FINITE), default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_export_ply)
     return parser

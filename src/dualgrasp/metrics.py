@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import COUNT, POSITIVE_FINITE, UNIT_POSITIVE, ascending_grid, check_fields, setting
 from .geometry import closing_directions
 from .grasps import PARALLEL
 from .scenes import SceneAnnotation, parallel_quality_batch, seal_quality_batch
@@ -23,31 +24,16 @@ from .scenes import SceneAnnotation, parallel_quality_batch, seal_quality_batch
 
 @dataclass
 class EvalConfig:
-    k_max: int = 50
-    mu_parallel_grid: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
-    mu_vacuum_grid: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
-    max_consecutive_failures: int = 3
-    exec_mu_parallel: float = 0.8
-    exec_mu_vacuum: float = 0.4
+    k_max: int = setting(50, COUNT)
+    mu_parallel_grid: tuple[float, ...] = setting((0.2, 0.4, 0.6, 0.8, 1.0), ascending_grid())
+    # seal coefficients, at most 1
+    mu_vacuum_grid: tuple[float, ...] = setting((0.2, 0.4, 0.6, 0.8), ascending_grid(1))
+    max_consecutive_failures: int = setting(3, COUNT)
+    exec_mu_parallel: float = setting(0.8, POSITIVE_FINITE)
+    exec_mu_vacuum: float = setting(0.4, UNIT_POSITIVE)
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if self.max_consecutive_failures < 1:
-            raise ValueError("max_consecutive_failures must be >= 1")
-        for grid in (self.mu_parallel_grid, self.mu_vacuum_grid):
-            if len(grid) == 0:
-                raise ValueError("mu grid must name at least one coefficient")
-            if not all(np.isfinite(mu) and mu > 0 for mu in grid):
-                raise ValueError(f"mu grid entries must be finite and > 0: {grid}")
-            if list(grid) != sorted(grid):
-                raise ValueError(f"mu grid must be ascending: {grid}")
-        if max(self.mu_vacuum_grid) > 1:
-            raise ValueError(f"mu_vacuum_grid entries are seal coefficients, <= 1: {self.mu_vacuum_grid}")
-        if not (np.isfinite(self.exec_mu_parallel) and self.exec_mu_parallel > 0):
-            raise ValueError(f"exec_mu_parallel must be finite and > 0, got {self.exec_mu_parallel}")
-        if not 0 < self.exec_mu_vacuum <= 1:
-            raise ValueError(f"exec_mu_vacuum must be in (0, 1], got {self.exec_mu_vacuum}")
+        check_fields(self)
 
     def mu_grid(self, gripper: str) -> tuple:
         return self.mu_parallel_grid if gripper == PARALLEL else self.mu_vacuum_grid

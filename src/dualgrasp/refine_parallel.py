@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
+from .domains import COUNT, NON_NEGATIVE_FINITE, POSITIVE_FINITE_LIST, check_fields, setting
 from .geometry import approach_frames, fibonacci_hemisphere
 from .grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
 from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parallel_quality_batch
@@ -27,28 +28,22 @@ from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parall
 
 @dataclass
 class RefineParallelConfig:
-    n_views: int = 300
-    n_angle_bins: int = 12
-    depth_bins: tuple[float, ...] = (0.01, 0.02, 0.03, 0.04)
-    n_score_bins: int = 10
+    n_views: int = setting(300, COUNT)
+    n_angle_bins: int = setting(12, COUNT)
+    depth_bins: tuple[float, ...] = setting((0.01, 0.02, 0.03, 0.04), POSITIVE_FINITE_LIST)
+    n_score_bins: int = setting(10, COUNT)
     # strides thinning the (angle, depth) grid when the fallback ranks views;
     # the winning view is always refined on the full grid
-    probe_angle_stride: int = 2
-    probe_depth_stride: int = 2
+    probe_angle_stride: int = setting(2, COUNT)
+    probe_depth_stride: int = setting(2, COUNT)
     # small preference for near-vertical approaches when view scores tie;
     # tabletop objects admit many friction-equivalent tilts and the oracle
-    # alone cannot rank reachability
-    view_vertical_bias: float = 0.02
+    # alone cannot rank reachability. NaN would rank every view equal (view 0
+    # wins) and mark every stored probe score unknown.
+    view_vertical_bias: float = setting(0.02, NON_NEGATIVE_FINITE)
 
     def __post_init__(self):
-        for name in ("n_views", "n_angle_bins", "n_score_bins", "probe_angle_stride", "probe_depth_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not isinstance(self.depth_bins, tuple) or not self.depth_bins or min(self.depth_bins) <= 0:
-            raise ValueError(f"depth_bins must be a non-empty tuple of positive depths, got {self.depth_bins!r}")
-        # NaN would rank every view equal (view 0 wins) and mark every stored probe score unknown
-        if not (np.isfinite(self.view_vertical_bias) and self.view_vertical_bias >= 0):
-            raise ValueError(f"view_vertical_bias must be finite and >= 0, got {self.view_vertical_bias}")
+        check_fields(self)
 
     def angle_values(self) -> np.ndarray:
         return 180.0 * np.arange(self.n_angle_bins) / self.n_angle_bins

@@ -5,22 +5,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, farthest_point_sampling
+from .domains import COUNT, UNIT, check_fields, setting
 
 
 @dataclass
 class SamplingConfig:
-    t_parallel: float = 0.1
-    t_vacuum: float = 0.1
-    m_parallel: int = 1024
-    m_vacuum: int = 1024
+    t_parallel: float = setting(0.1, UNIT)
+    t_vacuum: float = setting(0.1, UNIT)
+    m_parallel: int = setting(1024, COUNT)
+    m_vacuum: int = setting(1024, COUNT)
 
     def __post_init__(self):
-        for t in (self.t_parallel, self.t_vacuum):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"threshold must be in [0, 1], got {t}")
-        for m in (self.m_parallel, self.m_vacuum):
-            if m < 1:
-                raise ValueError(f"seed count must be >= 1, got {m}")
+        check_fields(self)
 
 
 @dataclass

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
+from .domains import COUNT, FINITE, NON_NEGATIVE_FINITE, POINT, POSITIVE, POSITIVE_FINITE, UNIT
+from .domains import check_fields, names, ordered_range, setting
 from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import (
     CUP_RADIUS,
@@ -49,61 +51,32 @@ class SynthConfig:
     ground truth and the evaluation grade a pose alike.
     """
 
-    kinds: tuple[str, ...] = ("box", "sphere", "cylinder", "plane-slab")
-    kind_sequence: tuple[str, ...] = None  # exact per-object kinds (cycled); overrides random choice
-    table_extent: float = 0.5
-    table_thickness: float = 0.02
-    table_height: float = 0.0
-    camera_viewpoint: tuple[float, float, float] = (0.12, -0.08, 0.85)
-    density: float = 40000.0  # surface points per m^2
-    box_edge: tuple[float, float] = (0.03, 0.08)
-    sphere_radius: tuple[float, float] = (0.015, 0.04)
-    cylinder_radius: tuple[float, float] = (0.015, 0.035)
-    cylinder_height: tuple[float, float] = (0.03, 0.08)
-    slab_extent: tuple[float, float] = (0.07, 0.12)
-    slab_thickness: tuple[float, float] = (0.008, 0.015)
-    friction_range: tuple[float, float] = (0.4, 1.0)
-    porous_prob: float = 0.0
-    placement_gap: float = 0.02
-    max_retries: int = 400
+    kinds: tuple[str, ...] = setting(("box", "sphere", "cylinder", "plane-slab"), names(KINDS))
+    # exact per-object kinds (cycled); overrides random choice
+    kind_sequence: tuple[str, ...] = setting(None, names(KINDS, optional=True))
+    table_extent: float = setting(0.5, POSITIVE_FINITE)
+    table_thickness: float = setting(0.02, POSITIVE_FINITE)
+    table_height: float = setting(0.0, FINITE)
+    camera_viewpoint: tuple[float, float, float] = setting((0.12, -0.08, 0.85), POINT)
+    density: float = setting(40000.0, POSITIVE_FINITE)  # surface points per m^2
+    box_edge: tuple[float, float] = setting((0.03, 0.08), ordered_range())
+    sphere_radius: tuple[float, float] = setting((0.015, 0.04), ordered_range())
+    cylinder_radius: tuple[float, float] = setting((0.015, 0.035), ordered_range())
+    cylinder_height: tuple[float, float] = setting((0.03, 0.08), ordered_range())
+    slab_extent: tuple[float, float] = setting((0.07, 0.12), ordered_range())
+    slab_thickness: tuple[float, float] = setting((0.008, 0.015), ordered_range())
+    friction_range: tuple[float, float] = setting((0.4, 1.0), ordered_range(MAX_FRICTION))
+    porous_prob: float = setting(0.0, UNIT)
+    placement_gap: float = setting(0.02, NON_NEGATIVE_FINITE)
+    max_retries: int = setting(400, COUNT)
     # ground-truth grasp candidate sampling
-    vacuum_grasps_per_object: int = 96
-    parallel_grasps_per_object: int = 96
-    gt_depth: float = 0.02
-    gt_mu_cap: float = 1.5
+    vacuum_grasps_per_object: int = setting(96, COUNT)
+    parallel_grasps_per_object: int = setting(96, COUNT)
+    gt_depth: float = setting(0.02, POSITIVE_FINITE)
+    gt_mu_cap: float = setting(1.5, POSITIVE)  # Infinity: no cap
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        for name in ("parallel_grasps_per_object", "vacuum_grasps_per_object"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.gt_depth > 0:
-            raise ValueError(f"gt_depth must be positive, got {self.gt_depth}")
-        if not self.kinds:
-            raise ValueError("kinds must name at least one primitive kind")
-        for kind in tuple(self.kinds) + tuple(self.kind_sequence or ()):
-            if kind not in KINDS:
-                raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        for name in ("box_edge", "sphere_radius", "cylinder_radius", "cylinder_height", "slab_extent",
-                     "slab_thickness", "friction_range"):
-            low, high = getattr(self, name)
-            if not (np.isfinite(high) and 0 < low <= high):
-                raise ValueError(f"{name} must be a finite range with 0 < low <= high, got {getattr(self, name)}")
-        if not self.friction_range[1] <= MAX_FRICTION:
-            raise ValueError(f"friction_range must end at or below {MAX_FRICTION}, got {self.friction_range}")
-        for name in ("table_extent", "table_thickness"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (np.isfinite(self.placement_gap) and self.placement_gap >= 0):
-            raise ValueError(f"placement_gap must be finite and >= 0, got {self.placement_gap}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if not self.gt_mu_cap > 0:
-            raise ValueError(f"gt_mu_cap must be positive, got {self.gt_mu_cap}")
-        if not 0 <= self.porous_prob <= 1:
-            raise ValueError(f"porous_prob must lie in [0, 1], got {self.porous_prob}")
+        check_fields(self)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
+from .domains import COUNT, POSITIVE_FINITE, SEED, SWITCH, UNIT, check_fields, setting
 from .features import compute_point_features
 from .labels import build_label_maps
 from .losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
@@ -24,29 +25,17 @@ from .scenes import SceneAnnotation
 
 @dataclass
 class TrainConfig:
-    lr0: float = 5e-4
-    epochs: int = 22
-    batch_size: int = 12  # scenes per optimizer step
-    positive_weight_parallel: float = 10.0
-    pcgrad_enabled: bool = True
-    rng_seed: int = 0
-    refiner_seeds_per_scene: int = 8
-    seed_threshold: float = 0.1
+    lr0: float = setting(5e-4, POSITIVE_FINITE)
+    epochs: int = setting(22, COUNT)
+    batch_size: int = setting(12, COUNT)  # scenes per optimizer step
+    positive_weight_parallel: float = setting(10.0, POSITIVE_FINITE)
+    pcgrad_enabled: bool = setting(True, SWITCH)
+    rng_seed: int = setting(0, SEED)
+    refiner_seeds_per_scene: int = setting(8, COUNT)
+    seed_threshold: float = setting(0.1, UNIT)
 
     def __post_init__(self):
-        if not (np.isfinite(self.lr0) and self.lr0 > 0):
-            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
-        weight = self.positive_weight_parallel
-        if not (np.isfinite(weight) and weight > 0):
-            raise ValueError(f"positive_weight_parallel must be finite and positive, got {weight}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.refiner_seeds_per_scene < 1:
-            raise ValueError("refiner_seeds_per_scene must be >= 1")
-        if not 0.0 <= self.seed_threshold <= 1.0:
-            raise ValueError(f"seed_threshold must be in [0, 1], got {self.seed_threshold}")
+        check_fields(self)
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:

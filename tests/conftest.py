@@ -1,3 +1,10 @@
+import os
+
+# BLAS sums depend on the thread count, so trained weights would depend on the
+# core count. Pin one thread before numpy loads, as the package itself does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

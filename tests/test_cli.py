@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -356,6 +357,21 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
     ["synth", "--config", "{porous_prob_two_config}"],
     ["predict", "--checkpoint", "{checkpoint}", "--fallback-head"],
     ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{checkpoint}", "--fallback-head"],
+    ["synth", "--config", "{table_height_nan_config}"],
+    ["synth", "--config", "{table_height_inf_config}"],
+    ["synth", "--config", "{viewpoint_nan_config}"],
+    ["synth", "--config", "{gt_depth_inf_config}"],
+    ["synth", "--config", "{density_inf_config}"],
+    ["synth", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["train", "--config", "{rng_seed_negative_config}"],
+    ["eval", "--grasps", "{pred}", "--checkpoint", "{checkpoint}"],
+    ["eval", "--grasps", "{pred}", "--fallback-head"],
+    ["eval", "--grasps", "{pred}", "--t-parallel", "0.2"],
+    ["eval", "--grasps", "{pred}", "--t-vacuum", "0.2"],
+    ["eval", "--grasps", "{pred}", "--seeds", "8"],
+    ["eval", "--grasps", "{pred}", "--max-refine", "4"],
+    ["eval", "--grasps", "{pred}", "--seeds", "0"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -380,7 +396,12 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         "box-edge-negative", "friction-range-negative", "friction-range-above-1.2", "sphere-radius-reversed",
         "cylinder-height-reversed", "slab-extent-inf", "table-extent-negative", "table-thickness-0",
         "placement-gap-negative", "max-retries-0", "gt-mu-cap-negative", "porous-prob-2",
-        "checkpoint-and-fallback-head", "clearing-checkpoint-and-fallback-head"])
+        "checkpoint-and-fallback-head", "clearing-checkpoint-and-fallback-head",
+        "table-height-nan", "table-height-inf", "camera-viewpoint-nan", "gt-depth-inf", "density-inf",
+        "synth-seed-negative", "train-seed-negative", "rng-seed-negative",
+        "eval-checkpoint-without-clearing", "eval-fallback-head-without-clearing",
+        "eval-t-parallel-without-clearing", "eval-t-vacuum-without-clearing", "eval-seeds-without-clearing",
+        "eval-max-refine-without-clearing", "eval-seeds-0-without-clearing"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -454,6 +475,13 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{max_retries_zero_config}": "synth.max_retries = 0",
         "{gt_mu_cap_negative_config}": "synth.gt_mu_cap = -1",
         "{porous_prob_two_config}": "synth.porous_prob = 2",
+        # non-finite values that used to fail at run time (exit 1)
+        "{table_height_nan_config}": "synth.table_height = NaN",
+        "{table_height_inf_config}": "synth.table_height = Infinity",
+        "{viewpoint_nan_config}": "synth.camera_viewpoint = [NaN, 0, 1]",
+        "{gt_depth_inf_config}": "synth.gt_depth = Infinity",
+        "{density_inf_config}": "synth.density = Infinity",
+        "{rng_seed_negative_config}": "train.rng_seed = -1",
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",
@@ -469,6 +497,43 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
     argv = [argv[0], *scenes, "--out", out] + [fill.get(a, a) for a in argv[1:]]
     assert run(*argv) == 2
     assert not out.exists()  # usage errors are raised before any output is written
+
+
+# Infinity means "no cap" here; NaN lies outside every key's domain
+TAKES_INFINITY = {"synth.gt_mu_cap"}
+
+
+def _nonfinite_variants(default):
+    """NaN and +-Infinity in each place a number goes."""
+    if not isinstance(default, tuple):
+        return [math.nan, math.inf, -math.inf]
+    return [[*default[:i], x, *default[i + 1:]] for x in (math.nan, math.inf, -math.inf) for i in range(len(default))]
+
+
+def test_every_config_key_declares_a_domain_that_its_checker_enforces():
+    """Walks every field of every section: a declared domain holding the default, and a usage error
+    naming the dotted key for each value outside it. A key added without a domain fails here."""
+    from dualgrasp.cli import UsageError
+
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            domain = f.metadata.get("domain")
+            assert domain is not None, f"{key} declares no domain"
+            default = list(f.default) if isinstance(f.default, tuple) else f.default
+            assert domain.test(default), f"{key}'s default {default!r} lies outside {domain.text}"
+            assert getattr(build_configs({key: default})[section], f.name) == f.default
+            outside = [v for v in (-1, 0, 0.5, 2, 2.5, True, "x", None, [], [1], [-1, -1]) if not domain.test(v)]
+            for value in _nonfinite_variants(f.default):
+                takes = key in TAKES_INFINITY and value == math.inf
+                assert domain.test(value) == takes, f"{key} {'rejects' if takes else 'takes'} {value!r}"
+                if not takes:
+                    outside.append(value)
+            for value in outside:
+                with pytest.raises(UsageError, match=re.escape(f"config key '{key}' takes {domain.text}, got ")):
+                    build_configs({key: value})
+                with pytest.raises(ValueError, match=f"{cls.__name__}.{f.name} takes"):
+                    cls(**{f.name: value})
 
 
 def test_runtime_failure_exits_one(workspace, tmp_path):
