@@ -70,8 +70,7 @@ class SpatialIndex:
 
     def radius(self, query, r: float) -> np.ndarray:
         """Indices of all points with distance <= r, sorted by ascending index."""
-        if r <= 0:
-            raise ValueError(f"radius must be positive, got {r}")
+        _check_radius(r)
         q = as_point(query)
         idx = np.asarray(self._tree.query_ball_point(q, r), dtype=np.intp)
         idx.sort()
@@ -86,19 +85,28 @@ class SpatialIndex:
         With centers (cloud point indices), row i belongs to point centers[i];
         by default there is one row per cloud point.
         """
-        if r <= 0:
-            raise ValueError(f"radius must be positive, got {r}")
+        _check_radius(r)
         if centers is not None:
-            # few centers: one ball query each beats the all-pairs matrix
+            # few centers: one ball query each beats finding every pair of the cloud
             lists = self._tree.query_ball_point(self.cloud.points[np.asarray(centers, dtype=np.intp)], r,
                                                 return_sorted=True)
             starts = np.concatenate([[0], np.cumsum([len(m) for m in lists])]).astype(np.intp)
             return starts, np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=starts[-1])
-        pairs = self._tree.sparse_distance_matrix(self._tree, r, output_type="ndarray")
-        order = np.lexsort((pairs["j"], pairs["i"]))
-        counts = np.bincount(pairs["i"], minlength=len(self.cloud))
+        # each unordered pair once (i < j, distance-0 duplicates included), mirrored,
+        # plus the self-pairs; one sort of the key i * n + j orders rows, then members
+        n = len(self.cloud)
+        pairs = self._tree.query_pairs(r, output_type="ndarray").astype(np.intp, copy=False)
+        i, j = pairs[:, 0], pairs[:, 1]
+        keys = np.concatenate([i * n + j, j * n + i, np.arange(n, dtype=np.intp) * (n + 1)])
+        keys.sort()
+        counts = np.bincount(pairs.ravel(), minlength=n) + 1
         starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        return starts, pairs["j"][order].astype(np.intp)
+        return starts, keys % n
+
+
+def _check_radius(r: float):
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"radius must be positive and finite, got {r}")
 
 
 def farthest_point_sampling(cloud: PointCloud, subset, m: int) -> np.ndarray:

@@ -142,7 +142,9 @@ class MlpModel:
         refiner rows for a refiner head. Heads missing from a task contribute
         zero gradient. The tasks share one pass: the ReLU masks are built once
         and each hidden layer has one buffer that every task reuses, and each
-        gradient keeps the bits of a pass for its task alone.
+        gradient keeps the bits of a pass for its task alone. When a task's
+        first head is a map head, it writes its product into the last hidden
+        buffer; otherwise the buffer is zero-filled. Later heads add into it.
         """
         activations, h_aug, h_rows, rows = cache
         # h > 0 equals the pre-activation test z > 0, NaN included
@@ -152,7 +154,9 @@ class MlpModel:
         flats = []
         for head_grads in tasks:
             d_hidden = buffers[-1]
-            d_hidden.fill(0.0)  # heads add into +0.0, as into a fresh np.zeros: the same signed zeros
+            first = next((name for name in self.heads if head_grads.get(name) is not None), None)
+            if first not in MAP_HEADS:
+                d_hidden.fill(0.0)
             head_grad_arrays = {}
             for name, (w, b) in self.heads.items():
                 g = head_grads.get(name)
@@ -164,10 +168,15 @@ class MlpModel:
                 head_grad_arrays[name] = (h_at.T @ g, g.sum(axis=0))
                 # only the trunk-output rows of the head matrix backprop further;
                 # the bypass rows read the (non-parameter) standardized input
-                if name in MAP_HEADS:  # rank 1: g * w is the (N, 1) @ (1, n_hidden) product
-                    d_hidden += g * w[:n_hidden, 0]
-                else:
+                if name not in MAP_HEADS:
                     d_hidden[rows] += g @ w[:n_hidden].T
+                elif name == first:  # rank 1: g * w is the (N, 1) @ (1, n_hidden) product
+                    # Writing keeps the -0.0 that adding into +0.0 would make +0.0.
+                    # No gradient sees the sign: the mask multiply keeps it and the
+                    # GEMMs and sums after it add it to +0.0 (the bitwise backward tests).
+                    np.multiply(g, w[:n_hidden, 0], out=d_hidden)
+                else:
+                    d_hidden += g * w[:n_hidden, 0]
 
             trunk_grads = [None] * len(self.trunk)
             for i in range(len(self.trunk) - 1, -1, -1):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from dualgrasp.cloud import (
     DegenerateNeighborhood,
@@ -10,7 +11,9 @@ from dualgrasp.cloud import (
     estimate_normal,
     farthest_point_sampling,
 )
+from dualgrasp.features import FEATURE_RADIUS
 from dualgrasp.geometry import fibonacci_hemisphere
+from dualgrasp.scenes import SynthConfig, generate_scene
 
 from conftest import random_cloud
 
@@ -130,6 +133,13 @@ def test_radius_rejects_nonpositive(rng):
         idx.radius([0, 0, 0], 0.0)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+def test_radius_rejects_nonfinite(rng, r):
+    idx = SpatialIndex(random_cloud(rng, 10))
+    with pytest.raises(ValueError, match="finite"):
+        idx.radius([0, 0, 0], r)
+
+
 def assert_csr_matches_radius(cloud, r):
     idx = SpatialIndex(cloud)
     starts, members = idx.radius_csr(r)
@@ -161,6 +171,50 @@ def test_radius_csr_rejects_nonpositive(rng):
     idx = SpatialIndex(random_cloud(rng, 10))
     with pytest.raises(ValueError):
         idx.radius_csr(0.0)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf])
+def test_radius_csr_rejects_nonfinite(rng, r):
+    idx = SpatialIndex(random_cloud(rng, 10))
+    with pytest.raises(ValueError, match="finite"):
+        idx.radius_csr(r)
+    with pytest.raises(ValueError, match="finite"):
+        idx.radius_csr(r, centers=[0, 3])
+
+
+def all_pairs_radius_csr(cloud, r):
+    """The all-pairs distance matrix ordered by lexsort, as radius_csr once built it: the reference for its CSR."""
+    tree = cKDTree(cloud.points)
+    pairs = tree.sparse_distance_matrix(tree, r, output_type="ndarray")
+    order = np.lexsort((pairs["j"], pairs["i"]))
+    counts = np.bincount(pairs["i"], minlength=len(cloud))
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    return starts, pairs["j"][order].astype(np.intp)
+
+
+def lattice_cloud():
+    g = np.arange(5) * 0.25
+    return PointCloud(np.array([[x, y, z] for x in g for y in g for z in g]))
+
+
+REFERENCE_CSR_CASES = [
+    *[pytest.param(lambda s=s: generate_scene(s, 4, SynthConfig())[0], r, id=f"scene{s}-{r}")
+      for s in (1, 2) for r in (FEATURE_RADIUS, 0.01)],
+    pytest.param(lambda: PointCloud([[0.1, -0.2, 0.3]]), FEATURE_RADIUS, id="one-point"),
+    # every pair at distance 0
+    pytest.param(lambda: PointCloud(np.tile([[0.1, -0.2, 0.3]], (6, 1))), FEATURE_RADIUS, id="duplicates"),
+    # axis neighbours at distance exactly r
+    *[pytest.param(lattice_cloud, r, id=f"lattice-{r}") for r in (0.25, 0.5)],
+]
+
+
+@pytest.mark.parametrize("make_cloud, r", REFERENCE_CSR_CASES)
+def test_radius_csr_matches_all_pairs_reference(make_cloud, r):
+    cloud = make_cloud()
+    starts, members = SpatialIndex(cloud).radius_csr(r)
+    want_starts, want_members = all_pairs_radius_csr(cloud, r)
+    assert starts.dtype == members.dtype == np.intp
+    assert np.array_equal(starts, want_starts) and np.array_equal(members, want_members)
 
 
 @settings(max_examples=40, deadline=None)

@@ -234,6 +234,44 @@ def test_shared_backward_keeps_per_task_bits(rng, zero_heads):
         assert not np.any(got[2][:n_trunk]) and not np.any(np.signbit(got[2][:n_trunk]))
 
 
+def test_backward_write_or_add_keeps_per_task_bits(rng):
+    """Each way a task fills the last hidden gradient keeps the per-task bits.
+
+    The buffer is shared, so every task after the first finds the last one's
+    values in it. A task with refiner heads only, or with no head at all, must
+    zero-fill it; the first of two map heads writes and the second adds; and
+    map-head gradients of exact +0.0 and -0.0 against negative head weights
+    write the opposite signed zeros, of which the trunk gradients keep none.
+    """
+    cfg = ModelConfig(feature_dim=4, hidden=(7, 5), bypass_gain=2.0,
+                      n_views=3, n_angle_bins=4, n_depth_bins=2, n_score_bins=3)
+    model = MlpModel(cfg, np.random.default_rng(6))
+    for w, b in model.heads.values():
+        w[...] = rng.normal(0.0, 0.5, w.shape)
+        b[...] = rng.normal(0.0, 0.5, b.shape)
+    model.heads["vacuum"][0][...] = -rng.uniform(0.1, 1.0, model.heads["vacuum"][0].shape)
+    X = rng.normal(size=(40, 4))
+    rows = np.array([31, 2, 17, 0, 8])
+    out, cache = model.forward(X, rows=rows)
+    mixed_zeros = np.zeros((40, 1))
+    mixed_zeros[::3] = -0.0
+    tasks = [
+        {"parallel": rng.normal(size=(40, 1))},
+        {"view": rng.normal(size=out["view"].shape), "width": rng.normal(size=out["width"].shape)},
+        {"objectness": rng.normal(size=(40, 1)), "vacuum": rng.normal(size=(40, 1))},
+        {},
+        {"vacuum": np.zeros((40, 1))},
+        {"vacuum": mixed_zeros},
+    ]
+    got = model.backward(cache, tasks)
+    for flat, task in zip(got, tasks):
+        want = per_task_backward(model, cache, task)
+        assert np.array_equal(flat.view(np.uint64), want.view(np.uint64))
+    n_trunk = sum(w.size + b.size for w, b in model.trunk)
+    for flat in got[3:]:
+        assert not np.any(flat[:n_trunk]) and not np.any(np.signbit(flat[:n_trunk]))
+
+
 def test_refiner_rows_must_be_distinct(rng):
     with pytest.raises(ValueError, match="distinct"):
         small_model().forward(rng.normal(size=(5, 4)), rows=[1, 3, 1])
