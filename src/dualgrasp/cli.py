@@ -237,10 +237,11 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stems = _scene_stems(args.scenes)
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(stems))  # a worker beyond the scene count would sit idle
+    if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             pool.starmap(_predict_one, [(pipe, stem, grippers, out) for stem in stems])
     else:
         for stem in stems:

@@ -115,26 +115,30 @@ def farthest_point_sampling(cloud: PointCloud, subset, m: int) -> np.ndarray:
     The first pick is the subset point closest to the subset centroid; each
     following pick maximizes the minimum distance to the points already
     selected. All ties break toward the lowest point index. m == len(subset)
-    returns the subset unchanged.
+    returns the subset unchanged and m == 0 an empty selection; a negative m
+    raises ValueError.
     """
     subset = np.asarray(subset, dtype=np.intp)
-    if m > len(subset):
+    if not 0 <= m <= len(subset):
         raise ValueError(f"cannot sample {m} points from a subset of {len(subset)}")
-    if m == len(subset):
-        return subset.copy()
+    if m == len(subset) or m == 0:
+        return subset[:m].copy()
 
     pts = cloud.points[subset]
     centroid = pts.mean(axis=0)
     d2c = np.sum((pts - centroid) ** 2, axis=1)
-    first = _argmin_tiebreak(d2c, subset)
-
-    chosen = [first]
-    mind2 = np.sum((pts - pts[first]) ** 2, axis=1)
+    chosen = [_argmin_tiebreak(d2c, subset)]
+    # Squared distances to each pick run on (3, n) columns, summed in col_norms'
+    # order: bitwise np.sum((pts - p) ** 2, axis=1) without a reduction over an
+    # axis of length 3.
+    cols = np.ascontiguousarray(pts.T)
+    mind2 = np.full(len(pts), np.inf)
     for _ in range(1, m):
-        nxt = _argmax_tiebreak(mind2, subset)
-        chosen.append(nxt)
-        d2 = np.sum((pts - pts[nxt]) ** 2, axis=1)
+        d = cols - pts[chosen[-1], :, None]
+        d2 = d[0] * d[0] + d[1] * d[1]
+        d2 += d[2] * d[2]
         np.minimum(mind2, d2, out=mind2)
+        chosen.append(_argmax_tiebreak(mind2, subset))
     return subset[np.asarray(chosen, dtype=np.intp)]
 
 

@@ -266,6 +266,41 @@ def test_predict_jobs_match_serial(workspace, tmp_path):
         assert p.read_bytes() == (b / p.name).read_bytes()
 
 
+class StandInPool:
+    """multiprocessing.Pool's context and starmap, run in this process; records each pool's size."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        StandInPool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, iterable):
+        return [fn(*args) for args in iterable]
+
+
+@pytest.mark.parametrize("scenes, jobs, pools", [(2, 5, [2]), (2, 2, [2]), (1, 3, []), (2, 1, [])])
+def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, scenes, jobs, pools):
+    import multiprocessing
+
+    src = tmp_path / "scenes"
+    src.mkdir()
+    for stem in ("scene_0000", "scene_0001")[:scenes]:
+        for suffix in (".ply", ".json"):
+            (src / f"{stem}{suffix}").write_bytes((workspace / "scenes" / f"{stem}{suffix}").read_bytes())
+    monkeypatch.setattr(StandInPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", StandInPool)
+    assert run("predict", "--scenes", src, "--out", tmp_path / "pred",
+               "--fallback-head", "--max-refine", "8", "--jobs", jobs) == 0
+    assert StandInPool.sizes == pools
+    assert len(list((tmp_path / "pred").glob("*_grasps_parallel.json"))) == scenes
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--fallback-head", "--max-refine", "0"],
     ["predict", "--fallback-head", "--max-refine", "-3"],

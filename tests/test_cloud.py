@@ -47,6 +47,24 @@ def brute_fps(points, subset, m):
     return [subset[i] for i in chosen]
 
 
+def row_sum_fps(points, subset, m):
+    """farthest_point_sampling as first written: each pick's squared distances are an (n, 3) np.sum over axis=1."""
+    subset = np.asarray(subset, dtype=np.intp)
+    pts = points[subset]
+
+    def lowest_index(values, best):
+        ties = np.flatnonzero(values == best)
+        return int(ties[np.argmin(subset[ties])])
+
+    d2c = np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)
+    chosen = [lowest_index(d2c, np.min(d2c))]
+    mind2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, m):
+        chosen.append(lowest_index(mind2, np.max(mind2)))
+        np.minimum(mind2, np.sum((pts - pts[chosen[-1]]) ** 2, axis=1), out=mind2)
+    return subset[np.asarray(chosen, dtype=np.intp)]
+
+
 # -- knn -----------------------------------------------------------------------
 
 
@@ -263,6 +281,42 @@ def test_fps_m_too_large(rng):
     cloud = random_cloud(rng, 5)
     with pytest.raises(ValueError):
         farthest_point_sampling(cloud, [0, 1], 3)
+
+
+def test_fps_m_zero_is_empty():
+    cloud = PointCloud(np.random.default_rng(0).uniform(size=(10, 3)))
+    got = farthest_point_sampling(cloud, np.arange(10), 0)
+    assert got.dtype == np.intp and got.shape == (0,)
+
+
+@pytest.mark.parametrize("m", [-1, -3])
+def test_fps_negative_m_raises(m):
+    cloud = PointCloud(np.random.default_rng(0).uniform(size=(10, 3)))
+    with pytest.raises(ValueError):
+        farthest_point_sampling(cloud, np.arange(10), m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fps_matches_row_sum_reference_on_synth_scenes(seed):
+    """Subsets of 1-3k points of benchmark-like scenes, 256 picks: the same points in the same order."""
+    cloud, _ = generate_scene(1000 + seed, 4, SynthConfig(kind_sequence=("box", "sphere", "cylinder", "plane-slab")))
+    r = np.random.default_rng(seed)
+    subset = np.sort(r.choice(len(cloud), int(r.integers(1000, 3001)), replace=False))
+    got = farthest_point_sampling(cloud, subset, 256)
+    assert got.dtype == np.intp and np.array_equal(got, row_sum_fps(cloud.points, subset, 256))
+
+
+def test_fps_matches_row_sum_reference_on_exact_ties():
+    """An integer lattice, doubled: distances tie exactly and every point has a duplicate.
+
+    The subset runs in shuffled order, so a tie must go to the lowest point
+    index, not to the first position.
+    """
+    lattice = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    cloud = PointCloud(np.vstack([lattice, lattice]))
+    subset = np.random.default_rng(3).permutation(len(cloud.points))
+    for m in (1, 2, 9, 40, len(lattice) + 1):
+        assert np.array_equal(farthest_point_sampling(cloud, subset, m), row_sum_fps(cloud.points, subset, m))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from dualgrasp.cloud import PointCloud
+from dualgrasp.cloud import PointCloud, farthest_point_sampling
 from dualgrasp import refine_parallel
 from dualgrasp.geometry import closing_directions, fibonacci_hemisphere
 from dualgrasp.grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
@@ -16,7 +18,7 @@ from dualgrasp.refine_parallel import (
     learned_refine_batch,
     oracle_search,
 )
-from dualgrasp.scenes import friction_to_graspness, parallel_quality_batch
+from dualgrasp.scenes import SynthConfig, friction_to_graspness, generate_scene, parallel_quality_batch
 
 from test_scenes import bare_scene, jaw_contact
 
@@ -287,6 +289,27 @@ def test_oracle_search_chunking_is_invisible(monkeypatch):
     # every view touched: the known winners are overwritten, as in a fresh search
     every = (np.full_like(whole.view_scores, np.nan), np.ones_like(whole.view_winners))
     assert_same_search(oracle_search(scene, pts, CFG, 2, 2, known=every), whole)
+
+
+def test_oracle_search_memory_is_bounded_by_the_chunk():
+    """At the default chunk_lines a 256-seed probe search stays within 32 MiB of traced allocations.
+
+    numpy reports its buffers to tracemalloc. The seeds lie on the objects
+    (above the table top at z = 0) and send about 0.93M probe lines, so a
+    search that held them all at once, or a default chunk of 1 << 18 lines
+    (about 63 MiB here), would break the bound.
+    """
+    cloud, scene = generate_scene(11000, 4, SynthConfig(kind_sequence=("box", "sphere", "cylinder", "plane-slab")))
+    seeds = cloud.points[farthest_point_sampling(cloud, np.flatnonzero(cloud.points[:, 2] > 0.005), 256)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        found = oracle_search(scene, seeds, CFG, CFG.probe_angle_stride, CFG.probe_depth_stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(found.reachable)
+    assert peak <= 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_oracle_search_fallback_uses_probe_strides():
