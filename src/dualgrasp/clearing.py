@@ -2,7 +2,8 @@
 
 Each round the pipeline proposes ranked grasps for the current scene state;
 the top grasp executes against the oracle. Success removes the target
-object's points and primitive; three consecutive failures end the run.
+object's points and primitive; MAX_CONSECUTIVE_FAILURES failures in a row end
+the run.
 """
 
 from dataclasses import dataclass
@@ -10,8 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grasps import PARALLEL
-from .metrics import EvalConfig, grasp_qualities, successes_at
+from .metrics import grasp_qualities, successes_at
 from .scenes import SceneAnnotation, remove_object
+
+MAX_CONSECUTIVE_FAILURES = 3
+# an executed grasp succeeds at these oracle thresholds: required friction at
+# most EXEC_MU_PARALLEL, seal at least EXEC_MU_VACUUM
+EXEC_MU_PARALLEL = 0.8
+EXEC_MU_VACUUM = 0.4
 
 
 @dataclass
@@ -74,18 +81,17 @@ def metrics_from_attempts(attempts, objects_total: int, detected) -> ClearingMet
     return m
 
 
-def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str, cfg: EvalConfig):
+def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str):
     """(target object id or -1, success) for an executed grasp, graded as eval grades it.
 
     A grasp without a target fails at any threshold.
     """
     quality, target = grasp_qualities([grasp], scene, gripper)
-    mu = cfg.exec_mu_parallel if gripper == PARALLEL else cfg.exec_mu_vacuum
+    mu = EXEC_MU_PARALLEL if gripper == PARALLEL else EXEC_MU_VACUUM
     return int(target[0]), bool(target[0] > 0 and successes_at(quality, mu, gripper)[0])
 
 
-def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
-                      config: EvalConfig = None):
+def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str):
     """Simulate clearing a scene with one gripper.
 
     pipeline(cloud, scene, gripper) must return (ranked grasps, seed indices).
@@ -94,14 +100,13 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
     targets it (a grasp seeded on the table can still close on an object), so
     cleared <= detected always holds.
     """
-    cfg = config or EvalConfig()
     objects_total = remaining = len({p.object_id for p in scene.objects()})
     attempts = []
     detected = set()
     consecutive = 0
     max_attempts = 3 * (objects_total + 1)
 
-    while remaining and consecutive < cfg.max_consecutive_failures and len(attempts) < max_attempts:
+    while remaining and consecutive < MAX_CONSECUTIVE_FAILURES and len(attempts) < max_attempts:
         grasps, seed_indices = pipeline(cloud, scene, gripper)
         seed_indices = np.asarray(seed_indices, dtype=np.intp)
         if len(seed_indices):
@@ -109,7 +114,7 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str,
         if not grasps:
             consecutive += 1
             continue
-        target, ok = _judge_grasp(grasps[0], scene, gripper, cfg)
+        target, ok = _judge_grasp(grasps[0], scene, gripper)
         attempts.append((target, ok))
         if target > 0:
             detected.add(target)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clearing import run_clearing_loop
 from .domains import COUNT, FINITE, SEED, UsageError, check
-from .grasps import PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
+from .grasps import GRASP_SCHEMA_VERSION, PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
 from .json_io import write_json
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
@@ -43,7 +43,6 @@ from .scenes import (
 from .train import TrainConfig, prepare_training_scene, save_history_csv, train
 from .visualize import colorize
 
-GRASP_FILE_SCHEMA_VERSION = 1
 METRICS_FIELDS = [
     "record", "scene", "split", "gripper", "mu", "value",
     "r_object", "r_grasp", "r_mix", "r_seen",
@@ -114,7 +113,7 @@ def _scene_stems(scenes_dir) -> list:
 def cmd_synth(args) -> int:
     cfgs = _configs_from_args(args)
     synth = cfgs["synth"]
-    if args.kinds:
+    if args.kinds is not None:
         synth = replace(synth, kinds=tuple(args.kinds.split(",")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -169,7 +168,7 @@ def cmd_train(args) -> int:
     prepared = []
     for stem in _scene_stems(args.scenes):
         cloud, scene, grasps = load_scene(stem)
-        prepared.append(prepare_training_scene(cloud, scene, grasps, rcfg, tcfg))
+        prepared.append(prepare_training_scene(cloud, scene, grasps, rcfg))
     model, history = train(prepared, tcfg, rcfg)
     variant = model.meta["variant"]
     save_checkpoint(out / "checkpoint.json", model)
@@ -215,7 +214,7 @@ def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):
     for gripper in grippers:
         result = proposer.propose(cloud, scene, gripper)
         doc = {
-            "schema_version": GRASP_FILE_SCHEMA_VERSION,
+            "schema_version": GRASP_SCHEMA_VERSION,
             "scene": stem.name,
             "split": scene.split,
             "gripper": gripper,
@@ -291,7 +290,7 @@ def cmd_eval(args) -> int:
             # vacuum loop's first round reuses the parallel loop's full-scene maps
             proposer = SceneProposer(pipe, scene, gt)
             for gripper in (PARALLEL, VACUUM):
-                metrics, _ = run_clearing_loop(cloud, scene, proposer, gripper, ecfg)
+                metrics, _ = run_clearing_loop(cloud, scene, proposer, gripper)
                 rows.append(_clearing_row(stem.name, gripper, metrics))
 
     rows.sort(key=lambda r: (r["record"], r["scene"], r["gripper"], str(r["mu"])))

@@ -124,10 +124,12 @@ def farthest_point_sampling(cloud: PointCloud, subset, m: int) -> np.ndarray:
     if m == len(subset) or m == 0:
         return subset[:m].copy()
 
+    centroid = cloud.points[subset].mean(axis=0)
+    # in ascending index order the first of tied positions is the lowest index
+    subset = np.sort(subset)
     pts = cloud.points[subset]
-    centroid = pts.mean(axis=0)
     d2c = np.sum((pts - centroid) ** 2, axis=1)
-    chosen = [_argmin_tiebreak(d2c, subset)]
+    chosen = [int(np.argmin(d2c))]
     # Squared distances to each pick run on (3, n) columns, summed in col_norms'
     # order: bitwise np.sum((pts - p) ** 2, axis=1) without a reduction over an
     # axis of length 3.
@@ -138,20 +140,8 @@ def farthest_point_sampling(cloud: PointCloud, subset, m: int) -> np.ndarray:
         d2 = d[0] * d[0] + d[1] * d[1]
         d2 += d[2] * d[2]
         np.minimum(mind2, d2, out=mind2)
-        chosen.append(_argmax_tiebreak(mind2, subset))
+        chosen.append(int(np.argmax(mind2)))
     return subset[np.asarray(chosen, dtype=np.intp)]
-
-
-def _argmin_tiebreak(values: np.ndarray, ids: np.ndarray) -> int:
-    best = np.min(values)
-    ties = np.flatnonzero(values == best)
-    return int(ties[np.argmin(ids[ties])])
-
-
-def _argmax_tiebreak(values: np.ndarray, ids: np.ndarray) -> int:
-    best = np.max(values)
-    ties = np.flatnonzero(values == best)
-    return int(ties[np.argmin(ids[ties])])
 
 
 def normal_from_neighborhood(neighbors: np.ndarray, seed_point, viewpoint) -> np.ndarray:

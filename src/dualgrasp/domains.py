@@ -56,21 +56,14 @@ def _reals(v, n=None) -> bool:
 SWITCH = Domain("true or false", lambda v: isinstance(v, bool))
 COUNT = Domain("an integer >= 1", lambda v: _integer(v) and v >= 1)
 SEED = Domain("an integer >= 0", lambda v: _integer(v) and v >= 0)
-POSITIVE = Domain("a number > 0", lambda v: _real(v) and v > 0)
 POSITIVE_FINITE = Domain("a finite number > 0", lambda v: _real(v) and 0 < v < math.inf)
-NON_NEGATIVE_FINITE = Domain("a finite number >= 0", lambda v: _real(v) and 0 <= v < math.inf)
 FINITE = Domain("a finite number", lambda v: _real(v) and -math.inf < v < math.inf)
 UNIT = Domain("a number in [0, 1]", lambda v: _real(v) and 0 <= v <= 1)
-UNIT_POSITIVE = Domain("a number in (0, 1]", lambda v: _real(v) and 0 < v <= 1)
 POINT = Domain("a list of 3 finite numbers", lambda v: _reals(v, 3) and all(map(FINITE.test, v)))
 POSITIVE_FINITE_LIST = Domain("a non-empty list of finite numbers > 0",
                               lambda v: _reals(v) and all(map(POSITIVE_FINITE.test, v)))
-
-
-def ordered_range(cap=math.inf) -> Domain:
-    """A (low, high) pair of finite numbers with 0 < low <= high <= cap."""
-    return Domain("a list of 2 finite numbers with 0 < low <= high" + (f" <= {cap}" if cap < math.inf else ""),
-                  lambda v: _reals(v, 2) and 0 < v[0] <= v[1] <= cap and v[1] < math.inf)
+ORDERED_RANGE = Domain("a list of 2 finite numbers with 0 < low <= high",
+                       lambda v: _reals(v, 2) and 0 < v[0] <= v[1] < math.inf)
 
 
 def ascending_grid(cap=math.inf) -> Domain:

@@ -74,7 +74,7 @@ def train_and_score_heldout(train_scenes, heldout_scenes, train_cfg: TrainConfig
     tcfg = train_cfg or TrainConfig()
     rcfg = refine_cfg or RefineParallelConfig()
     prepared = [
-        prepare_training_scene(cloud, scene, grasps, refine_config=rcfg, train_config=tcfg)
+        prepare_training_scene(cloud, scene, grasps, refine_config=rcfg)
         for cloud, scene, grasps in train_scenes
     ]
     model, history = train(prepared, tcfg, rcfg)

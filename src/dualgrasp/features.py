@@ -10,7 +10,6 @@ import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, neighborhood_eigh
 
-FEATURE_DIM = 7
 FEATURE_RADIUS = 0.015  # neighbourhood radius of the normal, curvature and count [m]
 
 

@@ -25,8 +25,6 @@ FINGER_LENGTH = 0.04  # finger extent along the approach [m]
 JAW_THICKNESS = 0.01  # finger thickness [m]
 CUP_RADIUS = 0.01  # suction-cup radius [m]
 
-GRASP_SCHEMA_VERSION = 1
-
 
 @dataclass
 class ParallelGrasp:
@@ -70,6 +68,9 @@ class VacuumGrasp:
     @property
     def gripper(self) -> str:
         return VACUUM
+
+
+GRASP_SCHEMA_VERSION = 1  # of a grasp file, whose "grasps" list holds grasp_to_dict records
 
 
 def grasp_to_dict(grasp) -> dict:

@@ -8,6 +8,8 @@ import numpy as np
 
 from .mlp import _sigmoid
 
+POSITIVE_WEIGHT_PARALLEL = 10.0  # weight of a parallel graspness positive against a negative
+
 
 def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
@@ -39,7 +41,7 @@ def loss_vacuum(logits, soft_labels):
     return bce_with_logits(logits, soft_labels)
 
 
-def loss_parallel_graspness(logits, labels, pos_weight: float = 10.0):
+def loss_parallel_graspness(logits, labels, pos_weight: float = POSITIVE_WEIGHT_PARALLEL):
     """Weighted BCE for the parallel graspness head; labels binarize as label > 0."""
     y = (np.asarray(labels, dtype=np.float64) > 0).astype(np.float64)
     return bce_with_logits(logits, y, pos_weight=pos_weight)

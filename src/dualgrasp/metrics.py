@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import COUNT, POSITIVE_FINITE, UNIT_POSITIVE, ascending_grid, check_fields, setting
+from .domains import COUNT, ascending_grid, check_fields, setting
 from .geometry import closing_directions
 from .grasps import PARALLEL
 from .scenes import SceneAnnotation, parallel_quality_batch, seal_quality_batch
@@ -28,9 +28,6 @@ class EvalConfig:
     mu_parallel_grid: tuple[float, ...] = setting((0.2, 0.4, 0.6, 0.8, 1.0), ascending_grid())
     # seal coefficients, at most 1
     mu_vacuum_grid: tuple[float, ...] = setting((0.2, 0.4, 0.6, 0.8), ascending_grid(1))
-    max_consecutive_failures: int = setting(3, COUNT)
-    exec_mu_parallel: float = setting(0.8, POSITIVE_FINITE)
-    exec_mu_vacuum: float = setting(0.4, UNIT_POSITIVE)
 
     def __post_init__(self):
         check_fields(self)

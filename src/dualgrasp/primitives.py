@@ -150,25 +150,21 @@ class Primitive:
 
     def surface_distance(self, points: np.ndarray) -> np.ndarray:
         """Unsigned distance from world points to the surface."""
-        p = self.to_local(points)
-        if self.kind in _BOX_LIKE:
-            sd = _box_sdf(np.asarray(self.dimensions) / 2.0, p)
-        elif self.kind == "sphere":
-            sd = col_norms(p) - self.dimensions[0]
-        else:
-            sd = _cylinder_sdf(*self.dimensions, p)
-        return np.abs(sd)
+        return np.abs(self._signed_distance(points))
 
     def contains(self, points: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Bool mask: world points strictly inside the surface expanded by pad."""
+        sd = self._signed_distance(points)
+        return sd < -pad if pad <= 0 else sd < pad
+
+    def _signed_distance(self, points: np.ndarray) -> np.ndarray:
+        """Signed distance from world points to the surface, negative inside."""
         p = self.to_local(points)
         if self.kind in _BOX_LIKE:
-            sd = _box_sdf(np.asarray(self.dimensions) / 2.0, p)
-        elif self.kind == "sphere":
-            sd = col_norms(p) - self.dimensions[0]
-        else:
-            sd = _cylinder_sdf(*self.dimensions, p)
-        return sd < -pad if pad <= 0 else sd < pad
+            return _box_sdf(np.asarray(self.dimensions) / 2.0, p)
+        if self.kind == "sphere":
+            return col_norms(p) - self.dimensions[0]
+        return _cylinder_sdf(*self.dimensions, p)
 
 
 # -- local-frame implementations: (3, M) columns ------------------------------

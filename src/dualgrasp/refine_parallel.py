@@ -20,10 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .domains import COUNT, NON_NEGATIVE_FINITE, POSITIVE_FINITE_LIST, check_fields, setting
+from .domains import COUNT, POSITIVE_FINITE_LIST, check_fields, setting
 from .geometry import approach_frames, fibonacci_hemisphere
 from .grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
 from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parallel_quality_batch
+
+# small preference for near-vertical approaches when view scores tie;
+# tabletop objects admit many friction-equivalent tilts and the oracle
+# alone cannot rank reachability
+VIEW_VERTICAL_BIAS = 0.02
 
 
 @dataclass
@@ -36,11 +41,6 @@ class RefineParallelConfig:
     # the winning view is always refined on the full grid
     probe_angle_stride: int = setting(2, COUNT)
     probe_depth_stride: int = setting(2, COUNT)
-    # small preference for near-vertical approaches when view scores tie;
-    # tabletop objects admit many friction-equivalent tilts and the oracle
-    # alone cannot rank reachability. NaN would rank every view equal (view 0
-    # wins) and mark every stored probe score unknown.
-    view_vertical_bias: float = setting(0.02, NON_NEGATIVE_FINITE)
 
     def __post_init__(self):
         check_fields(self)
@@ -128,7 +128,7 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
     """Best oracle parallel pose at each of S seeds: the one pose search of the package.
 
     Views are ranked by mean candidate graspness over the (angle, depth) grid,
-    thinned by the strides, minus view_vertical_bias * (1 - view z). Averaging
+    thinned by the strides, minus VIEW_VERTICAL_BIAS * (1 - view z). Averaging
     (rather than taking the best candidate) ranks views by how many of their
     jaw-line bins actually reach the object, which concentrates the score
     around surface-normal approaches; the bias settles the remaining near-ties
@@ -186,7 +186,7 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
         probe_mu, winner = _grid_qualities(scene, seeds[s_idx], probe_offsets.take(v_idx, axis=1),
                                            probe_dirs.take(v_idx, axis=1))[:2]
         quality = np.mean(friction_to_graspness(probe_mu.reshape(len(pairs), -1)), axis=1)
-        view_scores.flat[pairs] = quality - config.view_vertical_bias * (1.0 - views[v_idx, 2])
+        view_scores.flat[pairs] = quality - VIEW_VERTICAL_BIAS * (1.0 - views[v_idx, 2])
         # (lines, objects, pairs), reduced over its contiguous leading axis
         won = np.ascontiguousarray(winner.reshape(len(pairs), -1).T)[:, None, :] == ids[:, None]
         view_winners.reshape(s_n * v_n, len(ids))[pairs] = np.any(won, axis=0).T

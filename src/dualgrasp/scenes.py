@@ -16,8 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .domains import COUNT, FINITE, NON_NEGATIVE_FINITE, POINT, POSITIVE, POSITIVE_FINITE, UNIT
-from .domains import check_fields, names, ordered_range, setting
+from .domains import COUNT, FINITE, ORDERED_RANGE, POINT, POSITIVE_FINITE, UNIT, check_fields, names, setting
 from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import (
     CUP_RADIUS,
@@ -32,14 +31,23 @@ from .grasps import (
 )
 from .json_io import write_json
 from .ply_io import read_ply, write_ply
-from .primitives import KINDS, MAX_FRICTION, Primitive
+from .primitives import KINDS, Primitive
 
 SCENE_SCHEMA_VERSION = 1
 _SEAL_RNG_SEED = 715_225_739  # fixed: the seal oracle must be a pure function
 
+# fixed scene layout and ground-truth rules
+TABLE_THICKNESS = 0.02  # table slab [m]
+SLAB_THICKNESS = (0.008, 0.015)  # plane-slab object thickness range [m]
+FRICTION_RANGE = (0.4, 1.0)  # object surface friction range
+PLACEMENT_GAP = 0.02  # least gap between two objects' xy bounding circles [m]
+MAX_RETRIES = 400  # placement tries per object
+GT_DEPTH = 0.02  # ground-truth parallel grasp depth [m]
+GT_MU_CAP = 1.5  # a ground-truth parallel candidate needs at most this friction
+
 
 class SceneGenerationError(RuntimeError):
-    """Object placement failed after the configured number of retries."""
+    """Object placement failed after MAX_RETRIES tries."""
 
 
 @dataclass
@@ -48,32 +56,28 @@ class SynthConfig:
 
     The gripper geometry (grasps.MAX_WIDTH, CUP_RADIUS, ...) and the seal
     oracle's sampling (SEAL_SAMPLE_DENSITY, ...) are fixed, so the stored
-    ground truth and the evaluation grade a pose alike.
+    ground truth and the evaluation grade a pose alike. So are the table
+    thickness, the slab thickness and friction ranges, the placement rule
+    (PLACEMENT_GAP, MAX_RETRIES) and the ground-truth jaw depth and friction
+    cap (GT_DEPTH, GT_MU_CAP).
     """
 
     kinds: tuple[str, ...] = setting(("box", "sphere", "cylinder", "plane-slab"), names(KINDS))
     # exact per-object kinds (cycled); overrides random choice
     kind_sequence: tuple[str, ...] = setting(None, names(KINDS, optional=True))
     table_extent: float = setting(0.5, POSITIVE_FINITE)
-    table_thickness: float = setting(0.02, POSITIVE_FINITE)
     table_height: float = setting(0.0, FINITE)
     camera_viewpoint: tuple[float, float, float] = setting((0.12, -0.08, 0.85), POINT)
     density: float = setting(40000.0, POSITIVE_FINITE)  # surface points per m^2
-    box_edge: tuple[float, float] = setting((0.03, 0.08), ordered_range())
-    sphere_radius: tuple[float, float] = setting((0.015, 0.04), ordered_range())
-    cylinder_radius: tuple[float, float] = setting((0.015, 0.035), ordered_range())
-    cylinder_height: tuple[float, float] = setting((0.03, 0.08), ordered_range())
-    slab_extent: tuple[float, float] = setting((0.07, 0.12), ordered_range())
-    slab_thickness: tuple[float, float] = setting((0.008, 0.015), ordered_range())
-    friction_range: tuple[float, float] = setting((0.4, 1.0), ordered_range(MAX_FRICTION))
+    box_edge: tuple[float, float] = setting((0.03, 0.08), ORDERED_RANGE)
+    sphere_radius: tuple[float, float] = setting((0.015, 0.04), ORDERED_RANGE)
+    cylinder_radius: tuple[float, float] = setting((0.015, 0.035), ORDERED_RANGE)
+    cylinder_height: tuple[float, float] = setting((0.03, 0.08), ORDERED_RANGE)
+    slab_extent: tuple[float, float] = setting((0.07, 0.12), ORDERED_RANGE)
     porous_prob: float = setting(0.0, UNIT)
-    placement_gap: float = setting(0.02, NON_NEGATIVE_FINITE)
-    max_retries: int = setting(400, COUNT)
     # ground-truth grasp candidate sampling
     vacuum_grasps_per_object: int = setting(96, COUNT)
     parallel_grasps_per_object: int = setting(96, COUNT)
-    gt_depth: float = setting(0.02, POSITIVE_FINITE)
-    gt_mu_cap: float = setting(1.5, POSITIVE)  # Infinity: no cap
 
     def __post_init__(self):
         check_fields(self)
@@ -138,7 +142,7 @@ def _sample_object(kind: str, cfg: SynthConfig, rng: np.random.Generator, object
         dims = (rng.uniform(*cfg.cylinder_radius), rng.uniform(*cfg.cylinder_height))
         z = dims[1] / 2.0
     elif kind == "plane-slab":
-        dims = (rng.uniform(*cfg.slab_extent), rng.uniform(*cfg.slab_extent), rng.uniform(*cfg.slab_thickness))
+        dims = (rng.uniform(*cfg.slab_extent), rng.uniform(*cfg.slab_extent), rng.uniform(*SLAB_THICKNESS))
         z = dims[2] / 2.0
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -148,7 +152,7 @@ def _sample_object(kind: str, cfg: SynthConfig, rng: np.random.Generator, object
         rotation=yaw_quat(rng.uniform(0.0, 2.0 * np.pi)),
         translation=np.array([0.0, 0.0, cfg.table_height + z]),
         object_id=object_id,
-        friction_coeff=rng.uniform(*cfg.friction_range),
+        friction_coeff=rng.uniform(*FRICTION_RANGE),
         porosity_flag=bool(rng.uniform() < cfg.porous_prob),
     )
 
@@ -168,8 +172,8 @@ def generate_scene(seed, n_objects: int, config: SynthConfig = None):
 
     table = Primitive(
         kind="plane-slab",
-        dimensions=(cfg.table_extent, cfg.table_extent, cfg.table_thickness),
-        translation=np.array([0.0, 0.0, cfg.table_height - cfg.table_thickness / 2.0]),
+        dimensions=(cfg.table_extent, cfg.table_extent, TABLE_THICKNESS),
+        translation=np.array([0.0, 0.0, cfg.table_height - TABLE_THICKNESS / 2.0]),
         object_id=0,
         friction_coeff=0.6,
         porosity_flag=True,
@@ -187,11 +191,11 @@ def generate_scene(seed, n_objects: int, config: SynthConfig = None):
         limit = cfg.table_extent / 2.0 - r - 0.01
         if limit <= 0:
             raise SceneGenerationError(f"object {i + 1} ({kind}) too large for the table")
-        for attempt in range(cfg.max_retries + 1):
-            if attempt == cfg.max_retries:
-                raise SceneGenerationError(f"could not place object {i + 1} after {cfg.max_retries} tries")
+        for attempt in range(MAX_RETRIES + 1):
+            if attempt == MAX_RETRIES:
+                raise SceneGenerationError(f"could not place object {i + 1} after {MAX_RETRIES} tries")
             xy = rng.uniform(-limit, limit, size=2)
-            if all(np.hypot(*(xy - q)) >= r + rq + cfg.placement_gap for q, rq in placed):
+            if all(np.hypot(*(xy - q)) >= r + rq + PLACEMENT_GAP for q, rq in placed):
                 break
         placed.append((xy, r))
         prim.translation[:2] = xy
@@ -500,16 +504,16 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
         mids = pts_p + ((t0 + t1) / 2.0)[:, None] * closing
         sep = t1 - t0
         mu = parallel_quality_batch(scene, mids, closing, np.full(len(mids), MAX_WIDTH)).mu
-        ok = hit & ~(sep + WIDTH_MARGIN > MAX_WIDTH) & np.isfinite(mu) & ~(mu > cfg.gt_mu_cap)
+        ok = hit & ~(sep + WIDTH_MARGIN > MAX_WIDTH) & np.isfinite(mu) & ~(mu > GT_MU_CAP)
         u = unit_rows(closing[ok])
         v = _perpendicular_approaches(u)
-        centers = mids[ok] - cfg.gt_depth * v
+        centers = mids[ok] - GT_DEPTH * v
         angles = closing_angles_deg(v, u)
         widths = np.minimum(MAX_WIDTH, sep[ok] + WIDTH_MARGIN)
         scores = friction_to_graspness(mu[ok])
         for i, m in enumerate(mu[ok].tolist()):
             pose = ParallelGrasp(center=centers[i], approach=v[i], angle_deg=angles[i], width=float(widths[i]),
-                                 depth=cfg.gt_depth, score=float(scores[i]))
+                                 depth=GT_DEPTH, score=float(scores[i]))
             grasps.append(GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=m))
     return grasps
 

@@ -12,15 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .domains import COUNT, POSITIVE_FINITE, SEED, SWITCH, UNIT, check_fields, setting
+from .domains import COUNT, POSITIVE_FINITE, SEED, SWITCH, check_fields, setting
 from .features import compute_point_features
 from .labels import build_label_maps
-from .losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
+from .losses import POSITIVE_WEIGHT_PARALLEL, loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
 from .mlp import MAP_HEADS, MlpModel, ModelConfig
 from .pcgrad import combine_without_surgery, pcgrad
 from .refine_parallel import RefineParallelConfig, oracle_search
 from .sampling import fuse_scores, select_seeds
 from .scenes import SceneAnnotation
+
+# refiner targets come from the best-fused seeds of each training scene
+REFINER_SEEDS_PER_SCENE = 8
+SEED_THRESHOLD = 0.1
 
 
 @dataclass
@@ -28,11 +32,8 @@ class TrainConfig:
     lr0: float = setting(5e-4, POSITIVE_FINITE)
     epochs: int = setting(22, COUNT)
     batch_size: int = setting(12, COUNT)  # scenes per optimizer step
-    positive_weight_parallel: float = setting(10.0, POSITIVE_FINITE)
     pcgrad_enabled: bool = setting(True, SWITCH)
     rng_seed: int = setting(0, SEED)
-    refiner_seeds_per_scene: int = setting(8, COUNT)
-    seed_threshold: float = setting(0.1, UNIT)
 
     def __post_init__(self):
         check_fields(self)
@@ -56,16 +57,14 @@ class PreparedScene:
 
 
 def prepare_training_scene(cloud: PointCloud, scene: SceneAnnotation, grasps,
-                           refine_config: RefineParallelConfig = None,
-                           train_config: TrainConfig = None) -> PreparedScene:
+                           refine_config: RefineParallelConfig = None) -> PreparedScene:
     """Label maps + features + oracle refiner targets for one scene."""
     rcfg = refine_config or RefineParallelConfig()
-    tcfg = train_config or TrainConfig()
     maps = build_label_maps(cloud, scene, grasps)
     feats = compute_point_features(cloud, scene.table_height)
 
     fused = fuse_scores(maps.objectness, maps.parallel_graspness)
-    seeds = select_seeds(cloud, fused, tcfg.seed_threshold, tcfg.refiner_seeds_per_scene)
+    seeds = select_seeds(cloud, fused, SEED_THRESHOLD, REFINER_SEEDS_PER_SCENE)
 
     found = oracle_search(scene, cloud.points[seeds.indices], rcfg)
     keep = found.reachable
@@ -89,7 +88,7 @@ def prepare_training_scene(cloud: PointCloud, scene: SceneAnnotation, grasps,
     )
 
 
-def _init_map_head_biases(model: MlpModel, scenes, cfg: TrainConfig):
+def _init_map_head_biases(model: MlpModel, scenes):
     """Start every head at its base-rate operating point.
 
     With map-head biases at logit(mean label) the positive and negative
@@ -103,7 +102,7 @@ def _init_map_head_biases(model: MlpModel, scenes, cfg: TrainConfig):
     obj = np.concatenate([s.objectness for s in scenes])
     vac = np.concatenate([s.vacuum_label for s in scenes])
     par = (np.concatenate([s.parallel_label for s in scenes]) > 0).astype(np.float64)
-    w = cfg.positive_weight_parallel
+    w = POSITIVE_WEIGHT_PARALLEL
     p_par = par.mean()
     rates = {
         "objectness": obj.mean(),
@@ -144,7 +143,7 @@ class Adam:
         return params - lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
+def _batch_losses_and_grads(model: MlpModel, batch: list):
     """Forward the concatenated batch, return per-task flat gradients and loss terms."""
     feats = np.concatenate([s.features for s in batch], axis=0)
     obj = np.concatenate([s.objectness for s in batch])
@@ -158,9 +157,7 @@ def _batch_losses_and_grads(model: MlpModel, batch: list, cfg: TrainConfig):
 
     l_obj, g_obj = loss_objectness(outputs["objectness"][:, 0], obj)
     l_vac, g_vac = loss_vacuum(outputs["vacuum"][:, 0], vac)
-    l_par, g_par = loss_parallel_graspness(
-        outputs["parallel"][:, 0], par, pos_weight=cfg.positive_weight_parallel
-    )
+    l_par, g_par = loss_parallel_graspness(outputs["parallel"][:, 0], par)
 
     parallel_head_grads = {"parallel": g_par[:, None]}
     l_ref = 0.0
@@ -214,7 +211,7 @@ def train(scenes: list, config: TrainConfig = None, refine_config: RefineParalle
 
     all_feats = np.concatenate([s.features for s in scenes], axis=0)
     model.set_feature_stats(all_feats.mean(axis=0), all_feats.std(axis=0))
-    _init_map_head_biases(model, scenes, cfg)
+    _init_map_head_biases(model, scenes)
     model.meta = {"variant": "multitask+pcgrad" if cfg.pcgrad_enabled else "w/o PCGrad"}
 
     params = model.get_flat_params()
@@ -228,7 +225,7 @@ def train(scenes: list, config: TrainConfig = None, refine_config: RefineParalle
         weight = 0
         for start in range(0, len(scenes), cfg.batch_size):
             batch = [scenes[i] for i in order[start : start + cfg.batch_size]]
-            g_par, g_vac, g_obj, losses, n_pts = _batch_losses_and_grads(model, batch, cfg)
+            g_par, g_vac, g_obj, losses, n_pts = _batch_losses_and_grads(model, batch)
             for key in sums:
                 if not np.isfinite(losses[key]):
                     raise RuntimeError(f"non-finite {key} loss at epoch {epoch}: {losses[key]}")

@@ -220,11 +220,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sampling.bogus = 1\n")
     assert run("synth", "--out", tmp_path / "x", "--config", cfg) == 2
-    # the gripper, label, feature and seal-oracle parameters are constants, not config keys
+    # the gripper, label, feature, seal-oracle, scene-layout, ground-truth, training-target and
+    # clearing parameters are constants, not config keys
     for key in ("labels.cup_radius", "labels.mu_max", "labels.collision_filter", "features.radius",
                 "synth.max_width", "synth.cup_radius", "synth.width_margin",
                 "refine.max_width", "refine.width_margin", "eval.cup_radius",
-                "synth.seal_sample_density", "synth.seal_sample_limits", "synth.on_surface_tol"):
+                "synth.seal_sample_density", "synth.seal_sample_limits", "synth.on_surface_tol",
+                "synth.table_thickness", "synth.slab_thickness", "synth.friction_range", "synth.placement_gap",
+                "synth.max_retries", "synth.gt_depth", "synth.gt_mu_cap", "refine.view_vertical_bias",
+                "train.positive_weight_parallel", "train.refiner_seeds_per_scene", "train.seed_threshold",
+                "eval.max_consecutive_failures", "eval.exec_mu_parallel", "eval.exec_mu_vacuum"):
         with pytest.raises(UsageError):
             build_configs({key: 0.01})
         cfg.write_text(f"{key} = 0.01\n")
@@ -322,6 +327,7 @@ def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, sc
     ["eval", "--grasps", "{pred}", "--clearing", "--checkpoint", "{angle6_checkpoint}"],
     ["synth", "--kinds", "bogus"],
     ["synth", "--kinds", "box,,sphere"],
+    ["synth", "--kinds", ""],
     ["synth", "--config", "{no_kinds_config}"],
     ["synth", "--config", "{bad_sequence_config}"],
     ["synth", "--config", "{density_zero_config}"],
@@ -412,7 +418,7 @@ def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, sc
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
         "checkpoint-views", "clearing-checkpoint-views",
         "checkpoint-angle-bins", "clearing-checkpoint-angle-bins",
-        "kinds-unknown", "kinds-empty-name", "kinds-empty", "kind-sequence-unknown",
+        "kinds-unknown", "kinds-empty-name", "kinds-flag-empty", "kinds-empty", "kind-sequence-unknown",
         "density-0", "density-negative", "n-views-0", "n-angle-bins-0", "n-score-bins-0",
         "depth-bins-empty", "depth-bins-negative", "probe-angle-stride-0", "probe-depth-stride-0",
         "mu-parallel-grid-empty", "mu-vacuum-grid-empty", "max-consecutive-failures-0",
@@ -534,10 +540,6 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
     assert not out.exists()  # usage errors are raised before any output is written
 
 
-# Infinity means "no cap" here; NaN lies outside every key's domain
-TAKES_INFINITY = {"synth.gt_mu_cap"}
-
-
 def _nonfinite_variants(default):
     """NaN and +-Infinity in each place a number goes."""
     if not isinstance(default, tuple):
@@ -560,10 +562,8 @@ def test_every_config_key_declares_a_domain_that_its_checker_enforces():
             assert getattr(build_configs({key: default})[section], f.name) == f.default
             outside = [v for v in (-1, 0, 0.5, 2, 2.5, True, "x", None, [], [1], [-1, -1]) if not domain.test(v)]
             for value in _nonfinite_variants(f.default):
-                takes = key in TAKES_INFINITY and value == math.inf
-                assert domain.test(value) == takes, f"{key} {'rejects' if takes else 'takes'} {value!r}"
-                if not takes:
-                    outside.append(value)
+                assert not domain.test(value), f"{key} takes {value!r}"
+                outside.append(value)
             for value in outside:
                 with pytest.raises(UsageError, match=re.escape(f"config key '{key}' takes {domain.text}, got ")):
                     build_configs({key: value})

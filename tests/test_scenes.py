@@ -537,15 +537,15 @@ def parallel_candidates_reference(scene, cfg, seed):
         for i in range(len(pts_p)):
             if not hit[i] or sep[i] + WIDTH_MARGIN > MAX_WIDTH:
                 continue
-            if not np.isfinite(mu[i]) or mu[i] > cfg.gt_mu_cap:
+            if not np.isfinite(mu[i]) or mu[i] > scenes.GT_MU_CAP:
                 continue
             u = closing[i] / np.linalg.norm(closing[i])
             v = np.array([0.0, 0.0, -1.0]) - np.dot(np.array([0.0, 0.0, -1.0]), u) * u
             if np.linalg.norm(v) < 1e-6:
                 v = np.array([1.0, 0.0, 0.0]) - u[0] * u
             v = v / np.linalg.norm(v)
-            g = ParallelGrasp(center=mids[i] - cfg.gt_depth * v, approach=v, angle_deg=closing_angles_deg(v, u)[0],
-                              width=min(MAX_WIDTH, float(sep[i]) + WIDTH_MARGIN), depth=cfg.gt_depth,
+            g = ParallelGrasp(center=mids[i] - scenes.GT_DEPTH * v, approach=v, angle_deg=closing_angles_deg(v, u)[0],
+                              width=min(MAX_WIDTH, float(sep[i]) + WIDTH_MARGIN), depth=scenes.GT_DEPTH,
                               score=scenes.friction_to_graspness(mu[i]))
             out.append([*g.center, *g.approach, g.angle_deg, g.width, g.score, float(mu[i])])
     return np.array(out)

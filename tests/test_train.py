@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dualgrasp.losses import loss_objectness, loss_parallel_graspness, loss_refiner, loss_vacuum
+from dualgrasp.losses import POSITIVE_WEIGHT_PARALLEL, loss_objectness, loss_parallel_graspness, loss_refiner
+from dualgrasp.losses import loss_vacuum
 from dualgrasp.mlp import MlpModel, ModelConfig
 from dualgrasp.scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
 from dualgrasp.train import (
@@ -59,14 +60,14 @@ def test_prepared_scene_targets_well_formed(two_prepared_scenes):
             assert np.all((t["width"] > 0) & (t["width"] <= 0.1))
 
 
-def dense_batch_grads(model, batch, cfg):
+def dense_batch_grads(model, batch):
     """Reference step: every head on every row, zero-filled refiner gradients."""
     feats = np.concatenate([s.features for s in batch], axis=0)
     out, cache = model.forward(feats)
     _, g_obj = loss_objectness(out["objectness"][:, 0], np.concatenate([s.objectness for s in batch]))
     _, g_vac = loss_vacuum(out["vacuum"][:, 0], np.concatenate([s.vacuum_label for s in batch]))
     _, g_par = loss_parallel_graspness(out["parallel"][:, 0], np.concatenate([s.parallel_label for s in batch]),
-                                       pos_weight=cfg.positive_weight_parallel)
+                                       pos_weight=POSITIVE_WEIGHT_PARALLEL)
     rows, targets = _stack_refiner_targets(batch)
     l_ref, ref_grads, _ = loss_refiner(out["view"][rows], out["width"][rows, 0], out["angle"][rows],
                                        out["depth"][rows], out["score"][rows], targets)
@@ -80,14 +81,13 @@ def dense_batch_grads(model, batch, cfg):
 
 
 def test_seed_row_step_matches_dense_reference(two_prepared_scenes):
-    cfg = TrainConfig()
     model = MlpModel(ModelConfig(), np.random.default_rng(0))
     feats = np.concatenate([s.features for s in two_prepared_scenes])
     model.set_feature_stats(feats.mean(axis=0), feats.std(axis=0))
     model.set_flat_params(np.random.default_rng(1).normal(0.0, 0.05, model.n_params()))
     assert _stack_refiner_targets(two_prepared_scenes)[0] is not None
-    *grads, losses, n_total = _batch_losses_and_grads(model, two_prepared_scenes, cfg)
-    *expected, l_ref = dense_batch_grads(model, two_prepared_scenes, cfg)
+    *grads, losses, n_total = _batch_losses_and_grads(model, two_prepared_scenes)
+    *expected, l_ref = dense_batch_grads(model, two_prepared_scenes)
     assert n_total == len(feats)
     assert losses["refiner"] == pytest.approx(l_ref, rel=1e-10)
     for got, want in zip(grads, expected):
