@@ -18,14 +18,13 @@ from .cloud import (
     estimate_normal,
     farthest_point_sampling,
 )
-from .grasps import PARALLEL, VACUUM, ParallelGrasp, VacuumGrasp
+from .grasps import PARALLEL, VACUUM, Grasps
 from .labels import GraspnessMaps, build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, precision_at_k
 from .pipeline import GraspPipeline
 from .primitives import Primitive
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
 from .scenes import (
-    GroundTruthGrasp,
     SceneAnnotation,
     SynthConfig,
     generate_scene,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grasps import PARALLEL
+from .grasps import PARALLEL, Grasps
 from .metrics import grasp_qualities, successes_at
 from .scenes import SceneAnnotation, remove_object
 
@@ -81,12 +81,12 @@ def metrics_from_attempts(attempts, objects_total: int, detected) -> ClearingMet
     return m
 
 
-def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str):
-    """(target object id or -1, success) for an executed grasp, graded as eval grades it.
+def _judge_grasp(grasp: Grasps, scene: SceneAnnotation, gripper: str):
+    """(target object id or -1, success) for an executed grasp (a one-row set), graded as eval grades it.
 
     A grasp without a target fails at any threshold.
     """
-    quality, target = grasp_qualities([grasp], scene, gripper)
+    quality, target = grasp_qualities(grasp, scene, gripper)
     mu = EXEC_MU_PARALLEL if gripper == PARALLEL else EXEC_MU_VACUUM
     return int(target[0]), bool(target[0] > 0 and successes_at(quality, mu, gripper)[0])
 
@@ -94,7 +94,7 @@ def _judge_grasp(grasp, scene: SceneAnnotation, gripper: str):
 def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str):
     """Simulate clearing a scene with one gripper.
 
-    pipeline(cloud, scene, gripper) must return (ranked grasps, seed indices).
+    pipeline(cloud, scene, gripper) must return (ranked Grasps, seed indices).
     Returns (ClearingMetrics, ClearingTrace). An object counts as detected if
     any of its points ever lands in a seed set, or if an executed grasp
     targets it (a grasp seeded on the table can still close on an object), so
@@ -111,10 +111,10 @@ def run_clearing_loop(cloud, scene: SceneAnnotation, pipeline, gripper: str):
         seed_indices = np.asarray(seed_indices, dtype=np.intp)
         if len(seed_indices):
             detected |= {int(oid) for oid in scene.per_point_object_id[seed_indices] if oid > 0}
-        if not grasps:
+        if not len(grasps):
             consecutive += 1
             continue
-        target, ok = _judge_grasp(grasps[0], scene, gripper)
+        target, ok = _judge_grasp(grasps.take([0]), scene, gripper)
         attempts.append((target, ok))
         if target > 0:
             detected.add(target)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clearing import run_clearing_loop
 from .domains import COUNT, FINITE, SEED, UsageError, check
-from .grasps import GRASP_SCHEMA_VERSION, PARALLEL, VACUUM, grasp_from_dict, grasp_to_dict
+from .grasps import GRASP_SCHEMA_VERSION, PARALLEL, VACUUM, Grasps
 from .json_io import write_json
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
@@ -124,7 +124,7 @@ def cmd_synth(args) -> int:
         grasps = sample_ground_truth_grasps(scene, synth, seed=scene_seed)
         stem = out / f"scene_{i:04d}"
         save_scene(stem, cloud, scene, grasps)
-        n_par = sum(1 for g in grasps if g.gripper == PARALLEL)
+        n_par = int(np.count_nonzero(grasps.gripper == PARALLEL))
         print(f"{stem.name}: {len(cloud)} points, {args.objects} objects, "
               f"{n_par} parallel + {len(grasps) - n_par} vacuum grasp candidates")
     return 0
@@ -220,7 +220,7 @@ def _predict_one(pipe: GraspPipeline, stem, grippers, out: Path):
             "gripper": gripper,
             "status": result.status,
             "dropped_seeds": result.dropped_seeds,
-            "grasps": [grasp_to_dict(g) for g in result.grasps],
+            "grasps": result.grasps.records(),
         }
         path = out / f"{stem.name}_grasps_{gripper}.json"
         write_json(path, doc)
@@ -275,10 +275,11 @@ def cmd_eval(args) -> int:
             gfile = grasps_dir / f"{stem.name}_grasps_{gripper}.json"
             if not gfile.exists():
                 continue
-            doc = json.loads(gfile.read_text())
+            grasps = Grasps.from_records(json.loads(gfile.read_text())["grasps"])
+            if np.any(grasps.gripper != gripper):
+                raise ValueError(f"{gfile.name} holds a grasp of the other gripper")
             # lists arrive ranked; precision@k never looks past k_max
-            grasps = [grasp_from_dict(d) for d in doc["grasps"][: ecfg.k_max]]
-            qualities, _ = grasp_qualities(grasps, scene, gripper)
+            qualities, _ = grasp_qualities(grasps.take(slice(0, ecfg.k_max)), scene, gripper)
             for mu in ecfg.mu_grid(gripper):
                 rows.append(_ap_row(stem.name, scene.split, gripper, mu, ap_mu(qualities, mu, gripper, ecfg)))
             overall = ap_overall(qualities, gripper, ecfg)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import as_point
+from .geometry import as_point, row_dots, unit_rows
 
 
 class DegenerateNeighborhood(ValueError):
@@ -161,15 +161,17 @@ def normal_from_neighborhood(neighbors: np.ndarray, seed_point, viewpoint) -> np
     evals, evecs = np.linalg.eigh(cov)
     if evals[1] <= 1e-12:
         raise DegenerateNeighborhood("neighborhood covariance is rank-deficient")
-    return orient_normal(evecs[:, 0], seed_point, viewpoint)
+    return orient_normals(evecs[:, 0], as_point(seed_point), viewpoint)[0]
 
 
-def orient_normal(n, point, viewpoint) -> np.ndarray:
-    """Unit vector along n, its sign chosen so it points toward the viewpoint."""
-    toward = as_point(viewpoint) - as_point(point)
-    if np.dot(n, toward) < 0:
-        n = -n
-    return n / np.linalg.norm(n)
+def orient_normals(normals, points, viewpoint) -> np.ndarray:
+    """Unit rows along normals, each signed to point from its row of points toward the viewpoint.
+
+    Each row has the bits of a one-row call.
+    """
+    n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    toward = as_point(viewpoint) - np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return unit_rows(np.where((row_dots(n, toward) < 0)[:, None], -n, n))
 
 
 def neighborhood_eigh(points: np.ndarray, starts: np.ndarray, members: np.ndarray):

@@ -52,12 +52,10 @@ def complementarity_stats(n_scenes: int = 10, base_seed: int = 0):
     for cloud, scene, grasps in make_scenes(base_seed, n_scenes, 3, cfg):
         small_ids = {p.object_id for p in scene.objects() if p.kind != "plane-slab"}
         proposer = SceneProposer(pipe, scene, grasps)
-        top_v = proposer.propose(cloud, scene, VACUUM).grasps[:10]
-        top_p = proposer.propose(cloud, scene, PARALLEL).grasps[:10]
-        flat_fracs.append(float(np.mean([scene.per_point_flat[g.seed_index] for g in top_v])))
-        small_fracs.append(
-            float(np.mean([scene.per_point_object_id[g.seed_index] in small_ids for g in top_p]))
-        )
+        top_v = proposer.propose(cloud, scene, VACUUM).grasps.seed_index[:10]
+        top_p = proposer.propose(cloud, scene, PARALLEL).grasps.seed_index[:10]
+        flat_fracs.append(float(np.mean(scene.per_point_flat[top_v])))
+        small_fracs.append(float(np.mean(np.isin(scene.per_point_object_id[top_p], list(small_ids)))))
     return flat_fracs, small_fracs
 
 
@@ -96,7 +94,7 @@ def ap_by_gripper(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None
     for cloud, scene, grasps in scene_tuples:
         proposer = SceneProposer(pipe, scene, grasps)
         for gripper in (PARALLEL, VACUUM):
-            ranked = proposer.propose(cloud, scene, gripper).grasps[: ecfg.k_max]
+            ranked = proposer.propose(cloud, scene, gripper).grasps.take(slice(0, ecfg.k_max))
             qualities, _ = grasp_qualities(ranked, scene, gripper)
             values[gripper].append(ap_overall(qualities, gripper, ecfg))
     return {g: float(np.mean(v)) if v else 0.0 for g, v in values.items()}

@@ -13,15 +13,6 @@ def as_point(p) -> np.ndarray:
     return a
 
 
-def normalize(v) -> np.ndarray:
-    """Unit vector along v; raises on (near-)zero input."""
-    a = np.asarray(v, dtype=np.float64).reshape(3)
-    n = np.linalg.norm(a)
-    if n < 1e-12:
-        raise ValueError("cannot normalize a zero vector")
-    return a / n
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix from a unit quaternion (w, x, y, z)."""
     w, x, y, z = np.asarray(q, dtype=np.float64).reshape(4)
@@ -85,7 +76,7 @@ def col_norms(x) -> np.ndarray:
 
 
 def unit_rows(x) -> np.ndarray:
-    """Each row of an (M, 3) array scaled to unit length, bit-identical to normalize of the row."""
+    """Each row of an (M, 3) array scaled to unit length, bit-identical to row / np.linalg.norm(row) alone."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 3)
     n = row_norms(x)
     if np.any(n < 1e-12):
@@ -115,11 +106,6 @@ def closing_directions(approaches, angles_deg) -> np.ndarray:
     e1, e2 = approach_frames(approaches)
     a = np.deg2rad(np.asarray(angles_deg, dtype=np.float64).reshape(-1, 1))
     return np.cos(a) * e1 + np.sin(a) * e2
-
-
-def closing_direction(approach, angle_deg: float) -> np.ndarray:
-    """closing_directions of a single approach vector and angle."""
-    return closing_directions(np.asarray(approach, dtype=np.float64).reshape(1, 3), angle_deg)[0]
 
 
 def closing_angles_deg(approaches, closings) -> np.ndarray:

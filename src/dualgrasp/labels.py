@@ -15,8 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .geometry import closing_directions, row_norms, unit_rows
-from .grasps import CUP_RADIUS, FINGER_LENGTH, JAW_THICKNESS, VACUUM
+from .geometry import row_norms, unit_rows
+from .grasps import CUP_RADIUS, FINGER_LENGTH, JAW_THICKNESS, VACUUM, Grasps
 from .scenes import SceneAnnotation, friction_to_graspness, owning_objects
 
 SEAL_FILTER_MIN = 0.004
@@ -63,14 +63,13 @@ class GraspnessMaps:
 _BOX_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
 
 
-def _swept_jaw_corners(grasps) -> np.ndarray:
+def _swept_jaw_corners(grasps: Grasps) -> np.ndarray:
     """(G, 8, 3) corners of the conservative boxes swept by the closing jaws."""
-    v = np.array([g.approach for g in grasps]).reshape(-1, 3)
-    u = closing_directions(v, [g.angle_deg for g in grasps])
+    v = grasps.axis
+    u = grasps.closings()
     w = unit_rows(np.cross(v, u))
-    jaw = np.array([g.center for g in grasps]).reshape(-1, 3) + np.array([g.depth for g in grasps])[:, None] * v
-    center = jaw - (FINGER_LENGTH / 2.0) * v
-    hu = np.array([g.width for g in grasps]) / 2.0 + JAW_THICKNESS
+    center = grasps.jaw_centers() - (FINGER_LENGTH / 2.0) * v
+    hu = grasps.width / 2.0 + JAW_THICKNESS
     hv = FINGER_LENGTH / 2.0
     hw = JAW_THICKNESS
     # one (8, 3) @ (3, 3) product per grasp: the BLAS call, and bits, of a one-grasp product
@@ -86,7 +85,7 @@ def _hits_other_objects(scene: SceneAnnotation, centers, radii, owners) -> np.nd
     return hit
 
 
-def parallel_collisions(scene: SceneAnnotation, grasps, owners) -> np.ndarray:
+def parallel_collisions(scene: SceneAnnotation, grasps: Grasps, owners) -> np.ndarray:
     """Conservative per-grasp test: swept-jaw box vs table plane and other objects' bounding spheres.
 
     owners holds the object id owning each grasp's jaw center (owning_objects).
@@ -98,13 +97,13 @@ def parallel_collisions(scene: SceneAnnotation, grasps, owners) -> np.ndarray:
     return below | _hits_other_objects(scene, center, radius, owners)
 
 
-def vacuum_collisions(scene: SceneAnnotation, grasps, owners) -> np.ndarray:
+def vacuum_collisions(scene: SceneAnnotation, grasps: Grasps, owners) -> np.ndarray:
     """Conservative per-grasp test: suction-cup disc vs table plane and other objects' bounding spheres.
 
     owners holds the object id owning each grasp's center (owning_objects).
     """
-    center = np.array([g.center for g in grasps]).reshape(-1, 3)
-    nz = np.array([g.normal[2] for g in grasps])
+    center = grasps.center
+    nz = grasps.axis[:, 2]
     disc_drop = CUP_RADIUS * np.sqrt(np.maximum(0.0, 1.0 - nz**2))
     below = center[:, 2] - disc_drop < scene.table_height - 1e-9
     return below | _hits_other_objects(scene, center, CUP_RADIUS, owners)
@@ -113,25 +112,24 @@ def vacuum_collisions(scene: SceneAnnotation, grasps, owners) -> np.ndarray:
 # -- map construction ------------------------------------------------------------
 
 
-def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps) -> GraspnessMaps:
+def build_label_maps(cloud: PointCloud, scene: SceneAnnotation, grasps: Grasps) -> GraspnessMaps:
+    """Label maps of a cloud from its scene's ground-truth grasps (a Grasps set with quality)."""
     if len(cloud) != len(scene.per_point_object_id):
         raise ValueError(
             f"cloud has {len(cloud)} points but annotation covers {len(scene.per_point_object_id)}"
         )
-    if not grasps:
+    if not len(grasps):
         raise ValueError("need ground-truth grasps for at least one gripper")
 
-    is_vac = np.array([g.gripper == VACUUM for g in grasps])
-    par = [g.pose for g in grasps if g.gripper != VACUUM]
-    centers = np.array([g.pose.center for g in grasps])
-    quality = np.array([g.quality_coeff for g in grasps])
+    is_vac = grasps.gripper == VACUUM
+    par = grasps.take(~is_vac)
+    centers, quality = grasps.center, grasps.quality
     # One ownership lookup for every grasp center and every parallel jaw center.
-    owners = owning_objects(scene, np.vstack([centers] + [p.jaw_center() for p in par]))
+    owners = owning_objects(scene, np.vstack([centers, par.jaw_centers()]))
     center_owner, jaw_owner = owners[: len(grasps)], owners[len(grasps):]
 
     keep = ~(is_vac & (quality < SEAL_FILTER_MIN))
-    vac = [g.pose for g in grasps if g.gripper == VACUUM]
-    keep[is_vac] &= ~vacuum_collisions(scene, vac, center_owner[is_vac])
+    keep[is_vac] &= ~vacuum_collisions(scene, grasps.take(is_vac), center_owner[is_vac])
     keep[~is_vac] &= ~parallel_collisions(scene, par, jaw_owner)
 
     n = len(cloud)

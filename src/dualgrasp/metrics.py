@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import COUNT, ascending_grid, check_fields, setting
-from .geometry import closing_directions
-from .grasps import PARALLEL
+from .grasps import PARALLEL, Grasps
 from .scenes import SceneAnnotation, parallel_quality_batch, seal_quality_batch
 
 
@@ -36,7 +35,7 @@ class EvalConfig:
         return self.mu_parallel_grid if gripper == PARALLEL else self.mu_vacuum_grid
 
 
-def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str):
+def grasp_qualities(grasps: Grasps, scene: SceneAnnotation, gripper: str):
     """(quality, object id) per grasp, from one oracle pass over the whole list.
 
     The quality is the required friction (parallel, inf when the jaw line
@@ -45,12 +44,10 @@ def grasp_qualities(grasps, scene: SceneAnnotation, gripper: str):
     for none. Each value has the bits of a one-grasp call.
     """
     if gripper != PARALLEL:
-        return tuple(seal_quality_batch(scene, [g.center for g in grasps]))
+        return tuple(seal_quality_batch(scene, grasps.center))
     if len(grasps) == 0:
         return np.empty(0), np.empty(0, dtype=np.intp)
-    approaches = np.array([g.approach for g in grasps])
-    closings = closing_directions(approaches, [g.angle_deg for g in grasps])
-    res = parallel_quality_batch(scene, [g.jaw_center() for g in grasps], closings, [g.width for g in grasps])
+    res = parallel_quality_batch(scene, grasps.jaw_centers(), grasps.closings(), grasps.width)
     return np.where(res.hit, res.mu, np.inf), res.object_id
 
 

@@ -14,11 +14,11 @@ import numpy as np
 
 from .cloud import PointCloud
 from .features import FeatureState
-from .grasps import PARALLEL, VACUUM
+from .grasps import PARALLEL, VACUUM, Grasps
 from .labels import GraspnessMaps, build_label_maps
 from .mlp import MlpModel
 from .refine_parallel import ProbeMemory, RefineParallelConfig, fallback_refine_batch, learned_refine_batch
-from .refine_vacuum import refine_vacuum_poses, rank_vacuum
+from .refine_vacuum import refine_vacuum_poses
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
 from .scenes import SceneAnnotation, owning_objects, removal_mask
 
@@ -26,7 +26,7 @@ from .scenes import SceneAnnotation, owning_objects, removal_mask
 @dataclass
 class PipelineResult:
     gripper: str
-    grasps: list
+    grasps: Grasps
     seeds: SeedSet
     dropped_seeds: int = 0
 
@@ -67,7 +67,7 @@ class GraspPipeline:
 
     def propose(self, cloud: PointCloud, scene: SceneAnnotation, gripper: str, maps: GraspnessMaps,
                 feats=None, probes: ProbeMemory = None) -> PipelineResult:
-        """Ranked proposals of one gripper from the scene's maps.
+        """Ranked proposals of one gripper from the scene's maps: by descending score, ties by seed index.
 
         feats (the point features) feed the learned pose head; probes lends
         the oracle pose head its known probe rows.
@@ -76,14 +76,14 @@ class GraspPipeline:
             fused = fuse_scores(maps.objectness, maps.vacuum_graspness)
             seeds = select_seeds(cloud, fused, self.sampling.t_vacuum, self.sampling.m_vacuum, VACUUM)
             if not len(seeds):
-                return PipelineResult(VACUUM, [], seeds)
+                return PipelineResult(VACUUM, Grasps.from_records([]), seeds)
             grasps, dropped = refine_vacuum_poses(cloud, seeds)
-            return PipelineResult(VACUUM, rank_vacuum(grasps, len(grasps)), seeds, dropped)
+            return PipelineResult(VACUUM, grasps.ranked(), seeds, dropped)
 
         fused = fuse_scores(maps.objectness, maps.parallel_graspness)
         seeds = select_seeds(cloud, fused, self.sampling.t_parallel, self.sampling.m_parallel, PARALLEL)
         if not len(seeds):
-            return PipelineResult(PARALLEL, [], seeds)
+            return PipelineResult(PARALLEL, Grasps.from_records([]), seeds)
         refine_seeds = seeds
         if self.max_parallel_refine is not None and len(seeds) > self.max_parallel_refine:
             order = np.lexsort((seeds.indices, -seeds.fused_scores))[: self.max_parallel_refine]
@@ -97,12 +97,11 @@ class GraspPipeline:
             # prediction-driven ranking: gate the decoded pose score by the map
             # confidence at its seed (with the oracle pose head the decoded
             # score is oracle knowledge, so the fused score replaces it fully)
-            by_index = dict(zip(refine_seeds.indices.tolist(), refine_seeds.fused_scores.tolist()))
-            for g in grasps:
-                g.score = g.score * by_index[g.seed_index] if self.pose_head == "learned" \
-                    else by_index[g.seed_index]
-        grasps.sort(key=lambda g: (-g.score, g.seed_index))
-        return PipelineResult(PARALLEL, grasps, seeds, dropped)
+            fused_at = np.zeros(len(cloud))
+            fused_at[refine_seeds.indices] = refine_seeds.fused_scores
+            gate = fused_at[grasps.seed_index]
+            grasps.score = grasps.score * gate if self.pose_head == "learned" else gate
+        return PipelineResult(PARALLEL, grasps.ranked(), seeds, dropped)
 
 
 @dataclass(eq=False)
@@ -142,7 +141,7 @@ class SceneProposer:
             if gt_grasps is None:
                 raise ValueError("fallback mode needs the scene's ground-truth grasps")
             self.gt_grasps = gt_grasps
-            self.owners = owning_objects(scene, [g.pose.center for g in gt_grasps])
+            self.owners = owning_objects(scene, gt_grasps.center)
         self.first = self.latest = None
         self.probes = ProbeMemory(pipe.refine)
 
@@ -177,7 +176,7 @@ class SceneProposer:
         feature_state = None
         if self.pipe.model is None:
             alive = np.isin(self.owners, ids)
-            maps = build_label_maps(cloud, scene, [g for g, kept in zip(self.gt_grasps, alive) if kept])
+            maps = build_label_maps(cloud, scene, self.gt_grasps.take(alive))
         else:
             feature_state = FeatureState.fresh(cloud, scene.table_height) if keep is None \
                 else latest.feature_state.remove(cloud, keep)

@@ -153,9 +153,8 @@ class Primitive:
         return np.abs(self._signed_distance(points))
 
     def contains(self, points: np.ndarray, pad: float = 0.0) -> np.ndarray:
-        """Bool mask: world points strictly inside the surface expanded by pad."""
-        sd = self._signed_distance(points)
-        return sd < -pad if pad <= 0 else sd < pad
+        """Bool mask: world points strictly inside the surface expanded by pad (shrunk by |pad| for pad < 0)."""
+        return self._signed_distance(points) < pad
 
     def _signed_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance from world points to the surface, negative inside."""

@@ -21,8 +21,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .domains import COUNT, POSITIVE_FINITE_LIST, check_fields, setting
-from .geometry import approach_frames, fibonacci_hemisphere
-from .grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
+from .geometry import approach_frames, fibonacci_hemisphere, unit_rows
+from .grasps import MAX_WIDTH, WIDTH_MARGIN, Grasps
 from .scenes import ContactBatch, SceneAnnotation, friction_to_graspness, parallel_quality_batch
 
 # small preference for near-vertical approaches when view scores tie;
@@ -99,7 +99,7 @@ def _view_lines(approaches, angles, depths):
     seed runs through seed + offsets[:, m, d], that is depth d * approach m,
     along dirs[:, m, a, d], the angle-a closing direction of that approach's
     frame. Each closing has the bits of geometry.closing_directions, which
-    ParallelGrasp.closing_dir also takes.
+    Grasps.closings also takes.
     """
     e1, e2 = approach_frames(approaches)
     rad = np.deg2rad(angles)
@@ -277,7 +277,7 @@ def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indice
     With probes, which must be on the state of (cloud, scene), the search
     takes the probe rows that memory holds for these seeds and leaves its own
     rows in it. Seeds with no reachable candidate are dropped. Returns
-    (grasps, dropped_count).
+    (grasps, dropped_count), the grasps in seed order.
     """
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
     known = None if probes is None else probes.recall(seed_indices)
@@ -285,20 +285,16 @@ def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indice
                           config.probe_angle_stride, config.probe_depth_stride, known=known)
     if probes is not None:
         probes.store(seed_indices, found)
-    approaches = -fibonacci_hemisphere(config.n_views)[found.view]
-    angles = config.angle_values()
-    grasps = [
-        ParallelGrasp(
-            center=cloud.points[seed_indices[row]],
-            approach=approaches[row],
-            angle_deg=float(angles[found.angle_idx[row]]),
-            width=float(found.width[row]),
-            depth=float(config.depth_bins[found.depth_idx[row]]),
-            score=float(found.score[row]),
-            seed_index=int(seed_indices[row]),
-        )
-        for row in np.flatnonzero(found.reachable)
-    ]
+    rows = np.flatnonzero(found.reachable)
+    grasps = Grasps.parallel(
+        center=cloud.points[seed_indices[rows]],
+        approach=-fibonacci_hemisphere(config.n_views)[found.view[rows]],
+        angle_deg=config.angle_values()[found.angle_idx[rows]],
+        width=found.width[rows],
+        depth=np.asarray(config.depth_bins, dtype=np.float64)[found.depth_idx[rows]],
+        score=found.score[rows],
+        seed_index=seed_indices[rows],
+    )
     return grasps, len(seed_indices) - len(grasps)
 
 
@@ -307,8 +303,9 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
 
     Each row takes the argmax view, angle, depth and score bin (ties: lowest
     index) and its regressed width clamped to [1e-4, MAX_WIDTH]. The approach
-    is the re-normalized grid approach of the view, which can differ from the
-    fallback's raw grid vector in the last bit.
+    is the grid approach of the view normalized twice (unit_rows here, and
+    again by Grasps.parallel), which can differ from the fallback's approach,
+    normalized once, in the last bit.
     """
     grid = fibonacci_hemisphere(config.n_views)
     views = np.argmax(refiner_out["view"], axis=1)
@@ -316,18 +313,6 @@ def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, con
     depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth_logits"], axis=1)]
     scores = config.score_bin_values()[np.argmax(refiner_out["score_logits"], axis=1)]
     widths = np.clip(refiner_out["width"], 1e-4, MAX_WIDTH)
-    grasps = []
-    for row, seed in enumerate(np.asarray(seed_indices, dtype=np.intp).tolist()):
-        v = -grid[views[row]]
-        grasps.append(
-            ParallelGrasp(
-                center=cloud.points[seed],
-                approach=v / np.linalg.norm(v),
-                angle_deg=float(angles[row]),
-                width=float(widths[row]),
-                depth=float(depths[row]),
-                score=float(scores[row]),
-                seed_index=seed,
-            )
-        )
-    return grasps
+    seed_indices = np.asarray(seed_indices, dtype=np.intp)
+    return Grasps.parallel(cloud.points[seed_indices], unit_rows(-grid[views]), angles, widths, depths, scores,
+                           seed_index=seed_indices)

@@ -18,17 +18,7 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .domains import COUNT, FINITE, ORDERED_RANGE, POINT, POSITIVE_FINITE, UNIT, check_fields, names, setting
 from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
-from .grasps import (
-    CUP_RADIUS,
-    MAX_WIDTH,
-    PARALLEL,
-    VACUUM,
-    WIDTH_MARGIN,
-    ParallelGrasp,
-    VacuumGrasp,
-    grasp_from_dict,
-    grasp_to_dict,
-)
+from .grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, Grasps
 from .json_io import write_json
 from .ply_io import read_ply, write_ply
 from .primitives import KINDS, Primitive
@@ -109,17 +99,6 @@ class SceneAnnotation:
 
     def objects(self) -> list:
         return [p for p in self.primitives if p.object_id != 0]
-
-
-@dataclass
-class GroundTruthGrasp:
-    gripper: str
-    pose: object  # ParallelGrasp or VacuumGrasp
-    quality_coeff: float  # required friction (parallel) or seal coefficient (vacuum)
-
-    def __post_init__(self):
-        if self.quality_coeff < 0:
-            raise ValueError("quality_coeff must be >= 0")
 
 
 # -- scene generation ---------------------------------------------------------
@@ -458,9 +437,9 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
     return SealBatch(seal=seal, object_id=np.where(owners > 0, owners, -1))
 
 
-def oracle_seal_quality(scene: SceneAnnotation, grasp: VacuumGrasp, cup_radius: float = CUP_RADIUS) -> float:
-    """seal_quality_batch at one vacuum grasp's center."""
-    return float(seal_quality_batch(scene, grasp.center, cup_radius).seal[0])
+def oracle_seal_quality(scene: SceneAnnotation, center, cup_radius: float = CUP_RADIUS) -> float:
+    """seal_quality_batch at one suction-cup center."""
+    return float(seal_quality_batch(scene, center, cup_radius).seal[0])
 
 
 # -- ground-truth grasp candidates ---------------------------------------------
@@ -486,17 +465,17 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
     oracle seal as quality. Parallel candidates close along the inward surface
     normal at a sample; the jaw line's chord through the object gives contact
     separation (kept only if it fits the gripper) and the required-friction
-    quality. Deterministic for a given (scene, config, seed).
+    quality. Returns one Grasps set with quality, holding per object its
+    vacuum candidates and then its parallel ones. Deterministic for a given
+    (scene, config, seed).
     """
     cfg = config or SynthConfig()
     rng = np.random.default_rng(seed)
-    grasps = []
+    parts = []
     for prim in scene.objects():
         pts_v, nrm_v, _ = prim.sample_surface(cfg.vacuum_grasps_per_object, rng)
         seals = seal_quality_batch(scene, pts_v).seal
-        for p, n, seal in zip(pts_v, nrm_v, seals.tolist()):
-            pose = VacuumGrasp(center=p, normal=n, score=seal)
-            grasps.append(GroundTruthGrasp(gripper=VACUUM, pose=pose, quality_coeff=seal))
+        parts.append(Grasps.vacuum(pts_v, nrm_v, score=seals, quality=seals))
 
         pts_p, nrm_p, _ = prim.sample_surface(cfg.parallel_grasps_per_object, rng)
         closing = -nrm_p
@@ -510,18 +489,15 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
         centers = mids[ok] - GT_DEPTH * v
         angles = closing_angles_deg(v, u)
         widths = np.minimum(MAX_WIDTH, sep[ok] + WIDTH_MARGIN)
-        scores = friction_to_graspness(mu[ok])
-        for i, m in enumerate(mu[ok].tolist()):
-            pose = ParallelGrasp(center=centers[i], approach=v[i], angle_deg=angles[i], width=float(widths[i]),
-                                 depth=GT_DEPTH, score=float(scores[i]))
-            grasps.append(GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=m))
-    return grasps
+        parts.append(Grasps.parallel(centers, v, angles, widths, GT_DEPTH, score=friction_to_graspness(mu[ok]),
+                                     quality=mu[ok]))
+    return Grasps.concat(parts)
 
 
 # -- persistence ---------------------------------------------------------------
 
 
-def scene_to_dict(scene: SceneAnnotation, grasps=None) -> dict:
+def scene_to_dict(scene: SceneAnnotation, grasps: Grasps = None) -> dict:
     return {
         "schema_version": SCENE_SCHEMA_VERSION,
         "table_height": float(scene.table_height),
@@ -540,13 +516,11 @@ def scene_to_dict(scene: SceneAnnotation, grasps=None) -> dict:
             }
             for p in scene.primitives
         ],
-        "grasps": [
-            dict(grasp_to_dict(g.pose), quality=float(g.quality_coeff)) for g in (grasps or [])
-        ],
+        "grasps": [] if grasps is None else grasps.records(),
     }
 
 
-def save_scene(path_stem, cloud: PointCloud, scene: SceneAnnotation, grasps=None):
+def save_scene(path_stem, cloud: PointCloud, scene: SceneAnnotation, grasps: Grasps = None):
     """Write <stem>.ply (cloud + per-point channels) and <stem>.json (annotation + grasps)."""
     stem = str(path_stem)
     write_ply(
@@ -590,8 +564,4 @@ def load_scene(path_stem):
         per_point_flat=channels["flat"] > 0.5,
         split=doc.get("split", "default"),
     )
-    grasps = []
-    for d in doc["grasps"]:
-        pose = grasp_from_dict(d)
-        grasps.append(GroundTruthGrasp(gripper=pose.gripper, pose=pose, quality_coeff=d["quality"]))
-    return cloud, scene, grasps
+    return cloud, scene, Grasps.from_records(doc["grasps"], ground_truth=True)

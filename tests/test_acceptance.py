@@ -257,18 +257,18 @@ def test_criterion_5_label_pipeline():
     cloud, scene, _ = overhead_box_scene()
     top = scene.per_point_object_id == 1
 
-    grasps = [vac((-0.02, 0, 0.04), 0.3), vac((0, 0, 0.04), 0.65), vac((0.02, 0, 0.04), 1.0)]
+    grasps = vac(((-0.02, 0, 0.04), 0.3), ((0, 0, 0.04), 0.65), ((0.02, 0, 0.04), 1.0))
     maps = build_label_maps(cloud, scene, grasps)
     nz = maps.vacuum_graspness[maps.vacuum_graspness > 0]
     ok = np.all((nz >= 0.1) & (nz <= 1.0)) and len(nz) > 0
 
-    lone = build_label_maps(cloud, scene, [vac((0, 0, 0.04), 0.003)])
+    lone = build_label_maps(cloud, scene, vac(((0, 0, 0.04), 0.003)))
     ok &= np.all(lone.vacuum_graspness == 0)
 
     pts = cloud.points.copy()
     pts[:4, 2] = -0.03
     sunk = PointCloud(pts, viewpoint=cloud.viewpoint)
-    m2 = build_label_maps(sunk, scene, [vac((0, 0, 0.04), 0.9)])
+    m2 = build_label_maps(sunk, scene, vac(((0, 0, 0.04), 0.9)))
     background = scene.per_point_object_id == 0
     ok &= np.all(m2.vacuum_graspness[background] == 0)
     ok &= np.all(m2.parallel_graspness[background] == 0)
@@ -334,13 +334,13 @@ def test_criterion_8_metric_correctness():
     for s in range(50):
         _, scene_s = generate_scene(5000 + s, 2, cfg)
         gt = sample_ground_truth_grasps(scene_s, cfg, seed=s)
-        par = [g.pose for g in gt if g.gripper == PARALLEL][:40]
-        vacg = [g.pose for g in gt if g.gripper == VACUUM][:40]
-        if par:
+        par = gt.take(np.flatnonzero(gt.gripper == PARALLEL)[:40])
+        vacg = gt.take(np.flatnonzero(gt.gripper == VACUUM)[:40])
+        if len(par):
             qp, _ = grasp_qualities(par, scene_s, PARALLEL)
             aps = [ap_mu(qp, mu, PARALLEL, ecfg) for mu in ecfg.mu_parallel_grid]
             mono &= all(a <= b + 1e-12 for a, b in zip(aps, aps[1:]))
-        if vacg:
+        if len(vacg):
             qv, _ = grasp_qualities(vacg, scene_s, VACUUM)
             aps = [ap_mu(qv, mu, VACUUM, ecfg) for mu in ecfg.mu_vacuum_grid]
             mono &= all(a >= b - 1e-12 for a, b in zip(aps, aps[1:]))

@@ -64,7 +64,7 @@ def test_clearing_hooks_count_a_real_loop():
     """
     spans = load_spans()
     from dualgrasp import clearing
-    from dualgrasp.grasps import PARALLEL
+    from dualgrasp.grasps import PARALLEL, Grasps
 
     from test_clearing import diametral, two_sphere_scene
     from test_scenes import down_grasp
@@ -75,10 +75,10 @@ def test_clearing_hooks_count_a_real_loop():
     def pipeline(cloud, scene, gripper):
         calls.append(gripper)
         if len(calls) == 1:
-            return [], np.zeros(0, dtype=np.intp)
+            return Grasps.from_records([]), np.zeros(0, dtype=np.intp)
         grasp = down_grasp(jaw_center=(0.4, 0.4, 0.4), closing=(1, 0, 0)) if len(calls) == 2 \
             else diametral(scene.objects()[0])
-        return [grasp], np.flatnonzero(scene.per_point_object_id == scene.objects()[0].object_id)[:3]
+        return grasp, np.flatnonzero(scene.per_point_object_id == scene.objects()[0].object_id)[:3]
 
     tracer = spans.Tracer()
     with spans.Instrumentation(tracer):
@@ -150,3 +150,27 @@ def test_fallback_proposer_spans_count_one_map_build_per_state(small_scene):
     assert totals["labels.build"]["calls"] == len(states)
     for gripper in (PARALLEL, VACUUM):
         assert totals[f"pipeline.propose.fallback.{gripper}"]["calls"] == len(states)
+
+
+CHECKS = SPANS.parent / "checks.py"
+
+
+def test_benchmark_checks_read_synth_and_predict_outputs(tmp_path):
+    """dgbench/checks.py reads scenes and grasp files through the package's readers and their row views.
+
+    Its guard turns only parse errors into problems, so a reader it relies
+    on (load_scene's grasps with .gripper and .quality_coeff, grasp_from_dict)
+    that went missing would crash every benchmark run; here it fails instead.
+    """
+    spec = importlib.util.spec_from_file_location("dgbench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    from dualgrasp.cli import main
+
+    scenes, pred = tmp_path / "scenes", tmp_path / "pred"
+    assert main(["synth", "--out", str(scenes), "--scenes", "1", "--objects", "2", "--seed", "3"]) == 0
+    assert main(["predict", "--scenes", str(scenes), "--out", str(pred), "--fallback-head",
+                 "--max-refine", "16"]) == 0
+    stems = ["scene_0000"]
+    assert checks.check_synth(scenes, stems) == {"scene_0000": []}
+    assert checks.check_predict(pred, stems) == {"scene_0000": []}

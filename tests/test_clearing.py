@@ -5,7 +5,7 @@ import pytest
 
 from dualgrasp.clearing import metrics_from_attempts, run_clearing_loop
 from dualgrasp.cloud import PointCloud
-from dualgrasp.grasps import PARALLEL, VACUUM, VacuumGrasp
+from dualgrasp.grasps import PARALLEL, VACUUM, Grasps
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import SceneAnnotation
 
@@ -90,9 +90,9 @@ def test_loop_clears_all_objects():
     def pipeline(cloud, scene, gripper):
         objs = scene.objects()
         g = diametral(objs[0])
-        g.score = 1.0
+        g.score[0] = 1.0
         seeds = np.flatnonzero(scene.per_point_object_id == objs[0].object_id)[:5]
-        return [g], seeds
+        return g, seeds
 
     metrics, trace = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
     assert metrics.objects_cleared == 2
@@ -112,8 +112,8 @@ def test_grasp_seeded_off_object_detects_its_target():
 
     def pipeline(cloud, scene, gripper):
         g = diametral(scene.objects()[0])
-        g.score = 1.0
-        return [g], np.flatnonzero(scene.per_point_object_id == 0)
+        g.score[0] = 1.0
+        return g, np.flatnonzero(scene.per_point_object_id == 0)
 
     metrics, _ = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
     assert metrics.objects_cleared == 2
@@ -125,8 +125,8 @@ def test_loop_stops_after_three_consecutive_failures():
 
     def pipeline(cloud, scene, gripper):
         g = down_grasp(jaw_center=(0.4, 0.4, 0.4), closing=(1, 0, 0))  # misses everything
-        g.score = 1.0
-        return [g], np.array([0], dtype=int)
+        g.score[0] = 1.0
+        return g, np.array([0], dtype=int)
 
     metrics, _ = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
     assert metrics.grasps_total == 3
@@ -138,7 +138,7 @@ def test_loop_counts_empty_proposals_as_failures():
     cloud, scene = two_sphere_scene()
 
     def pipeline(cloud, scene, gripper):
-        return [], np.zeros(0, dtype=int)
+        return Grasps.from_records([]), np.zeros(0, dtype=int)
 
     metrics, _ = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
     assert metrics.grasps_total == 0
@@ -157,9 +157,9 @@ def test_loop_mixed_success_failure():
             g = down_grasp(jaw_center=(0.4, 0.4, 0.4), closing=(1, 0, 0))
         else:
             g = diametral(objs[0])
-        g.score = 0.9
+        g.score[0] = 0.9
         seeds = np.flatnonzero(scene.per_point_object_id == objs[0].object_id)[:3]
-        return [g], seeds
+        return g, seeds
 
     metrics, _ = run_clearing_loop(cloud, scene, pipeline, PARALLEL)
     assert metrics.grasps_total == 3
@@ -195,7 +195,7 @@ def test_vacuum_loop_judges_seal_and_cup_owner():
     def pipeline(cloud, scene, gripper):
         assert gripper == VACUUM
         center = next(script, (0.06, 0.0, 0.01))
-        return [VacuumGrasp(center=center, normal=(0, 0, 1), score=1.0)], np.zeros(0, dtype=int)
+        return Grasps.vacuum([center], [(0, 0, 1)], score=1.0), np.zeros(0, dtype=int)
 
     metrics, trace = run_clearing_loop(cloud, scene, pipeline, VACUUM)
     assert trace.attempts == [(-1, False), (2, False), (1, True), (2, False), (2, False), (2, False)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualgrasp.cli import _SECTIONS, build_configs, load_config_file, main
-from dualgrasp.grasps import PARALLEL, VACUUM, grasp_to_dict
+from dualgrasp.grasps import PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig, load_checkpoint, save_checkpoint
 from dualgrasp.pipeline import GraspPipeline, SceneProposer
 from dualgrasp.sampling import SamplingConfig
@@ -116,7 +116,7 @@ def test_predict_writes_the_first_clearing_round(workspace, tmp_path, mode):
             doc = json.loads((pred / f"{stem}_grasps_{gripper}.json").read_text())
             result = proposer.propose(cloud, scene, gripper)
             assert (doc["status"], doc["dropped_seeds"]) == (result.status, result.dropped_seeds)
-            assert doc["grasps"] == json.loads(json.dumps([grasp_to_dict(g) for g in result.grasps]))
+            assert doc["grasps"] == json.loads(json.dumps(result.grasps.records()))
             compared[gripper] += len(result.grasps)
     assert all(compared.values())
 
@@ -161,6 +161,52 @@ def test_eval_with_clearing(workspace, tmp_path):
     rows = (out / "metrics.csv").read_text().splitlines()
     clearing_rows = [r for r in rows if r.startswith("clearing,")]
     assert len(clearing_rows) == 2 * 2  # scenes x grippers
+
+
+def copied_predictions(workspace, root: Path) -> Path:
+    pred = root / "pred"
+    pred.mkdir()
+    for path in (workspace / "pred").glob("*_grasps_*.json"):
+        (pred / path.name).write_bytes(path.read_bytes())
+    return pred
+
+
+@pytest.mark.parametrize("gripper, key, value", [
+    (PARALLEL, "width_m", 0), (PARALLEL, "width_m", math.nan), (PARALLEL, "width_m", 1e9),
+    (PARALLEL, "center", [0.0, math.inf, 0.0]), (PARALLEL, "approach", [math.nan, 0.0, 1.0]),
+    (PARALLEL, "angle_deg", math.inf), (PARALLEL, "depth_m", math.nan), (PARALLEL, "score", math.nan),
+    (VACUUM, "normal", [0.0, 0.0, math.nan]), (VACUUM, "score", math.inf),
+])
+def test_eval_rejects_impossible_grasp_fields(workspace, tmp_path, gripper, key, value):
+    """A grasp file with a non-finite field or a width outside (0, MAX_WIDTH] exits 1, as width 0 always did."""
+    pred = copied_predictions(workspace, tmp_path)
+    path = pred / f"scene_0001_grasps_{gripper}.json"
+    doc = json.loads(path.read_text())
+    doc["grasps"][-1][key] = value  # past --k: the reader checks every record
+    assert len(doc["grasps"]) > 5
+    path.write_text(json.dumps(doc))
+    assert run("eval", "--scenes", workspace / "scenes", "--grasps", pred, "--out", tmp_path / "out", "--k", "5") == 1
+
+
+def test_eval_rejects_a_grasp_of_the_other_gripper(workspace, tmp_path):
+    pred = copied_predictions(workspace, tmp_path)
+    parallel, vacuum = (pred / f"scene_0000_grasps_{g}.json" for g in (PARALLEL, VACUUM))
+    doc = json.loads(vacuum.read_text())
+    doc["grasps"] = json.loads(parallel.read_text())["grasps"]
+    vacuum.write_text(json.dumps(doc))
+    assert run("eval", "--scenes", workspace / "scenes", "--grasps", pred, "--out", tmp_path / "out") == 1
+
+
+@pytest.mark.parametrize("quality", [-0.1, math.nan, math.inf])
+def test_scene_with_impossible_ground_truth_quality_exits_one(workspace, tmp_path, quality):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for suffix in (".ply", ".json"):
+        (scenes / f"scene_0000{suffix}").write_bytes((workspace / "scenes" / f"scene_0000{suffix}").read_bytes())
+    doc = json.loads((scenes / "scene_0000.json").read_text())
+    doc["grasps"][5]["quality"] = quality
+    (scenes / "scene_0000.json").write_text(json.dumps(doc))
+    assert run("labels", "--scenes", scenes, "--out", tmp_path / "labels") == 1
 
 
 def test_export_ply(workspace, tmp_path):

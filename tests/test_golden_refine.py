@@ -110,14 +110,13 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def grasp_digests(grasps, dropped):
-    fields = np.array([
-        [*g.center, *g.approach, g.angle_deg, g.width, g.depth, g.score] for g in grasps
-    ])
+    fields = np.column_stack([grasps.center, grasps.axis, grasps.angle_deg, grasps.width, grasps.depth,
+                              grasps.score])
     return {
         "dropped": dropped,
         "count": len(grasps),
         "fields": _digest(fields),
-        "seed_index": _digest(np.array([g.seed_index for g in grasps], dtype=np.int64)),
+        "seed_index": _digest(grasps.seed_index.astype(np.int64)),
     }
 
 
@@ -156,14 +155,13 @@ def target_digests(cloud, scene, grasps):
 
 def gt_grasp_digests(grasps):
     """Gripper order, and pose fields plus quality per gripper, of ground-truth grasps."""
-    par = [g for g in grasps if g.gripper == PARALLEL]
-    vac = [g for g in grasps if g.gripper == VACUUM]
+    par = grasps.take(grasps.gripper == PARALLEL)
+    vac = grasps.take(grasps.gripper == VACUUM)
     return {
-        "order": _digest(np.array([g.gripper == PARALLEL for g in grasps])),
-        "parallel": _digest(np.array([[*g.pose.center, *g.pose.approach, g.pose.angle_deg, g.pose.width,
-                                       g.pose.depth, g.pose.score, g.quality_coeff] for g in par])),
-        "vacuum": _digest(np.array([[*g.pose.center, *g.pose.normal, g.pose.score, g.quality_coeff]
-                                    for g in vac])),
+        "order": _digest(grasps.gripper == PARALLEL),
+        "parallel": _digest(np.column_stack([par.center, par.axis, par.angle_deg, par.width, par.depth,
+                                             par.score, par.quality])),
+        "vacuum": _digest(np.column_stack([vac.center, vac.axis, vac.score, vac.quality])),
     }
 
 

@@ -8,10 +8,9 @@ from dualgrasp.grasps import (
     JAW_THICKNESS,
     PARALLEL,
     VACUUM,
-    ParallelGrasp,
-    VacuumGrasp,
+    Grasps,
 )
-from dualgrasp.geometry import normalize
+from dualgrasp.geometry import closing_directions
 from dualgrasp.labels import (
     _swept_jaw_corners,
     build_label_maps,
@@ -20,7 +19,6 @@ from dualgrasp.labels import (
 )
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import (
-    GroundTruthGrasp,
     SceneAnnotation,
     SynthConfig,
     generate_scene,
@@ -63,9 +61,10 @@ def overhead_box_scene(box_size=(0.06, 0.06, 0.04), table_extent=0.3):
     return cloud, scene, box
 
 
-def vac(center, quality):
-    pose = VacuumGrasp(center=center, normal=(0, 0, 1), score=quality)
-    return GroundTruthGrasp(gripper=VACUUM, pose=pose, quality_coeff=quality)
+def vac(*grasps):
+    """Ground-truth vacuum grasps with an upward normal, from (center, quality) pairs."""
+    centers, qualities = zip(*grasps)
+    return Grasps.vacuum(centers, np.tile([0.0, 0.0, 1.0], (len(grasps), 1)), qualities, quality=qualities)
 
 
 def test_vacuum_only_labels_on_top_face():
@@ -73,7 +72,7 @@ def test_vacuum_only_labels_on_top_face():
     top = scene.per_point_object_id == 1
     # equal qualities: the min-max rescale maps the lowest value to 0, so a
     # single quality level keeps every associated point positive
-    grasps = [vac((0.0, 0.0, 0.04), 0.9), vac((0.01, 0.01, 0.04), 0.9)]
+    grasps = vac(((0.0, 0.0, 0.04), 0.9), ((0.01, 0.01, 0.04), 0.9))
     maps = build_label_maps(cloud, scene, grasps)
     assert np.all(maps.vacuum_graspness[top] > 0)
     assert np.all(maps.vacuum_graspness[~top] == 0)
@@ -83,14 +82,14 @@ def test_vacuum_only_labels_on_top_face():
 
 def test_seal_below_filter_yields_all_zero():
     cloud, scene, _ = overhead_box_scene()
-    maps = build_label_maps(cloud, scene, [vac((0, 0, 0.04), 0.003)])
+    maps = build_label_maps(cloud, scene, vac(((0, 0, 0.04), 0.003)))
     assert np.all(maps.vacuum_graspness == 0)
 
 
 def test_rescale_and_cutoff():
     cloud, scene, _ = overhead_box_scene()
     # three grasp anchors far apart on the top face
-    grasps = [vac((-0.02, 0.0, 0.04), 0.2), vac((0.0, 0.0, 0.04), 0.6), vac((0.02, 0.0, 0.04), 1.0)]
+    grasps = vac(((-0.02, 0.0, 0.04), 0.2), ((0.0, 0.0, 0.04), 0.6), ((0.02, 0.0, 0.04), 1.0))
     maps = build_label_maps(cloud, scene, grasps)
     top = scene.per_point_object_id == 1
     vals = set(np.round(maps.vacuum_graspness[top], 12))
@@ -102,7 +101,7 @@ def test_rescale_and_cutoff():
 
 def test_single_quality_rescales_to_one():
     cloud, scene, _ = overhead_box_scene()
-    maps = build_label_maps(cloud, scene, [vac((0, 0, 0.04), 0.42)])
+    maps = build_label_maps(cloud, scene, vac(((0, 0, 0.04), 0.42)))
     top = scene.per_point_object_id == 1
     assert np.all(maps.vacuum_graspness[top] == 1.0)
 
@@ -113,7 +112,7 @@ def test_below_table_and_background_zero():
     pts = cloud.points.copy()
     pts[:5, 2] = -0.05
     cloud2 = PointCloud(pts, viewpoint=cloud.viewpoint)
-    maps = build_label_maps(cloud2, scene, [vac((0, 0, 0.04), 0.9)])
+    maps = build_label_maps(cloud2, scene, vac(((0, 0, 0.04), 0.9)))
     background = scene.per_point_object_id == 0
     assert np.all(maps.vacuum_graspness[background] == 0)
     assert np.all(maps.parallel_graspness[background] == 0)
@@ -122,9 +121,8 @@ def test_below_table_and_background_zero():
 
 def test_parallel_friction_mapping():
     cloud, scene, _ = overhead_box_scene()
-    pose = ParallelGrasp(center=(0, 0, 0.04), approach=(0, 0, -1), angle_deg=0.0,
-                         width=0.07, depth=0.02)
-    grasps = [GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=0.3)]
+    grasps = Grasps.parallel([(0, 0, 0.04)], [(0, 0, -1)], angle_deg=0.0, width=0.07, depth=0.02, score=0.0,
+                             quality=0.3)
     maps = build_label_maps(cloud, scene, grasps)
     top = scene.per_point_object_id == 1
     assert np.allclose(maps.parallel_graspness[top], 0.7)
@@ -135,10 +133,9 @@ def test_collision_filter_drops_table_pinch():
     # pinching a thin tile across its thickness sweeps a jaw through the table
     cloud, scene, _ = overhead_box_scene(box_size=(0.06, 0.06, 0.008))
     u = np.array([0.0, 0.0, 1.0])  # vertical closing
-    pose = ParallelGrasp(center=(0.02, 0.0, 0.004), approach=(1, 0, 0), angle_deg=90.0,
-                         width=0.02, depth=0.0001)
-    assert abs(pose.closing_dir() @ u) > 0.99
-    grasps = [GroundTruthGrasp(gripper=PARALLEL, pose=pose, quality_coeff=0.0)]
+    grasps = Grasps.parallel([(0.02, 0.0, 0.004)], [(1, 0, 0)], angle_deg=90.0, width=0.02, depth=0.0001,
+                             score=0.0, quality=0.0)
+    assert abs(grasps.closings()[0] @ u) > 0.99
     maps = build_label_maps(cloud, scene, grasps)
     assert np.all(maps.parallel_graspness == 0)
 
@@ -155,11 +152,16 @@ def owner_reference(scene, point):
     return best
 
 
+def jaw_center_reference(grasp):
+    return grasp.center + grasp.depth * grasp.axis
+
+
 def corners_reference(grasp):
-    v = grasp.approach
-    u = grasp.closing_dir()
-    w = normalize(np.cross(v, u))
-    center = grasp.jaw_center() - (FINGER_LENGTH / 2.0) * v
+    v = grasp.axis
+    u = closing_directions(v, grasp.angle_deg)[0]
+    c = np.cross(v, u)
+    w = c / np.linalg.norm(c)
+    center = jaw_center_reference(grasp) - (FINGER_LENGTH / 2.0) * v
     hu = grasp.width / 2.0 + JAW_THICKNESS
     hv = FINGER_LENGTH / 2.0
     hw = JAW_THICKNESS
@@ -171,7 +173,7 @@ def parallel_collides_reference(scene, grasp):
     corners = corners_reference(grasp)
     if corners[:, 2].min() < scene.table_height + 1e-6:
         return True
-    owner = owner_reference(scene, grasp.jaw_center())
+    owner = owner_reference(scene, jaw_center_reference(grasp))
     center = corners.mean(axis=0)
     radius = float(np.linalg.norm(corners[0] - center))
     for prim in scene.objects():
@@ -183,7 +185,7 @@ def parallel_collides_reference(scene, grasp):
 
 
 def vacuum_collides_reference(scene, grasp):
-    n = grasp.normal
+    n = grasp.axis
     disc_drop = CUP_RADIUS * np.sqrt(max(0.0, 1.0 - n[2] ** 2))
     if grasp.center[2] - disc_drop < scene.table_height - 1e-9:
         return True
@@ -203,17 +205,17 @@ def test_batched_collision_filters_match_one_grasp_filters():
         synth = SynthConfig(density=5000.0)
         _, scene = generate_scene(seed, 6, synth)
         gt = sample_ground_truth_grasps(scene, synth, seed=seed)
-        par = [g.pose for g in gt if g.gripper == PARALLEL]
-        vac = [g.pose for g in gt if g.gripper == VACUUM]
+        par = gt.take(gt.gripper == PARALLEL)
+        vac = gt.take(gt.gripper == VACUUM)
         # plus jittered, tilted and widened poses, so the table and neighbour tests both fire
-        par += [ParallelGrasp(center=g.center + rng.normal(0.0, 0.01, 3), approach=g.approach + rng.normal(0.0, 0.5, 3),
-                              angle_deg=rng.uniform(0, 180), width=rng.uniform(0.01, 0.1), depth=g.depth)
-                for g in par]
+        jittered = [(g.center + rng.normal(0.0, 0.01, 3), g.axis + rng.normal(0.0, 0.5, 3), rng.uniform(0, 180),
+                     rng.uniform(0.01, 0.1), g.depth) for g in par]
+        par = Grasps.concat([par, Grasps.parallel(*map(np.array, zip(*jittered)), score=0.0, quality=0.0)])
         assert np.array_equal(_swept_jaw_corners(par), [corners_reference(g) for g in par])
-        jaw_owner = owning_objects(scene, [g.jaw_center() for g in par])
+        jaw_owner = owning_objects(scene, par.jaw_centers())
         got = parallel_collisions(scene, par, jaw_owner)
         assert got.tolist() == [parallel_collides_reference(scene, g) for g in par]
-        got_v = vacuum_collisions(scene, vac, owning_objects(scene, [g.center for g in vac]))
+        got_v = vacuum_collisions(scene, vac, owning_objects(scene, vac.center))
         assert got_v.tolist() == [vacuum_collides_reference(scene, g) for g in vac]
         tallies += [got.sum(), got_v.sum()]
         assert 0 < got.sum() < len(par) and 0 < got_v.sum() < len(vac)
@@ -223,12 +225,12 @@ def test_batched_collision_filters_match_one_grasp_filters():
 def test_requires_some_grasps():
     cloud, scene, _ = overhead_box_scene()
     with pytest.raises(ValueError):
-        build_label_maps(cloud, scene, [])
+        build_label_maps(cloud, scene, Grasps.from_records([], ground_truth=True))
 
 
 def test_permutation_equivariance():
     cloud, scene, _ = overhead_box_scene()
-    grasps = [vac((-0.02, 0, 0.04), 0.3), vac((0.02, 0, 0.04), 0.9)]
+    grasps = vac(((-0.02, 0, 0.04), 0.3), ((0.02, 0, 0.04), 0.9))
     maps = build_label_maps(cloud, scene, grasps)
 
     rng = np.random.default_rng(0)

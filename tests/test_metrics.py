@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualgrasp.grasps import CUP_RADIUS, PARALLEL, VACUUM, VacuumGrasp
+from dualgrasp.grasps import CUP_RADIUS, PARALLEL, VACUUM, Grasps
 from dualgrasp.metrics import (
     EvalConfig,
     ap_mu,
@@ -26,6 +26,16 @@ from dualgrasp.scenes import (
 from test_scenes import bare_scene, down_grasp, jaw_contact, owning_object_reference, seal_reference
 
 CFG = EvalConfig()
+NO_GRASPS = Grasps.from_records([])
+
+
+def first(gt, gripper, n=None):
+    """The first n ground-truth grasps of one gripper, without their quality."""
+    return replace(gt.take(np.flatnonzero(gt.gripper == gripper)[:n]), quality=None)
+
+
+def one_by_one(grasps):
+    return [grasps.take([i]) for i in range(len(grasps))]
 
 
 def sphere_scene(radius=0.03, center=(0, 0, 0.1)):
@@ -47,21 +57,21 @@ def graded(grasps, scene, gripper=PARALLEL):
 
 
 def ranked_list(scene_center, radius, pattern):
-    """Grasp list with descending scores; pattern marks which ranks succeed."""
+    """Grasps with descending scores; pattern marks which ranks succeed."""
     out = []
     for i, ok in enumerate(pattern):
         g = good_grasp(scene_center) if ok else bad_grasp(scene_center, radius)
-        g.score = 1.0 - i * 0.01
+        g.score[0] = 1.0 - i * 0.01
         out.append(g)
-    return out
+    return Grasps.concat(out)
 
 
 def test_precision_examples():
     scene, c, r = sphere_scene()
     grasps = ranked_list(c, r, [True, False, True, True, False])
     assert precision_at_k(graded(grasps, scene), 0.4, PARALLEL, 5) == pytest.approx(3 / 5)
-    assert precision_at_k(graded(grasps[:3], scene), 0.4, PARALLEL, 2) == pytest.approx(0.5)
-    assert precision_at_k(graded([], scene), 0.4, PARALLEL, 5) == 0.0
+    assert precision_at_k(graded(grasps.take(slice(0, 3)), scene), 0.4, PARALLEL, 2) == pytest.approx(0.5)
+    assert precision_at_k(graded(NO_GRASPS, scene), 0.4, PARALLEL, 5) == 0.0
 
 
 def test_precision_all_successful():
@@ -73,13 +83,12 @@ def test_precision_all_successful():
 
 def test_precision_matches_per_grasp_oracle_loop(small_scene):
     cloud, scene, gt, cfg = small_scene
-    grasps = [g.pose for g in gt if g.gripper == PARALLEL][:50]
-    for g in grasps:
-        g.score = 1.0
+    grasps = first(gt, PARALLEL, 50)
+    grasps.score[:] = 1.0
     mu = 0.6
     got = precision_at_k(graded(grasps, scene), mu, PARALLEL, 50)
     wins = 0
-    for g in grasps:
+    for g in one_by_one(grasps):
         res = jaw_contact(scene, g)
         wins += bool(res.hit[0] and res.mu[0] <= mu)
     assert got == pytest.approx(wins / len(grasps))
@@ -106,31 +115,33 @@ def test_parallel_qualities_match_per_grasp_oracle_bitwise(four_kind_scene, rng)
         "score_logits": rng.normal(size=(len(seeds), rcfg.n_score_bins)),
     }
     learned = learned_refine_batch(cloud, seeds, refiner_out, rcfg)
-    ground = [g.pose for g in gt if g.gripper == PARALLEL]
+    ground = first(gt, PARALLEL)
     # jittered poses, some of which miss every object
-    jittered = [replace(g, center=g.center + rng.normal(0.0, 0.02, 3), angle_deg=rng.uniform(0.0, 180.0))
-                for g in ground]
-    grasps = fallback + learned + ground + jittered
+    centers, angles = map(np.array, zip(*[(g.center + rng.normal(0.0, 0.02, 3), rng.uniform(0.0, 180.0))
+                                          for g in ground]))
+    jittered = Grasps.parallel(centers, ground.axis, angles, ground.width, ground.depth, ground.score)
+    grasps = Grasps.concat([fallback, learned, ground, jittered])
     got, ids = grasp_qualities(grasps, scene, PARALLEL)
-    rows = [jaw_contact(scene, g) for g in grasps]
+    rows = [jaw_contact(scene, g) for g in one_by_one(grasps)]
     assert np.array_equal(got, [res.mu[0] if res.hit[0] else np.inf for res in rows])
     assert np.array_equal(ids, [res.object_id[0] for res in rows])
     assert 0 < np.count_nonzero(np.isinf(got)) < len(got)
     assert 0 < np.count_nonzero(ids == -1) < len(ids)
-    assert [a.shape for a in grasp_qualities([], scene, PARALLEL)] == [(0,), (0,)]
+    assert [a.shape for a in grasp_qualities(NO_GRASPS, scene, PARALLEL)] == [(0,), (0,)]
 
 
 def test_vacuum_qualities_match_per_grasp_seal_bitwise(small_scene, rng):
     _, scene, gt, _ = small_scene
-    grasps = [g.pose for g in gt if g.gripper == VACUUM]
+    vac = first(gt, VACUUM)
     # plus jittered cups, some off the surface (seal 0)
-    grasps += [VacuumGrasp(center=g.center + rng.normal(0.0, 0.002, 3), normal=g.normal) for g in grasps]
+    centers = np.array([g.center + rng.normal(0.0, 0.002, 3) for g in vac])
+    grasps = Grasps.concat([vac, Grasps.vacuum(centers, vac.axis, score=0.0)])
     got, ids = grasp_qualities(grasps, scene, VACUUM)
     assert np.array_equal(got, [seal_reference(scene, g.center, CUP_RADIUS) for g in grasps])
     assert np.array_equal(ids, [owning_object_reference(scene, g.center, ON_SURFACE_TOL) or -1 for g in grasps])
     assert 0 < np.count_nonzero(got) < len(got)
     assert 0 < np.count_nonzero(ids == -1) < len(ids)
-    assert [a.shape for a in grasp_qualities([], scene, VACUUM)] == [(0,), (0,)]
+    assert [a.shape for a in grasp_qualities(NO_GRASPS, scene, VACUUM)] == [(0,), (0,)]
 
 
 def test_stored_vacuum_ground_truth_is_the_eval_grade_bitwise(four_kind_scene, tmp_path):
@@ -138,9 +149,9 @@ def test_stored_vacuum_ground_truth_is_the_eval_grade_bitwise(four_kind_scene, t
     cloud, scene, gt = four_kind_scene
     save_scene(tmp_path / "scene", cloud, scene, gt)
     _, loaded, stored = load_scene(tmp_path / "scene")
-    vac = [g for g in stored if g.gripper == VACUUM]
-    got, ids = grasp_qualities([g.pose for g in vac], loaded, VACUUM)
-    assert np.array_equal(got, [g.quality_coeff for g in vac])
+    vac = stored.take(stored.gripper == VACUUM)
+    got, ids = grasp_qualities(vac, loaded, VACUUM)
+    assert np.array_equal(got, vac.quality)
     assert np.count_nonzero(got) > len(vac) // 2 and np.all(ids > 0)
 
 
@@ -180,7 +191,7 @@ def test_ap_overall_vacuum_step_function():
 
 def test_ap_overall_matches_nested_loop(small_scene):
     cloud, scene, gt, _ = small_scene
-    grasps = [g.pose for g in gt if g.gripper == VACUUM][:30]
+    grasps = first(gt, VACUUM, 30)
     qualities = graded(grasps, scene, VACUUM)
     got = ap_overall(qualities, VACUUM, CFG)
     ref = 0.0
@@ -195,8 +206,8 @@ def test_ap_overall_matches_nested_loop(small_scene):
 
 def test_ap_monotone_in_mu(small_scene):
     cloud, scene, gt, _ = small_scene
-    par = [g.pose for g in gt if g.gripper == PARALLEL][:40]
-    vac = [g.pose for g in gt if g.gripper == VACUUM][:40]
+    par = first(gt, PARALLEL, 40)
+    vac = first(gt, VACUUM, 40)
     q_par = graded(par, scene)
     q_vac = graded(vac, scene, VACUUM)
     ap_par = [ap_mu(q_par, mu, PARALLEL, CFG) for mu in CFG.mu_parallel_grid]

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,17 +46,17 @@ def test_fallback_parallel_ranked_and_on_seeds(small_scene, fallback_pipe):
         assert g.seed_index in seed_set
         assert g.depth in cfg.depth_bins
         assert 0 < g.width <= MAX_WIDTH
-        assert abs(np.linalg.norm(g.approach) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(g.axis) - 1.0) < 1e-9
 
 
 def test_no_graspable_region(small_scene, fallback_pipe):
     cloud, scene, grasps, _ = small_scene
-    vacuum_only = [g for g in grasps if g.gripper == VACUUM]
+    vacuum_only = grasps.take(grasps.gripper == VACUUM)
     # threshold nothing can pass
     pipe = GraspPipeline(sampling=SamplingConfig(t_parallel=1.0, t_vacuum=1.0))
     result = SceneProposer(pipe, scene, vacuum_only).propose(cloud, scene, VACUUM)
     assert result.status == "no graspable region"
-    assert result.grasps == []
+    assert len(result.grasps) == 0
 
 
 def test_max_parallel_refine_caps_work(small_scene):
@@ -79,9 +79,9 @@ def test_model_mode_learned_head_wiring(small_scene):
     result = proposer.propose(cloud, scene, PARALLEL)
     views = fibonacci_hemisphere(24)
     fused_by_seed = dict(zip(result.seeds.indices.tolist(), result.seeds.fused_scores.tolist()))
-    for g in result.grasps[:5]:
+    for g in result.grasps.take(slice(0, 5)):
         # zero logits everywhere: argmax view/angle/depth/score land on index 0
-        assert np.allclose(g.approach, -views[0])
+        assert np.allclose(g.axis, -views[0])
         assert g.angle_deg == 0.0
         assert g.depth == rcfg.depth_bins[0]
         # decoded lowest-bin score (0.05) gated by the seed's fused map score
@@ -240,7 +240,7 @@ def three_spheres():
     cloud, scene = resting_scene([Primitive("sphere", (r,), translation=(x, 0.0, r), object_id=i + 1)
                                   for i, (x, r) in enumerate(((0.0, 0.03), (0.06, 0.02), (-0.06, 0.02)))], 800)
     gt = sample_ground_truth_grasps(scene, SynthConfig(), seed=0)
-    return cloud, scene, gt, owning_objects(scene, [g.pose.center for g in gt])
+    return cloud, scene, gt, owning_objects(scene, gt.center)
 
 
 def probe_pipe():
@@ -248,13 +248,14 @@ def probe_pipe():
 
 
 def grasp_bytes(grasps) -> bytes:
-    return np.array([np.hstack([getattr(g, f.name) for f in fields(g)]) for g in grasps]).tobytes()
+    return np.column_stack([grasps.center, grasps.axis, grasps.angle_deg, grasps.width, grasps.depth, grasps.score,
+                            grasps.seed_index]).tobytes()
 
 
 def fresh_proposal(pipe, cloud, scene, gt, targets, gripper=PARALLEL):
     """A proposal from label maps built afresh on the ground truth of the objects the scene holds."""
     alive = {p.object_id for p in scene.objects()}
-    maps = build_label_maps(cloud, scene, [g for g, oid in zip(gt, targets) if oid in alive])
+    maps = build_label_maps(cloud, scene, gt.take(np.isin(targets, list(alive))))
     return pipe.propose(cloud, scene, gripper, maps)
 
 

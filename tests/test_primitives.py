@@ -141,6 +141,13 @@ def test_surface_distance_and_contains():
     assert list(inside) == [True, False, False]
 
 
+def test_contains_pad_grows_or_shrinks_the_surface():
+    prim = Primitive("sphere", (0.05,), translation=(0.1, -0.2, 0.3))
+    pts = prim.translation + np.array([[0.052, 0.0, 0.0], [0.0, 0.0, 0.048]])  # 2 mm outside, 2 mm inside
+    for pad, want in ((-0.005, [False, False]), (0.0, [False, True]), (0.005, [True, True])):
+        assert prim.contains(pts.T, pad=pad).tolist() == want, pad
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 9999))
 def test_line_intersection_points_lie_on_surface(seed):

@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 from dualgrasp.cloud import PointCloud, farthest_point_sampling
 from dualgrasp import refine_parallel
 from dualgrasp.geometry import closing_directions, fibonacci_hemisphere
-from dualgrasp.grasps import MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp
+from dualgrasp.grasps import MAX_WIDTH, WIDTH_MARGIN, Grasps
 from dualgrasp.primitives import Primitive
 from dualgrasp.refine_parallel import (
     RefineParallelConfig,
@@ -58,7 +58,7 @@ def two_point_cloud():
 def test_learned_view_ties_break_to_first():
     cfg = RefineParallelConfig(n_views=16)
     (grasp,) = learned_refine_batch(two_point_cloud(), [0], refiner_rows(np.ones(16)), cfg)
-    assert np.allclose(grasp.approach, -fibonacci_hemisphere(16)[0])
+    assert np.allclose(grasp.axis, -fibonacci_hemisphere(16)[0])
 
 
 def test_learned_view_one_hot():
@@ -68,8 +68,8 @@ def test_learned_view_one_hot():
     scores[1, 3] = 1.0
     grasps = learned_refine_batch(two_point_cloud(), [0, 1], refiner_rows(scores), cfg)
     views = fibonacci_hemisphere(16)
-    assert np.allclose(grasps[0].approach, -views[7])
-    assert np.allclose(grasps[1].approach, -views[3])
+    assert np.allclose(grasps.axis[0], -views[7])
+    assert np.allclose(grasps.axis[1], -views[3])
     assert [g.seed_index for g in grasps] == [0, 1]
 
 
@@ -139,10 +139,9 @@ def test_fallback_head_on_isolated_sphere():
     top_idx = int(np.argmax(cloud.points[:, 2]))
     grasps, dropped = fallback_refine_batch(cloud, scene, [top_idx], CFG)
     assert dropped == 0
-    grasp = grasps[0]
     # width ~ sphere diameter + margin, with slack for the discrete view grid
-    assert 0.04 <= grasp.width <= 0.04 * 1.1 + WIDTH_MARGIN
-    assert jaw_contact(scene, grasp).mu[0] < 0.12
+    assert 0.04 <= grasps.width[0] <= 0.04 * 1.1 + WIDTH_MARGIN
+    assert jaw_contact(scene, grasps).mu[0] < 0.12
 
 
 def assert_argmin_over_bins(cloud, scene, grasp):
@@ -151,15 +150,13 @@ def assert_argmin_over_bins(cloud, scene, grasp):
     best = np.inf
     for a in CFG.angle_values():
         for d in CFG.depth_bins:
-            probe = ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=a,
-                                  width=MAX_WIDTH, depth=d)
+            probe = Grasps.parallel([seed_point], [grasp.axis], a, MAX_WIDTH, d, score=0.0)
             res = jaw_contact(scene, probe)
             if res.hit[0]:
                 best = min(best, res.mu[0])
     achieved = jaw_contact(
         scene,
-        ParallelGrasp(center=seed_point, approach=grasp.approach, angle_deg=grasp.angle_deg,
-                      width=MAX_WIDTH, depth=grasp.depth),
+        Grasps.parallel([seed_point], [grasp.axis], grasp.angle_deg, MAX_WIDTH, grasp.depth, score=0.0),
     ).mu[0]
     assert achieved == pytest.approx(best, abs=1e-12)
     assert grasp.score == pytest.approx(friction_to_graspness(best))
@@ -319,7 +316,7 @@ def test_oracle_search_fallback_uses_probe_strides():
     grasps, _ = fallback_refine_batch(cloud, scene, seeds, CFG)
     views = fibonacci_hemisphere(CFG.n_views)
     for row, g in enumerate(grasps):
-        assert np.allclose(g.approach, -views[probe.view[row]])
+        assert np.allclose(g.axis, -views[probe.view[row]])
         assert g.width == probe.width[row] and g.score == probe.score[row]
 
 
@@ -328,11 +325,12 @@ def test_oracle_search_no_seeds():
     found = oracle_search(scene, np.zeros((0, 3)), CFG)
     assert found.view_scores.shape == (0, CFG.n_views)
     assert all(len(a) == 0 for a in found)
-    assert fallback_refine_batch(PointCloud([[0, 0, 0]]), scene, [], CFG) == ([], 0)
+    grasps, dropped = fallback_refine_batch(PointCloud([[0, 0, 0]]), scene, [], CFG)
+    assert len(grasps) == 0 and dropped == 0
 
 
 def test_grid_closings_are_the_geometry_closing_directions(monkeypatch):
-    """The search scores the jaw lines that ParallelGrasp.closing_dir gives, bit for bit."""
+    """The search scores the jaw lines that Grasps.closings gives, bit for bit."""
     _, scene, _ = sphere_cloud_and_scene()
     seen = []
     real = refine_parallel.parallel_quality_batch

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dualgrasp.cloud import DegenerateNeighborhood, PointCloud, SpatialIndex, estimate_normal
-from dualgrasp.grasps import VacuumGrasp
-from dualgrasp.refine_vacuum import rank_vacuum, refine_vacuum_poses
+from dualgrasp.grasps import Grasps
+from dualgrasp.refine_vacuum import refine_vacuum_poses
 from dualgrasp.sampling import SeedSet
 from dualgrasp.scenes import SynthConfig, generate_scene
 
@@ -15,7 +15,7 @@ def test_plane_seed_normal_up(rng):
     grasps, dropped = refine_vacuum_poses(cloud, seeds, r=0.02)
     assert dropped == 0
     for g in grasps:
-        assert np.allclose(g.normal, [0, 0, 1], atol=1e-6)
+        assert np.allclose(g.axis, [0, 0, 1], atol=1e-6)
 
 
 def test_score_passthrough(rng):
@@ -23,8 +23,8 @@ def test_score_passthrough(rng):
     cloud = PointCloud(np.column_stack([xy, np.zeros(500)]), viewpoint=(0, 0, 1))
     seeds = SeedSet("vacuum", [10], [0.73])
     grasps, _ = refine_vacuum_poses(cloud, seeds, r=0.02)
-    assert grasps[0].score == 0.73
-    assert np.array_equal(grasps[0].center, cloud.points[10])
+    assert grasps.score[0] == 0.73
+    assert np.array_equal(grasps.center[0], cloud.points[10])
 
 
 def test_sphere_seeds_angular_error(rng):
@@ -39,7 +39,7 @@ def test_sphere_seeds_angular_error(rng):
     errs = []
     for g in grasps:
         radial = (g.center - [0, 0, 0.1]) / 0.05
-        cos = abs(np.clip(g.normal @ radial, -1, 1))
+        cos = abs(np.clip(g.axis @ radial, -1, 1))
         errs.append(np.degrees(np.arccos(cos)))
     assert np.mean(errs) < 2.0
 
@@ -49,7 +49,7 @@ def test_degenerate_seeds_dropped_not_raised():
     cloud = PointCloud([[0, 0, 0], [1, 1, 1], [2, 2, 2]], viewpoint=(0, 0, 5))
     seeds = SeedSet("vacuum", [0, 1], [0.5, 0.6])
     grasps, dropped = refine_vacuum_poses(cloud, seeds, r=0.01)
-    assert grasps == []
+    assert len(grasps) == 0
     assert dropped == 2
 
 
@@ -89,7 +89,8 @@ def test_batched_normals_match_estimate_normal_bitwise(r):
         for g, (seed, normal, score) in zip(grasps, expected):
             assert g.seed_index == seed and g.score == score
             assert g.center.tobytes() == cloud.points[seed].tobytes()
-            assert g.normal.tobytes() == VacuumGrasp(center=g.center, normal=normal).normal.tobytes()
+            # a grasp normalises the estimated normal once more
+            assert g.axis.tobytes() == (normal / np.linalg.norm(normal)).tobytes()
 
 
 def test_rejects_wrong_gripper(rng):
@@ -98,32 +99,36 @@ def test_rejects_wrong_gripper(rng):
         refine_vacuum_poses(cloud, SeedSet("parallel", [0], [0.5]))
 
 
-def grasp(score, seed):
-    return VacuumGrasp(center=(0, 0, 0), normal=(0, 0, 1), score=score, seed_index=seed)
+def grasps(scores, seeds):
+    return Grasps.vacuum(np.zeros((len(scores), 3)), np.tile([0.0, 0.0, 1.0], (len(scores), 1)), scores,
+                         seed_index=seeds)
+
+
+def top(gs, k):
+    return gs.ranked().take(slice(0, k))
 
 
 def test_rank_examples():
-    gs = [grasp(0.2, 0), grasp(0.9, 1), grasp(0.5, 2)]
-    top2 = rank_vacuum(gs, 2)
-    assert [g.score for g in top2] == [0.9, 0.5]
-    assert len(rank_vacuum(gs, 10)) == 3
+    gs = grasps([0.2, 0.9, 0.5], [0, 1, 2])
+    assert top(gs, 2).score.tolist() == [0.9, 0.5]
+    assert len(top(gs, 10)) == 3
 
 
 def test_rank_ties_by_seed_index():
-    gs = [grasp(0.5, 9), grasp(0.5, 2), grasp(0.5, 5)]
-    assert [g.seed_index for g in rank_vacuum(gs, 3)] == [2, 5, 9]
+    gs = grasps([0.5, 0.5, 0.5], [9, 2, 5])
+    assert top(gs, 3).seed_index.tolist() == [2, 5, 9]
 
 
 def test_rank_matches_sort_oracle(rng):
-    gs = [grasp(float(s), i) for i, s in enumerate(rng.uniform(size=1000))]
-    ranked = rank_vacuum(gs, 1000)
-    expected = sorted(gs, key=lambda g: (-g.score, g.seed_index))
-    assert [g.seed_index for g in ranked] == [g.seed_index for g in expected]
+    scores = rng.uniform(size=1000)
+    ranked = top(grasps(scores, np.arange(1000)), 1000)
+    expected = sorted(range(1000), key=lambda i: (-scores[i], i))
+    assert ranked.seed_index.tolist() == expected
 
 
 def test_rank_prefix_property(rng):
-    gs = [grasp(float(s), i) for i, s in enumerate(rng.uniform(size=50))]
+    gs = grasps(rng.uniform(size=50), np.arange(50))
     for k in range(1, 50):
-        a = [g.seed_index for g in rank_vacuum(gs, k)]
-        b = [g.seed_index for g in rank_vacuum(gs, k + 1)]
+        a = top(gs, k).seed_index.tolist()
+        b = top(gs, k + 1).seed_index.tolist()
         assert b[:k] == a

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -7,7 +5,7 @@ from scipy.spatial.transform import Rotation
 
 from dualgrasp import scenes
 from dualgrasp.geometry import closing_angles_deg
-from dualgrasp.grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, ParallelGrasp, VacuumGrasp
+from dualgrasp.grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, Grasps
 from dualgrasp.primitives import Primitive
 from dualgrasp.scenes import (
     ON_SURFACE_TOL,
@@ -38,18 +36,17 @@ def bare_scene(*prims, table_height=-1.0):
 
 
 def down_grasp(jaw_center, closing, width=0.09, depth=0.02):
-    """Parallel grasp whose jaw line passes through jaw_center along closing."""
+    """One parallel grasp whose jaw line passes through jaw_center along closing."""
     closing = np.asarray(closing, dtype=float)
     v = np.array([0.0, 0.0, -1.0])
     assert abs(closing @ v) < 1e-9, "closing must be horizontal for this helper"
     center = np.asarray(jaw_center, dtype=float) - depth * v
-    return ParallelGrasp(center=center, approach=v, angle_deg=closing_angles_deg(v, closing)[0],
-                         width=width, depth=depth)
+    return Grasps.parallel([center], [v], closing_angles_deg(v, closing), width, depth, score=0.0)
 
 
 def jaw_contact(scene, g):
     """parallel_quality_batch on one grasp's jaw line; a miss is hit == False."""
-    return parallel_quality_batch(scene, g.jaw_center()[None, :], g.closing_dir()[None, :], [g.width])
+    return parallel_quality_batch(scene, g.jaw_centers(), g.closings(), g.width)
 
 
 # -- scene generation -----------------------------------------------------------
@@ -209,8 +206,8 @@ def test_rigid_invariance_of_parallel_oracle():
         "box", box.dimensions, rotation=quat, translation=rot.as_matrix() @ box.translation + shift
     )
     # the rotated jaw line: angle re-derived in the rotated approach frame
-    u, v = rot.apply(g.closing_dir()), rot.apply(g.approach)
-    g_r = replace(g, center=rot.apply(g.center) + shift, approach=v, angle_deg=closing_angles_deg(v, u)[0])
+    u, v = rot.apply(g.closings()[0]), rot.apply(g.axis[0])
+    g_r = Grasps.parallel([rot.apply(g.center[0]) + shift], [v], closing_angles_deg(v, u), g.width, g.depth, score=0.0)
     mu1 = jaw_contact(bare_scene(box_r), g_r).mu[0]
     assert mu1 == pytest.approx(mu0, rel=1e-9, abs=1e-12)
 
@@ -311,20 +308,17 @@ def test_parallel_batch_matches_row_reduction_oracle_bitwise(monkeypatch):
 def test_seal_on_large_flat_face():
     slab = Primitive("plane-slab", (0.2, 0.2, 0.01), translation=(0, 0, 0.005))
     scene = bare_scene(slab)
-    g = VacuumGrasp(center=(0, 0, 0.01), normal=(0, 0, 1))
-    assert oracle_seal_quality(scene, g, 0.01) == pytest.approx(1.0, abs=1e-9)
+    assert oracle_seal_quality(scene, (0, 0, 0.01), 0.01) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_seal_porous_is_zero():
     slab = Primitive("plane-slab", (0.2, 0.2, 0.01), translation=(0, 0, 0.005), porosity_flag=True)
-    g = VacuumGrasp(center=(0, 0, 0.01), normal=(0, 0, 1))
-    assert oracle_seal_quality(bare_scene(slab), g, 0.01) == 0.0
+    assert oracle_seal_quality(bare_scene(slab), (0, 0, 0.01), 0.01) == 0.0
 
 
 def test_seal_off_object_is_zero():
     slab = Primitive("plane-slab", (0.1, 0.1, 0.01), translation=(0, 0, 0.005))
-    g = VacuumGrasp(center=(0.3, 0.3, 0.2), normal=(0, 0, 1))
-    assert oracle_seal_quality(bare_scene(slab), g, 0.01) == 0.0
+    assert oracle_seal_quality(bare_scene(slab), (0.3, 0.3, 0.2), 0.01) == 0.0
 
 
 def spherical_cap_rms(R, rc):
@@ -413,16 +407,17 @@ def test_seal_batch_matches_per_center_oracle_bitwise():
         cfg = SynthConfig(kind_sequence=kinds, density=5000.0, vacuum_grasps_per_object=24,
                           parallel_grasps_per_object=4, porous_prob=1.0 if seed == 12 else 0.25)
         _, scene = generate_scene(seed, 4, cfg)
-        vac = [g for g in sample_ground_truth_grasps(scene, cfg, seed=seed) if g.gripper == "vacuum"]
-        centers = np.array([g.pose.center for g in vac])
+        gt = sample_ground_truth_grasps(scene, cfg, seed=seed)
+        vac = gt.take(gt.gripper == "vacuum")
+        centers = vac.center
         want = np.array([seal_reference(scene, c, CUP_RADIUS) for c in centers])
-        assert np.array_equal([g.quality_coeff for g in vac], want)
+        assert np.array_equal(vac.quality, want)
         if seed == 12:
             assert not np.any(want)  # every object porous
         sealed += np.count_nonzero(want)
         porous += sum(p.porosity_flag for p in scene.objects())
         # a mixed batch: the candidates plus centers pushed 3 to 6 mm off the surface (seal 0)
-        normals = np.array([g.pose.normal for g in vac])
+        normals = vac.axis
         off = centers + rng.uniform(0.003, 0.006, (len(vac), 1)) * normals
         mixed = np.vstack([off, centers])[rng.permutation(2 * len(vac))]
         batch = seal_quality_batch(scene, mixed, 0.01)
@@ -489,8 +484,7 @@ def test_seal_on_sphere_matches_cap_integral(rng):
     R, rc = 0.02, 0.01
     sphere = Primitive("sphere", (R,), translation=(0, 0, 0.1))
     scene = bare_scene(sphere)
-    g = VacuumGrasp(center=(0, 0, 0.1 + R), normal=(0, 0, 1))
-    got = oracle_seal_quality(scene, g, rc)
+    got = oracle_seal_quality(scene, (0, 0, 0.1 + R), rc)
     assert got == pytest.approx(1.0 - spherical_cap_rms(R, rc) / rc, abs=0.01)
     assert got == pytest.approx(1.0 - sampled_cap_rms(R, rc, np.array([0, 0, 0.1]), rng) / rc, abs=0.01)
 
@@ -499,8 +493,7 @@ def test_seal_monotone_in_sphere_radius():
     seals = []
     for R in (0.015, 0.025, 0.04, 0.08):
         sphere = Primitive("sphere", (R,), translation=(0, 0, 0.1))
-        g = VacuumGrasp(center=(0, 0, 0.1 + R), normal=(0, 0, 1))
-        seals.append(oracle_seal_quality(bare_scene(sphere), g, 0.01))
+        seals.append(oracle_seal_quality(bare_scene(sphere), (0, 0, 0.1 + R), 0.01))
     assert all(seals[i] < seals[i + 1] for i in range(len(seals) - 1))
 
 
@@ -514,11 +507,11 @@ def test_gt_grasps_deterministic_and_scored(small_scene):
     for a, b in zip(grasps, again):
         assert a.gripper == b.gripper
         assert a.quality_coeff == b.quality_coeff
-        assert np.array_equal(a.pose.center, b.pose.center)
+        assert np.array_equal(a.center, b.center)
     for g in grasps:
         assert g.quality_coeff >= 0
         if g.gripper == "parallel":
-            assert g.pose.width <= MAX_WIDTH + 1e-12
+            assert g.width <= MAX_WIDTH + 1e-12
             assert np.isfinite(g.quality_coeff)
 
 
@@ -544,10 +537,10 @@ def parallel_candidates_reference(scene, cfg, seed):
             if np.linalg.norm(v) < 1e-6:
                 v = np.array([1.0, 0.0, 0.0]) - u[0] * u
             v = v / np.linalg.norm(v)
-            g = ParallelGrasp(center=mids[i] - scenes.GT_DEPTH * v, approach=v, angle_deg=closing_angles_deg(v, u)[0],
-                              width=min(MAX_WIDTH, float(sep[i]) + WIDTH_MARGIN), depth=scenes.GT_DEPTH,
-                              score=scenes.friction_to_graspness(mu[i]))
-            out.append([*g.center, *g.approach, g.angle_deg, g.width, g.score, float(mu[i])])
+            approach = v / np.linalg.norm(v)  # a grasp normalises its approach once more
+            out.append([*(mids[i] - scenes.GT_DEPTH * v), *approach, closing_angles_deg(v, u)[0] % 180.0,
+                        min(MAX_WIDTH, float(sep[i]) + WIDTH_MARGIN), scenes.friction_to_graspness(mu[i]),
+                        float(mu[i])])
     return np.array(out)
 
 
@@ -556,9 +549,9 @@ def test_gt_parallel_candidates_match_per_candidate_loop():
     for seed in range(4):
         cfg = SynthConfig(kind_sequence=kinds[seed:] + kinds[:seed], density=5000.0)
         _, scene = generate_scene(seed, 5, cfg)
-        par = [g for g in sample_ground_truth_grasps(scene, cfg, seed=seed) if g.gripper == "parallel"]
-        got = np.array([[*g.pose.center, *g.pose.approach, g.pose.angle_deg, g.pose.width, g.pose.score,
-                         g.quality_coeff] for g in par])
+        gt = sample_ground_truth_grasps(scene, cfg, seed=seed)
+        par = gt.take(gt.gripper == "parallel")
+        got = np.column_stack([par.center, par.axis, par.angle_deg, par.width, par.score, par.quality])
         assert np.array_equal(got, parallel_candidates_reference(scene, cfg, seed))
 
 
@@ -572,7 +565,7 @@ def test_scene_roundtrip(tmp_path, small_scene):
     assert np.array_equal(scene2.per_point_flat, scene.per_point_flat)
     assert len(grasps2) == len(grasps)
     assert all(p.kind == q.kind for p, q in zip(scene2.primitives, scene.primitives))
-    assert grasps2[0].quality_coeff == pytest.approx(grasps[0].quality_coeff)
+    assert grasps2.quality[0] == pytest.approx(grasps.quality[0])
 
 
 def test_save_scene_byte_identical(tmp_path, small_scene):
