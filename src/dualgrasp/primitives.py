@@ -195,19 +195,15 @@ def _sample_box(dims, count, rng):
     u = rng.uniform(-0.5, 0.5, size=(count, 2))
     pts = np.zeros((3, count))
     nrm = np.zeros((3, count))
-    half = np.array([sx, sy, sz]) / 2.0
+    size = np.array([sx, sy, sz])
     axis = face // 2  # 0:x faces, 1:y faces, 2:z faces
     sign = np.where(face % 2 == 0, 1.0, -1.0)
-    others = np.array([[1, 2], [0, 2], [0, 1]])
-    for a in range(3):
-        m = axis == a
-        if not np.any(m):
-            continue
-        o1, o2 = others[a]
-        pts[a, m] = sign[m] * half[a]
-        pts[o1, m] = u[m, 0] * dims[o1]
-        pts[o2, m] = u[m, 1] * dims[o2]
-        nrm[a, m] = sign[m]
+    o1, o2 = np.array([[1, 2], [0, 2], [0, 1]])[axis].T  # the two in-face axes
+    cols = np.arange(count)
+    pts[axis, cols] = sign * (size / 2.0)[axis]
+    pts[o1, cols] = u[:, 0] * size[o1]
+    pts[o2, cols] = u[:, 1] * size[o2]
+    nrm[axis, cols] = sign
     return pts, nrm, np.ones(count, dtype=bool)
 
 

@@ -9,6 +9,7 @@ planarity-based seal coefficient (vacuum).
 """
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -378,20 +379,23 @@ def _seal_surface_samples(prim: Primitive, count: int):
     """Local-frame surface samples for the seal oracle and a cKDTree over them, cached per shape.
 
     Samples are drawn once per (kind, dimensions, count) with a fixed seed, so
-    the oracle stays a pure function. Clearing _SEAL_SAMPLE_CACHE drops the
-    trees with the samples.
+    the oracle stays a pure function. The tree only prefilters the cups, so it
+    is built for speed (big leaves, midpoint splits): shapes rarely recur, so
+    each tree serves only a few hundred cups. Clearing _SEAL_SAMPLE_CACHE
+    drops the trees with the samples.
     """
     key = (prim.kind, prim.dimensions, count)
     entry = _SEAL_SAMPLE_CACHE.get(key)
     if entry is None:
-        # A tree adds about 70% to its samples' memory, and shapes do not recur
+        # A tree adds 60 to 70% to its samples' memory, and shapes do not recur
         # across scenes: hold a few scenes' worth, not 64 shapes.
         if len(_SEAL_SAMPLE_CACHE) > 16:
             _SEAL_SAMPLE_CACHE.clear()
         rng = np.random.default_rng(_SEAL_RNG_SEED)
         reference = Primitive(prim.kind, prim.dimensions, object_id=max(1, prim.object_id))
         local, _, _ = reference.sample_surface(count, rng)
-        entry = _SEAL_SAMPLE_CACHE[key] = (local, cKDTree(local))
+        tree = cKDTree(local, leafsize=32, balanced_tree=False, compact_nodes=False)
+        entry = _SEAL_SAMPLE_CACHE[key] = (local, tree)
     return entry
 
 
@@ -427,12 +431,12 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
                                      return_sorted=True)
         normals = prim.surface_normal(c[rows].T).T.copy()
         for row, cand, n in zip(rows, near, normals):
-            cand = np.asarray(cand, dtype=np.intp)
-            in_cup = cand[np.linalg.norm(pts[cand] - c[row], axis=1) <= cup_radius]
-            if len(in_cup) == 0:
+            d = pts[cand] - c[row]
+            d = d[np.sqrt(np.add.reduce(d * d, axis=1)) <= cup_radius]  # np.linalg.norm's bits
+            if len(d) == 0:
                 continue
-            dev = (pts[in_cup] - c[row]) @ n
-            rms = float(np.sqrt(np.mean(dev**2)))
+            dev = d @ n
+            rms = math.sqrt(np.add.reduce(dev * dev) / len(dev))  # np.mean's bits
             seal[row] = max(0.0, 1.0 - rms / cup_radius)
     return SealBatch(seal=seal, object_id=np.where(owners > 0, owners, -1))
 

@@ -53,6 +53,47 @@ def test_sample_surface_on_surface(rng):
             assert flat.all()
 
 
+def sample_box_reference(dims, count, rng):
+    """_sample_box as one boolean-masked pass per face axis, the form it replaced."""
+    sx, sy, sz = dims
+    areas = np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy, sx * sy])
+    face = rng.choice(6, size=count, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=(count, 2))
+    pts = np.zeros((3, count))
+    nrm = np.zeros((3, count))
+    half = np.array([sx, sy, sz]) / 2.0
+    axis = face // 2
+    sign = np.where(face % 2 == 0, 1.0, -1.0)
+    others = np.array([[1, 2], [0, 2], [0, 1]])
+    for a in range(3):
+        m = axis == a
+        if not np.any(m):
+            continue
+        o1, o2 = others[a]
+        pts[a, m] = sign[m] * half[a]
+        pts[o1, m] = u[m, 0] * dims[o1]
+        pts[o2, m] = u[m, 1] * dims[o2]
+        nrm[a, m] = sign[m]
+    return pts, nrm, np.ones(count, dtype=bool)
+
+
+def test_sample_box_matches_per_axis_mask_loop():
+    rng = np.random.default_rng(21)
+    # random boxes, plus thin slabs whose edge faces mostly draw nothing
+    shapes = [tuple(rng.uniform(0.005, 0.2, 3)) for _ in range(12)] + [(0.1, 0.1, 1e-7), (1e-7, 0.05, 0.08)]
+    empty_axis = 0
+    for i, dims in enumerate(shapes):
+        for count in (1, 2, 7, 333, 60_000):
+            got_rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+            got = P._sample_box(dims, count, got_rng)
+            want = sample_box_reference(dims, count, want_rng)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert got_rng.random() == want_rng.random()  # same draws, in the same order
+            empty_axis += np.count_nonzero(~np.any(want[1] != 0.0, axis=1))
+    assert empty_axis > 60
+
+
 def test_sample_surface_area_uniformity(rng):
     # thin slab: the two big faces carry almost all of the area
     prim = Primitive("plane-slab", (0.1, 0.1, 0.002))

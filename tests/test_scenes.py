@@ -462,9 +462,9 @@ def test_clearing_the_seal_cache_drops_the_trees(monkeypatch):
     builds = []
     real_tree = scenes.cKDTree
 
-    def counting_tree(points):
+    def counting_tree(points, **kwargs):
         builds.append(len(points))
-        return real_tree(points)
+        return real_tree(points, **kwargs)
 
     monkeypatch.setattr(scenes, "cKDTree", counting_tree)
     sphere = Primitive("sphere", (0.03,), translation=(0.0, 0.0, 0.03))
@@ -478,6 +478,25 @@ def test_clearing_the_seal_cache_drops_the_trees(monkeypatch):
     scenes._SEAL_SAMPLE_CACHE.clear()
     assert np.array_equal(seal_quality_batch(scene, centers).seal, first)
     assert len(builds) == 2  # rebuilt after the reset
+
+
+def test_seal_bits_do_not_depend_on_the_sample_tree_build():
+    """The tree only prefilters the exact world-frame test: a default-built cKDTree gives the same bits."""
+    kinds = ("box", "sphere", "cylinder", "plane-slab")
+    _, scene = generate_scene(7, len(kinds), SynthConfig(kind_sequence=kinds, density=5000.0))
+    rng = np.random.default_rng(8)
+    parts = []
+    for prim in scene.objects():
+        pts, nrm, _ = prim.sample_surface(200, rng)
+        parts += [pts, pts + rng.uniform(-0.0015, 0.0015, (len(pts), 1)) * nrm]
+    centers = np.vstack(parts)
+    scenes._SEAL_SAMPLE_CACHE.clear()
+    built = seal_quality_batch(scene, centers).seal
+    assert sorted(p.kind for p in scene.objects()) == sorted(kinds) and np.count_nonzero(built) > 400
+    for key, (local, _) in list(scenes._SEAL_SAMPLE_CACHE.items()):
+        scenes._SEAL_SAMPLE_CACHE[key] = (local, cKDTree(local))
+    assert np.array_equal(seal_quality_batch(scene, centers).seal, built)
+    scenes._SEAL_SAMPLE_CACHE.clear()
 
 
 def test_seal_on_sphere_matches_cap_integral(rng):
