@@ -8,6 +8,9 @@ file is a flat key-value text format with dotted section names::
     sampling.t_parallel = 0.1
     train.epochs = 22
 
+A config-backed flag (--epochs, --seeds, ...) sets the keys _FLAG_KEYS names;
+build_configs checks and sets its value as it does a config-file value.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Output files carry no
 timestamps or hostnames so re-runs with identical seeds are byte-identical.
 """
@@ -56,6 +59,15 @@ _SECTIONS = {
     "refine": RefineParallelConfig,
     "train": TrainConfig,
     "eval": EvalConfig,
+}
+
+# the argparse dest of each config-backed flag -> the config keys its value sets
+_FLAG_KEYS = {
+    "kinds": ("synth.kinds",), "k": ("eval.k_max",),
+    "epochs": ("train.epochs",), "batch": ("train.batch_size",), "lr": ("train.lr0",),
+    "rng_seed": ("train.rng_seed",), "pcgrad": ("train.pcgrad_enabled",),
+    "t_parallel": ("sampling.t_parallel",), "t_vacuum": ("sampling.t_vacuum",),
+    "seeds": ("sampling.m_parallel", "sampling.m_vacuum"),
 }
 
 
@@ -111,10 +123,7 @@ def _scene_stems(scenes_dir) -> list:
 
 
 def cmd_synth(args) -> int:
-    cfgs = _configs_from_args(args)
-    synth = cfgs["synth"]
-    if args.kinds is not None:
-        synth = replace(synth, kinds=tuple(args.kinds.split(",")))
+    synth = _configs_from_args(args)["synth"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.scenes):
@@ -153,14 +162,6 @@ def cmd_labels(args) -> int:
 def cmd_train(args) -> int:
     cfgs = _configs_from_args(args)
     tcfg: TrainConfig = cfgs["train"]
-    tcfg = replace(
-        tcfg,
-        epochs=args.epochs if args.epochs is not None else tcfg.epochs,
-        batch_size=args.batch if args.batch is not None else tcfg.batch_size,
-        lr0=args.lr if args.lr is not None else tcfg.lr0,
-        rng_seed=args.seed if args.seed is not None else tcfg.rng_seed,
-        pcgrad_enabled=args.pcgrad if args.pcgrad is not None else tcfg.pcgrad_enabled,
-    )
     rcfg: RefineParallelConfig = cfgs["refine"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,17 +186,10 @@ def _make_pipeline(args, cfgs) -> GraspPipeline:
     if bool(args.checkpoint) == bool(args.fallback_head):
         raise UsageError("need exactly one of --checkpoint and --fallback-head")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    sampling: SamplingConfig = cfgs["sampling"]
-    if args.t_parallel is not None:
-        sampling = replace(sampling, t_parallel=args.t_parallel)
-    if args.t_vacuum is not None:
-        sampling = replace(sampling, t_vacuum=args.t_vacuum)
-    if args.seeds is not None:
-        sampling = replace(sampling, m_parallel=args.seeds, m_vacuum=args.seeds)
     try:
         return GraspPipeline(
             model=model,
-            sampling=sampling,
+            sampling=cfgs["sampling"],
             refine=cfgs["refine"],
             max_parallel_refine=args.max_refine,
         )
@@ -249,13 +243,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    given = [f"--{name.replace('_', '-')}" for name in _PIPELINE_FLAGS if getattr(args, name) is not None]
+    given = [a.option_strings[0] for a in args.pipeline_flags if getattr(args, a.dest) is not None]
     if given and not args.clearing:
         raise UsageError(f"{', '.join(given)} only act with --clearing")
     cfgs = _configs_from_args(args)
     ecfg: EvalConfig = cfgs["eval"]
-    if args.k is not None:
-        ecfg = replace(ecfg, k_max=args.k)
     grasps_dir = Path(args.grasps)
     if not grasps_dir.is_dir():
         raise UsageError(f"--grasps {grasps_dir} is not a directory")
@@ -275,7 +267,10 @@ def cmd_eval(args) -> int:
             gfile = grasps_dir / f"{stem.name}_grasps_{gripper}.json"
             if not gfile.exists():
                 continue
-            grasps = Grasps.from_records(json.loads(gfile.read_text())["grasps"])
+            doc = json.loads(gfile.read_text())
+            if doc.get("schema_version") != GRASP_SCHEMA_VERSION:
+                raise ValueError(f"{gfile}: unsupported grasp schema_version {doc.get('schema_version')!r}")
+            grasps = Grasps.from_records(doc["grasps"])
             if np.any(grasps.gripper != gripper):
                 raise ValueError(f"{gfile.name} holds a grasp of the other gripper")
             # lists arrive ranked; precision@k never looks past k_max
@@ -294,9 +289,9 @@ def cmd_eval(args) -> int:
                 metrics, _ = run_clearing_loop(cloud, scene, proposer, gripper)
                 rows.append(_clearing_row(stem.name, gripper, metrics))
 
-    rows.sort(key=lambda r: (r["record"], r["scene"], r["gripper"], str(r["mu"])))
+    rows.sort(key=lambda r: (r["record"], r["scene"], r["gripper"], str(r.get("mu", ""))))
     with open(out / "metrics.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=METRICS_FIELDS)
+        writer = csv.DictWriter(f, fieldnames=METRICS_FIELDS, restval="")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -322,23 +317,20 @@ def cmd_eval(args) -> int:
 
 
 def _ap_row(scene, split, gripper, mu, value, record="ap"):
-    row = {k: "" for k in METRICS_FIELDS}
-    row.update(record=record, scene=scene, split=split, gripper=gripper,
-               mu="" if mu is None else mu, value=repr(float(value)))
-    return row
+    """A metrics.csv row of AP at one coefficient mu, or over the grid when mu is None."""
+    row = dict(record=record, scene=scene, split=split, gripper=gripper, value=repr(float(value)))
+    return row if mu is None else {**row, "mu": mu}
 
 
 def _clearing_row(scene, gripper, m):
-    row = {k: "" for k in METRICS_FIELDS}
-    row.update(
-        record="clearing", scene=scene, gripper=gripper, mu="", value="",
+    return dict(
+        record="clearing", scene=scene, gripper=gripper,
         r_object=repr(m.r_object), r_grasp=repr(m.r_grasp), r_mix=repr(m.r_mix),
         r_seen=repr(m.r_seen), objects_total=m.objects_total,
         objects_cleared=m.objects_cleared, grasps_total=m.grasps_total,
         grasps_successful=m.grasps_successful, grasps_on_cleared=m.grasps_on_cleared,
         objects_detected=m.objects_detected,
     )
-    return row
 
 
 def cmd_export_ply(args) -> int:
@@ -359,19 +351,18 @@ def _add_common(p):
     p.add_argument("--config", help="key-value config file (section.key = value)")
 
 
-_PIPELINE_FLAGS = ("checkpoint", "fallback_head", "t_parallel", "t_vacuum", "seeds", "max_refine")
-
-
-def _add_pipeline_args(p):
-    """The flags of _PIPELINE_FLAGS, each None unless given."""
-    p.add_argument("--checkpoint", help="trained model checkpoint JSON")
-    p.add_argument("--fallback-head", action="store_true", default=None,
-                   help="use oracle label maps and the geometric grasp head (no model)")
-    p.add_argument("--t-parallel", type=float, default=None, help="parallel fused-score threshold")
-    p.add_argument("--t-vacuum", type=float, default=None, help="vacuum fused-score threshold")
-    p.add_argument("--seeds", type=int, default=None, help="seed count per gripper")
-    p.add_argument("--max-refine", type=_flag(int, COUNT), default=None,
-                   help="refine only this many best-fused parallel seeds")
+def _add_pipeline_args(p) -> list:
+    """The grasp pipeline's flags, each None unless given; returns their argparse actions."""
+    return [
+        p.add_argument("--checkpoint", help="trained model checkpoint JSON"),
+        p.add_argument("--fallback-head", action="store_true", default=None,
+                       help="use oracle label maps and the geometric grasp head (no model)"),
+        p.add_argument("--t-parallel", type=float, help="parallel fused-score threshold"),
+        p.add_argument("--t-vacuum", type=float, help="vacuum fused-score threshold"),
+        p.add_argument("--seeds", type=int, help="seed count per gripper"),
+        p.add_argument("--max-refine", type=_flag(int, COUNT),
+                       help="refine only this many best-fused parallel seeds"),
+    ]
 
 
 def _flag(parse, domain):
@@ -407,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=_flag(int, COUNT), default=5)
     p.add_argument("--seed", type=_flag(int, SEED), default=0)
     p.add_argument("--split", default="default", help="split label stored in the sidecar")
-    p.add_argument("--kinds", help="comma-separated primitive kinds to sample from")
+    p.add_argument("--kinds", type=lambda text: text.split(","),
+                   help="comma-separated primitive kinds to sample from")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -420,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the multitask per-point predictor")
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pcgrad", type=_parse_bool, default=None, nargs="?", const=True,
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int, dest="rng_seed", metavar="SEED")
+    p.add_argument("--pcgrad", type=_parse_bool, nargs="?", const=True,
                    help="enable gradient surgery (--pcgrad=false for the ablation)")
     _add_common(p)
     p.set_defaults(func=cmd_train)
@@ -442,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--grasps", required=True, help="directory of predict outputs")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=None, help="k_max for Precision@k")
+    p.add_argument("--k", type=int, help="k_max for Precision@k")
     p.add_argument("--clearing", action="store_true", help="also simulate clearing runs")
-    _add_pipeline_args(p)
+    pipeline_flags = _add_pipeline_args(p)
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, pipeline_flags=pipeline_flags)
 
     p = sub.add_parser("export-ply", help="colorize a scalar channel of a PLY file")
     p.add_argument("--input", required=True)
@@ -460,7 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configs_from_args(args) -> dict:
-    overrides = load_config_file(args.config) if getattr(args, "config", None) else {}
+    """The configs of the config file's keys with every config-backed flag given laid over them."""
+    overrides = load_config_file(args.config) if args.config else {}
+    for dest, keys in _FLAG_KEYS.items():
+        if (value := getattr(args, dest, None)) is not None:
+            overrides.update(dict.fromkeys(keys, value))
     return build_configs(overrides)
 
 

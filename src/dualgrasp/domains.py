@@ -3,8 +3,9 @@
 Each config field declares its valid values once, next to its default, with
 `setting(default, domain)`: the value's JSON shape (switch, integer, number,
 a list of n numbers, a list of names) and its range. Every config class's
-__post_init__ runs `check_fields`; the CLI checks each config-file value under
-its dotted key, and types its other flags from the same domains.
+__post_init__ runs `check_fields`; the CLI checks each config-file value, and
+each config-backed flag's, under its dotted key, and types its other flags
+from the same domains.
 """
 
 import json

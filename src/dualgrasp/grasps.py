@@ -67,9 +67,10 @@ class Grasps:
     @classmethod
     def _coerced(cls, gripper, center, axis, angle_deg, width, depth, score, seed_index, quality):
         """Columns coerced as a single grasp always was: float64, unit axes (unit_rows, the
-        bits of a per-row np.linalg.norm division) and angles modulo 180."""
+        bits of a per-row np.linalg.norm division) and angles modulo 180. One axis spreads over all rows."""
         center = np.array(center, dtype=np.float64).reshape(-1, 3)
         m = len(center)
+        axis = np.broadcast_to(np.asarray(axis, dtype=np.float64).reshape(-1, 3), (m, 3))
         return cls(np.full(m, gripper), center, unit_rows(axis), _column(angle_deg, m) % 180.0, _column(width, m),
                    _column(depth, m), _column(score, m), np.full(m, seed_index, dtype=np.intp),
                    None if quality is None else _column(quality, m))

@@ -92,14 +92,6 @@ def roc_auc(scores, labels) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both positive and negative labels")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    from scipy.stats import rankdata  # not at module level: it adds ~0.3 s and ~35 MB to every CLI start
+
+    return float((rankdata(s)[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualgrasp.cli import _SECTIONS, build_configs, load_config_file, main
+from dualgrasp.cli import _FLAG_KEYS, _SECTIONS, _configs_from_args, build_configs, build_parser, load_config_file, main
 from dualgrasp.grasps import PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig, load_checkpoint, save_checkpoint
 from dualgrasp.pipeline import GraspPipeline, SceneProposer
@@ -197,6 +198,17 @@ def test_eval_rejects_a_grasp_of_the_other_gripper(workspace, tmp_path):
     assert run("eval", "--scenes", workspace / "scenes", "--grasps", pred, "--out", tmp_path / "out") == 1
 
 
+@pytest.mark.parametrize("version", [99, None])
+def test_eval_rejects_an_unknown_grasp_schema_version(workspace, tmp_path, capsys, version):
+    pred = copied_predictions(workspace, tmp_path)
+    vacuum = pred / f"scene_0000_grasps_{VACUUM}.json"
+    doc = json.loads(vacuum.read_text())
+    doc["schema_version"] = version
+    vacuum.write_text(json.dumps(doc))
+    assert run("eval", "--scenes", workspace / "scenes", "--grasps", pred, "--out", tmp_path / "out") == 1
+    assert vacuum.name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("quality", [-0.1, math.nan, math.inf])
 def test_scene_with_impossible_ground_truth_quality_exits_one(workspace, tmp_path, quality):
     scenes = tmp_path / "scenes"
@@ -296,6 +308,63 @@ def test_readme_names_the_config_sections():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     line = re.search(r"^Sections: (.*)$", readme, re.M).group(1)
     assert re.findall(r"`([a-z_]+)`", line) == list(_SECTIONS)
+
+
+def test_every_flag_key_names_a_config_field():
+    """A misspelt key in the flag table fails here rather than every run of its subcommand."""
+    known = {f"{section}.{f.name}" for section, cls in _SECTIONS.items() for f in fields(cls)}
+    assert {key for keys in _FLAG_KEYS.values() for key in keys} - known == set()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["synth", "--kinds", "box,sphere"], {"synth.kinds": ["box", "sphere"]}),
+    (["train", "--scenes", "s", "--epochs", "3", "--batch", "2", "--lr", "0.01", "--seed", "4", "--pcgrad=false"],
+     {"train.epochs": 3, "train.batch_size": 2, "train.lr0": 0.01, "train.rng_seed": 4,
+      "train.pcgrad_enabled": False}),
+    (["predict", "--scenes", "s", "--t-parallel", "0.3", "--t-vacuum", "0.4", "--seeds", "9"],
+     {"sampling.t_parallel": 0.3, "sampling.t_vacuum": 0.4, "sampling.m_parallel": 9, "sampling.m_vacuum": 9}),
+    (["eval", "--scenes", "s", "--grasps", "g", "--k", "6", "--clearing", "--seeds", "2"],
+     {"eval.k_max": 6, "sampling.m_parallel": 2, "sampling.m_vacuum": 2}),
+    (["synth", "--seed", "5"], {}),  # the scene seed is not a config key
+], ids=["synth", "train", "predict", "eval", "synth-seed"])
+def test_each_config_backed_flag_sets_its_keys(argv, keys):
+    """The configs of a command line equal those of its flags' keys given as config-file keys."""
+    args = build_parser().parse_args([*argv, "--out", "o"])
+    assert _configs_from_args(args) == build_configs(keys)
+
+
+def test_a_flag_wins_over_the_config_file_and_the_file_over_the_defaults(workspace, tmp_path):
+    """Each value the file sets, and the flag's other value, is seen in the outputs of one run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train.epochs = 2\nsampling.m_parallel = 5\nsampling.m_vacuum = 5\neval.k_max = 7\n"
+                   'synth.kinds = ["sphere"]\n')
+    scenes, runs = workspace / "scenes", itertools.count()
+
+    def outputs(*argv):
+        out = tmp_path / f"run{next(runs)}"
+        assert run(*argv, "--out", out, "--config", cfg) == 0
+        return out
+
+    def kinds(*flags):
+        doc = json.loads((outputs("synth", "--objects", "4", *flags) / "scene_0000.json").read_text())
+        return {p["kind"] for p in doc["primitives"] if p["object_id"] > 0}  # object 0 is the table
+
+    def epochs(*flags):
+        return len((outputs("train", "--scenes", scenes, *flags) / "train_log.csv").read_text().splitlines()) - 2
+
+    def seeds(*flags):
+        out = outputs("predict", "--scenes", scenes, "--fallback-head", "--grippers", VACUUM, *flags)
+        doc = json.loads((out / "scene_0000_grasps_vacuum.json").read_text())
+        return len(doc["grasps"]) + doc["dropped_seeds"]  # one vacuum pose per seed, or a dropped seed
+
+    def k_max(*flags):
+        out = outputs("eval", "--scenes", scenes, "--grasps", workspace / "pred", *flags)
+        return json.loads((out / "summary.json").read_text())["k_max"]
+
+    assert (kinds(), kinds("--kinds", "box")) == ({"sphere"}, {"box"})
+    assert (epochs(), epochs("--epochs", "1")) == (2, 1)
+    assert (seeds(), seeds("--seeds", "3")) == (5, 3)
+    assert (k_max(), k_max("--k", "4")) == (7, 4)
 
 
 def test_predict_rerun_byte_identical(workspace, tmp_path):

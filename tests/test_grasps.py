@@ -127,6 +127,21 @@ def test_views_read_one_row(small_scene):
         views[0].score = 1.0
 
 
+@pytest.mark.parametrize("gripper", [PARALLEL, VACUUM])
+def test_one_axis_spreads_over_every_row(gripper):
+    """An axis given once is every row's axis, with the bits of the same axis given per row."""
+    centers = np.arange(9.0).reshape(3, 3)
+    axis = [0.3, -1.0, 2.0]
+    if gripper == PARALLEL:
+        one, each = (Grasps.parallel(centers, a, 30.0, 0.05, 0.02, 0.5) for a in (axis, [axis] * 3))
+    else:
+        one, each = (Grasps.vacuum(centers, a, 0.5) for a in (axis, [axis] * 3))
+    assert one.axis.shape == (3, 3)
+    assert one.axis.tobytes() == each.axis.tobytes()
+    assert one.take([2]).axis.tobytes() == each.axis[2:].tobytes()
+    assert one.records() == each.records() and len(one.records()) == 3
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"width_m": 0}, "width"), ({"width_m": -0.01}, "width"), ({"width_m": MAX_WIDTH * 1.001}, "width"),
     ({"width_m": float("nan")}, "width"), ({"center": [0.0, float("inf"), 0.0]}, "center"),

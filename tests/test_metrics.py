@@ -243,3 +243,30 @@ def test_roc_auc_basics():
     assert roc_auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
     with pytest.raises(ValueError):
         roc_auc([0.1, 0.2], [1, 1])
+    # tie-heavy draws: the AUC has the bits of the former hand-written tie-ranking loop
+    rng = np.random.default_rng(7)
+    for case in range(300):
+        n = int(rng.integers(2, 400))
+        scores = rng.integers(0, int(rng.integers(1, 12)), n) / 7.0 if case % 2 else rng.random(n).round(2)
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+        labels[:2] = [True, False]
+        assert np.float64(roc_auc(scores, labels)).tobytes() == np.float64(_tie_loop_auc(scores, labels)).tobytes()
+
+
+def _tie_loop_auc(scores, labels) -> float:
+    """roc_auc as it was written before it used scipy.stats.rankdata: average ranks of tied runs by hand."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(bool)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s))
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
