@@ -19,6 +19,8 @@ MAX_CONSECUTIVE_FAILURES = 3
 # most EXEC_MU_PARALLEL, seal at least EXEC_MU_VACUUM
 EXEC_MU_PARALLEL = 0.8
 EXEC_MU_VACUUM = 0.4
+# the R metrics, the ratio properties of ClearingMetrics
+RATIOS = ("r_object", "r_grasp", "r_mix", "r_seen")
 
 
 @dataclass

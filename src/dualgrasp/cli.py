@@ -19,13 +19,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, replace
 from dataclasses import fields as dc_fields
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .clearing import run_clearing_loop
+from .clearing import RATIOS, ClearingMetrics, run_clearing_loop
 from .domains import COUNT, FINITE, SEED, UsageError, check
 from .grasps import GRASP_SCHEMA_VERSION, PARALLEL, VACUUM, Grasps
 from .json_io import write_json
@@ -46,12 +46,8 @@ from .scenes import (
 from .train import TrainConfig, prepare_training_scene, save_history_csv, train
 from .visualize import colorize
 
-METRICS_FIELDS = [
-    "record", "scene", "split", "gripper", "mu", "value",
-    "r_object", "r_grasp", "r_mix", "r_seen",
-    "objects_total", "objects_cleared", "grasps_total", "grasps_successful",
-    "grasps_on_cleared", "objects_detected",
-]
+METRICS_FIELDS = ["record", "scene", "split", "gripper", "mu", "value", *RATIOS,
+                  *(f.name for f in dc_fields(ClearingMetrics))]
 
 _SECTIONS = {
     "synth": SynthConfig,
@@ -108,6 +104,8 @@ def build_configs(overrides: dict) -> dict:
         if isinstance(value, list):
             value = tuple(value)
         configs[section] = replace(cfg, **{name: value})
+    if "synth.kinds" in overrides and configs["synth"].kind_sequence:
+        raise UsageError("synth.kinds has no effect next to a non-empty synth.kind_sequence; give only one")
     return configs
 
 
@@ -322,15 +320,9 @@ def _ap_row(scene, split, gripper, mu, value, record="ap"):
     return row if mu is None else {**row, "mu": mu}
 
 
-def _clearing_row(scene, gripper, m):
-    return dict(
-        record="clearing", scene=scene, gripper=gripper,
-        r_object=repr(m.r_object), r_grasp=repr(m.r_grasp), r_mix=repr(m.r_mix),
-        r_seen=repr(m.r_seen), objects_total=m.objects_total,
-        objects_cleared=m.objects_cleared, grasps_total=m.grasps_total,
-        grasps_successful=m.grasps_successful, grasps_on_cleared=m.grasps_on_cleared,
-        objects_detected=m.objects_detected,
-    )
+def _clearing_row(scene, gripper, m: ClearingMetrics):
+    ratios = {name: repr(getattr(m, name)) for name in RATIOS}
+    return dict(record="clearing", scene=scene, gripper=gripper, **ratios, **asdict(m))
 
 
 def cmd_export_ply(args) -> int:

@@ -48,7 +48,7 @@ def grasp_qualities(grasps: Grasps, scene: SceneAnnotation, gripper: str):
     if len(grasps) == 0:
         return np.empty(0), np.empty(0, dtype=np.intp)
     res = parallel_quality_batch(scene, grasps.jaw_centers(), grasps.closings(), grasps.width)
-    return np.where(res.hit, res.mu, np.inf), res.object_id
+    return res.mu, res.object_id
 
 
 def successes_at(qualities: np.ndarray, mu: float, gripper: str) -> np.ndarray:

@@ -11,7 +11,7 @@ depth, width, score) emit per-seed predictions.
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -234,19 +234,10 @@ def _decode(s: str, shape) -> np.ndarray:
 
 
 def save_checkpoint(path, model: MlpModel):
-    cfg = model.config
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": {
-            "feature_dim": cfg.feature_dim,
-            "hidden": list(cfg.hidden),
-            "bypass_gain": cfg.bypass_gain,
-            "refiner": True,  # every model has refiner heads; load_checkpoint rejects false
-            "n_views": cfg.n_views,
-            "n_angle_bins": cfg.n_angle_bins,
-            "n_depth_bins": cfg.n_depth_bins,
-            "n_score_bins": cfg.n_score_bins,
-        },
+        # every model has refiner heads; load_checkpoint rejects refiner false
+        "config": {**asdict(model.config), "refiner": True},
         "feature_mean": _encode(model.feature_mean),
         "feature_std": _encode(model.feature_std),
         "trunk": [{"shape": list(w.shape), "w": _encode(w), "b": _encode(b)} for w, b in model.trunk],
@@ -259,7 +250,14 @@ def save_checkpoint(path, model: MlpModel):
     write_json(path, doc)
 
 
+def _layer_shapes(model: MlpModel) -> dict:
+    """Weight shape of each trunk layer and head, by layer name."""
+    shapes = {f"trunk layer {i}": w.shape for i, (w, _) in enumerate(model.trunk)}
+    return shapes | {f"head {name!r}": w.shape for name, (w, _) in model.heads.items()}
+
+
 def load_checkpoint(path) -> MlpModel:
+    """The model a checkpoint holds: every ModelConfig field but bypass_gain is required, and every layer must fit."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
@@ -267,16 +265,10 @@ def load_checkpoint(path) -> MlpModel:
     c = doc["config"]
     if c.get("refiner") is not True:
         raise ValueError(f"{path}: unsupported checkpoint without refiner heads")
-    cfg = ModelConfig(
-        feature_dim=c["feature_dim"],
-        hidden=tuple(c["hidden"]),
-        bypass_gain=c.get("bypass_gain", ModelConfig.bypass_gain),
-        n_views=c["n_views"],
-        n_angle_bins=c["n_angle_bins"],
-        n_depth_bins=c["n_depth_bins"],
-        n_score_bins=c["n_score_bins"],
-    )
+    kwargs = {f.name: c[f.name] for f in fields(ModelConfig) if f.name in c or f.name != "bypass_gain"}
+    cfg = ModelConfig(**{**kwargs, "hidden": tuple(kwargs["hidden"])})
     model = MlpModel(cfg, np.random.default_rng(0))
+    expected = _layer_shapes(model)
     model.feature_mean = _decode(doc["feature_mean"], (cfg.feature_dim,))
     model.feature_std = _decode(doc["feature_std"], (cfg.feature_dim,))
     model.trunk = [[_decode(d["w"], d["shape"]), _decode(d["b"], (d["shape"][1],))] for d in doc["trunk"]]
@@ -284,5 +276,10 @@ def load_checkpoint(path) -> MlpModel:
         name: [_decode(d["w"], d["shape"]), _decode(d["b"], (d["shape"][1],))]
         for name, d in doc["heads"].items()
     }
+    stored = _layer_shapes(model)
+    for name in expected | stored:
+        if stored.get(name) != expected.get(name):
+            raise ValueError(f"{path}: {name} does not fit the checkpoint's config "
+                             f"(stored weights {stored.get(name)}, the config gives {expected.get(name)})")
     model.meta = doc.get("meta", {})
     return model

@@ -11,7 +11,7 @@ planarity-based seal coefficient (vacuum).
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -84,13 +84,11 @@ class SceneAnnotation:
 
     primitives: list
     table_height: float
-    camera_viewpoint: np.ndarray
     per_point_object_id: np.ndarray
     per_point_flat: np.ndarray
     split: str = "default"
 
     def __post_init__(self):
-        self.camera_viewpoint = np.asarray(self.camera_viewpoint, dtype=np.float64).reshape(3)
         self.per_point_object_id = np.asarray(self.per_point_object_id, dtype=np.intp)
         self.per_point_flat = np.asarray(self.per_point_flat, dtype=bool)
         ids = {p.object_id for p in self.primitives}
@@ -201,7 +199,6 @@ def generate_scene(seed, n_objects: int, config: SynthConfig = None):
     annotation = SceneAnnotation(
         primitives=prims,
         table_height=cfg.table_height,
-        camera_viewpoint=viewpoint,
         per_point_object_id=np.concatenate(all_ids),
         per_point_flat=np.concatenate(all_flat),
     )
@@ -501,31 +498,11 @@ def sample_ground_truth_grasps(scene: SceneAnnotation, config: SynthConfig = Non
 # -- persistence ---------------------------------------------------------------
 
 
-def scene_to_dict(scene: SceneAnnotation, grasps: Grasps = None) -> dict:
-    return {
-        "schema_version": SCENE_SCHEMA_VERSION,
-        "table_height": float(scene.table_height),
-        "camera_viewpoint": [float(x) for x in scene.camera_viewpoint],
-        "split": scene.split,
-        "point_channels": ["object_id", "flat"],
-        "primitives": [
-            {
-                "kind": p.kind,
-                "dimensions": list(p.dimensions),
-                "rotation": [float(x) for x in p.rotation],
-                "translation": [float(x) for x in p.translation],
-                "object_id": int(p.object_id),
-                "friction_coeff": float(p.friction_coeff),
-                "porosity_flag": bool(p.porosity_flag),
-            }
-            for p in scene.primitives
-        ],
-        "grasps": [] if grasps is None else grasps.records(),
-    }
-
-
 def save_scene(path_stem, cloud: PointCloud, scene: SceneAnnotation, grasps: Grasps = None):
-    """Write <stem>.ply (cloud + per-point channels) and <stem>.json (annotation + grasps)."""
+    """Write <stem>.ply (cloud + per-point channels) and <stem>.json (annotation + grasps).
+
+    Each primitive is stored under its Primitive field names; the viewpoint is the cloud's.
+    """
     stem = str(path_stem)
     write_ply(
         stem + ".ply",
@@ -535,7 +512,16 @@ def save_scene(path_stem, cloud: PointCloud, scene: SceneAnnotation, grasps: Gra
             "flat": scene.per_point_flat.astype(np.float32),
         },
     )
-    write_json(stem + ".json", scene_to_dict(scene, grasps))
+    write_json(stem + ".json", {
+        "schema_version": SCENE_SCHEMA_VERSION,
+        "table_height": float(scene.table_height),
+        "camera_viewpoint": cloud.viewpoint.tolist(),
+        "split": scene.split,
+        "point_channels": ["object_id", "flat"],
+        "primitives": [{f.name: np.asarray(getattr(p, f.name)).tolist() for f in fields(Primitive)}
+                       for p in scene.primitives],
+        "grasps": [] if grasps is None else grasps.records(),
+    })
 
 
 def load_scene(path_stem):
@@ -546,24 +532,11 @@ def load_scene(path_stem):
         doc = json.load(f)
     if doc.get("schema_version") != SCENE_SCHEMA_VERSION:
         raise ValueError(f"{stem}.json: unsupported schema_version {doc.get('schema_version')!r}")
-    prims = [
-        Primitive(
-            kind=d["kind"],
-            dimensions=tuple(d["dimensions"]),
-            rotation=np.array(d["rotation"]),
-            translation=np.array(d["translation"]),
-            object_id=d["object_id"],
-            friction_coeff=d["friction_coeff"],
-            porosity_flag=d["porosity_flag"],
-        )
-        for d in doc["primitives"]
-    ]
-    viewpoint = np.array(doc["camera_viewpoint"])
-    cloud = PointCloud(points.astype(np.float64), viewpoint=viewpoint)
+    prims = [Primitive(**{f.name: d[f.name] for f in fields(Primitive)}) for d in doc["primitives"]]
+    cloud = PointCloud(points.astype(np.float64), viewpoint=doc["camera_viewpoint"])
     scene = SceneAnnotation(
         primitives=prims,
         table_height=doc["table_height"],
-        camera_viewpoint=viewpoint,
         per_point_object_id=channels["object_id"].astype(np.intp),
         per_point_flat=channels["flat"] > 0.5,
         split=doc.get("split", "default"),

@@ -236,19 +236,16 @@ def train(scenes: list, config: TrainConfig = None, refine_config: RefineParalle
             combined = combined + g_obj
             params = adam.step(params, combined, lr)
             model.set_flat_params(params)
-        row = {"epoch": epoch, "lr": lr}
-        row.update({f"loss_{k}": sums[k] / weight for k in ("obj", "vac", "par", "refiner")})
-        history.append(row)
+        history.append({"epoch": epoch, "lr": lr, **{f"loss_{k}": total / weight for k, total in sums.items()}})
     return model, history
 
 
 def save_history_csv(path, history, variant: str = None):
-    """Training log: one row per epoch. Deterministic, no timestamps."""
-    fields = ["epoch", "lr", "loss_obj", "loss_vac", "loss_par", "loss_refiner"]
+    """Training log: one row per epoch, in the columns of the rows. Deterministic, no timestamps."""
     with open(path, "w", newline="") as f:
         if variant:
             f.write(f"# variant: {variant}\n")
-        writer = csv.DictWriter(f, fieldnames=fields)
+        writer = csv.DictWriter(f, fieldnames=list(history[0]))
         writer.writeheader()
         for row in history:
-            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in fields})
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

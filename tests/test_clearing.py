@@ -73,7 +73,6 @@ def two_sphere_scene():
     scene = SceneAnnotation(
         primitives=[s1, s2],
         table_height=-1.0,
-        camera_viewpoint=(0, 0, 1),
         per_point_object_id=np.concatenate([np.ones(150, dtype=int), np.full(150, 2)]),
         per_point_flat=np.concatenate([f1, f2]),
     )
@@ -180,7 +179,6 @@ def two_slab_scene():
     scene = SceneAnnotation(
         primitives=[solid, porous],
         table_height=-1.0,
-        camera_viewpoint=(0, 0, 1),
         per_point_object_id=np.concatenate([np.ones(150, dtype=int), np.full(150, 2)]),
         per_point_flat=np.concatenate([f1, f2]),
     )

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -143,6 +144,10 @@ def test_eval_outputs(workspace, tmp_path):
                "--out", out, "--k", "50") == 0
     rows = (out / "metrics.csv").read_text().splitlines()
     header = rows[0].split(",")
+    assert header == ["record", "scene", "split", "gripper", "mu", "value",
+                      "r_object", "r_grasp", "r_mix", "r_seen",
+                      "objects_total", "objects_cleared", "grasps_total", "grasps_successful",
+                      "grasps_on_cleared", "objects_detected"]
     ap_rows = [r for r in rows[1:] if r.startswith("ap,")]
     # 2 scenes x (5 parallel + 4 vacuum) mu values
     assert len(ap_rows) == 2 * 9
@@ -162,6 +167,10 @@ def test_eval_with_clearing(workspace, tmp_path):
     rows = (out / "metrics.csv").read_text().splitlines()
     clearing_rows = [r for r in rows if r.startswith("clearing,")]
     assert len(clearing_rows) == 2 * 2  # scenes x grippers
+    with open(out / "metrics.csv", newline="") as f:
+        for row in csv.DictReader(f):
+            if row["record"] == "clearing":
+                assert float(row["r_object"]) == int(row["objects_cleared"]) / int(row["objects_total"])
 
 
 def copied_predictions(workspace, root: Path) -> Path:
@@ -528,6 +537,8 @@ def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, sc
     ["eval", "--grasps", "{pred}", "--seeds", "8"],
     ["eval", "--grasps", "{pred}", "--max-refine", "4"],
     ["eval", "--grasps", "{pred}", "--seeds", "0"],
+    ["synth", "--kinds", "box", "--config", "{kind_sequence_config}"],
+    ["synth", "--config", "{kinds_and_kind_sequence_config}"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -557,7 +568,8 @@ def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, sc
         "synth-seed-negative", "train-seed-negative", "rng-seed-negative",
         "eval-checkpoint-without-clearing", "eval-fallback-head-without-clearing",
         "eval-t-parallel-without-clearing", "eval-t-vacuum-without-clearing", "eval-seeds-without-clearing",
-        "eval-max-refine-without-clearing", "eval-seeds-0-without-clearing"])
+        "eval-max-refine-without-clearing", "eval-seeds-0-without-clearing",
+        "kinds-flag-next-to-kind-sequence", "kinds-next-to-kind-sequence"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",
@@ -638,6 +650,9 @@ def test_usage_errors_exit_two(workspace, tmp_path, argv):
         "{gt_depth_inf_config}": "synth.gt_depth = Infinity",
         "{density_inf_config}": "synth.density = Infinity",
         "{rng_seed_negative_config}": "train.rng_seed = -1",
+        # synth.kinds has no effect while a kind sequence is set
+        "{kind_sequence_config}": 'synth.kind_sequence = ["sphere"]',
+        "{kinds_and_kind_sequence_config}": 'synth.kinds = ["box"]\nsynth.kind_sequence = ["sphere"]',
     }
     fill = {"{missing}": tmp_path / "missing", "{pred}": workspace / "pred", "{scenes}": workspace / "scenes",
             "{checkpoint}": workspace / "model" / "checkpoint.json",

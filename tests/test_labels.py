@@ -54,7 +54,6 @@ def overhead_box_scene(box_size=(0.06, 0.06, 0.04), table_extent=0.3):
     scene = SceneAnnotation(
         primitives=[table, box],
         table_height=0.0,
-        camera_viewpoint=(0, 0, 0.9),
         per_point_object_id=ids,
         per_point_flat=flat,
     )
@@ -239,7 +238,6 @@ def test_permutation_equivariance():
     scene_p = SceneAnnotation(
         primitives=scene.primitives,
         table_height=scene.table_height,
-        camera_viewpoint=scene.camera_viewpoint,
         per_point_object_id=scene.per_point_object_id[perm],
         per_point_flat=scene.per_point_flat[perm],
     )

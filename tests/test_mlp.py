@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -314,6 +315,37 @@ def test_checkpoint_without_refiner_heads_rejected(tmp_path):
         doc["config"]["refiner"] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="without refiner heads"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, layer", [
+    (lambda doc: doc["config"].update(n_views=300), "head 'view'"),
+    (lambda doc: doc["config"].update(hidden=[64]), "trunk layer 1"),
+    (lambda doc: doc["heads"].pop("score"), "head 'score'"),
+    (lambda doc: doc["heads"].update(extra=doc["heads"]["width"]), "head 'extra'"),
+], ids=["n-views", "hidden", "missing-head", "extra-head"])
+def test_checkpoint_layers_must_fit_its_config(tmp_path, edit, layer):
+    """A layer whose weight shape differs from the stored config's model, or a head it lacks or adds, is refused."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, MlpModel(ModelConfig(feature_dim=4, n_views=200), np.random.default_rng(0)))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{layer} does not fit the checkpoint's config"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_needs_every_field_but_bypass_gain(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, small_model())
+    saved = json.loads(path.read_text())
+    for f in fields(ModelConfig):
+        if f.name == "bypass_gain":
+            continue
+        doc = json.loads(json.dumps(saved))
+        del doc["config"][f.name]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(KeyError, match=f.name):
             load_checkpoint(path)
 
 

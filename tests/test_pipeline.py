@@ -136,7 +136,7 @@ def resting_scene(prims, samples: int):
         flat.append(f[up])
         ids.append(np.full(np.count_nonzero(up), p.object_id))
     cloud = PointCloud(np.vstack(pts), viewpoint=(0.0, 0.0, 1.0))
-    scene = SceneAnnotation(primitives=prims, table_height=0.0, camera_viewpoint=(0.0, 0.0, 1.0),
+    scene = SceneAnnotation(primitives=prims, table_height=0.0,
                             per_point_object_id=np.concatenate(ids), per_point_flat=np.concatenate(flat))
     return cloud, scene
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -29,7 +32,6 @@ def bare_scene(*prims, table_height=-1.0):
     return SceneAnnotation(
         primitives=list(prims),
         table_height=table_height,
-        camera_viewpoint=(0, 0, 1),
         per_point_object_id=np.zeros(0, dtype=int),
         per_point_flat=np.zeros(0, dtype=bool),
     )
@@ -574,8 +576,13 @@ def test_gt_parallel_candidates_match_per_candidate_loop():
         assert np.array_equal(got, parallel_candidates_reference(scene, cfg, seed))
 
 
+def bits(value):
+    a = np.asarray(value)
+    return a.dtype, a.shape, a.tobytes()
+
+
 def test_scene_roundtrip(tmp_path, small_scene):
-    cloud, scene, grasps, _ = small_scene
+    cloud, scene, grasps, cfg = small_scene
     stem = tmp_path / "scene_0000"
     save_scene(stem, cloud, scene, grasps)
     cloud2, scene2, grasps2 = load_scene(stem)
@@ -585,6 +592,31 @@ def test_scene_roundtrip(tmp_path, small_scene):
     assert len(grasps2) == len(grasps)
     assert all(p.kind == q.kind for p, q in zip(scene2.primitives, scene.primitives))
     assert grasps2.quality[0] == pytest.approx(grasps.quality[0])
+
+    # every Primitive field and the viewpoint come back bitwise, on a scene of rotated porous objects
+    cloud, scene = generate_scene(43, 3, replace(cfg, porous_prob=1.0, camera_viewpoint=(0.1, -0.3, 0.7)))
+    assert all(p.porosity_flag and p.rotation[0] != 1.0 for p in scene.objects())
+    save_scene(stem, cloud, scene)
+    cloud2, scene2, _ = load_scene(stem)
+    assert bits(cloud2.viewpoint) == bits(cloud.viewpoint)
+    assert len(scene2.primitives) == len(scene.primitives) == 4
+    for p, q in zip(scene2.primitives, scene.primitives):
+        for f in fields(Primitive):
+            assert bits(getattr(p, f.name)) == bits(getattr(q, f.name)), f.name
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Primitive)])
+def test_load_scene_needs_every_primitive_field(tmp_path, small_scene, name):
+    """A stored primitive lacking any field is refused, even one whose dataclass field has a default."""
+    cloud, scene, _, _ = small_scene
+    stem = tmp_path / "scene"
+    save_scene(stem, cloud, scene)
+    path = tmp_path / "scene.json"
+    doc = json.loads(path.read_text())
+    del doc["primitives"][1][name]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(KeyError, match=name):
+        load_scene(stem)
 
 
 def test_save_scene_byte_identical(tmp_path, small_scene):
