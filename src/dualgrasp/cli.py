@@ -28,7 +28,7 @@ import numpy as np
 from .clearing import RATIOS, ClearingMetrics, run_clearing_loop
 from .domains import COUNT, FINITE, SEED, UsageError, check
 from .grasps import GRASP_SCHEMA_VERSION, PARALLEL, VACUUM, Grasps
-from .json_io import write_json
+from .json_io import keys_of, write_json
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_mu, ap_overall, grasp_qualities
 from .mlp import load_checkpoint, save_checkpoint
@@ -268,7 +268,8 @@ def cmd_eval(args) -> int:
             doc = json.loads(gfile.read_text())
             if doc.get("schema_version") != GRASP_SCHEMA_VERSION:
                 raise ValueError(f"{gfile}: unsupported grasp schema_version {doc.get('schema_version')!r}")
-            grasps = Grasps.from_records(doc["grasps"])
+            with keys_of(gfile):
+                grasps = Grasps.from_records(doc["grasps"])
             if np.any(grasps.gripper != gripper):
                 raise ValueError(f"{gfile.name} holds a grasp of the other gripper")
             # lists arrive ranked; precision@k never looks past k_max

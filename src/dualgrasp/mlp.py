@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .json_io import write_json
+from .json_io import keys_of, write_json
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -257,25 +257,29 @@ def _layer_shapes(model: MlpModel) -> dict:
 
 
 def load_checkpoint(path) -> MlpModel:
-    """The model a checkpoint holds: every ModelConfig field but bypass_gain is required, and every layer must fit."""
+    """The model a checkpoint holds: every ModelConfig field but bypass_gain is required, and every layer must fit.
+
+    A missing key raises a json_io.MissingKey naming the file and the key.
+    """
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint schema_version {doc.get('schema_version')!r}")
-    c = doc["config"]
-    if c.get("refiner") is not True:
-        raise ValueError(f"{path}: unsupported checkpoint without refiner heads")
-    kwargs = {f.name: c[f.name] for f in fields(ModelConfig) if f.name in c or f.name != "bypass_gain"}
-    cfg = ModelConfig(**{**kwargs, "hidden": tuple(kwargs["hidden"])})
-    model = MlpModel(cfg, np.random.default_rng(0))
-    expected = _layer_shapes(model)
-    model.feature_mean = _decode(doc["feature_mean"], (cfg.feature_dim,))
-    model.feature_std = _decode(doc["feature_std"], (cfg.feature_dim,))
-    model.trunk = [[_decode(d["w"], d["shape"]), _decode(d["b"], (d["shape"][1],))] for d in doc["trunk"]]
-    model.heads = {
-        name: [_decode(d["w"], d["shape"]), _decode(d["b"], (d["shape"][1],))]
-        for name, d in doc["heads"].items()
-    }
+    with keys_of(path):
+        c = doc["config"]
+        if c.get("refiner") is not True:
+            raise ValueError(f"{path}: unsupported checkpoint without refiner heads")
+        kwargs = {f.name: c[f.name] for f in fields(ModelConfig) if f.name in c or f.name != "bypass_gain"}
+        cfg = ModelConfig(**{**kwargs, "hidden": tuple(kwargs["hidden"])})
+        model = MlpModel(cfg, np.random.default_rng(0))
+        expected = _layer_shapes(model)
+        model.feature_mean = _decode(doc["feature_mean"], (cfg.feature_dim,))
+        model.feature_std = _decode(doc["feature_std"], (cfg.feature_dim,))
+        model.trunk = [[_decode(d["w"], d["shape"]), _decode(d["b"], (d["shape"][1],))] for d in doc["trunk"]]
+        model.heads = {
+            name: [_decode(d["w"], d["shape"]), _decode(d["b"], (d["shape"][1],))]
+            for name, d in doc["heads"].items()
+        }
     stored = _layer_shapes(model)
     for name in expected | stored:
         if stored.get(name) != expected.get(name):

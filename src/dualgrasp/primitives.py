@@ -251,10 +251,13 @@ def _intersect_box(half, o, d):
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
     # Parallel-to-slab axes: inside -> unbounded, outside -> empty interval.
-    axis, line = np.nonzero(np.abs(d) < 1e-12)
-    inside = np.abs(o[axis, line]) <= half[axis, 0]
-    lo[axis, line] = np.where(inside, -np.inf, np.inf)
-    hi[axis, line] = np.where(inside, np.inf, -np.inf)
+    # Almost no line has one, so the scan for them runs only when one exists.
+    parallel = np.abs(d) < 1e-12
+    if parallel.any():
+        axis, line = np.nonzero(parallel)
+        inside = np.abs(o[axis, line]) <= half[axis, 0]
+        lo[axis, line] = np.where(inside, -np.inf, np.inf)
+        hi[axis, line] = np.where(inside, np.inf, -np.inf)
     t0 = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
     t1 = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
     hit = (t0 < t1) & np.isfinite(t0) & np.isfinite(t1)

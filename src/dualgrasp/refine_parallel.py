@@ -93,33 +93,36 @@ PoseSearch = namedtuple(
 
 
 def _view_lines(approaches, angles, depths):
-    """Jaw-line offsets (3, M, D) and closing directions (3, M, A, D) of M approaches on an (angle, depth) grid.
+    """Jaw-line offsets (3, M, D) and closing directions (3, M, D, A) of M approaches on a (depth, angle) grid.
 
-    Both are coordinate columns: the jaw line for candidate (m, a, d) at a
+    Both are coordinate columns: the jaw line for candidate (m, d, a) at a
     seed runs through seed + offsets[:, m, d], that is depth d * approach m,
-    along dirs[:, m, a, d], the angle-a closing direction of that approach's
+    along dirs[:, m, d, a], the angle-a closing direction of that approach's
     frame. Each closing has the bits of geometry.closing_directions, which
     Grasps.closings also takes.
     """
     e1, e2 = approach_frames(approaches)
     rad = np.deg2rad(angles)
     closings = np.cos(rad) * e1.T[:, :, None] + np.sin(rad) * e2.T[:, :, None]
-    dirs = np.broadcast_to(closings[:, :, :, None], (3, len(approaches), len(angles), len(depths)))
+    dirs = np.broadcast_to(closings[:, :, None, :], (3, len(approaches), len(depths), len(angles)))
     return approaches.T[:, :, None] * depths, np.ascontiguousarray(dirs)
 
 
 def _grid_qualities(scene: SceneAnnotation, seeds, offsets, dirs):
-    """Oracle ContactBatch of the jaw lines of P (seed, approach) pairs, each field (P, A, D).
+    """Oracle ContactBatch of the jaw lines of P (seed, approach) pairs, each field (P, D, A).
 
-    seeds is (P, 3); offsets (3, P, D) and dirs (3, P, A, D) are C-contiguous
-    gathers of _view_lines' columns. The lines reach parallel_quality_batch
-    as the transposes of (3, P * A * D) columns, which it holds without a copy.
+    seeds is (P, 3); offsets (3, P, D) and dirs (3, P, D, A) are C-contiguous
+    gathers of _view_lines' columns. The lines go in (pair, depth, angle)
+    order, so the A lines of a jaw center are adjacent and the origins are
+    one repeat of the (pair, depth) centers. They reach parallel_quality_batch
+    as the transposes of (3, P * D * A) columns, which it holds without a
+    copy. Callers that reduce over a pair's grid transpose its fields to
+    (P, A, D) first, the order of the reductions' elements.
     """
-    shape = dirs.shape[1:]
-    centers = seeds.T[:, :, None] + offsets
-    origins = np.broadcast_to(centers[:, :, None, :], dirs.shape).reshape(3, -1)
+    centers = (seeds.T[:, :, None] + offsets).reshape(3, -1)
+    origins = np.repeat(centers, dirs.shape[3], axis=1)
     res = parallel_quality_batch(scene, origins.T, dirs.reshape(3, -1).T, np.full(origins.shape[1], MAX_WIDTH))
-    return ContactBatch(*(field.reshape(shape) for field in res))
+    return ContactBatch(*(field.reshape(dirs.shape[1:]) for field in res))
 
 
 def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelConfig,
@@ -185,22 +188,25 @@ def oracle_search(scene: SceneAnnotation, seed_points, config: RefineParallelCon
         s_idx, v_idx = np.divmod(pairs, v_n)
         probe_mu, winner = _grid_qualities(scene, seeds[s_idx], probe_offsets.take(v_idx, axis=1),
                                            probe_dirs.take(v_idx, axis=1))[:2]
-        quality = np.mean(friction_to_graspness(probe_mu.reshape(len(pairs), -1)), axis=1)
+        graspness = friction_to_graspness(probe_mu).transpose(0, 2, 1).reshape(len(pairs), -1)
+        quality = np.mean(graspness, axis=1)
         view_scores.flat[pairs] = quality - VIEW_VERTICAL_BIAS * (1.0 - views[v_idx, 2])
-        # (lines, objects, pairs), reduced over its contiguous leading axis
+        # (lines, objects, pairs), reduced over its contiguous leading axis in any line order
         won = np.ascontiguousarray(winner.reshape(len(pairs), -1).T)[:, None, :] == ids[:, None]
         view_winners.reshape(s_n * v_n, len(ids))[pairs] = np.any(won, axis=0).T
 
     view = np.argmax(view_scores, axis=1)
     offsets, dirs = _view_lines(-views, angles, depths)
-    mu = np.empty((s_n, len(angles) * len(depths)))
+    n_grid = len(angles) * len(depths)
+    mu = np.empty((s_n, len(angles), len(depths)))
     t0, t1 = np.empty_like(mu), np.empty_like(mu)
-    per_chunk = max(1, chunk_lines // mu.shape[1])
+    per_chunk = max(1, chunk_lines // n_grid)
     for start in range(0, s_n, per_chunk):
         rows = slice(start, start + per_chunk)
         full = _grid_qualities(scene, seeds[rows], offsets.take(view[rows], axis=1), dirs.take(view[rows], axis=1))
-        mu[rows], t0[rows], t1[rows] = (f.reshape(len(f), -1) for f in (full.mu, full.t0, full.t1))
+        mu[rows], t0[rows], t1[rows] = (f.transpose(0, 2, 1) for f in (full.mu, full.t0, full.t1))
 
+    mu, t0, t1 = (f.reshape(s_n, n_grid) for f in (mu, t0, t1))
     best = np.argmin(mu, axis=1)
     pick = np.arange(s_n), best
     reach = np.maximum(np.abs(t0[pick]), np.abs(t1[pick]))

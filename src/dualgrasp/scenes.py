@@ -20,7 +20,7 @@ from .cloud import PointCloud
 from .domains import COUNT, FINITE, ORDERED_RANGE, POINT, POSITIVE_FINITE, UNIT, check_fields, names, setting
 from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, Grasps
-from .json_io import write_json
+from .json_io import keys_of, write_json
 from .ply_io import read_ply, write_ply
 from .primitives import KINDS, Primitive
 
@@ -279,6 +279,10 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
     opposing the closing force). hit marks lines that intersect at least one
     object; among several, the object whose chord is centered closest to the
     jaw center wins. t0/t1 are the chord parameters on the winning object.
+    The winner is kept on the hit rows only, and only hits whose chord fits
+    the jaw span go through the contact-normal pass; every other line keeps
+    mu = inf without one. A line's result never depends on the batch it
+    travels in or on its place there.
     The lines are held as (3, M) coordinate columns, as the Primitive queries
     take them, and per-line dot products and norms are summed coordinate by
     coordinate (col_dots, col_norms), with the bits of the axis=1 reductions
@@ -303,33 +307,36 @@ def parallel_quality_batch(scene: SceneAnnotation, jaw_centers, closing_dirs, wi
         if len(cand) == 0:
             continue
         t0c, t1c, hitc = prim.line_intersections(q.take(cand, axis=1), u.take(cand, axis=1))
+        hits, t0h, t1h = cand[hitc], t0c[hitc], t1c[hitc]
         with np.errstate(invalid="ignore"):
-            midc = np.where(hitc, np.abs((t0c + t1c) / 2.0), np.inf)
-        betterc = hitc & (midc < best_mid[cand])
-        rows = cand[betterc]
-        best_mid[rows] = midc[betterc]
-        best_t0[rows] = t0c[betterc]
-        best_t1[rows] = t1c[betterc]
+            midh = np.abs((t0h + t1h) / 2.0)
+        better = midh < best_mid[hits]
+        rows = hits[better]
+        best_mid[rows] = midh[better]
+        best_t0[rows] = t0h[better]
+        best_t1[rows] = t1h[better]
         best_id[rows] = prim.object_id
-        hit_any[cand] |= hitc
+        hit_any[hits] = True
 
+    # Only hits whose chord fits the jaw span can close: the rest keep mu = inf
+    # and never reach the normal pass.
+    fit = np.flatnonzero(hit_any & (best_t0 >= -w / 2.0 - 1e-9) & (best_t1 <= w / 2.0 + 1e-9))
+    fit_id = best_id[fit]
     mu = np.full(m, np.inf)
     for prim in objs:
-        sel = np.flatnonzero(hit_any & (best_id == prim.object_id))
+        sel = fit[fit_id == prim.object_id]
         if len(sel) == 0:
             continue
-        qs, us, t0s, t1s, ws = q.take(sel, axis=1), u.take(sel, axis=1), best_t0[sel], best_t1[sel], w[sel]
-        n0 = prim.surface_normal(qs + t0s * us)
-        n1 = prim.surface_normal(qs + t1s * us)
+        qs, us = q.take(sel, axis=1), u.take(sel, axis=1)
+        n0 = prim.surface_normal(qs + best_t0[sel] * us)
+        n1 = prim.surface_normal(qs + best_t1[sel] * us)
         cos0 = -col_dots(us, n0)
         cos1 = col_dots(us, n1)
         cmin = np.minimum(cos0, cos1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tan0 = np.sqrt(np.maximum(0.0, 1.0 - cos0**2)) / cos0
             tan1 = np.sqrt(np.maximum(0.0, 1.0 - cos1**2)) / cos1
-        mu_sel = np.where(cmin > 1e-9, np.maximum(tan0, tan1), np.inf)
-        fits = (t0s >= -ws / 2.0 - 1e-9) & (t1s <= ws / 2.0 + 1e-9)
-        mu[sel] = np.where(fits, mu_sel, np.inf)
+        mu[sel] = np.where(cmin > 1e-9, np.maximum(tan0, tan1), np.inf)
 
     return ContactBatch(mu=mu, object_id=best_id, t0=best_t0, t1=best_t1, hit=hit_any)
 
@@ -525,20 +532,26 @@ def save_scene(path_stem, cloud: PointCloud, scene: SceneAnnotation, grasps: Gra
 
 
 def load_scene(path_stem):
-    """Inverse of save_scene: returns (cloud, annotation, ground-truth grasps)."""
+    """Inverse of save_scene: returns (cloud, annotation, ground-truth grasps).
+
+    A missing key in the scene JSON raises a json_io.MissingKey naming the file and the key.
+    """
     stem = str(path_stem)
     points, _, channels = read_ply(stem + ".ply")
     with open(stem + ".json") as f:
         doc = json.load(f)
     if doc.get("schema_version") != SCENE_SCHEMA_VERSION:
         raise ValueError(f"{stem}.json: unsupported schema_version {doc.get('schema_version')!r}")
-    prims = [Primitive(**{f.name: d[f.name] for f in fields(Primitive)}) for d in doc["primitives"]]
-    cloud = PointCloud(points.astype(np.float64), viewpoint=doc["camera_viewpoint"])
+    with keys_of(stem + ".json"):
+        prims = [Primitive(**{f.name: d[f.name] for f in fields(Primitive)}) for d in doc["primitives"]]
+        viewpoint, table_height = doc["camera_viewpoint"], doc["table_height"]
+        grasps = Grasps.from_records(doc["grasps"], ground_truth=True)
+    cloud = PointCloud(points.astype(np.float64), viewpoint=viewpoint)
     scene = SceneAnnotation(
         primitives=prims,
-        table_height=doc["table_height"],
+        table_height=table_height,
         per_point_object_id=channels["object_id"].astype(np.intp),
         per_point_flat=channels["flat"] > 0.5,
         split=doc.get("split", "default"),
     )
-    return cloud, scene, Grasps.from_records(doc["grasps"], ground_truth=True)
+    return cloud, scene, grasps

@@ -230,6 +230,57 @@ def test_scene_with_impossible_ground_truth_quality_exits_one(workspace, tmp_pat
     assert run("labels", "--scenes", scenes, "--out", tmp_path / "labels") == 1
 
 
+def _drop_primitive_key(doc):
+    del doc["primitives"][1]["friction_coeff"]
+    return "friction_coeff"
+
+
+def _drop_scene_key(doc):
+    del doc["table_height"]
+    return "table_height"
+
+
+def _drop_ground_truth_key(doc):
+    del doc["grasps"][5]["quality"]
+    return "quality"
+
+
+def _drop_grasp_key(doc):
+    del doc["grasps"][-1]["width_m"]
+    return "width_m"
+
+
+def _drop_config_key(doc):
+    del doc["config"]["n_views"]
+    return "n_views"
+
+
+@pytest.mark.parametrize("stored, edit", [
+    ("scene", _drop_primitive_key), ("scene", _drop_scene_key), ("scene", _drop_ground_truth_key),
+    ("grasps", _drop_grasp_key), ("checkpoint", _drop_config_key),
+])
+def test_a_stored_record_without_a_key_exits_one_naming_the_file_and_the_key(workspace, tmp_path, capsys,
+                                                                             stored, edit):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for suffix in (".ply", ".json"):
+        (scenes / f"scene_0000{suffix}").write_bytes((workspace / "scenes" / f"scene_0000{suffix}").read_bytes())
+    pred = copied_predictions(workspace, tmp_path)
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_bytes((workspace / "model" / "checkpoint.json").read_bytes())
+    path, argv = {
+        "scene": (scenes / "scene_0000.json", ("labels", "--scenes", scenes, "--out", tmp_path / "labels")),
+        "grasps": (pred / f"scene_0000_grasps_{PARALLEL}.json",
+                   ("eval", "--scenes", scenes, "--grasps", pred, "--out", tmp_path / "out", "--k", "5")),
+        "checkpoint": (checkpoint, ("predict", "--scenes", scenes, "--out", tmp_path / "x", "--checkpoint", checkpoint)),
+    }[stored]
+    doc = json.loads(path.read_text())
+    key = edit(doc)
+    path.write_text(json.dumps(doc))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.strip() == f"error: {path}: missing key {key!r}"
+
+
 def test_export_ply(workspace, tmp_path):
     out = tmp_path / "colored.ply"
     assert run("export-ply", "--input", workspace / "labels" / "scene_0000_labels.ply",

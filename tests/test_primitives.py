@@ -542,3 +542,40 @@ def test_queries_refuse_rows():
         with pytest.raises(ValueError, match="coordinate columns"):
             prim.line_intersections(bad, bad)
     assert prim.surface_distance(np.zeros((3, 0))).shape == (0,)
+
+
+def scan_every_line_intersect_box(half, o, d):
+    """_intersect_box with its slab override run on every batch, parallel lines or not."""
+    half = np.reshape(half, (3, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        ta = (-half - o) * inv
+        tb = (half - o) * inv
+    lo = np.minimum(ta, tb)
+    hi = np.maximum(ta, tb)
+    axis, line = np.nonzero(np.abs(d) < 1e-12)
+    inside = np.abs(o[axis, line]) <= half[axis, 0]
+    lo[axis, line] = np.where(inside, -np.inf, np.inf)
+    hi[axis, line] = np.where(inside, np.inf, -np.inf)
+    t0 = np.maximum(np.maximum(lo[0], lo[1]), lo[2])
+    t1 = np.minimum(np.minimum(hi[0], hi[1]), hi[2])
+    return t0, t1, (t0 < t1) & np.isfinite(t0) & np.isfinite(t1)
+
+
+@pytest.mark.parametrize("kind", ["box", "plane-slab"])
+def test_intersect_box_skips_the_slab_scan_with_the_same_bits(kind):
+    """Edges, corners, tied face gaps and +-0.0 coordinates, in batches with and without parallel lines."""
+    half = np.asarray(KERNEL_DIMS[kind]) / 2.0
+    o, d, _ = kernel_inputs(kind, np.random.default_rng(31))
+    corners = np.array([[x, y, z] for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)]) * half
+    signed_zeros = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+    o = np.concatenate([o, corners, corners * -0.0, signed_zeros])
+    d = np.concatenate([d, np.tile([[1.0, -0.0, 0.0]], (len(corners), 1)), unit(np.ones((len(corners), 3))),
+                        [[0.0, -0.0, 1.0], [-1.0, 0.0, -0.0]]])
+    oblique = np.all(np.abs(d) >= 1e-12, axis=1)
+    assert np.any(~oblique) and np.sum(oblique) > 1000
+    for rows in (slice(None), oblique, ~oblique):
+        oc, dc = np.ascontiguousarray(o[rows].T), np.ascontiguousarray(d[rows].T)
+        got, want = P._intersect_box(half, oc, dc), scan_every_line_intersect_box(half, oc, dc)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_bits(g, w, f"{kind} intersect [{i}]")

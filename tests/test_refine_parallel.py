@@ -349,5 +349,6 @@ def test_grid_closings_are_the_geometry_closing_directions(monkeypatch):
         refine_parallel._grid_qualities(scene, seeds[pair_seed], offsets[:, pair_approach], dirs[:, pair_approach])
         flat = approaches[pair_approach]
         want = closing_directions(np.repeat(flat, len(angles), axis=0), np.tile(angles, len(flat)))
-        want = np.broadcast_to(want.reshape(len(flat), len(angles), 1, 3), (len(flat), len(angles), len(depths), 3))
+        # lines in (pair, depth, angle) order
+        want = np.broadcast_to(want.reshape(len(flat), 1, len(angles), 3), (len(flat), len(depths), len(angles), 3))
         assert np.array_equal(seen[-1].reshape(want.shape), want)

@@ -304,6 +304,52 @@ def test_parallel_batch_matches_row_reduction_oracle_bitwise(monkeypatch):
     assert all(hit > 0 and finite > 0 for _, hit, finite in lines)
 
 
+def test_per_line_widths_match_the_reference_bitwise():
+    """Widths that cut some hits, chords exactly at the 1e-9 bound, and NaN widths (mu = inf)."""
+    kinds = ("box", "sphere", "cylinder", "plane-slab")
+    rng = np.random.default_rng(8)
+    cloud, scene = generate_scene(4, 4, SynthConfig(kind_sequence=kinds, density=5000.0))
+    jaw_centers = cloud.points[rng.integers(0, len(cloud.points), 4000)] + rng.normal(scale=0.005, size=(4000, 3))
+    closing_dirs = rng.normal(size=(4000, 3))
+    full = scenes.parallel_quality_batch(scene, jaw_centers, closing_dirs, np.inf)
+    reach = 2.0 * np.maximum(-full.t0, full.t1)
+    widths = rng.uniform(0.0, 0.12, 4000)
+    widths[:1000] = reach[:1000]  # the chord ends exactly at a jaw
+    widths[1000:2000] = np.where(full.t1[1000:2000] > -full.t0[1000:2000],
+                                 (full.t1[1000:2000] - 1e-9) * 2.0, -(full.t0[1000:2000] + 1e-9) * 2.0)
+    widths[2000:2100] = np.nan
+    got = scenes.parallel_quality_batch(scene, jaw_centers, closing_dirs, widths)
+    assert_same_contacts(got, parallel_quality_batch_reference(scene, jaw_centers, closing_dirs, widths))
+    finite = np.isfinite(got.mu)
+    assert np.all(np.isinf(got.mu[2000:2100])) and np.any(full.hit[2000:2100] & np.isfinite(full.mu[2000:2100]))
+    assert np.any(finite[:2000]) and np.any(full.hit & np.isfinite(full.mu) & ~finite)  # some hits are cut
+
+
+def test_normals_are_taken_only_for_hits_that_fit(monkeypatch):
+    """The contact-normal pass sees two points per hit whose chord fits the jaw, and no other line."""
+    from dualgrasp import refine_parallel
+
+    real_normal, real_batch = Primitive.surface_normal, scenes.parallel_quality_batch
+    columns, fitting = [0], [0]
+
+    def counted_normal(prim, points):
+        columns[0] += points.shape[1]
+        return real_normal(prim, points)
+
+    def counted_batch(scene, jaw_centers, closing_dirs, widths):
+        got = real_batch(scene, jaw_centers, closing_dirs, widths)
+        w = np.broadcast_to(widths, got.t0.shape)
+        fitting[0] += int(np.count_nonzero(got.hit & (got.t0 >= -w / 2.0 - 1e-9) & (got.t1 <= w / 2.0 + 1e-9)))
+        return got
+
+    monkeypatch.setattr(Primitive, "surface_normal", counted_normal)
+    monkeypatch.setattr(refine_parallel, "parallel_quality_batch", counted_batch)
+    cloud, scene = generate_scene(2, 4, SynthConfig(kind_sequence=("box", "sphere", "cylinder", "plane-slab")))
+    seeds = cloud.points[np.random.default_rng(2).choice(len(cloud.points), 24, replace=False)]
+    refine_parallel.oracle_search(scene, seeds, refine_parallel.RefineParallelConfig(), 2, 2)
+    assert fitting[0] > 0 and columns[0] == 2 * fitting[0]
+
+
 # -- vacuum seal oracle ------------------------------------------------------------
 
 
