@@ -329,6 +329,8 @@ def _clearing_row(scene, gripper, m: ClearingMetrics):
 def cmd_export_ply(args) -> int:
     if args.vmax <= args.vmin:
         raise UsageError("--vmax must exceed --vmin")
+    if not Path(args.input).is_file():
+        raise UsageError(f"--input {args.input} is not a file")
     points, _, channels = read_ply(args.input)
     if args.channel not in channels:
         raise UsageError(f"channel {args.channel!r} not in {sorted(channels)}")
@@ -446,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configs_from_args(args) -> dict:
     """The configs of the config file's keys with every config-backed flag given laid over them."""
+    if args.config and not Path(args.config).is_file():
+        raise UsageError(f"--config {args.config} is not a file")
     overrides = load_config_file(args.config) if args.config else {}
     for dest, keys in _FLAG_KEYS.items():
         if (value := getattr(args, dest, None)) is not None:

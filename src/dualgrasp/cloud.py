@@ -202,13 +202,11 @@ def neighborhood_eigh(points: np.ndarray, starts: np.ndarray, members: np.ndarra
     return evals, evecs
 
 
-def estimate_normal(index: SpatialIndex, seed: int, r: float, viewpoint=None) -> np.ndarray:
+def estimate_normal(index: SpatialIndex, seed: int, r: float) -> np.ndarray:
     """Covariance surface normal at cloud point `seed` from its radius-r neighborhood.
 
     The neighborhood includes the seed itself. Sign is oriented toward the
-    viewpoint (the cloud's own viewpoint unless overridden).
+    cloud's viewpoint.
     """
-    if viewpoint is None:
-        viewpoint = index.cloud.viewpoint
     neigh = index.radius(index.cloud.points[seed], r)
-    return normal_from_neighborhood(index.cloud.points[neigh], index.cloud.points[seed], viewpoint)
+    return normal_from_neighborhood(index.cloud.points[neigh], index.cloud.points[seed], index.cloud.viewpoint)

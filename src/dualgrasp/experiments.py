@@ -4,7 +4,7 @@ These back both the acceptance suite and the runnable scripts. Every recipe is
 deterministic for a given base seed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .grasps import PARALLEL, VACUUM
 from .labels import build_label_maps
 from .metrics import EvalConfig, ap_overall, grasp_qualities, roc_auc
 from .pipeline import GraspPipeline, SceneProposer
-from .refine_parallel import RefineParallelConfig
 from .scenes import SynthConfig, generate_scene, sample_ground_truth_grasps
 from .train import TrainConfig, prepare_training_scene, train
 
@@ -62,20 +61,12 @@ def complementarity_stats(n_scenes: int = 10, base_seed: int = 0):
 @dataclass
 class LearnResult:
     model: object
-    history: list
     aucs: dict  # (scene index, channel) -> AUC on held-out scenes
 
 
-def train_and_score_heldout(train_scenes, heldout_scenes, train_cfg: TrainConfig = None,
-                            refine_cfg: RefineParallelConfig = None):
+def train_and_score_heldout(train_scenes, heldout_scenes):
     """Train on prepared scenes and report per-channel ROC-AUC on held-out scenes."""
-    tcfg = train_cfg or TrainConfig()
-    rcfg = refine_cfg or RefineParallelConfig()
-    prepared = [
-        prepare_training_scene(cloud, scene, grasps, refine_config=rcfg)
-        for cloud, scene, grasps in train_scenes
-    ]
-    model, history = train(prepared, tcfg, rcfg)
+    model, _ = train([prepare_training_scene(*s) for s in train_scenes])
     aucs = {}
     for i, (cloud, scene, grasps) in enumerate(heldout_scenes):
         maps = build_label_maps(cloud, scene, grasps)
@@ -84,12 +75,12 @@ def train_and_score_heldout(train_scenes, heldout_scenes, train_cfg: TrainConfig
         aucs[(i, PARALLEL)] = roc_auc(scores["parallel"], maps.parallel_graspness > 0)
         aucs[(i, VACUUM)] = roc_auc(scores["vacuum"], maps.vacuum_graspness > 0)
         aucs[(i, "objectness")] = roc_auc(scores["objectness"], maps.objectness > 0)
-    return LearnResult(model=model, history=history, aucs=aucs)
+    return LearnResult(model=model, aucs=aucs)
 
 
-def ap_by_gripper(pipe: GraspPipeline, scene_tuples, eval_cfg: EvalConfig = None) -> dict:
+def ap_by_gripper(pipe: GraspPipeline, scene_tuples) -> dict:
     """Mean ap_overall per gripper over the given scenes."""
-    ecfg = eval_cfg or EvalConfig()
+    ecfg = EvalConfig()
     values = {PARALLEL: [], VACUUM: []}
     for cloud, scene, grasps in scene_tuples:
         proposer = SceneProposer(pipe, scene, grasps)
@@ -114,33 +105,25 @@ def trend_eval_configs():
     return seen_eval, novel_eval
 
 
-def seen_vs_novel_trend(replications: int = 10, base_seed: int = 0,
-                        train_cfg: TrainConfig = None, n_train: int = 6, n_eval: int = 3,
-                        detail: list = None):
+def seen_vs_novel_trend(replications: int = 10, base_seed: int = 0):
     """Per replication: (mean AP on seen-kind scenes, mean AP on novel-kind scenes).
 
-    Training scenes mix SEEN_KINDS; the evaluation pair comes from
-    trend_eval_configs(). The trained model drives maps, ranking, and pose
-    decoding. Pass a list as `detail` to collect per-gripper APs.
+    Each replication trains on 6 scenes mixing SEEN_KINDS and evaluates on 3
+    scenes of each side of trend_eval_configs(). The trained model drives
+    maps and ranking; ap_by_gripper gives the per-gripper APs behind a mean.
     """
     results = []
     seen_eval_cfg, novel_eval_cfg = trend_eval_configs()
     for r in range(replications):
         seed0 = base_seed + 1000 * r
-        train_scenes = make_scenes(seed0, n_train, 4, SynthConfig(kinds=SEEN_KINDS))
-        eval_seen = make_scenes(seed0 + 500, n_eval, 4, seen_eval_cfg)
-        eval_novel = make_scenes(seed0 + 700, n_eval, 4, novel_eval_cfg)
-        tcfg = replace(train_cfg or TrainConfig(), rng_seed=r)
-        learn = train_and_score_heldout(train_scenes, [], tcfg)
+        train_scenes = make_scenes(seed0, 6, 4, SynthConfig(kinds=SEEN_KINDS))
+        eval_seen = make_scenes(seed0 + 500, 3, 4, seen_eval_cfg)
+        eval_novel = make_scenes(seed0 + 700, 3, 4, novel_eval_cfg)
+        model, _ = train([prepare_training_scene(*s) for s in train_scenes], TrainConfig(rng_seed=r))
         # trained maps drive seeding and ranking; the geometric searcher
         # completes poses so AP reflects map generalization, not the pose
         # decoder's shape lottery
-        pipe = GraspPipeline(model=learn.model, pose_head="oracle", max_parallel_refine=64)
-        seen_by = ap_by_gripper(pipe, eval_seen)
-        novel_by = ap_by_gripper(pipe, eval_novel)
-        if detail is not None:
-            detail.append({"seen": seen_by, "novel": novel_by})
-        results.append(
-            (float(np.mean(list(seen_by.values()))), float(np.mean(list(novel_by.values()))))
-        )
+        pipe = GraspPipeline(model=model, pose_head="oracle", max_parallel_refine=64)
+        seen_by, novel_by = ap_by_gripper(pipe, eval_seen), ap_by_gripper(pipe, eval_novel)
+        results.append((float(np.mean(list(seen_by.values()))), float(np.mean(list(novel_by.values())))))
     return results

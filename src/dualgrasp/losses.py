@@ -60,27 +60,27 @@ def softmax_cross_entropy(logits, target_idx):
     return loss, p / len(z)
 
 
-def smooth_l1(pred, target, beta: float = 1.0):
-    """Mean smooth L1: 0.5 x^2 / beta inside |x| < beta, |x| - beta/2 outside."""
+def smooth_l1(pred, target):
+    """Mean smooth L1: 0.5 x^2 inside |x| < 1, |x| - 1/2 outside."""
     x = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    small = np.abs(x) < beta
-    vals = np.where(small, 0.5 * x * x / beta, np.abs(x) - 0.5 * beta)
-    grad = np.where(small, x / beta, np.sign(x)) / x.size
+    small = np.abs(x) < 1.0
+    vals = np.where(small, 0.5 * x * x, np.abs(x) - 0.5)
+    grad = np.where(small, x, np.sign(x)) / x.size
     return float(np.mean(vals)), grad
 
 
-def loss_refiner(view_logits, width_pred, angle_logits, depth_logits, score_logits, targets):
-    """Combined pose-refiner loss: smooth L1 for view scores and width,
-    cross-entropy for angle, depth, and score bins.
+def loss_refiner(view, width, angle, depth, score, targets):
+    """Combined pose-refiner loss on the refiner heads' outputs: smooth L1 for
+    view scores and width (N,), cross-entropy for angle, depth, and score logits.
 
     targets: dict with view_scores (N, V), width (N,), angle_idx, depth_idx,
     score_idx (N,). Returns (total, per-output gradients dict, per-term dict).
     """
-    l_view, g_view = smooth_l1(view_logits, targets["view_scores"])
-    l_width, g_width = smooth_l1(width_pred, targets["width"])
-    l_angle, g_angle = softmax_cross_entropy(angle_logits, targets["angle_idx"])
-    l_depth, g_depth = softmax_cross_entropy(depth_logits, targets["depth_idx"])
-    l_score, g_score = softmax_cross_entropy(score_logits, targets["score_idx"])
+    l_view, g_view = smooth_l1(view, targets["view_scores"])
+    l_width, g_width = smooth_l1(width, targets["width"])
+    l_angle, g_angle = softmax_cross_entropy(angle, targets["angle_idx"])
+    l_depth, g_depth = softmax_cross_entropy(depth, targets["depth_idx"])
+    l_score, g_score = softmax_cross_entropy(score, targets["score_idx"])
     total = l_view + l_width + l_angle + l_depth + l_score
     grads = {"view": g_view, "width": g_width, "angle": g_angle, "depth": g_depth, "score": g_score}
     terms = {"view": l_view, "width": l_width, "angle": l_angle, "depth": l_depth, "score": l_score}

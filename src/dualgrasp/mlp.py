@@ -20,6 +20,7 @@ from .json_io import keys_of, write_json
 CHECKPOINT_SCHEMA_VERSION = 1
 
 MAP_HEADS = ("objectness", "parallel", "vacuum")
+REFINER_HEADS = ("view", "angle", "depth", "width", "score")
 
 
 @dataclass
@@ -200,17 +201,6 @@ class MlpModel:
         """Sigmoid map predictions per point: objectness, parallel, vacuum in [0, 1]."""
         outputs, _ = self.forward(features, MAP_HEADS)
         return {name: _sigmoid(outputs[name][:, 0]) for name in MAP_HEADS}
-
-    def refiner_outputs(self, features: np.ndarray) -> dict:
-        """Raw refiner head outputs for (N, F) seed features."""
-        outputs, _ = self.forward(features)
-        return {
-            "view": outputs["view"],
-            "angle_logits": outputs["angle"],
-            "depth_logits": outputs["depth"],
-            "width": outputs["width"][:, 0],
-            "score_logits": outputs["score"],
-        }
 
 
 def _sigmoid(z):

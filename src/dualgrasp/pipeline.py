@@ -14,9 +14,9 @@ import numpy as np
 
 from .cloud import PointCloud
 from .features import FeatureState
-from .grasps import PARALLEL, VACUUM, Grasps
+from .grasps import VACUUM, Grasps
 from .labels import GraspnessMaps, build_label_maps
-from .mlp import MlpModel
+from .mlp import REFINER_HEADS, MlpModel
 from .refine_parallel import ProbeMemory, RefineParallelConfig, fallback_refine_batch, learned_refine_batch
 from .refine_vacuum import refine_vacuum_poses
 from .sampling import SamplingConfig, SeedSet, fuse_scores, select_seeds
@@ -25,7 +25,6 @@ from .scenes import SceneAnnotation, owning_objects, removal_mask
 
 @dataclass
 class PipelineResult:
-    gripper: str
     grasps: Grasps
     seeds: SeedSet
     dropped_seeds: int = 0
@@ -69,29 +68,29 @@ class GraspPipeline:
                 feats=None, probes: ProbeMemory = None) -> PipelineResult:
         """Ranked proposals of one gripper from the scene's maps: by descending score, ties by seed index.
 
+        The gripper picks its graspness channel, threshold and seed count;
+        seeding is then one step for both, and only the pose head differs.
         feats (the point features) feed the learned pose head; probes lends
         the oracle pose head its known probe rows.
         """
-        if gripper == VACUUM:
-            fused = fuse_scores(maps.objectness, maps.vacuum_graspness)
-            seeds = select_seeds(cloud, fused, self.sampling.t_vacuum, self.sampling.m_vacuum, VACUUM)
-            if not len(seeds):
-                return PipelineResult(VACUUM, Grasps.from_records([]), seeds)
-            grasps, dropped = refine_vacuum_poses(cloud, seeds)
-            return PipelineResult(VACUUM, grasps.ranked(), seeds, dropped)
-
-        fused = fuse_scores(maps.objectness, maps.parallel_graspness)
-        seeds = select_seeds(cloud, fused, self.sampling.t_parallel, self.sampling.m_parallel, PARALLEL)
+        cfg = self.sampling
+        graspness, threshold, m = (maps.vacuum_graspness, cfg.t_vacuum, cfg.m_vacuum) if gripper == VACUUM \
+            else (maps.parallel_graspness, cfg.t_parallel, cfg.m_parallel)
+        seeds = select_seeds(cloud, fuse_scores(maps.objectness, graspness), threshold, m)
         if not len(seeds):
-            return PipelineResult(PARALLEL, Grasps.from_records([]), seeds)
+            return PipelineResult(Grasps.from_records([]), seeds)
+        if gripper == VACUUM:
+            grasps, dropped = refine_vacuum_poses(cloud, seeds)
+            return PipelineResult(grasps.ranked(), seeds, dropped)
+
         refine_seeds = seeds
         if self.max_parallel_refine is not None and len(seeds) > self.max_parallel_refine:
             order = np.lexsort((seeds.indices, -seeds.fused_scores))[: self.max_parallel_refine]
-            refine_seeds = SeedSet(PARALLEL, seeds.indices[order], seeds.fused_scores[order])
+            refine_seeds = SeedSet(seeds.indices[order], seeds.fused_scores[order])
         if self.pose_head == "oracle":
             grasps, dropped = fallback_refine_batch(cloud, scene, refine_seeds.indices, self.refine, probes)
         else:
-            refiner_out = self.model.refiner_outputs(feats[refine_seeds.indices])
+            refiner_out, _ = self.model.forward(feats[refine_seeds.indices], REFINER_HEADS)
             grasps, dropped = learned_refine_batch(cloud, refine_seeds.indices, refiner_out, self.refine), 0
         if self.model is not None:
             # prediction-driven ranking: gate the decoded pose score by the map
@@ -101,7 +100,7 @@ class GraspPipeline:
             fused_at[refine_seeds.indices] = refine_seeds.fused_scores
             gate = fused_at[grasps.seed_index]
             grasps.score = grasps.score * gate if self.pose_head == "learned" else gate
-        return PipelineResult(PARALLEL, grasps.ranked(), seeds, dropped)
+        return PipelineResult(grasps.ranked(), seeds, dropped)
 
 
 @dataclass(eq=False)

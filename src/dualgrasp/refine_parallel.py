@@ -307,18 +307,20 @@ def fallback_refine_batch(cloud: PointCloud, scene: SceneAnnotation, seed_indice
 def learned_refine_batch(cloud: PointCloud, seed_indices, refiner_out: dict, config: RefineParallelConfig):
     """Decode MLP refiner outputs (one row per seed) into one parallel pose per seed.
 
-    Each row takes the argmax view, angle, depth and score bin (ties: lowest
-    index) and its regressed width clamped to [1e-4, MAX_WIDTH]. The approach
-    is the grid approach of the view normalized twice (unit_rows here, and
-    again by Grasps.parallel), which can differ from the fallback's approach,
-    normalized once, in the last bit.
+    refiner_out holds MlpModel.forward's outputs of the mlp.REFINER_HEADS, by
+    those names: (S, dim) logits of view, angle, depth and score, and the
+    (S, 1) width. Each row takes the argmax view, angle, depth and score bin
+    (ties: lowest index) and its regressed width clamped to [1e-4, MAX_WIDTH].
+    The approach is the grid approach of the view normalized twice (unit_rows
+    here, and again by Grasps.parallel), which can differ from the fallback's
+    approach, normalized once, in the last bit.
     """
     grid = fibonacci_hemisphere(config.n_views)
     views = np.argmax(refiner_out["view"], axis=1)
-    angles = config.angle_values()[np.argmax(refiner_out["angle_logits"], axis=1)]
-    depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth_logits"], axis=1)]
-    scores = config.score_bin_values()[np.argmax(refiner_out["score_logits"], axis=1)]
-    widths = np.clip(refiner_out["width"], 1e-4, MAX_WIDTH)
+    angles = config.angle_values()[np.argmax(refiner_out["angle"], axis=1)]
+    depths = np.asarray(config.depth_bins)[np.argmax(refiner_out["depth"], axis=1)]
+    scores = config.score_bin_values()[np.argmax(refiner_out["score"], axis=1)]
+    widths = np.clip(refiner_out["width"][:, 0], 1e-4, MAX_WIDTH)
     seed_indices = np.asarray(seed_indices, dtype=np.intp)
     return Grasps.parallel(cloud.points[seed_indices], unit_rows(-grid[views]), angles, widths, depths, scores,
                            seed_index=seed_indices)

@@ -20,8 +20,6 @@ def refine_vacuum_poses(cloud: PointCloud, seeds: SeedSet, r: float = DEFAULT_NO
     degenerate neighborhoods (fewer than 3 points, or collinear) are dropped
     rather than raised. Returns (grasps, dropped_count), the grasps in seed order.
     """
-    if seeds.gripper != "vacuum":
-        raise ValueError(f"expected vacuum seeds, got {seeds.gripper!r}")
     evals, evecs = neighborhood_eigh(cloud.points, *SpatialIndex(cloud).radius_csr(r, seeds.indices))
     rows = np.flatnonzero(evals[:, 1] > 1e-12)
     centers = cloud.points[seeds.indices[rows]]

@@ -21,7 +21,8 @@ class SamplingConfig:
 
 @dataclass
 class SeedSet:
-    gripper: str
+    """Seeds of one gripper, distinct cloud indices with their fused scores; its grasps name the gripper."""
+
     indices: np.ndarray
     fused_scores: np.ndarray
 
@@ -46,7 +47,7 @@ def fuse_scores(objectness, graspness) -> np.ndarray:
     return o * g
 
 
-def select_seeds(cloud: PointCloud, fused, threshold: float, m: int, gripper: str = "parallel") -> SeedSet:
+def select_seeds(cloud: PointCloud, fused, threshold: float, m: int) -> SeedSet:
     """Points with fused score strictly above the threshold, FPS-reduced to at most m.
 
     An empty candidate set yields an empty SeedSet; the caller decides what a
@@ -58,4 +59,4 @@ def select_seeds(cloud: PointCloud, fused, threshold: float, m: int, gripper: st
     candidates = np.flatnonzero(fused > threshold)
     if len(candidates) > m:
         candidates = farthest_point_sampling(cloud, candidates, m)
-    return SeedSet(gripper=gripper, indices=candidates, fused_scores=fused[candidates])
+    return SeedSet(candidates, fused[candidates])

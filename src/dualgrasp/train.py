@@ -165,8 +165,7 @@ def _batch_losses_and_grads(model: MlpModel, batch: list):
         l_ref, ref_grads, _ = loss_refiner(
             outputs["view"], outputs["width"][:, 0], outputs["angle"], outputs["depth"], outputs["score"], targets
         )
-        for head in ("view", "angle", "depth", "width", "score"):
-            parallel_head_grads[head] = ref_grads[head]
+        parallel_head_grads.update(ref_grads)
 
     grad_parallel_task, grad_vacuum_task, grad_objectness = model.backward(
         cache, [parallel_head_grads, {"vacuum": g_vac[:, None]}, {"objectness": g_obj[:, None]}]

@@ -130,7 +130,9 @@ def test_fallback_proposer_spans_count_one_map_build_per_state(small_scene):
     Two states (the full scene and the scene without one object), each asked
     twice for both grippers: the propose spans, which name themselves from
     GraspPipeline.propose's gripper argument, and labels.build count each
-    state once.
+    state once. The seed and pose counters, whose hooks read the arguments
+    and results of select_seeds, refine_vacuum_poses and
+    fallback_refine_batch, add up to the proposals' own counts.
     """
     spans = load_spans()
     from dualgrasp.grasps import PARALLEL, VACUUM
@@ -142,14 +144,28 @@ def test_fallback_proposer_spans_count_one_map_build_per_state(small_scene):
     states = [(cloud, scene), remove_object(cloud, scene, scene.objects()[0].object_id)]
     proposer = SceneProposer(GraspPipeline(sampling=SamplingConfig(m_parallel=16, m_vacuum=16)), scene, gt)
     tracer = spans.Tracer()
+    results = {PARALLEL: [], VACUUM: []}
     with spans.Instrumentation(tracer):
         for c, s in states:
             for gripper in (PARALLEL, VACUUM, PARALLEL, VACUUM):
                 proposer(c, s, gripper)
+            for gripper in results:
+                results[gripper].append(proposer.propose(c, s, gripper))
     totals = tracer.totals()
     assert totals["labels.build"]["calls"] == len(states)
     for gripper in (PARALLEL, VACUUM):
         assert totals[f"pipeline.propose.fallback.{gripper}"]["calls"] == len(states)
+
+    def total(gripper, count):
+        return sum(count(r) for r in results[gripper])
+
+    counters = tracer.counters
+    assert counters["sampling.select_seeds.seeds"] == sum(total(g, lambda r: len(r.seeds)) for g in results)
+    assert counters["refine_vacuum.poses.seeds"] == total(VACUUM, lambda r: len(r.seeds)) > 0
+    assert counters["refine_vacuum.poses.dropped"] == total(VACUUM, lambda r: r.dropped_seeds)
+    assert counters["refine_parallel.fallback_batch.seeds"] == total(PARALLEL, lambda r: len(r.seeds)) > 0
+    assert counters["refine_parallel.fallback_batch.grasps"] == total(PARALLEL, lambda r: len(r.grasps))
+    assert counters["refine_parallel.fallback_batch.dropped"] == total(PARALLEL, lambda r: r.dropped_seeds)
 
 
 CHECKS = SPANS.parent / "checks.py"

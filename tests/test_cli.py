@@ -590,6 +590,8 @@ def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, sc
     ["eval", "--grasps", "{pred}", "--seeds", "0"],
     ["synth", "--kinds", "box", "--config", "{kind_sequence_config}"],
     ["synth", "--config", "{kinds_and_kind_sequence_config}"],
+    ["train", "--config", "{missing}"],
+    ["export-ply", "--input", "{missing}", "--channel", "graspness_vacuum"],
 ], ids=["max-refine-0", "max-refine-negative", "jobs-0", "seeds-0", "t-parallel-1.5",
         "config-file-value", "epochs-0", "batch-0", "batch-negative", "seed-threshold-1.5",
         "refiner-seeds-0", "grasps-missing", "grasps-none", "clearing-max-refine-0",
@@ -620,7 +622,8 @@ def test_predict_jobs_capped_at_scene_count(workspace, tmp_path, monkeypatch, sc
         "eval-checkpoint-without-clearing", "eval-fallback-head-without-clearing",
         "eval-t-parallel-without-clearing", "eval-t-vacuum-without-clearing", "eval-seeds-without-clearing",
         "eval-max-refine-without-clearing", "eval-seeds-0-without-clearing",
-        "kinds-flag-next-to-kind-sequence", "kinds-next-to-kind-sequence"])
+        "kinds-flag-next-to-kind-sequence", "kinds-next-to-kind-sequence", "config-missing",
+        "export-input-missing"])
 def test_usage_errors_exit_two(workspace, tmp_path, argv):
     configs = {
         "{bad_config}": "sampling.t_parallel = 1.5",

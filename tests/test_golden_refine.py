@@ -14,6 +14,9 @@ relative), the view-score targets (50 of 2100 entries moved, by at most
 2.2e-16 absolute) and the trained parameters that follow from those targets.
 Counts, seed indices and every discrete target stayed the same.
 
+The vacuum-proposal digests were captured before GraspPipeline.propose
+seeded both grippers through one step.
+
 The ground-truth grasp and label-map digests were captured from the
 per-candidate seal oracle, per-grasp ownership scans and one-grasp collision
 filters that preceded seal_quality_batch, owning_objects and the batched
@@ -38,7 +41,7 @@ import pytest
 import dualgrasp
 from dualgrasp.features import compute_point_features
 from dualgrasp.grasps import PARALLEL, VACUUM
-from dualgrasp.labels import build_label_maps
+from dualgrasp.labels import GraspnessMaps, build_label_maps
 from dualgrasp.mlp import MAP_HEADS, MlpModel, ModelConfig
 from dualgrasp.pipeline import GraspPipeline
 from dualgrasp.refine_parallel import RefineParallelConfig, fallback_refine_batch
@@ -71,6 +74,21 @@ LEARNED_GOLDEN = {
     "count": 568,
     "fields": "a8d5edf712b61197fce7e13a",
     "seed_index": "4a1d1e46ef29d2e47b0fdc52",
+}
+
+VACUUM_PROPOSALS_GOLDEN = {
+    "label maps": {
+        "dropped": 3,
+        "count": 875,
+        "fields": "7413db4c90e65b37acf31ecb",
+        "seed_index": "a394139e2f666aa920377650",
+    },
+    "model maps": {
+        "dropped": 16,
+        "count": 1008,
+        "fields": "2d1b287bb2eba52223c00258",
+        "seed_index": "877286dc4771d44f6c4f9256",
+    },
 }
 
 TARGETS_GOLDEN = {
@@ -145,6 +163,19 @@ def learned_digests(cloud, scene, grasps):
     return grasp_digests(result.grasps, result.dropped_seeds)
 
 
+def vacuum_proposal_digests(cloud, scene, grasps):
+    """Vacuum proposals of GraspPipeline.propose: untrained on the label maps, and on learned_digests' model's maps."""
+    maps = build_label_maps(cloud, scene, grasps)
+    fallback = GraspPipeline().propose(cloud, scene, VACUUM, maps)
+    feats = compute_point_features(cloud, scene.table_height)
+    model = random_model(feats)
+    scores = model.predict_map_scores(feats)
+    model_maps = GraspnessMaps(scores["objectness"], scores["parallel"], scores["vacuum"])
+    learned = GraspPipeline(model=model).propose(cloud, scene, VACUUM, model_maps, feats)
+    return {name: grasp_digests(r.grasps, r.dropped_seeds)
+            for name, r in (("label maps", fallback), ("model maps", learned))}
+
+
 def target_digests(cloud, scene, grasps):
     prepared = prepare_training_scene(cloud, scene, grasps)
     out = {"seed_rows": _digest(prepared.seed_rows.astype(np.int64))}
@@ -181,6 +212,10 @@ def test_fallback_grasps_byte_identical(golden_scene):
 
 def test_learned_grasps_byte_identical(golden_scene):
     assert learned_digests(*golden_scene) == LEARNED_GOLDEN
+
+
+def test_vacuum_proposals_byte_identical(golden_scene):
+    assert vacuum_proposal_digests(*golden_scene) == VACUUM_PROPOSALS_GOLDEN
 
 
 def test_training_targets_byte_identical(golden_scene):

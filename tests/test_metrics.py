@@ -109,10 +109,10 @@ def test_parallel_qualities_match_per_grasp_oracle_bitwise(four_kind_scene, rng)
     fallback, _ = fallback_refine_batch(cloud, scene, seeds, rcfg)
     refiner_out = {
         "view": rng.normal(size=(len(seeds), rcfg.n_views)),
-        "angle_logits": rng.normal(size=(len(seeds), rcfg.n_angle_bins)),
-        "depth_logits": rng.normal(size=(len(seeds), len(rcfg.depth_bins))),
-        "width": rng.uniform(0.01, 0.1, len(seeds)),
-        "score_logits": rng.normal(size=(len(seeds), rcfg.n_score_bins)),
+        "angle": rng.normal(size=(len(seeds), rcfg.n_angle_bins)),
+        "depth": rng.normal(size=(len(seeds), len(rcfg.depth_bins))),
+        "width": rng.uniform(0.01, 0.1, (len(seeds), 1)),
+        "score": rng.normal(size=(len(seeds), rcfg.n_score_bins)),
     }
     learned = learned_refine_batch(cloud, seeds, refiner_out, rcfg)
     ground = first(gt, PARALLEL)

@@ -44,10 +44,10 @@ def refiner_rows(view_scores, angle_logits=None, depth_logits=None, width=0.05, 
 
     return {
         "view": view_scores,
-        "angle_logits": logits(angle_logits, CFG.n_angle_bins),
-        "depth_logits": logits(depth_logits, len(CFG.depth_bins)),
-        "width": np.full(n, width),
-        "score_logits": logits(score_logits, CFG.n_score_bins),
+        "angle": logits(angle_logits, CFG.n_angle_bins),
+        "depth": logits(depth_logits, len(CFG.depth_bins)),
+        "width": np.full((n, 1), width),
+        "score": logits(score_logits, CFG.n_score_bins),
     }
 
 

@@ -11,7 +11,7 @@ from dualgrasp.scenes import SynthConfig, generate_scene
 def test_plane_seed_normal_up(rng):
     xy = rng.uniform(-0.05, 0.05, size=(800, 2))
     cloud = PointCloud(np.column_stack([xy, np.zeros(800)]), viewpoint=(0, 0, 1))
-    seeds = SeedSet("vacuum", [3, 77, 500], [0.3, 0.7, 0.9])
+    seeds = SeedSet([3, 77, 500], [0.3, 0.7, 0.9])
     grasps, dropped = refine_vacuum_poses(cloud, seeds, r=0.02)
     assert dropped == 0
     for g in grasps:
@@ -21,7 +21,7 @@ def test_plane_seed_normal_up(rng):
 def test_score_passthrough(rng):
     xy = rng.uniform(-0.05, 0.05, size=(500, 2))
     cloud = PointCloud(np.column_stack([xy, np.zeros(500)]), viewpoint=(0, 0, 1))
-    seeds = SeedSet("vacuum", [10], [0.73])
+    seeds = SeedSet([10], [0.73])
     grasps, _ = refine_vacuum_poses(cloud, seeds, r=0.02)
     assert grasps.score[0] == 0.73
     assert np.array_equal(grasps.center[0], cloud.points[10])
@@ -33,7 +33,7 @@ def test_sphere_seeds_angular_error(rng):
     pts = 0.05 * v + [0, 0, 0.1]
     cloud = PointCloud(pts, viewpoint=(0, 0, 1.0))
     seed_idx = rng.choice(6000, size=50, replace=False)
-    seeds = SeedSet("vacuum", seed_idx, np.full(50, 0.5))
+    seeds = SeedSet(seed_idx, np.full(50, 0.5))
     grasps, dropped = refine_vacuum_poses(cloud, seeds, r=0.012)
     assert dropped <= 2
     errs = []
@@ -47,7 +47,7 @@ def test_sphere_seeds_angular_error(rng):
 def test_degenerate_seeds_dropped_not_raised():
     # two isolated points: radius neighborhood has < 3 members
     cloud = PointCloud([[0, 0, 0], [1, 1, 1], [2, 2, 2]], viewpoint=(0, 0, 5))
-    seeds = SeedSet("vacuum", [0, 1], [0.5, 0.6])
+    seeds = SeedSet([0, 1], [0.5, 0.6])
     grasps, dropped = refine_vacuum_poses(cloud, seeds, r=0.01)
     assert len(grasps) == 0
     assert dropped == 2
@@ -81,7 +81,7 @@ def test_batched_normals_match_estimate_normal_bitwise(r):
     clouds = [(scene_cloud, rng.choice(len(scene_cloud), size=200, replace=False)),
               (flat, np.arange(len(flat)))]
     for cloud, seed_idx in clouds:
-        seeds = SeedSet("vacuum", seed_idx, rng.uniform(size=len(seed_idx)))
+        seeds = SeedSet(seed_idx, rng.uniform(size=len(seed_idx)))
         grasps, dropped = refine_vacuum_poses(cloud, seeds, r=r)
         expected = scalar_vacuum_poses(cloud, seeds, r)
         assert dropped == len(seeds) - len(expected) > 0
@@ -91,12 +91,6 @@ def test_batched_normals_match_estimate_normal_bitwise(r):
             assert g.center.tobytes() == cloud.points[seed].tobytes()
             # a grasp normalises the estimated normal once more
             assert g.axis.tobytes() == (normal / np.linalg.norm(normal)).tobytes()
-
-
-def test_rejects_wrong_gripper(rng):
-    cloud = PointCloud(rng.uniform(size=(10, 3)))
-    with pytest.raises(ValueError):
-        refine_vacuum_poses(cloud, SeedSet("parallel", [0], [0.5]))
 
 
 def grasps(scores, seeds):

@@ -110,9 +110,9 @@ def test_fps_coverage_beats_random(rng):
 
 def test_seedset_validation():
     with pytest.raises(ValueError):
-        SeedSet("parallel", [1, 1], [0.5, 0.5])
+        SeedSet([1, 1], [0.5, 0.5])
     with pytest.raises(ValueError):
-        SeedSet("parallel", [1, 2], [0.5])
+        SeedSet([1, 2], [0.5])
 
 
 def test_sampling_config_validation():
