@@ -14,9 +14,8 @@ from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .cloud import PointCloud
+from .cloud import CellGrid, PointCloud
 from .domains import COUNT, FINITE, ORDERED_RANGE, POINT, POSITIVE_FINITE, UNIT, check_fields, names, setting
 from .geometry import closing_angles_deg, col_dots, col_norms, row_dots, row_norms, unit_rows, yaw_quat
 from .grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, Grasps
@@ -380,26 +379,23 @@ _SEAL_SAMPLE_CACHE = {}
 
 
 def _seal_surface_samples(prim: Primitive, count: int):
-    """Local-frame surface samples for the seal oracle and a cKDTree over them, cached per shape.
+    """Local-frame surface samples for the seal oracle and a CellGrid over them, cached per shape.
 
     Samples are drawn once per (kind, dimensions, count) with a fixed seed, so
-    the oracle stays a pure function. The tree only prefilters the cups, so it
-    is built for speed (big leaves, midpoint splits): shapes rarely recur, so
-    each tree serves only a few hundred cups. Clearing _SEAL_SAMPLE_CACHE
-    drops the trees with the samples.
+    the oracle stays a pure function. The grid only prefilters the cups; its
+    cells are one cup radius wide. Clearing _SEAL_SAMPLE_CACHE drops the grids
+    with the samples.
     """
     key = (prim.kind, prim.dimensions, count)
     entry = _SEAL_SAMPLE_CACHE.get(key)
     if entry is None:
-        # A tree adds 60 to 70% to its samples' memory, and shapes do not recur
-        # across scenes: hold a few scenes' worth, not 64 shapes.
+        # shapes do not recur across scenes: hold a few scenes' worth, not 64 shapes
         if len(_SEAL_SAMPLE_CACHE) > 16:
             _SEAL_SAMPLE_CACHE.clear()
         rng = np.random.default_rng(_SEAL_RNG_SEED)
         reference = Primitive(prim.kind, prim.dimensions, object_id=max(1, prim.object_id))
         local, _, _ = reference.sample_surface(count, rng)
-        tree = cKDTree(local, leafsize=32, balanced_tree=False, compact_nodes=False)
-        entry = _SEAL_SAMPLE_CACHE[key] = (local, tree)
+        entry = _SEAL_SAMPLE_CACHE[key] = (local, CellGrid(local, CUP_RADIUS))
     return entry
 
 
@@ -414,7 +410,7 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
     center from the tangent plane there. 0 for porous objects, for centers that
     are not within ON_SURFACE_TOL of an object surface, and for cups that hold
     no sample. object_id is that owning object (owning_objects), -1 for none.
-    The samples are gathered by one query of their cached local-frame tree per
+    The samples are gathered by one query of their cached local-frame grid per
     object, with a radius padded far beyond the rounding of a rigid transform;
     the exact world-frame distance test then keeps them in ascending sample
     order, and one line-exact surface_normal call per object gives the tangent
@@ -429,13 +425,12 @@ def seal_quality_batch(scene: SceneAnnotation, centers, cup_radius: float = CUP_
         if len(rows) == 0 or prim.porosity_flag:
             continue
         count = int(np.clip(prim.surface_area() * SEAL_SAMPLE_DENSITY, lo, hi))
-        local, tree = _seal_surface_samples(prim, count)
+        local, grid = _seal_surface_samples(prim, count)
         pts = prim.to_world(local.T).T
-        near = tree.query_ball_point(prim.to_local(c[rows].T).T, cup_radius * (1.0 + 1e-9) + 1e-12,
-                                     return_sorted=True)
+        starts, near = grid.near(prim.to_local(c[rows].T).T, cup_radius * (1.0 + 1e-9) + 1e-12)
         normals = prim.surface_normal(c[rows].T).T.copy()
-        for row, cand, n in zip(rows, near, normals):
-            d = pts[cand] - c[row]
+        for row, a, b, n in zip(rows, starts[:-1], starts[1:], normals):
+            d = pts[near[a:b]] - c[row]
             d = d[np.sqrt(np.add.reduce(d * d, axis=1)) <= cup_radius]  # np.linalg.norm's bits
             if len(d) == 0:
                 continue

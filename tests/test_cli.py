@@ -2,13 +2,17 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualgrasp
 from dualgrasp.cli import _FLAG_KEYS, _SECTIONS, _configs_from_args, build_configs, build_parser, load_config_file, main
 from dualgrasp.grasps import PARALLEL, VACUUM
 from dualgrasp.mlp import MlpModel, ModelConfig, load_checkpoint, save_checkpoint
@@ -759,3 +763,21 @@ def test_runtime_failure_exits_one(workspace, tmp_path):
     code = run("predict", "--scenes", workspace / "scenes", "--out", tmp_path / "x",
                "--checkpoint", tmp_path / "missing.json")
     assert code == 1
+
+
+def test_no_module_imports_scipy_spatial_or_sparse():
+    """Every subcommand is a fresh process. scipy.spatial, which brings scipy.sparse, doubled
+    the start-up time of each, so neighbour search runs on numpy alone; scipy stays only
+    for metrics.roc_auc's rankdata, imported when called."""
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import dualgrasp, dualgrasp.cli\n"
+        "for info in pkgutil.iter_modules(dualgrasp.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        importlib.import_module('dualgrasp.' + info.name)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(('scipy.spatial', 'scipy.sparse')))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dualgrasp.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from dualgrasp.cloud import (
+    CellGrid,
     DegenerateNeighborhood,
     PointCloud,
     SpatialIndex,
@@ -215,6 +216,19 @@ def lattice_cloud():
     return PointCloud(np.array([[x, y, z] for x in g for y in g for z in g]))
 
 
+def cell_boundary_cloud():
+    """A lattice spaced one CellGrid cell of edge 0.25 apart: every point on a cell boundary."""
+    g = np.arange(5) * CellGrid(np.zeros((1, 3)), 0.25).edge
+    return PointCloud(np.array([[x, y, z] for x in g for y in g for z in g]))
+
+
+def near_duplicate_cloud():
+    """300 points spread over a 1 m cube, a third of them with a twin closer than 1e-9."""
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (200, 3))
+    twins = pts[::2] + np.array([4e-10, -3e-10, 2e-10])
+    return PointCloud(np.vstack([pts, twins]))
+
+
 REFERENCE_CSR_CASES = [
     *[pytest.param(lambda s=s: generate_scene(s, 4, SynthConfig())[0], r, id=f"scene{s}-{r}")
       for s in (1, 2) for r in (FEATURE_RADIUS, 0.01)],
@@ -223,6 +237,14 @@ REFERENCE_CSR_CASES = [
     pytest.param(lambda: PointCloud(np.tile([[0.1, -0.2, 0.3]], (6, 1))), FEATURE_RADIUS, id="duplicates"),
     # axis neighbours at distance exactly r
     *[pytest.param(lattice_cloud, r, id=f"lattice-{r}") for r in (0.25, 0.5)],
+    pytest.param(lambda: PointCloud(np.random.default_rng(3).uniform(-3.0, -2.0, (400, 3))), 0.2,
+                 id="negative-coordinates"),
+    # the axis neighbours sit one cell edge apart: just beyond r = 0.25, then within 0.2501
+    *[pytest.param(cell_boundary_cloud, r, id=f"cell-boundaries-{r}") for r in (0.25, 0.2501)],
+    # a billion cells per axis would overflow a linear int64 key
+    pytest.param(near_duplicate_cloud, 1e-9, id="tiny-radius"),
+    pytest.param(lambda: PointCloud(np.random.default_rng(4).uniform(0.0, 0.1, (50, 3))), 1.0,
+                 id="radius-beyond-extent"),
 ]
 
 
@@ -233,6 +255,22 @@ def test_radius_csr_matches_all_pairs_reference(make_cloud, r):
     want_starts, want_members = all_pairs_radius_csr(cloud, r)
     assert starts.dtype == members.dtype == np.intp
     assert np.array_equal(starts, want_starts) and np.array_equal(members, want_members)
+
+
+def test_radius_csr_centers_matches_radius(rng):
+    cloud = PointCloud(np.vstack([rng.uniform(-0.1, 0.1, (300, 3)), [[5.0, 5.0, 5.0]]]))
+    idx = SpatialIndex(cloud)
+    starts, members = idx.radius_csr(0.03, np.zeros(0, dtype=np.intp))
+    assert starts.tolist() == [0] and len(members) == 0
+    assert starts.dtype == members.dtype == np.intp
+    # repeated centers repeat their row; the far point's row holds itself alone
+    centers = [7, 300, 7, 0, 299, 7]
+    starts, members = idx.radius_csr(0.03, centers)
+    assert starts.shape == (len(centers) + 1,) and starts[-1] == len(members)
+    assert starts.dtype == members.dtype == np.intp
+    for row, c in enumerate(centers):
+        assert np.array_equal(members[starts[row]:starts[row + 1]], idx.radius(cloud.points[c], 0.03))
+    assert members[starts[1]:starts[2]].tolist() == [300]
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from dualgrasp.grasps import (
 )
 from dualgrasp.geometry import closing_directions
 from dualgrasp.labels import (
+    _associate,
     _swept_jaw_corners,
     build_label_maps,
     parallel_collisions,
@@ -219,6 +220,35 @@ def test_batched_collision_filters_match_one_grasp_filters():
         tallies += [got.sum(), got_v.sum()]
         assert 0 < got.sum() < len(par) and 0 < got_v.sum() < len(vac)
     assert tallies.min() > 40
+
+
+@pytest.mark.parametrize("qualities, want", [((0.3, 0.6), 0.7), ((0.6, 0.3), 0.4)])
+def test_duplicated_anchors_lowest_index_wins(qualities, want):
+    """Two grasps at one center tie for every point: the first grasp's quality is taken."""
+    cloud, scene, _ = overhead_box_scene()
+    grasps = Grasps.parallel([(0, 0, 0.04)] * 2, [(0, 0, -1)], angle_deg=0.0, width=0.07, depth=0.02, score=0.0,
+                             quality=qualities)
+    maps = build_label_maps(cloud, scene, grasps)
+    top = scene.per_point_object_id == 1
+    assert np.all(maps.parallel_graspness[top] == want)
+
+
+def test_associate_matches_a_scan_of_every_anchor():
+    cloud, scene, _ = overhead_box_scene()
+    rng = np.random.default_rng(3)
+    anchors = rng.uniform(-0.03, 0.03, (60, 3)) + [0.0, 0.0, 0.04]
+    anchors[40:] = anchors[:20]  # exact ties
+    quality = rng.uniform(size=len(anchors))
+    targets = np.where(np.arange(len(anchors)) % 5 == 0, 0, 1)
+    surviving = scene.per_point_object_id > 0
+    got = _associate(cloud, scene, anchors, quality, targets, surviving)
+    for i, p in enumerate(cloud.points):
+        if not surviving[i]:
+            assert got[i] == -1.0
+            continue
+        own = np.flatnonzero(targets == scene.per_point_object_id[i])
+        d2 = np.sum((anchors[own] - p) ** 2, axis=1)
+        assert got[i] == quality[own[np.lexsort((own, d2))[0]]]
 
 
 def test_requires_some_grasps():

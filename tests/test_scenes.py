@@ -3,10 +3,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from dualgrasp import scenes
+from dualgrasp.cloud import CellGrid
 from dualgrasp.geometry import closing_angles_deg
 from dualgrasp.grasps import CUP_RADIUS, MAX_WIDTH, WIDTH_MARGIN, Grasps
 from dualgrasp.primitives import Primitive
@@ -496,7 +496,8 @@ def test_seal_batch_keeps_samples_at_exactly_cup_radius(monkeypatch):
     lattice = np.array([[x, y, z] for x in g for y in g for z in (-0.25, 0.0, 0.25)])
     slab = Primitive("plane-slab", (4.0, 4.0, 1.0), translation=(0, 0, -0.5))  # top face z = 0
     local = lattice - slab.translation  # posed back onto the lattice exactly
-    monkeypatch.setattr(scenes, "_seal_surface_samples", lambda prim, count: (local, cKDTree(local)))
+    # cells one spacing wide put every sample within a hair of a cell boundary
+    monkeypatch.setattr(scenes, "_seal_surface_samples", lambda prim, count: (local, CellGrid(local, 0.25)))
     scene = bare_scene(slab)
     nodes = np.array([[x, y, 0.0] for x in g[1:-1] for y in g[1:-1]])
     got = seal_quality_batch(scene, nodes, 0.25).seal
@@ -505,31 +506,31 @@ def test_seal_batch_keeps_samples_at_exactly_cup_radius(monkeypatch):
     assert got == pytest.approx(np.full(len(nodes), 1.0 - np.sqrt(2.0 / 7.0)), rel=1e-12)
 
 
-def test_clearing_the_seal_cache_drops_the_trees(monkeypatch):
-    """The benchmark's cold-cache reset empties _SEAL_SAMPLE_CACHE; the trees must go with it."""
+def test_clearing_the_seal_cache_drops_the_grids(monkeypatch):
+    """The benchmark's cold-cache reset empties _SEAL_SAMPLE_CACHE; the grids must go with it."""
     builds = []
-    real_tree = scenes.cKDTree
 
-    def counting_tree(points, **kwargs):
-        builds.append(len(points))
-        return real_tree(points, **kwargs)
+    class CountingGrid(CellGrid):
+        def __init__(self, points, edge):
+            builds.append(len(points))
+            super().__init__(points, edge)
 
-    monkeypatch.setattr(scenes, "cKDTree", counting_tree)
+    monkeypatch.setattr(scenes, "CellGrid", CountingGrid)
     sphere = Primitive("sphere", (0.03,), translation=(0.0, 0.0, 0.03))
     scene = bare_scene(sphere)
     centers = np.array([[0.0, 0.0, 0.06], [0.03, 0.0, 0.03]])
     scenes._SEAL_SAMPLE_CACHE.clear()
     first = seal_quality_batch(scene, centers).seal
     seal_quality_batch(scene, centers)
-    assert len(builds) == 1  # one tree per shape, reused
-    assert any(isinstance(tree, real_tree) for _, tree in scenes._SEAL_SAMPLE_CACHE.values())
+    assert len(builds) == 1  # one grid per shape, reused
+    assert [type(grid) for _, grid in scenes._SEAL_SAMPLE_CACHE.values()] == [CountingGrid]
     scenes._SEAL_SAMPLE_CACHE.clear()
     assert np.array_equal(seal_quality_batch(scene, centers).seal, first)
     assert len(builds) == 2  # rebuilt after the reset
 
 
-def test_seal_bits_do_not_depend_on_the_sample_tree_build():
-    """The tree only prefilters the exact world-frame test: a default-built cKDTree gives the same bits."""
+def test_seal_bits_do_not_depend_on_the_sample_grid():
+    """The grid only prefilters the exact world-frame test: other cell widths give the same bits."""
     kinds = ("box", "sphere", "cylinder", "plane-slab")
     _, scene = generate_scene(7, len(kinds), SynthConfig(kind_sequence=kinds, density=5000.0))
     rng = np.random.default_rng(8)
@@ -541,9 +542,11 @@ def test_seal_bits_do_not_depend_on_the_sample_tree_build():
     scenes._SEAL_SAMPLE_CACHE.clear()
     built = seal_quality_batch(scene, centers).seal
     assert sorted(p.kind for p in scene.objects()) == sorted(kinds) and np.count_nonzero(built) > 400
-    for key, (local, _) in list(scenes._SEAL_SAMPLE_CACHE.items()):
-        scenes._SEAL_SAMPLE_CACHE[key] = (local, cKDTree(local))
-    assert np.array_equal(seal_quality_batch(scene, centers).seal, built)
+    cached = dict(scenes._SEAL_SAMPLE_CACHE)
+    for edge in (CUP_RADIUS / 3, 4 * CUP_RADIUS):
+        for key, (local, _) in cached.items():
+            scenes._SEAL_SAMPLE_CACHE[key] = (local, CellGrid(local, edge))
+        assert np.array_equal(seal_quality_batch(scene, centers).seal, built)
     scenes._SEAL_SAMPLE_CACHE.clear()
 
 
